@@ -189,7 +189,7 @@ class CapClient {
   }
 
   // An idle-but-held connection: an event-subscribed loud that is never
-  // mapped, so it joins no engine island and costs the tick nothing — the
+  // mapped, so the engine never ticks it and it costs nothing — the
   // client is purely a held socket with live protocol state, the C10k idle
   // connection. Its kSync trickle still exercises the dispatch path.
   bool BuildIdle() {

@@ -2,18 +2,18 @@
 // prototype manages "multiple simultaneous audio data streams"; our engine
 // must keep per-tick cost well under the period as the active device graph
 // grows, and — with the epoch-snapshot tick (DESIGN.md decision 12) — must
-// keep request dispatch responsive while a multi-threaded tick storm runs.
+// keep request dispatch responsive while a tick storm runs.
 //
 // Two experiments, emitted via bench/bench_json.h for tools/benchdiff:
-//   1. tick cost vs active playback chains, serial vs island-parallel;
+//   1. tick cost vs active playback chains;
 //   2. client-observed dispatch latency for an engine-plane request against
 //      an idle root, measured idle, under a load-matched control (a second
-//      server ticking identical islands flat out), and under a continuous
-//      4-thread tick storm on the measured server itself. Acceptance (full
-//      runs): storm p99 <= 1.25x control p99 — the control burns the same
-//      CPU without sharing any lock with the probe, so the ratio isolates
-//      lock interference, which is what "breaking the big lock" removes
-//      (the pre-epoch engine held the state lock across the whole fan-out).
+//      server ticking identical chains flat out), and under a continuous
+//      tick storm on the measured server itself. Acceptance (full runs):
+//      storm p99 <= 1.25x control p99 — the control burns the same CPU
+//      without sharing any lock with the probe, so the ratio isolates lock
+//      interference, which is what "breaking the big lock" removes (the
+//      pre-epoch engine held the state lock across the whole fan-out).
 
 #include <algorithm>
 #include <atomic>
@@ -39,9 +39,8 @@ double PercentileOf(std::vector<double> values, double p) {
   return values[rank];
 }
 
-// N independent playing chains (one uploaded sound each, so the island
-// partitioner sees N independent islands), each queueing `plays_each`
-// back-to-back plays of a 60 s sound.
+// N independent playing chains (one uploaded sound each), each queueing
+// `plays_each` back-to-back plays of a 60 s sound.
 void BuildChains(BenchWorld& world, int n, int plays_each) {
   AudioToolkit& toolkit = world.toolkit();
   AudioConnection& client = world.client();
@@ -60,7 +59,7 @@ void BuildChains(BenchWorld& world, int n, int plays_each) {
   world.server().StepFrames(160);  // warm up: everything starts
 }
 
-// -- Experiment 1: tick cost vs chains, serial vs island-parallel ------------
+// -- Experiment 1: tick cost vs chains ---------------------------------------
 
 struct TickResult {
   double wall_us_per_tick = 0;
@@ -68,10 +67,8 @@ struct TickResult {
   double tick_p99_us = 0;
 };
 
-TickResult RunChainTicks(int chains, int engine_threads, int ticks) {
-  ServerOptions options;
-  options.engine_threads = engine_threads;
-  BenchWorld world(BoardConfig{}, options);
+TickResult RunChainTicks(int chains, int ticks) {
+  BenchWorld world;
   BuildChains(world, chains, /*plays_each=*/1);
 
   auto t0 = std::chrono::steady_clock::now();
@@ -96,29 +93,19 @@ void RunTickScaling(BenchJsonWriter* json, bool quick, bool* all_ok) {
   const std::vector<int> chain_counts = quick ? std::vector<int>{4, 16}
                                               : std::vector<int>{16, 64};
   std::printf("\nTick cost vs active chains (20 ms of audio per tick):\n");
-  std::printf("%-8s %-14s %-14s %-10s\n", "chains", "serial", "4 threads", "speedup");
+  std::printf("%-8s %-14s %-12s %-12s\n", "chains", "wall/tick", "tick p50", "tick p99");
   for (int n : chain_counts) {
-    TickResult serial = RunChainTicks(n, 1, ticks);
-    TickResult parallel = RunChainTicks(n, 4, ticks);
-    double speedup = parallel.wall_us_per_tick > 0
-                         ? serial.wall_us_per_tick / parallel.wall_us_per_tick
-                         : 0.0;
-    std::printf("%-8d %10.1f us %10.1f us %8.2fx\n", n, serial.wall_us_per_tick,
-                parallel.wall_us_per_tick, speedup);
-    // Real-time requirement: even the serial tick must beat its 20 ms
-    // period by a wide margin.
-    *all_ok = *all_ok && serial.wall_us_per_tick < 20000.0 &&
-              parallel.wall_us_per_tick < 20000.0;
+    TickResult result = RunChainTicks(n, ticks);
+    std::printf("%-8d %10.1f us %8.1f us %8.1f us\n", n, result.wall_us_per_tick,
+                result.tick_p50_us, result.tick_p99_us);
+    // Real-time requirement: the tick must beat its 20 ms period by a wide
+    // margin.
+    *all_ok = *all_ok && result.wall_us_per_tick < 20000.0;
 
-    auto& e_serial = json->Add("tick/" + std::to_string(n) + "ch_1t", ticks,
-                               serial.wall_us_per_tick * 1000.0);
-    e_serial.extra.emplace_back("tick_p50_us", serial.tick_p50_us);
-    e_serial.extra.emplace_back("tick_p99_us", serial.tick_p99_us);
-    auto& e_par = json->Add("tick/" + std::to_string(n) + "ch_4t", ticks,
-                            parallel.wall_us_per_tick * 1000.0);
-    e_par.extra.emplace_back("tick_p50_us", parallel.tick_p50_us);
-    e_par.extra.emplace_back("tick_p99_us", parallel.tick_p99_us);
-    e_par.extra.emplace_back("speedup_vs_serial", speedup);
+    auto& entry = json->Add("tick/" + std::to_string(n) + "ch", ticks,
+                            result.wall_us_per_tick * 1000.0);
+    entry.extra.emplace_back("tick_p50_us", result.tick_p50_us);
+    entry.extra.emplace_back("tick_p99_us", result.tick_p99_us);
   }
 }
 
@@ -137,7 +124,7 @@ struct DispatchResult {
 // What shares the machine with the measured server while we probe it.
 enum class DispatchLoad {
   kIdle,     // nothing: the true floor for a request round-trip
-  kControl,  // a SECOND, unconnected server ticks identical islands flat out
+  kControl,  // a SECOND, unconnected server ticks identical chains flat out
   kStorm,    // the MEASURED server itself ticks flat out (requests race epochs)
 };
 
@@ -146,8 +133,8 @@ enum class DispatchLoad {
 // client-observed latency.
 //
 // The acceptance comparison is storm-vs-control, not storm-vs-idle: the
-// control run burns exactly the same CPU (same chains, same 4-thread pool
-// wake/join cadence) but on a server the client never talks to, so the two
+// control run burns exactly the same CPU (same chains, same tick cadence)
+// but on a server the client never talks to, so the two
 // runs see identical scheduling pressure and differ only in whether the
 // probe's dispatch path shares locks with the ticking engine. That is the
 // variable "breaking the big lock" changes: the pre-epoch engine held the
@@ -156,9 +143,7 @@ enum class DispatchLoad {
 // epoch open/commit. (Storm-vs-idle also folds in raw single-core
 // timesharing, which no locking scheme can remove; it is still reported.)
 DispatchResult MeasureDispatch(DispatchLoad load, int requests) {
-  ServerOptions options;
-  options.engine_threads = 4;
-  BenchWorld world(BoardConfig{}, options);
+  BenchWorld world;
   // 5 x 60 s per chain: the storm cannot drain the queues mid-measurement.
   BuildChains(world, 8, /*plays_each=*/5);
 
@@ -166,7 +151,7 @@ DispatchResult MeasureDispatch(DispatchLoad load, int requests) {
   // probing client never connects to.
   std::unique_ptr<BenchWorld> control_world;
   if (load == DispatchLoad::kControl) {
-    control_world = std::make_unique<BenchWorld>(BoardConfig{}, options);
+    control_world = std::make_unique<BenchWorld>();
     BuildChains(*control_world, 8, /*plays_each=*/5);
   }
 
@@ -226,7 +211,7 @@ DispatchResult MeasureDispatch(DispatchLoad load, int requests) {
 
 bool RunDispatchStorm(BenchJsonWriter* json, bool quick) {
   const int requests = quick ? 2000 : 20000;
-  std::printf("\nDispatch latency under a 4-thread tick storm "
+  std::printf("\nDispatch latency under a tick storm "
               "(%d QueryQueue round-trips on an idle root):\n", requests);
 
   DispatchResult idle = MeasureDispatch(DispatchLoad::kIdle, requests);
@@ -260,7 +245,7 @@ bool RunDispatchStorm(BenchJsonWriter* json, bool quick) {
                             control.mean_us * 1000.0);
     e_ctl.extra.emplace_back("p50_us", control.p50_us);
     e_ctl.extra.emplace_back("p99_us", control.p99_us);
-    auto& e_storm = json->Add("dispatch/storm_4t", requests,
+    auto& e_storm = json->Add("dispatch/storm", requests,
                               under_storm.mean_us * 1000.0);
     e_storm.extra.emplace_back("p50_us", under_storm.p50_us);
     e_storm.extra.emplace_back("p99_us", under_storm.p99_us);

@@ -14,9 +14,9 @@ const char* LockRankName(LockRank rank) {
       return "kServerState";
     case LockRank::kEngineRoot:
       return "kEngineRoot";
-    case LockRank::kEnginePool:
-      return "kEnginePool";
-    // kEgressQueue/kDecodedCache/kTraceRegistry alias kEnginePool's value;
+    case LockRank::kEgressQueue:
+      return "kEgressQueue";
+    // kDecodedCache/kTraceRegistry/kEventLoop alias kEgressQueue's value;
     // the switch can only name the first enumerator of the shared rank, so
     // diagnostics carry the per-mutex name string alongside the rank.
     case LockRank::kTraceRing:
@@ -40,8 +40,8 @@ namespace {
 // Per-thread stack of held ranked locks. The common path is a fixed POD
 // TLS array (no guarded dynamic initialization, no teardown ordering
 // against static-destruction-time logging); threads that legitimately hold
-// more — the epoch fan-out takes one engine shard lock per island root, so
-// the serial engine's held count scales with the number of active clients
+// more — the epoch fan-out takes one engine shard lock per active root, so
+// the engine's held count scales with the number of active clients
 // — grow into a malloc'd overflow block freed at thread exit.
 constexpr int kInlineHeld = 64;
 
@@ -143,7 +143,7 @@ void OnAcquire(const void* mu, LockRank rank, uint64_t order, const char* name) 
 }
 
 void OnRelease(const void* mu) {
-  // Search newest-first: releases are usually LIFO, but IslandRootLocks
+  // Search newest-first: releases are usually LIFO, but ActiveRootLocks
   // releases in reverse and MutexLock::Unlock may release mid-stack.
   HeldLock* held = Held();
   for (int i = tls_held_count - 1; i >= 0; --i) {

@@ -15,8 +15,8 @@
 //   3. ...except the same-rank carve-out: ranks flagged by
 //      LockRankAllowsSameRank (only kEngineRoot) may be acquired repeatedly
 //      at the same rank in strictly ascending order-key order. This is the
-//      IslandRootLocks shape: the epoch fan-out takes every root engine
-//      lock of an island in ascending LOUD-id order (server_state.cc).
+//      ActiveRootLocks shape: the epoch fan-out takes the engine lock of
+//      every active root in ascending LOUD-id order (server_state.cc).
 //      All other same-rank pairs abort — which is exactly the documented
 //      "never held together" invariant for the rank-2 leaf group.
 //
@@ -41,7 +41,6 @@ enum class LockRank : int {
   kServerState = 0,    // AudioServer::mu_ — the "big lock"
   kEngineRoot = 1,     // Loud::engine_mu_ — per-root engine shard (same-rank
                        // multi-acquire in ascending LOUD-id order)
-  kEnginePool = 2,     // EnginePool::mu_ — tick worker pool
   kEgressQueue = 2,    // EgressQueue::mu_ — per-connection outbound queue
   kDecodedCache = 2,   // DecodedCache::mu_ — decoded-PCM LRU cache
   kTraceRegistry = 2,  // obs::TraceRegistry::mu_ — ring registration list
@@ -58,7 +57,7 @@ enum class LockRank : int {
 const char* LockRankName(LockRank rank);
 
 // Ranks that may be acquired repeatedly at the same rank, in strictly
-// ascending order-key order (the IslandRootLocks carve-out).
+// ascending order-key order (the ActiveRootLocks carve-out).
 constexpr bool LockRankAllowsSameRank(LockRank rank) {
   return rank == LockRank::kEngineRoot;
 }

@@ -95,8 +95,6 @@ std::string_view TraceReasonName(TraceReason reason) {
       return "dispatch";
     case TraceReason::kDispatchError:
       return "dispatch-error";
-    case TraceReason::kIslandRun:
-      return "island-run";
     case TraceReason::kEventFlush:
       return "event-flush";
     case TraceReason::kConnectionOpen:

@@ -14,8 +14,8 @@
 //     reason codes. Writers are always single-threaded per ring (each
 //     thread records only into its own ring); a per-ring mutex serializes
 //     the writer against snapshot readers, so a trace snapshot can be
-//     taken from any thread at any time — in particular while engine
-//     workers are tracing mid-fan-out without the server's state lock.
+//     taken from any thread at any time — in particular while the tick
+//     thread is tracing mid-fan-out without the server's state lock.
 //
 // The primitives are deliberately independent of the server so tests,
 // benches and tools can use them stand-alone.
@@ -106,12 +106,12 @@ class LatencyHistogram {
 enum class TraceReason : uint16_t {
   kNone = 0,
   kTickStart = 1,      // arg0 = frames
-  kTickEnd = 2,        // arg0 = duration us, arg1 = islands ticked
+  kTickEnd = 2,        // arg0 = duration us
   kTickOverrun = 3,    // arg0 = duration us, arg1 = period us
   kDispatch = 4,       // arg0 = opcode, arg1 = duration us
   kDispatchError = 5,  // arg0 = opcode, arg1 = error code
-  kIslandRun = 6,      // arg0 = island index, arg1 = device count
-  kEventFlush = 7,     // arg0 = deferred events flushed after a parallel tick
+  // 6 is retired (island-run) and never reused.
+  kEventFlush = 7,     // arg0 = events flushed at epoch commit
   kConnectionOpen = 8, // arg0 = connection index
   kConnectionClose = 9,// arg0 = connection index
   // Request-scoped spans (trace/parent/dur_us are meaningful from here on).

@@ -114,7 +114,7 @@ class AUD_CAPABILITY("mutex") Mutex {
     return true;
   }
 
-  // Disambiguates same-rank acquisitions (the IslandRootLocks carve-out):
+  // Disambiguates same-rank acquisitions (the ActiveRootLocks carve-out):
   // kEngineRoot mutexes carry their root LOUD's id so ascending-id
   // acquisition validates. Set once, before the mutex is ever contended.
   void SetRankOrder(uint64_t order) { order_ = order; }
@@ -133,9 +133,8 @@ class AUD_CAPABILITY("mutex") Mutex {
   const char* name_ = "unranked";
 };
 
-// RAII lock for aud::Mutex. Supports temporary release (Unlock/Lock) for
-// worker loops that drop the lock around job execution; the destructor
-// releases only if currently held.
+// RAII lock for aud::Mutex. Supports temporary release (Unlock/Lock); the
+// destructor releases only if currently held.
 class AUD_SCOPED_CAPABILITY MutexLock {
  public:
   explicit MutexLock(Mutex* mu) AUD_ACQUIRE(mu) : mu_(mu), held_(true) {
@@ -149,7 +148,7 @@ class AUD_SCOPED_CAPABILITY MutexLock {
   MutexLock(const MutexLock&) = delete;
   MutexLock& operator=(const MutexLock&) = delete;
 
-  // Temporary release inside the scope (EnginePool::WorkerLoop pattern).
+  // Temporary release inside the scope.
   void Unlock() AUD_RELEASE() {
     mu_->Unlock();
     held_ = false;

@@ -6,7 +6,7 @@
 // variant. Every variant is bit-identical to the scalar reference — the
 // golden tests in tests/dsp_kernels_test.cc prove it exhaustively for the
 // companding tables and over randomized blocks for the mix kernels, so
-// PR 1's serial/parallel determinism guarantee survives vectorization.
+// engine output does not depend on the variant.
 
 #ifndef SRC_DSP_KERNELS_H_
 #define SRC_DSP_KERNELS_H_
@@ -29,7 +29,7 @@ struct KernelOps {
   // samples through unscaled). Matches MixAccumulator semantics.
   void (*mix_accumulate)(int32_t* acc, const Sample* src, size_t n, int32_t gain);
 
-  // acc[i] += src[i] (merging per-worker partial mixes).
+  // acc[i] += src[i].
   void (*mix_add)(int32_t* acc, const int32_t* src, size_t n);
 
   // out[i] = saturate16(acc[i]).

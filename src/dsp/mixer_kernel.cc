@@ -23,12 +23,6 @@ void MixAccumulator::Accumulate(std::span<const Sample> in, int32_t gain) {
   ++input_count_;
 }
 
-void MixAccumulator::AddFrom(const MixAccumulator& other) {
-  size_t n = std::min(acc_.size(), other.acc_.size());
-  Kernels().mix_add(acc_.data(), other.acc_.data(), n);
-  input_count_ += other.input_count_;
-}
-
 void MixAccumulator::Resolve(std::span<Sample> out) const {
   size_t n = std::min(out.size(), acc_.size());
   Kernels().mix_resolve(out.data(), acc_.data(), n);

@@ -35,15 +35,10 @@ class MixAccumulator {
   // shorter than the block contribute silence for the remainder.
   void Accumulate(std::span<const Sample> in, int32_t gain);
 
-  // Adds another accumulator's running sum (merging per-worker partial
-  // mixes). Only min(size, other.size) frames are added.
-  void AddFrom(const MixAccumulator& other);
-
   // Writes the saturated mix into `out` (must be at least size()).
   void Resolve(std::span<Sample> out) const;
 
-  // Number of Accumulate calls since the last Clear/Reset (AddFrom adds
-  // the other accumulator's count).
+  // Number of Accumulate calls since the last Clear/Reset.
   int input_count() const { return input_count_; }
 
  private:

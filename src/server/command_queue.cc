@@ -450,33 +450,6 @@ uint32_t CommandQueue::FirstTag(const Node& node) {
   return 0;
 }
 
-void CommandQueue::CollectSoundIds(std::vector<ResourceId>* out) const {
-  for (const auto& node : program_) {
-    CollectNodeSounds(*node, out);
-  }
-}
-
-void CommandQueue::CollectNodeSounds(const Node& node, std::vector<ResourceId>* out) {
-  if (node.kind == Node::Kind::kCommand && !node.done) {
-    switch (node.spec.command) {
-      case DeviceCommand::kPlay:
-        out->push_back(PlayArgs::Decode(node.spec.args).sound);
-        break;
-      case DeviceCommand::kRecord:
-        out->push_back(RecordArgs::Decode(node.spec.args).sound);
-        break;
-      case DeviceCommand::kTrain:
-        out->push_back(TrainArgs::Decode(node.spec.args).sound);
-        break;
-      default:
-        break;
-    }
-  }
-  for (const auto& child : node.children) {
-    CollectNodeSounds(*child, out);
-  }
-}
-
 void CommandQueue::ForgetDevice(const VirtualDevice* device) {
   for (auto& node : program_) {
     ForgetNodeDevice(node.get(), device);

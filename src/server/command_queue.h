@@ -55,12 +55,6 @@ class CommandQueue {
   // Commands waiting or running.
   uint32_t Depth() const;
 
-  // Island partitioning support: appends the sound ids referenced by every
-  // queued (not-yet-finished) Play/Record/Train command, so a command that
-  // starts mid-tick inside a worker never reads or writes a sound another
-  // island is touching.
-  void CollectSoundIds(std::vector<ResourceId>* out) const;
-
   // Tag of the command currently in flight (0 when idle).
   uint32_t CurrentTag() const;
 
@@ -98,7 +92,6 @@ class CommandQueue {
   void ResumePropagate(Node* node);
   static uint32_t CountNodes(const Node& node);
   static uint32_t FirstTag(const Node& node);
-  static void CollectNodeSounds(const Node& node, std::vector<ResourceId>* out);
   static void ForgetNodeDevice(Node* node, const VirtualDevice* device);
 
   void SetState(QueueState state, EngineTick* tick, bool server_initiated);

@@ -7,12 +7,12 @@
 // generation, so a stale entry can never be served: a mutated sound simply
 // misses and re-decodes under its new generation.
 //
-// Thread safety: PlayerDevice::Produce runs on engine workers during a
-// parallel tick, so lookups/inserts take a cache-local mutex (a leaf below
-// the big lock — nothing is called while holding it). Entries are
-// shared_ptr, so an entry evicted mid-play stays alive for the player that
-// is draining it. Cache state affects only *where* samples come from, never
-// their values, so the serial/parallel bit-identity guarantee is untouched.
+// Thread safety: PlayerDevice::Produce runs in the tick fan-out without the
+// state lock, so lookups/inserts take a cache-local mutex (a leaf below the
+// big lock — nothing is called while holding it). Entries are shared_ptr,
+// so an entry evicted mid-play stays alive for the player that is draining
+// it. Cache state affects only *where* samples come from, never their
+// values, so cached and uncached plays are bit-identical.
 
 #ifndef SRC_SERVER_DECODED_CACHE_H_
 #define SRC_SERVER_DECODED_CACHE_H_

@@ -75,12 +75,6 @@ class PlayerDevice : public VirtualDevice {
   int64_t total_samples() const { return total_; }
   bool playing() const { return CommandRunning(); }
 
-  void CollectTickSounds(std::vector<ResourceId>* out) const override {
-    if (sound_id_ != kNoResource) {
-      out->push_back(sound_id_);
-    }
-  }
-
  private:
   // Rebuilds the incremental decode machinery, discarding the first
   // `consumed` engine-rate samples (used when a cached play must fall back
@@ -122,12 +116,6 @@ class RecorderDevice : public VirtualDevice {
   void Consume(EngineTick* tick) override;
 
   uint64_t samples_recorded() const { return samples_recorded_; }
-
-  void CollectTickSounds(std::vector<ResourceId>* out) const override {
-    if (sound_id_ != kNoResource) {
-      out->push_back(sound_id_);
-    }
-  }
 
  private:
   void FinishRecording(EngineTick* tick, RecordStopReason reason);

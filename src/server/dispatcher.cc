@@ -13,7 +13,7 @@
 //   * shard: engine-plane requests against one root LOUD (queues, events,
 //     sync marks, properties). These take the root's engine shard lock via
 //     EngineShardGuard and never wait for the whole epoch.
-//   * state-lock only: pure reads of structure that no engine worker
+//   * state-lock only: pure reads of structure that the tick fan-out never
 //     mutates (queries, catalogue listing, stats, trace, redirect).
 
 #include <chrono>
@@ -30,8 +30,8 @@ constexpr uint64_t kMaxSoundBytes = 64ull << 20;
 // Serializes one engine-plane request against the tick fan-out by holding
 // the target root LOUD's engine shard lock for the scope (taken after the
 // state lock; see the rank order in server.h). The device LOUD is special:
-// its root is never part of an island, but engine workers read its
-// per-connection event masks when emitting device-LOUD events, so requests
+// its root is never ticked, but the fan-out reads its per-connection event
+// masks when emitting device-LOUD events, so requests
 // against it drain the epoch instead of taking a shard lock. The analysis
 // opt-outs cover the conditional acquisition.
 class EngineShardGuard {
@@ -49,7 +49,7 @@ class EngineShardGuard {
       return;
     }
     // The fan-out is ticking this root right now: count the contention and
-    // wait it out (bounded by one island run, not the whole epoch).
+    // wait it out (bounded by the fan-out, not the commit).
     metrics->dispatch_shard_contention.Increment();
     const auto wait_t0 = std::chrono::steady_clock::now();
     mu->Lock();
@@ -880,7 +880,7 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
     case Opcode::kGetServerTrace: {
       GetServerTraceReq req = GetServerTraceReq::Decode(&r);
       // Each per-thread ring carries its own mutex (see obs.h), so this
-      // snapshot is safe against engine workers still tracing mid-fan-out —
+      // snapshot is safe against the tick thread still tracing mid-fan-out —
       // the tick no longer runs under the state lock.
       size_t max_events = req.max_events == 0 ? obs::TraceRing::kCapacity : req.max_events;
       ServerTraceReply reply;

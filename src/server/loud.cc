@@ -15,7 +15,7 @@ Loud::Loud(ResourceId id, uint32_t owner, ServerState* server, Loud* parent, Att
   if (parent_ == nullptr) {
     queue_ = std::make_unique<CommandQueue>(this);
   }
-  // The epoch fan-out acquires island root locks at the same rank in
+  // The epoch fan-out acquires the active roots' locks at the same rank in
   // ascending id order; the order key is what the rank checker validates.
   engine_mu_.SetRankOrder(static_cast<uint64_t>(id));
 }

@@ -41,7 +41,7 @@ class Loud : public ServerObject {
   CommandQueue* queue();
 
   // Per-root engine shard lock (DESIGN.md decision 12). The engine fan-out
-  // holds the locks of every root in the island it is ticking; the
+  // holds the locks of every active root while it ticks; the
   // dispatcher takes exactly one of them (after the state lock, see the
   // documented rank order) for engine-plane requests, so requests against a
   // root the tick is not touching never wait on the tick. Non-roots forward

@@ -3,7 +3,7 @@
 // a ServerStatsReply under the big lock (GetServerStats).
 //
 // Thread-safety contract: counters and gauges are relaxed atomics, so any
-// thread (reader threads counting transport bytes, engine workers, the
+// thread (reader threads counting transport bytes, the tick thread, the
 // dispatcher) may bump them without holding the state lock. Histograms are
 // built entirely from relaxed atomics too: recording needs no lock (reader
 // threads record lock_wait_us while they are *waiting* for the state lock,
@@ -37,9 +37,7 @@ struct ServerMetrics {
   // -- Engine tick -----------------------------------------------------------
   obs::LatencyHistogram tick_us;         // tick body duration
   obs::LatencyHistogram tick_jitter_us;  // realtime wakeup lateness
-  obs::LatencyHistogram islands_per_tick;
-  obs::LatencyHistogram worker_imbalance;  // max-min islands per worker slot
-  obs::Counter tick_overruns;              // tick body exceeded the period
+  obs::Counter tick_overruns;            // tick body exceeded the period
 
   // -- Epoch / lock instrumentation (DESIGN.md decision 12) -------------------
   obs::LatencyHistogram lock_wait_us;     // reader wait for the state lock or

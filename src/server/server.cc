@@ -11,7 +11,6 @@ AudioServer::AudioServer(Board* board) : AudioServer(board, ServerOptions{}) {}
 AudioServer::AudioServer(Board* board, ServerOptions options)
     : board_(board), options_(options), state_(board, options.name) {
   state_.AttachStateLock(&mu_);
-  state_.ConfigureEngine(options.engine_threads);
   state_.ConfigureDecodedCache(options.decoded_cache_bytes);
   state_.set_trace_sample_every(options.trace_sample_every);
   metrics_ = &state_.metrics();
@@ -216,8 +215,8 @@ void AudioServer::ReaderLoop(ClientConnection* conn) {
   // container teardown).
   {
     MutexLock lock(&mu_);
-    // Structural teardown: wait out any in-flight epoch so no engine worker
-    // holds pointers into the objects about to be destroyed.
+    // Structural teardown: wait out any in-flight epoch so the tick fan-out
+    // holds no pointers into the objects about to be destroyed.
     state_.WaitEngineIdle();
     state_.DestroyConnectionObjects(conn->index());
     state_.RecomputeActivation();

@@ -6,17 +6,14 @@
 //   * the connection-manager thread accepts TCP connections;
 //   * one reader thread per client connection parses and dispatches
 //     requests;
-//   * the engine thread (realtime mode) pumps the board every period;
-//   * with ServerOptions::engine_threads > 1, a persistent EnginePool of
-//     engine workers runs the tick's produce/transform/consume phases
-//     island-parallel (see server_state.h for the island partition and
-//     the bit-identical merge-order guarantee).
+//   * the engine thread (realtime mode) pumps the board every period and
+//     runs the whole tick on that one thread.
 // All protocol *mutation* is serialized by one state lock; reader threads
 // take it per message. The engine tick does NOT hold it across the fan-out
 // (DESIGN.md decision 12): Tick() takes the lock only for the short epoch
-// open (island-partition snapshot) and epoch commit (merge, event flush,
-// codec resolve, board advance) critical sections. During the fan-out each
-// island job holds its root LOUDs' engine shard locks (Loud::engine_mutex()),
+// open (active-graph snapshot) and epoch commit (event flush, codec
+// resolve, board advance) critical sections. During the fan-out the tick
+// holds every active root LOUD's engine shard lock (Loud::engine_mutex()),
 // which is what serializes it against engine-plane requests on those roots;
 // structural requests (create/destroy/rewire/activate/sound data) wait for
 // the epoch boundary via ServerState::WaitEngineIdle(). Lock rank: state
@@ -55,11 +52,6 @@ struct ServerOptions {
   std::string name = "netaudio";
   // Engine period in frames at the board rate (160 = 20 ms at 8 kHz).
   size_t period_frames = 160;
-  // Engine tick parallelism (total workers including the tick thread).
-  // 1 = the serial engine (default; deterministic-by-construction for
-  // tests). N > 1 ticks independent islands of the active graph
-  // concurrently; output is bit-identical to serial either way.
-  int engine_threads = 1;
   // Byte budget for the decoded-PCM cache (linear samples already resampled
   // to the engine rate, keyed by sound generation). 0 disables caching and
   // every Play decodes incrementally. 8 MiB holds ~8.7 minutes of 8 kHz
@@ -249,7 +241,7 @@ class AudioServer {
   Board* board_;
   ServerOptions options_;
   Mutex mu_{LockRank::kServerState, "AudioServer::mu_"};
-  // All protocol state — devices, queues, islands, the registry — is one
+  // All protocol state — devices, queues, the registry — is one
   // unit under the big lock (DESIGN.md decision 9).
   ServerState state_ AUD_GUARDED_BY(mu_);
   // state_.metrics() is all relaxed atomics; this unguarded alias lets the

@@ -12,13 +12,10 @@ namespace aud {
 
 namespace {
 
-// Worker-thread routing for the tick fan-out: while an island runs on a
-// pool worker, its output mixing is redirected here instead of touching
-// shared state, and event emission is buffered (the fan-out holds no state
-// lock, so the transport must not be written from it — the serial path
-// buffers too). Null on dispatcher threads, which go straight through.
-thread_local TickOutputs* tls_tick_outputs = nullptr;
-thread_local std::vector<std::pair<uint32_t, EventMessage>>* tls_island_events = nullptr;
+// Event buffer of the tick fan-out, set on the tick thread while it runs:
+// the fan-out holds no state lock, so the transport must not be written
+// from it. Null on dispatcher threads, which go straight through.
+thread_local std::vector<std::pair<uint32_t, EventMessage>>* tls_tick_events = nullptr;
 
 // Cascade teardown and server-side registration operate on ids the caller
 // just enumerated from live registry state, so a failure means the registry
@@ -30,30 +27,29 @@ void WarnIfError(const Status& status, const char* what) {
   }
 }
 
-// Holds the engine shard locks of every root LOUD in one island, in id
-// order. Islands partition the active roots, so two concurrent island jobs
-// never share a lock; the id order only matters against the dispatcher,
-// which takes a single root lock after the state lock (the documented rank
-// order: state lock -> root engine locks -> leaf locks). Opted out of the
-// analysis: the lock set is computed at runtime.
-class IslandRootLocks {
+// Holds the engine shard locks of every active root LOUD, in id order. The
+// id order only matters against the dispatcher, which takes a single root
+// lock after the state lock (the documented rank order: state lock -> root
+// engine locks -> leaf locks). Opted out of the analysis: the lock set is
+// computed at runtime.
+class ActiveRootLocks {
  public:
-  explicit IslandRootLocks(const EngineIsland& island) AUD_NO_THREAD_SAFETY_ANALYSIS {
-    roots_.assign(island.louds.begin(), island.louds.end());
+  explicit ActiveRootLocks(const std::vector<Loud*>& louds) AUD_NO_THREAD_SAFETY_ANALYSIS
+      : roots_(louds) {
     std::sort(roots_.begin(), roots_.end(),
               [](const Loud* a, const Loud* b) { return a->id() < b->id(); });
     for (Loud* root : roots_) {
       root->engine_mutex()->Lock();
     }
   }
-  ~IslandRootLocks() AUD_NO_THREAD_SAFETY_ANALYSIS {
+  ~ActiveRootLocks() AUD_NO_THREAD_SAFETY_ANALYSIS {
     for (auto it = roots_.rbegin(); it != roots_.rend(); ++it) {
       (*it)->engine_mutex()->Unlock();
     }
   }
 
-  IslandRootLocks(const IslandRootLocks&) = delete;
-  IslandRootLocks& operator=(const IslandRootLocks&) = delete;
+  ActiveRootLocks(const ActiveRootLocks&) = delete;
+  ActiveRootLocks& operator=(const ActiveRootLocks&) = delete;
 
  private:
   std::vector<Loud*> roots_;
@@ -113,7 +109,6 @@ ServerState::ServerState(Board* board, std::string server_name)
     unit->SetEventSink(
         [this, unit](const ExchangeLine::Event& event) { OnPhoneEvent(unit, event); });
   }
-  // Every output-capable physical device gets a (lazily sized) accumulator.
 }
 
 ServerState::~ServerState() = default;
@@ -549,23 +544,8 @@ void ServerState::RecomputeActivation() {
 // Engine tick
 // ---------------------------------------------------------------------------
 
-void ServerState::ConfigureEngine(int threads) {
-  engine_threads_ = threads < 1 ? 1 : threads;
-  if (engine_threads_ > 1) {
-    engine_pool_ = std::make_unique<EnginePool>(engine_threads_);
-    worker_outputs_.resize(static_cast<size_t>(engine_pool_->worker_slots()));
-  } else {
-    engine_pool_.reset();
-    worker_outputs_.clear();
-  }
-}
-
 void ServerState::AccumulateOutput(PhysicalDevice* device, std::span<const Sample> samples,
                                    int32_t gain) {
-  if (tls_tick_outputs != nullptr) {
-    tls_tick_outputs->Accumulate(device, samples, gain);
-    return;
-  }
   auto it = output_acc_.find(device);
   if (it == output_acc_.end()) {
     it = output_acc_.emplace(device, MixAccumulator(current_tick_frames_)).first;
@@ -579,190 +559,6 @@ void ServerState::PrepareOutputAccumulator(PhysicalDevice* device, size_t frames
     acc.Reset(frames);  // re-sizes in place (period change / first tick)
   } else {
     acc.Clear();
-  }
-}
-
-const std::vector<EngineIsland>& ServerState::PartitionIslands() {
-  partition_louds_.clear();
-  partition_index_.clear();
-  for (Loud* loud : active_stack_) {
-    if (loud->active()) {
-      partition_index_[loud] = static_cast<int>(partition_louds_.size());
-      partition_louds_.push_back(loud);
-    }
-  }
-  int n = static_cast<int>(partition_louds_.size());
-  partition_parent_.resize(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    partition_parent_[static_cast<size_t>(i)] = i;
-  }
-  auto find = [this](int x) {
-    while (partition_parent_[static_cast<size_t>(x)] != x) {
-      partition_parent_[static_cast<size_t>(x)] =
-          partition_parent_[static_cast<size_t>(partition_parent_[static_cast<size_t>(x)])];
-      x = partition_parent_[static_cast<size_t>(x)];
-    }
-    return x;
-  };
-  // Union keeps the lower (higher-in-stack) index as representative, so
-  // island numbering follows the active stack.
-  auto unite = [this, &find](int a, int b) {
-    a = find(a);
-    b = find(b);
-    if (a != b) {
-      partition_parent_[static_cast<size_t>(std::max(a, b))] = std::min(a, b);
-    }
-  };
-
-  partition_phys_.clear();
-  partition_sound_rep_.clear();
-  int exchange_rep = -1;    // all telephone users share the exchange
-  int vocabulary_rep = -1;  // all recognizers share the vocabulary store
-
-  for (int i = 0; i < n; ++i) {
-    Loud* loud = partition_louds_[static_cast<size_t>(i)];
-    partition_sounds_.clear();
-    loud->queue()->CollectSoundIds(&partition_sounds_);
-
-    partition_devices_.clear();
-    loud->CollectDevices(&partition_devices_);
-    for (VirtualDevice* dev : partition_devices_) {
-      // Wires merge the two endpoint LOUD trees.
-      for (WireObject* wire : dev->source_wires()) {
-        auto it = partition_index_.find(wire->dst()->loud()->Root());
-        if (it != partition_index_.end()) {
-          unite(i, it->second);
-        }
-      }
-      for (WireObject* wire : dev->sink_wires()) {
-        auto it = partition_index_.find(wire->src()->loud()->Root());
-        if (it != partition_index_.end()) {
-          unite(i, it->second);
-        }
-      }
-      // Non-speaker hardware is read destructively (microphone/phone-line
-      // capture rings), so sharing one merges. Speakers are written only
-      // through the commutative output accumulators and stay parallel.
-      PhysicalDevice* bound = dev->bound_device();
-      if (bound != nullptr && dynamic_cast<SpeakerUnit*>(bound) == nullptr) {
-        auto [it, inserted] = partition_phys_.try_emplace(bound, i);
-        if (!inserted) {
-          unite(i, it->second);
-        }
-      }
-      // Telephone commands (Dial/Answer/SendDTMF) mutate the shared
-      // exchange; recognizer commands can touch the shared vocabulary
-      // store (SaveVocabulary) and Train reads sounds (collected below).
-      if (dev->device_class() == DeviceClass::kTelephone) {
-        if (exchange_rep < 0) {
-          exchange_rep = i;
-        } else {
-          unite(i, exchange_rep);
-        }
-      }
-      if (dev->device_class() == DeviceClass::kSpeechRecognizer) {
-        if (vocabulary_rep < 0) {
-          vocabulary_rep = i;
-        } else {
-          unite(i, vocabulary_rep);
-        }
-      }
-      dev->CollectTickSounds(&partition_sounds_);
-    }
-
-    for (ResourceId sound : partition_sounds_) {
-      if (sound == kNoResource) {
-        continue;
-      }
-      auto [it, inserted] = partition_sound_rep_.try_emplace(sound, i);
-      if (!inserted) {
-        unite(i, it->second);
-      }
-    }
-  }
-
-  // Materialize islands in stack order of their representatives.
-  for (EngineIsland& island : islands_) {
-    island.louds.clear();
-    island.devices.clear();
-  }
-  size_t used = 0;
-  // parent_ reused as rep -> island index map (reps are self-parented).
-  std::vector<int>& island_of = partition_parent_;
-  std::vector<int>& reps = partition_reps_;
-  reps.clear();
-  for (int i = 0; i < n; ++i) {
-    reps.push_back(find(i));
-  }
-  for (int i = 0; i < n; ++i) {
-    int rep = reps[static_cast<size_t>(i)];
-    if (rep == i) {
-      if (islands_.size() <= used) {
-        islands_.emplace_back();
-      }
-      island_of[static_cast<size_t>(i)] = static_cast<int>(used);
-      ++used;
-    }
-  }
-  islands_.resize(used);
-  for (int i = 0; i < n; ++i) {
-    EngineIsland& island = islands_[static_cast<size_t>(
-        island_of[static_cast<size_t>(reps[static_cast<size_t>(i)])])];
-    Loud* loud = partition_louds_[static_cast<size_t>(i)];
-    island.louds.push_back(loud);
-    loud->CollectDevices(&island.devices);
-  }
-  return islands_;
-}
-
-void ServerState::RunIslandPhases(const EngineIsland& island, EngineTick* tick, size_t frames) {
-  // 1. Command queues: players/synths produce, commands advance (gapless
-  //    transitions happen inside this call).
-  for (Loud* loud : island.louds) {
-    loud->queue()->Tick(tick, frames);
-    if (loud->queue()->state() == QueueState::kStarted) {
-      loud->CountFramesProduced(frames);
-    }
-  }
-
-  // 2. Free-running sources: inputs and telephones stream regardless of
-  //    queue state.
-  for (VirtualDevice* dev : island.devices) {
-    if (dev->device_class() == DeviceClass::kInput ||
-        dev->device_class() == DeviceClass::kTelephone) {
-      dev->Produce(tick, frames);
-      dev->loud()->CountFramesProduced(frames);
-    }
-  }
-
-  // 3. Transforms, in creation order (covers transform chains built in
-  //    order).
-  for (VirtualDevice* dev : island.devices) {
-    switch (dev->device_class()) {
-      case DeviceClass::kMixer:
-      case DeviceClass::kCrossbar:
-      case DeviceClass::kDsp:
-        dev->Produce(tick, frames);
-        dev->loud()->CountFramesProduced(frames);
-        break;
-      default:
-        break;
-    }
-  }
-
-  // 4. Sinks.
-  for (VirtualDevice* dev : island.devices) {
-    switch (dev->device_class()) {
-      case DeviceClass::kOutput:
-      case DeviceClass::kRecorder:
-      case DeviceClass::kTelephone:
-      case DeviceClass::kSpeechRecognizer:
-        dev->Consume(tick);
-        dev->loud()->CountFramesConsumed(frames);
-        break;
-      default:
-        break;
-    }
   }
 }
 
@@ -780,7 +576,7 @@ void ServerState::WaitEngineIdle() {
   }
 }
 
-bool ServerState::EpochOpen(size_t frames) {
+void ServerState::EpochOpen(size_t frames) {
   if (state_mu_ != nullptr) {
     state_mu_->Lock();
     // Two rules keep the boundary fair and exclusive: a second tick driver
@@ -791,7 +587,6 @@ bool ServerState::EpochOpen(size_t frames) {
       epoch_cv_.Wait(*state_mu_);
     }
   }
-  in_tick_ = true;
   current_tick_frames_ = frames;
   obs::Trace(obs::TraceReason::kTickStart, static_cast<uint32_t>(frames));
 
@@ -804,115 +599,94 @@ bool ServerState::EpochOpen(size_t frames) {
     PrepareOutputAccumulator(phone, frames);
   }
 
-  bool parallel = false;
-  if (engine_pool_ != nullptr) {
-    PartitionIslands();
-    metrics_.islands_per_tick.Record(islands_.size());
-    parallel = islands_.size() > 1;
-  }
-  if (parallel) {
-    if (island_events_.size() < islands_.size()) {
-      island_events_.resize(islands_.size());
-    }
-    for (size_t i = 0; i < islands_.size(); ++i) {
-      island_events_[i].clear();
-    }
-    for (TickOutputs& outputs : worker_outputs_) {
-      outputs.BeginTick(frames);
-    }
-  } else {
-    // The whole active graph as one pseudo-island, in stack order — the
-    // phase structure is byte-for-byte the pre-parallel engine.
-    serial_island_.louds.clear();
-    serial_island_.devices.clear();
-    for (Loud* loud : active_stack_) {
-      if (loud->active()) {
-        serial_island_.louds.push_back(loud);
-        loud->CollectDevices(&serial_island_.devices);
-      }
+  // The active graph in stack order.
+  tick_louds_.clear();
+  tick_devices_.clear();
+  for (Loud* loud : active_stack_) {
+    if (loud->active()) {
+      tick_louds_.push_back(loud);
+      loud->CollectDevices(&tick_devices_);
     }
   }
-  serial_events_.clear();
+  tick_events_.clear();
   epoch_in_flight_ = true;
   if (state_mu_ != nullptr) {
     state_mu_->Unlock();
   }
-  return parallel;
 }
 
-void ServerState::EpochFanOut(EngineTick* tick, size_t frames, bool parallel) {
-  if (!parallel) {
-    // One pseudo-island on the tick thread, under its roots' shard locks.
-    // Events still buffer: with the state lock dropped, the connection list
-    // must not be walked from here.
-    IslandRootLocks locks(serial_island_);
-    tls_island_events = &serial_events_;
-    RunIslandPhases(serial_island_, tick, frames);
-    tls_island_events = nullptr;
-    return;
+void ServerState::EpochFanOut(EngineTick* tick, size_t frames) {
+  // Runs under the active roots' shard locks. Events buffer: with the state
+  // lock dropped, the connection list must not be walked from here.
+  ActiveRootLocks locks(tick_louds_);
+  tls_tick_events = &tick_events_;
+
+  // 1. Command queues: players/synths produce, commands advance (gapless
+  //    transitions happen inside this call).
+  for (Loud* loud : tick_louds_) {
+    loud->queue()->Tick(tick, frames);
+    if (loud->queue()->state() == QueueState::kStarted) {
+      loud->CountFramesProduced(frames);
+    }
   }
-  engine_pool_->Run(islands_.size(), [&](size_t job, int worker) {
-    obs::Trace(obs::TraceReason::kIslandRun, static_cast<uint32_t>(job),
-               static_cast<uint32_t>(islands_[job].devices.size()));
-    EngineTick island_tick{this, frames, tick->start_frame};
-    IslandRootLocks locks(islands_[job]);
-    tls_tick_outputs = &worker_outputs_[static_cast<size_t>(worker)];
-    tls_island_events = &island_events_[job];
-    RunIslandPhases(islands_[job], &island_tick, frames);
-    tls_tick_outputs = nullptr;
-    tls_island_events = nullptr;
-  });
+
+  // 2. Free-running sources: inputs and telephones stream regardless of
+  //    queue state.
+  for (VirtualDevice* dev : tick_devices_) {
+    if (dev->device_class() == DeviceClass::kInput ||
+        dev->device_class() == DeviceClass::kTelephone) {
+      dev->Produce(tick, frames);
+      dev->loud()->CountFramesProduced(frames);
+    }
+  }
+
+  // 3. Transforms, in creation order (covers transform chains built in
+  //    order).
+  for (VirtualDevice* dev : tick_devices_) {
+    switch (dev->device_class()) {
+      case DeviceClass::kMixer:
+      case DeviceClass::kCrossbar:
+      case DeviceClass::kDsp:
+        dev->Produce(tick, frames);
+        dev->loud()->CountFramesProduced(frames);
+        break;
+      default:
+        break;
+    }
+  }
+
+  // 4. Sinks.
+  for (VirtualDevice* dev : tick_devices_) {
+    switch (dev->device_class()) {
+      case DeviceClass::kOutput:
+      case DeviceClass::kRecorder:
+      case DeviceClass::kTelephone:
+      case DeviceClass::kSpeechRecognizer:
+        dev->Consume(tick);
+        dev->loud()->CountFramesConsumed(frames);
+        break;
+      default:
+        break;
+    }
+  }
+
+  tls_tick_events = nullptr;
 }
 
-void ServerState::EpochCommit(size_t frames, bool parallel) {
+void ServerState::EpochCommit(size_t frames) {
   const auto commit_t0 = std::chrono::steady_clock::now();
   if (state_mu_ != nullptr) {
     state_mu_->Lock();
   }
 
-  if (parallel) {
-    // Worker imbalance: spread between the busiest and idlest worker slot
-    // in islands run this tick (0 = perfectly even).
-    const std::vector<uint32_t>& jobs = engine_pool_->last_run_jobs();
-    if (!jobs.empty()) {
-      auto [lo, hi] = std::minmax_element(jobs.begin(), jobs.end());
-      metrics_.worker_imbalance.Record(*hi - *lo);
-    }
-
-    // Merge per-worker partial mixes into the global accumulators. The
-    // integer sums commute, so worker order cannot change the result; the
-    // serial path would have produced the identical totals.
-    for (TickOutputs& outputs : worker_outputs_) {
-      for (PhysicalDevice* device : outputs.touched()) {
-        auto it = output_acc_.find(device);
-        if (it == output_acc_.end()) {
-          it = output_acc_.emplace(device, MixAccumulator(frames)).first;
-        }
-        it->second.AddFrom(outputs.accumulator(device));
-      }
-    }
-  }
-
-  // Flush deferred events in island (stack) order; the serial fan-out
-  // buffered into one pseudo-island. Emission order within an island is
-  // preserved, so the client-visible sequence matches the pre-epoch engine.
+  // Flush deferred events in emission order, so the client-visible sequence
+  // matches the pre-epoch engine.
   if (event_sender_) {
-    uint32_t flushed = 0;
-    if (parallel) {
-      for (size_t i = 0; i < islands_.size(); ++i) {
-        for (const auto& [conn, event] : island_events_[i]) {
-          event_sender_(conn, event);
-          ++flushed;
-        }
-      }
-    } else {
-      for (const auto& [conn, event] : serial_events_) {
-        event_sender_(conn, event);
-        ++flushed;
-      }
+    for (const auto& [conn, event] : tick_events_) {
+      event_sender_(conn, event);
     }
-    if (flushed > 0) {
-      obs::Trace(obs::TraceReason::kEventFlush, flushed);
+    if (!tick_events_.empty()) {
+      obs::Trace(obs::TraceReason::kEventFlush, static_cast<uint32_t>(tick_events_.size()));
     }
   }
 
@@ -962,7 +736,6 @@ void ServerState::EpochCommit(size_t frames, bool parallel) {
 
   // Publish the epoch boundary: wake structural mutators queued on it and
   // account the commit critical section.
-  in_tick_ = false;
   epoch_in_flight_ = false;
   epoch_cv_.NotifyAll();
   metrics_.epoch_commits.Increment();
@@ -978,17 +751,16 @@ void ServerState::EpochCommit(size_t frames, bool parallel) {
 void ServerState::Tick(size_t frames) {
   const auto tick_t0 = std::chrono::steady_clock::now();
 
-  // Epoch open: snapshot the island partition under the state lock.
-  const bool parallel = EpochOpen(frames);
-  const size_t islands_ticked = parallel ? islands_.size() : 1;
+  // Epoch open: snapshot the active graph under the state lock.
+  EpochOpen(frames);
   EngineTick tick{this, frames, engine_frame()};
 
   // Phases 1-4: queues, sources, transforms, sinks — with the state lock
-  // dropped, island-parallel when an engine pool is configured.
-  EpochFanOut(&tick, frames, parallel);
+  // dropped.
+  EpochFanOut(&tick, frames);
 
   // Phases 5-6 + publication, in the commit critical section.
-  EpochCommit(frames, parallel);
+  EpochCommit(frames);
 
   const uint64_t tick_dur_us = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
@@ -1004,8 +776,7 @@ void ServerState::Tick(size_t frames) {
     obs::Trace(obs::TraceReason::kTickOverrun, static_cast<uint32_t>(tick_dur_us),
                static_cast<uint32_t>(period_us));
   }
-  obs::Trace(obs::TraceReason::kTickEnd, static_cast<uint32_t>(tick_dur_us),
-             static_cast<uint32_t>(islands_ticked));
+  obs::Trace(obs::TraceReason::kTickEnd, static_cast<uint32_t>(tick_dur_us));
 }
 
 // ---------------------------------------------------------------------------
@@ -1013,11 +784,9 @@ void ServerState::Tick(size_t frames) {
 // ---------------------------------------------------------------------------
 
 void ServerState::DeliverEvent(uint32_t conn, const EventMessage& event) {
-  // Workers running a parallel-tick island buffer deliveries; the tick
-  // thread flushes them in island order after the join (the transport is
-  // not safe to write from two workers at once).
-  if (tls_island_events != nullptr) {
-    tls_island_events->emplace_back(conn, event);
+  // The tick fan-out buffers deliveries; EpochCommit flushes them.
+  if (tls_tick_events != nullptr) {
+    tls_tick_events->emplace_back(conn, event);
     return;
   }
   event_sender_(conn, event);
@@ -1178,14 +947,12 @@ ServerStatsReply ServerState::BuildServerStats(bool include_opcodes) {
   reply.proto_minor = kProtocolMinor;
   reply.uptime_ms = metrics_.uptime_ms();
   reply.server_time = server_time();
-  reply.engine_threads = static_cast<uint32_t>(engine_threads_);
+  reply.engine_threads = 1;  // fixed: the tick runs on one thread
   reply.engine_rate_hz = engine_rate();
   reply.ticks_run = static_cast<uint64_t>(ticks_run_);
   reply.tick_overruns = metrics_.tick_overruns.value();
   reply.tick_us = metrics_.tick_us.Snapshot();
   reply.tick_jitter_us = metrics_.tick_jitter_us.Snapshot();
-  reply.islands_per_tick = metrics_.islands_per_tick.Snapshot();
-  reply.worker_imbalance = metrics_.worker_imbalance.Snapshot();
   reply.requests_total = metrics_.requests_total.value();
   reply.request_errors_total = metrics_.request_errors_total.value();
   reply.dispatch_us = metrics_.dispatch_us.Snapshot();

@@ -7,27 +7,20 @@
 // request), mirroring the paper's per-server serialization point for
 // resource arbitration. The engine tick, however, no longer holds that lock
 // across its fan-out. Tick() runs in three phases:
-//   1. Epoch open (state lock held, short): partition the active graph into
-//      independent *islands* — sets of root LOUDs that share no wire
-//      endpoints, no non-speaker physical devices (microphones and phone
-//      lines are destructive reads), no referenced sounds, and neither the
-//      phone exchange nor the recognizer vocabulary store — and capture
-//      that partition plus the per-device output accumulators as the
-//      epoch's immutable snapshot.
-//   2. Fan-out (state lock NOT held): islands run queues/produce/transform/
-//      consume on the EnginePool and the tick thread. Each island job holds
-//      the engine shard locks of its root LOUDs (Loud::engine_mutex(), in
-//      id order), which is what serializes it against engine-plane requests
-//      on those same roots. Output mixing routes to per-worker TickOutputs
-//      accumulator sets; events buffer per island. Structure (registry,
-//      wiring, activation) cannot change mid-epoch: mutating requests wait
-//      for the epoch via WaitEngineIdle().
-//   3. Commit (state lock held, short): merge per-worker mixes (island
-//      merge order is deterministic and the integer sums commute, so
-//      parallel output stays bit-identical to serial), flush buffered
-//      events in island-id (stack) order, resolve accumulators into the
-//      codecs, advance the board, publish engine time, and wake any
-//      structural mutators waiting for the epoch boundary.
+//   1. Epoch open (state lock held, short): capture the active root LOUDs
+//      (in stack order) and their devices, plus the per-device output
+//      accumulators, as the epoch's immutable snapshot.
+//   2. Fan-out (state lock NOT held): queues/produce/transform/consume run
+//      on the tick thread while it holds the engine shard locks of every
+//      active root (Loud::engine_mutex(), in id order), which is what
+//      serializes it against engine-plane requests on those same roots.
+//      Events buffer until commit. Structure (registry, wiring,
+//      activation) cannot change mid-epoch: mutating requests wait for the
+//      epoch via WaitEngineIdle().
+//   3. Commit (state lock held, short): flush buffered events in emission
+//      order, resolve accumulators into the codecs, advance the board,
+//      publish engine time, and wake any structural mutators waiting for
+//      the epoch boundary.
 // Requests against roots the tick is not touching therefore only overlap
 // the tick's two short critical sections, never the fan-out.
 
@@ -52,7 +45,6 @@
 #include "src/server/core.h"
 #include "src/server/decoded_cache.h"
 #include "src/server/devices.h"
-#include "src/server/engine_pool.h"
 #include "src/server/loud.h"
 #include "src/server/metrics.h"
 
@@ -63,53 +55,6 @@ namespace aud {
 struct CatalogueSound {
   AudioFormat format;
   std::vector<uint8_t> data;
-};
-
-// One independent slice of the active device graph: root LOUDs (in active-
-// stack order) plus their devices. Islands share no mutable engine state,
-// so they can tick concurrently.
-struct EngineIsland {
-  std::vector<Loud*> louds;
-  std::vector<VirtualDevice*> devices;
-};
-
-// Per-worker output mixing sink for the parallel tick. Each worker
-// accumulates every AccumulateOutput call it executes into its own set of
-// per-device accumulators; the tick thread merges the sets after the join.
-// Accumulators are reused across ticks (reset lazily on first touch).
-class TickOutputs {
- public:
-  void BeginTick(size_t frames) {
-    frames_ = frames;
-    touched_.clear();
-    ++stamp_;
-  }
-
-  void Accumulate(PhysicalDevice* device, std::span<const Sample> samples, int32_t gain) {
-    Slot& slot = slots_[device];
-    if (slot.stamp != stamp_) {
-      slot.acc.Reset(frames_);
-      slot.stamp = stamp_;
-      touched_.push_back(device);
-    }
-    slot.acc.Accumulate(samples, gain);
-  }
-
-  // Devices this worker touched since BeginTick.
-  const std::vector<PhysicalDevice*>& touched() const { return touched_; }
-  const MixAccumulator& accumulator(PhysicalDevice* device) const {
-    return slots_.at(device).acc;
-  }
-
- private:
-  struct Slot {
-    MixAccumulator acc;
-    uint64_t stamp = 0;
-  };
-  std::unordered_map<PhysicalDevice*, Slot> slots_;
-  std::vector<PhysicalDevice*> touched_;
-  size_t frames_ = 0;
-  uint64_t stamp_ = 0;
 };
 
 class ServerState {
@@ -126,8 +71,8 @@ class ServerState {
   Board* board() { return board_; }
   const std::string& server_name() const { return server_name_; }
   uint32_t engine_rate() const { return board_->sample_rate_hz(); }
-  // Engine time is published atomically at epoch commit so island workers
-  // can stamp events mid-fan-out without the state lock.
+  // Engine time is published atomically at epoch commit so the fan-out can
+  // stamp events without the state lock.
   int64_t engine_frame() const { return engine_frame_.load(std::memory_order_relaxed); }
   Ticks server_time() const { return SamplesToTicks(engine_frame(), engine_rate()); }
 
@@ -193,39 +138,23 @@ class ServerState {
 
   // -- Engine -------------------------------------------------------------------
 
-  // Sets the tick parallelism. threads <= 1 keeps the serial tick (the
-  // default); threads > 1 creates a persistent EnginePool of that total
-  // width. Must not be called mid-tick.
-  void ConfigureEngine(int threads);
-  int engine_threads() const { return engine_threads_; }
-
-  // One engine tick: open an epoch (snapshot the island partition under the
+  // One engine tick: open an epoch (snapshot the active graph under the
   // state lock), run queues/produce/transform/consume for `frames` with the
-  // lock dropped (island-parallel when an engine pool is configured), then
-  // commit — merge, flush events, resolve codecs, advance the board — in a
-  // short critical section at the tick boundary. Callers must NOT hold the
-  // attached state lock.
+  // lock dropped, then commit — flush events, resolve codecs, advance the
+  // board — in a short critical section at the tick boundary. Callers must
+  // NOT hold the attached state lock.
   void Tick(size_t frames);
-
-  // Recomputes the island partition of the currently-active graph and
-  // returns it (also used by tests; the parallel tick calls this every
-  // tick with reused scratch storage). LOUDs sharing a wire, a non-speaker
-  // physical device, a referenced sound, the phone exchange, or the
-  // vocabulary store land in the same island; island order follows the
-  // active stack.
-  const std::vector<EngineIsland>& PartitionIslands();
 
   // Output mixing: devices add their streams here during Consume; the tick
   // resolves each physical output's accumulator into its codec. This is the
-  // transparent mixing of section 6.1. During a parallel tick the call is
-  // routed to the executing worker's TickOutputs.
+  // transparent mixing of section 6.1.
   void AccumulateOutput(PhysicalDevice* device, std::span<const Sample> samples, int32_t gain);
 
   // -- Events (section 5.7) --------------------------------------------------------
 
   // Emits to every connection whose event mask on `loud` includes the
-  // event's category. Inside a parallel tick the delivery is buffered
-  // island-locally and flushed by the tick thread after the join.
+  // event's category. Inside the tick fan-out the delivery is buffered and
+  // flushed at epoch commit.
   void EmitEvent(Loud* loud, EventType type, ResourceId resource, std::vector<uint8_t> args);
 
   // Emits to subscribers of a device-LOUD entry (e.g. monitoring the
@@ -262,9 +191,8 @@ class ServerState {
 
   // Returns `sound`'s full data decoded to linear PCM at the engine rate,
   // from cache when possible (decode-and-insert on miss). Metrics are
-  // bumped either way. Safe to call from engine workers: the registry is
-  // not touched, only the sound object (island-serialized) and the cache
-  // (internally locked).
+  // bumped either way. Safe to call from the tick fan-out: the registry is
+  // not touched, only the sound object and the cache (internally locked).
   DecodedSoundCache::Entry GetDecodedSound(SoundObject* sound);
 
   // -- Stats ---------------------------------------------------------------------
@@ -335,14 +263,11 @@ class ServerState {
 
   // Engine internals.
   void PrepareOutputAccumulator(PhysicalDevice* device, size_t frames);
-  // Runs queue/produce/transform/consume for one island (or, in serial
-  // mode, a pseudo-island holding the whole active graph).
-  void RunIslandPhases(const EngineIsland& island, EngineTick* tick, size_t frames);
   // Epoch phases (Tick). Open/Commit run under the state lock; the fan-out
-  // does not. `parallel` is decided at open and carried across the epoch.
-  bool EpochOpen(size_t frames) AUD_NO_THREAD_SAFETY_ANALYSIS;
-  void EpochFanOut(EngineTick* tick, size_t frames, bool parallel);
-  void EpochCommit(size_t frames, bool parallel) AUD_NO_THREAD_SAFETY_ANALYSIS;
+  // does not.
+  void EpochOpen(size_t frames) AUD_NO_THREAD_SAFETY_ANALYSIS;
+  void EpochFanOut(EngineTick* tick, size_t frames);
+  void EpochCommit(size_t frames) AUD_NO_THREAD_SAFETY_ANALYSIS;
   void DeliverEvent(uint32_t conn, const EventMessage& event);
 
   Board* board_;
@@ -364,7 +289,6 @@ class ServerState {
   size_t current_tick_frames_ = 0;
   std::atomic<int64_t> engine_frame_{0};
   int64_t ticks_run_ = 0;
-  bool in_tick_ = false;
 
   // Epoch machinery (decision 12). `state_mu_` is the server's state lock;
   // epoch_in_flight_ is true exactly while a fan-out runs without it.
@@ -374,9 +298,13 @@ class ServerState {
   CondVar epoch_cv_;
   bool epoch_in_flight_ = false;
   int drain_waiters_ = 0;
-  // Event buffer for the serial (single-island) fan-out; the parallel path
-  // uses island_events_. Flushed at commit in emission order either way.
-  std::vector<std::pair<uint32_t, EventMessage>> serial_events_;
+  // The epoch's snapshot: active roots in stack order and their devices.
+  // Members, so their capacity is reused across ticks.
+  std::vector<Loud*> tick_louds_;
+  std::vector<VirtualDevice*> tick_devices_;
+  // Events emitted during the fan-out, flushed at commit in emission order.
+  std::vector<std::pair<uint32_t, EventMessage>> tick_events_;
+  std::vector<Sample> resolved_;
 
   // Traced plays awaiting their first possible mix (NotePlayAccepted).
   // Guarded by the state lock like the epoch machinery above: appended by
@@ -389,25 +317,6 @@ class ServerState {
     int64_t required_epoch = 0;
   };
   std::vector<PendingMouthToEar> m2e_pending_;
-
-  // Parallel engine machinery (ConfigureEngine). Scratch containers are
-  // members so steady-state ticks stay allocation-free.
-  int engine_threads_ = 1;
-  std::unique_ptr<EnginePool> engine_pool_;
-  std::vector<EngineIsland> islands_;
-  EngineIsland serial_island_;
-  std::vector<TickOutputs> worker_outputs_;
-  std::vector<std::vector<std::pair<uint32_t, EventMessage>>> island_events_;
-  std::vector<Sample> resolved_;
-  // PartitionIslands scratch.
-  std::vector<Loud*> partition_louds_;
-  std::vector<VirtualDevice*> partition_devices_;
-  std::vector<int> partition_parent_;
-  std::vector<int> partition_reps_;
-  std::unordered_map<const Loud*, int> partition_index_;
-  std::vector<ResourceId> partition_sounds_;
-  std::unordered_map<PhysicalDevice*, int> partition_phys_;
-  std::unordered_map<ResourceId, int> partition_sound_rep_;
 
   std::optional<uint32_t> redirect_conn_;
 

@@ -47,8 +47,6 @@ std::string RenderPrometheusText(const ServerStatsReply& stats) {
   std::ostringstream out;
   EmitGauge(out, "aud_uptime_ms", static_cast<int64_t>(stats.uptime_ms),
             "Wall time since server start");
-  EmitGauge(out, "aud_engine_threads", stats.engine_threads,
-            "Engine tick parallelism");
   EmitCounter(out, "aud_ticks_run_total", stats.ticks_run, "Engine ticks run");
   EmitCounter(out, "aud_tick_overruns_total", stats.tick_overruns,
               "Ticks whose cost exceeded their period");
@@ -137,8 +135,7 @@ std::string RenderFlightDumpText(const std::string& reason,
   std::ostringstream out;
   out << "=== aud flight recorder dump (" << reason << ") ===\n";
   out << "proto " << stats.proto_major << "." << stats.proto_minor
-      << " uptime_ms=" << stats.uptime_ms << " server_time=" << stats.server_time
-      << " engine_threads=" << stats.engine_threads << "\n";
+      << " uptime_ms=" << stats.uptime_ms << " server_time=" << stats.server_time << "\n";
   out << "\n--- counters ---\n";
   out << "  ticks_run=" << stats.ticks_run << " tick_overruns=" << stats.tick_overruns
       << " epoch_commits=" << stats.epoch_commits << "\n";

@@ -125,12 +125,6 @@ class VirtualDevice : public ServerObject {
   // recognizer).
   virtual void Consume(EngineTick* tick);
 
-  // Island partitioning support: appends the ids of sounds this device may
-  // read or write during a tick (players decode, recorders append). LOUDs
-  // that can touch the same sound must land in the same engine island so
-  // the parallel tick never races on sound data.
-  virtual void CollectTickSounds(std::vector<ResourceId>* out) const { (void)out; }
-
   // Gain applied to this device's stream (ChangeGain).
   int32_t gain() const { return gain_; }
   void set_gain(int32_t gain) { gain_ = gain; }

@@ -536,7 +536,7 @@ struct ServerStatsReply {
   uint16_t proto_minor = kProtocolMinor;
   uint64_t uptime_ms = 0;      // wall time since the server state was built
   int64_t server_time = 0;     // Ticks on the engine clock
-  uint32_t engine_threads = 0;
+  uint32_t engine_threads = 0;  // always 1: the engine tick runs on one thread
   uint32_t engine_rate_hz = 0;
 
   // Engine.
@@ -544,8 +544,8 @@ struct ServerStatsReply {
   uint64_t tick_overruns = 0;  // ticks whose cost exceeded their period
   obs::HistogramSnapshot tick_us;          // tick duration
   obs::HistogramSnapshot tick_jitter_us;   // realtime wakeup lateness
-  obs::HistogramSnapshot islands_per_tick; // parallel ticks only
-  obs::HistogramSnapshot worker_imbalance; // max-min islands per worker slot
+  obs::HistogramSnapshot islands_per_tick; // retired: always empty
+  obs::HistogramSnapshot worker_imbalance; // retired: always empty
 
   // Dispatcher.
   uint64_t requests_total = 0;

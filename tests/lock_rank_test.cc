@@ -2,7 +2,7 @@
 // machinery that turns the DESIGN.md lock table into an executed invariant.
 // Death tests prove the checker actually aborts on the violation classes it
 // exists for — out-of-order acquisition, same-rank collisions outside the
-// IslandRootLocks carve-out, and recursion — and positive tests prove the
+// ActiveRootLocks carve-out, and recursion — and positive tests prove the
 // legal shapes (ascending chains, ascending-id same-rank, out-of-LIFO
 // release, unranked test mutexes) pass through unharmed.
 
@@ -71,26 +71,26 @@ TEST(LockRankDeathTest, OutOfOrderTryLockAborts) {
   // A try_lock that would succeed is the same latent deadlock; the checker
   // must not give it a pass just because it won the race.
   Mutex big(LockRank::kServerState, "test_big");
-  Mutex pool(LockRank::kEnginePool, "test_pool");
+  Mutex cache(LockRank::kDecodedCache, "test_cache");
   EXPECT_DEATH(
       {
-        MutexLock outer(&pool);
+        MutexLock outer(&cache);
         big.TryLock();
       },
       "out-of-order acquisition.*test_big");
 }
 
 TEST(LockRankDeathTest, SameRankOutsideCarveOutAborts) {
-  // kEnginePool and kEgressQueue share rank 2 precisely because they must
+  // kDecodedCache and kEgressQueue share rank 2 precisely because they must
   // never be held together (DESIGN.md lock table).
-  Mutex pool(LockRank::kEnginePool, "test_pool");
+  Mutex cache(LockRank::kDecodedCache, "test_cache");
   Mutex egress(LockRank::kEgressQueue, "test_egress");
   EXPECT_DEATH(
       {
-        MutexLock outer(&pool);
+        MutexLock outer(&cache);
         MutexLock inner(&egress);
       },
-      "out-of-order acquisition.*test_egress.*rank 2.*holding.*test_pool.*rank 2");
+      "out-of-order acquisition.*test_egress.*rank 2.*holding.*test_cache.*rank 2");
 }
 
 TEST(LockRankDeathTest, RecursiveAcquisitionAborts) {
@@ -104,7 +104,7 @@ TEST(LockRankDeathTest, RecursiveAcquisitionAborts) {
 }
 
 TEST(LockRankTest, EngineRootAscendingIdIsAccepted) {
-  // The IslandRootLocks shape: multiple kEngineRoot locks taken at the same
+  // The ActiveRootLocks shape: multiple kEngineRoot locks taken at the same
   // rank in ascending order-key (LOUD id) order.
   Mutex root3(LockRank::kEngineRoot, "test_root3");
   Mutex root7(LockRank::kEngineRoot, "test_root7");
@@ -120,9 +120,9 @@ TEST(LockRankTest, EngineRootAscendingIdIsAccepted) {
 }
 
 TEST(LockRankTest, HeldStackGrowsPastInlineCapacity) {
-  // The serial engine's pseudo-island holds every active root's engine lock
-  // at once, so the held stack must scale with the client count (a capacity-
-  // ladder step holds thousands). Past the inline window the checker grows
+  // The engine fan-out holds every active root's engine lock at once, so
+  // the held stack must scale with the client count (a capacity-ladder step
+  // holds thousands). Past the inline window the checker grows
   // into heap storage and keeps enforcing: the monotonic check still rejects
   // both descending order and re-acquisition.
 #if defined(__SANITIZE_THREAD__)
@@ -150,7 +150,7 @@ TEST(LockRankTest, HeldStackGrowsPastInlineCapacity) {
   EXPECT_DEATH({ roots.back()->Lock(); }, "out-of-order acquisition.*test_root");
 
   for (int i = kRoots - 1; i >= 0; --i) {
-    roots[static_cast<size_t>(i)]->Unlock();  // the IslandRootLocks LIFO shape
+    roots[static_cast<size_t>(i)]->Unlock();  // the ActiveRootLocks LIFO shape
   }
   EXPECT_EQ(lockrank::HeldCount(), 0);
 }
@@ -238,13 +238,13 @@ TEST(LockRankTest, UnrankedMutexesAreExempt) {
 }
 
 TEST(LockRankTest, MutexLockTemporaryReleaseRoundTrips) {
-  // The EnginePool::WorkerLoop pattern: drop the pool lock around the job,
-  // take lower-ranked locks inside it, re-acquire after.
-  Mutex pool(LockRank::kEnginePool, "test_pool");
+  // Drop a rank-2 lock around a job, take lower-ranked locks inside it,
+  // re-acquire after.
+  Mutex egress(LockRank::kEgressQueue, "test_egress");
   Mutex engine(LockRank::kEngineRoot, "test_engine");
   engine.SetRankOrder(1);
 
-  MutexLock lock(&pool);
+  MutexLock lock(&egress);
   lock.Unlock();
   EXPECT_EQ(lockrank::HeldCount(), 0);
   {

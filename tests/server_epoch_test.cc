@@ -1,7 +1,7 @@
 // Epoch-snapshot engine tick + sharded dispatch (DESIGN.md decision 12).
 //
 // The contract under test (see server_state.h and server.h):
-//   * Each tick is an epoch: the island partition is captured under the
+//   * Each tick is an epoch: the active graph is captured under the
 //     state lock (EpochOpen), the fan-out runs with NO state lock (only
 //     per-root engine locks), and results are published atomically at the
 //     epoch boundary (EpochCommit). epoch_commits therefore always equals
@@ -11,9 +11,9 @@
 //     requests (queue control, properties) take only the target root's
 //     shard lock. Neither may deadlock, tear an epoch, or race the fan-out
 //     (this suite runs under TSan in CI with --gtest_repeat=3).
-//   * Dispatch latency stays bounded while a 4-thread tick storm runs —
-//     the big lock is no longer held across the fan-out.
-//   * Output stays bit-identical across engine_threads = 1, 2, 4.
+//   * Dispatch latency stays bounded while a tick storm runs — the big
+//     lock is no longer held across the fan-out.
+//   * Output stays pinned to a recorded golden capture.
 
 #include <gtest/gtest.h>
 
@@ -29,17 +29,15 @@
 #include "src/server/server.h"
 #include "src/toolkit/toolkit.h"
 #include "src/transport/pipe_stream.h"
+#include "tests/server_fixture.h"
 
 namespace aud {
 namespace {
 
-// In-process server + client + toolkit with explicit ServerOptions (the
-// shared ServerFixture pins the defaults, so it cannot build the
-// engine_threads > 1 twin).
+// In-process server + client + toolkit over a board built from `config`.
 class World {
  public:
-  World(const BoardConfig& config, const ServerOptions& options)
-      : board_(config), server_(&board_, options) {
+  explicit World(const BoardConfig& config) : board_(config), server_(&board_) {
     auto [client_end, server_end] = CreatePipePair();
     server_.AddConnection(std::move(server_end));
     client_ = AudioConnection::Open(std::move(client_end), "epoch-test");
@@ -70,7 +68,7 @@ std::vector<Sample> Tone(int i, size_t samples) {
 }
 
 // `n` independent playing chains, each looping a 1 s chain-specific tone
-// `plays_each` times, so a multi-threaded tick has real fan-out work.
+// `plays_each` times, so the tick has real fan-out work.
 void BuildChains(World& world, int n, int plays_each) {
   AudioToolkit& toolkit = world.toolkit();
   AudioConnection& client = world.client();
@@ -101,9 +99,7 @@ double PercentileOf(std::vector<double> values, double p) {
 // Every tick is exactly one committed epoch: a torn, aborted, or
 // double-published epoch breaks the equality.
 TEST(EpochAccountingTest, CommitsMatchTicksRun) {
-  ServerOptions options;
-  options.engine_threads = 4;
-  World world(BoardConfig{}, options);
+  World world(BoardConfig{});
   BuildChains(world, 4, 1);
 
   auto before = world.client().GetServerStats(false);
@@ -125,15 +121,13 @@ TEST(EpochAccountingTest, CommitsMatchTicksRun) {
 // -- Dispatch during a tick storm --------------------------------------------
 
 // Engine-plane requests against an idle root keep completing, promptly,
-// while a 4-thread tick storm runs back-to-back epochs. The latency bound
+// while a tick storm runs back-to-back epochs. The latency bound
 // is deliberately loose (shared CI runners); the committed bench baseline
 // (bench/baselines/BENCH_engine_scaling.json) carries the tight 1.25x
 // storm-vs-control acceptance. The probe root is unmapped, so its shard
 // lock is never taken by the fan-out.
 TEST(DispatchStormTest, RequestsStayResponsiveDuringTickStorm) {
-  ServerOptions options;
-  options.engine_threads = 4;
-  World world(BoardConfig{}, options);
+  World world(BoardConfig{});
   BuildChains(world, 8, 5);  // 5 x 1 s per chain: outlives the storm
 
   AudioConnection& client = world.client();
@@ -175,14 +169,12 @@ TEST(DispatchStormTest, RequestsStayResponsiveDuringTickStorm) {
 
 // -- Structural mutations racing the storm -----------------------------------
 
-// create/destroy/rewire/map while a 4-thread storm ticks: every mutation
+// create/destroy/rewire/map while a storm ticks: every mutation
 // drains the in-flight epoch first, so nothing tears. TSan (CI repeats
 // this suite 3x under it) checks the no-data-race half of the contract;
 // the stats equality checks the no-torn-epoch half.
 TEST(EpochRaceTest, CreateDestroyRewireDuringStorm) {
-  ServerOptions options;
-  options.engine_threads = 4;
-  World world(BoardConfig{}, options);
+  World world(BoardConfig{});
   BuildChains(world, 4, 5);
 
   AudioConnection& client = world.client();
@@ -234,9 +226,7 @@ TEST(EpochRaceTest, CreateDestroyRewireDuringStorm) {
 // the boundary; they never abort or split a tick), and the mutations are
 // fully visible afterwards.
 TEST(EpochVisibilityTest, MutationsLandAtEpochBoundaries) {
-  ServerOptions options;
-  options.engine_threads = 4;
-  World world(BoardConfig{}, options);
+  World world(BoardConfig{});
   BuildChains(world, 4, 5);
 
   AudioConnection& client = world.client();
@@ -291,68 +281,58 @@ TEST(EpochVisibilityTest, MutationsLandAtEpochBoundaries) {
   ASSERT_TRUE(client.Sync().ok());
 }
 
-// -- Bit-identity across worker counts ---------------------------------------
+// -- Bit-identity with the recorded output ----------------------------------
 
-// The epoch fan-out must not change audible output: engine_threads 1, 2
-// and 4 produce bit-identical speaker streams for a workload that mixes
-// independent chains with a shared-mixer island. (server_parallel_test
-// covers the wider workload; this pins the tentpole's 1/2/4 matrix.)
+// The epoch fan-out must not change audible output for a workload that
+// mixes independent chains with a shared mixer. The hashes were recorded
+// when the tree still carried an island-parallel engine and 1, 2 and 4
+// engine threads all produced these exact captures. (server_parallel_test
+// covers the wider workload.)
 TEST(EpochDeterminismTest, BitIdenticalAcrossEngineThreads124) {
   BoardConfig config;
   config.speakers = 2;
-  std::vector<std::vector<Sample>> captures[2];
-
-  for (int threads : {1, 2, 4}) {
-    ServerOptions options;
-    options.engine_threads = threads;
-    World world(config, options);
-    for (SpeakerUnit* speaker : world.board().speakers()) {
-      speaker->set_capture_output(true);
-    }
-    AudioConnection& client = world.client();
-    AudioToolkit& toolkit = world.toolkit();
-    const char* positions[2] = {"left", "right"};
-
-    for (int i = 0; i < 8; ++i) {
-      ResourceId sound =
-          toolkit.UploadSound(Tone(i, 4000), {Encoding::kPcm16, 8000});
-      AttrList attrs;
-      attrs.SetString(AttrTag::kPosition, positions[i % 2]);
-      auto chain = toolkit.BuildPlaybackChain(attrs);
-      client.Enqueue(chain.loud, {PlayCommand(chain.player, sound, 1)});
-      client.StartQueue(chain.loud);
-    }
-    // One shared-mixer island on top of the independent chains.
-    ResourceId root = client.CreateLoud(kNoResource, {});
-    ResourceId child_a = client.CreateLoud(root, {});
-    ResourceId child_b = client.CreateLoud(root, {});
-    ResourceId player_a = client.CreateDevice(child_a, DeviceClass::kPlayer, {});
-    ResourceId player_b = client.CreateDevice(child_b, DeviceClass::kPlayer, {});
-    ResourceId mixer = client.CreateDevice(root, DeviceClass::kMixer, {});
-    ResourceId output = client.CreateDevice(root, DeviceClass::kOutput, {});
-    client.CreateWire(player_a, 0, mixer, 0);
-    client.CreateWire(player_b, 0, mixer, 1);
-    client.CreateWire(mixer, 0, output, 0);
-    client.MapLoud(root);
-    ResourceId sa = toolkit.UploadSound(Tone(50, 4000), {Encoding::kPcm16, 8000});
-    ResourceId sb = toolkit.UploadSound(Tone(51, 4000), {Encoding::kPcm16, 8000});
-    client.Enqueue(root, {PlayCommand(player_a, sa, 1), PlayCommand(player_b, sb, 2)});
-    client.StartQueue(root);
-    ASSERT_TRUE(client.Sync().ok());
-
-    world.server().StepFrames(160 * 20);
-    for (int s = 0; s < 2; ++s) {
-      captures[s].push_back(
-          world.board().speakers()[static_cast<size_t>(s)]->played());
-    }
+  World world(config);
+  for (SpeakerUnit* speaker : world.board().speakers()) {
+    speaker->set_capture_output(true);
   }
+  AudioConnection& client = world.client();
+  AudioToolkit& toolkit = world.toolkit();
+  const char* positions[2] = {"left", "right"};
 
-  for (int s = 0; s < 2; ++s) {
-    ASSERT_EQ(captures[s].size(), 3u);
-    EXPECT_TRUE(captures[s][0] == captures[s][1])
-        << "threads=2 diverged from serial, speaker " << s;
-    EXPECT_TRUE(captures[s][0] == captures[s][2])
-        << "threads=4 diverged from serial, speaker " << s;
+  for (int i = 0; i < 8; ++i) {
+    ResourceId sound =
+        toolkit.UploadSound(Tone(i, 4000), {Encoding::kPcm16, 8000});
+    AttrList attrs;
+    attrs.SetString(AttrTag::kPosition, positions[i % 2]);
+    auto chain = toolkit.BuildPlaybackChain(attrs);
+    client.Enqueue(chain.loud, {PlayCommand(chain.player, sound, 1)});
+    client.StartQueue(chain.loud);
+  }
+  // One shared mixer on top of the independent chains.
+  ResourceId root = client.CreateLoud(kNoResource, {});
+  ResourceId child_a = client.CreateLoud(root, {});
+  ResourceId child_b = client.CreateLoud(root, {});
+  ResourceId player_a = client.CreateDevice(child_a, DeviceClass::kPlayer, {});
+  ResourceId player_b = client.CreateDevice(child_b, DeviceClass::kPlayer, {});
+  ResourceId mixer = client.CreateDevice(root, DeviceClass::kMixer, {});
+  ResourceId output = client.CreateDevice(root, DeviceClass::kOutput, {});
+  client.CreateWire(player_a, 0, mixer, 0);
+  client.CreateWire(player_b, 0, mixer, 1);
+  client.CreateWire(mixer, 0, output, 0);
+  client.MapLoud(root);
+  ResourceId sa = toolkit.UploadSound(Tone(50, 4000), {Encoding::kPcm16, 8000});
+  ResourceId sb = toolkit.UploadSound(Tone(51, 4000), {Encoding::kPcm16, 8000});
+  client.Enqueue(root, {PlayCommand(player_a, sa, 1), PlayCommand(player_b, sb, 2)});
+  client.StartQueue(root);
+  ASSERT_TRUE(client.Sync().ok());
+
+  world.server().StepFrames(160 * 20);
+
+  const uint64_t golden[2] = {0x56ea6f1d63623229ull, 0x3436c94d6a941344ull};
+  for (size_t s = 0; s < 2; ++s) {
+    const std::vector<Sample>& got = world.board().speakers()[s]->played();
+    EXPECT_EQ(got.size(), 3200u) << "speaker " << s;
+    EXPECT_EQ(CaptureHash(got), golden[s]) << "engine output changed, speaker " << s;
   }
 }
 

@@ -116,6 +116,19 @@ inline double Rms(std::span<const Sample> samples) {
   return std::sqrt(acc / static_cast<double>(samples.size()));
 }
 
+// FNV-1a 64 over the little-endian bytes of a capture: pins recorded
+// speaker output to a golden value without committing the samples.
+inline uint64_t CaptureHash(std::span<const Sample> samples) {
+  constexpr uint64_t kPrime = 1099511628211ull;
+  uint64_t hash = 14695981039346656037ull;
+  for (Sample s : samples) {
+    const auto bits = static_cast<uint16_t>(s);
+    hash = (hash ^ (bits & 0xffu)) * kPrime;
+    hash = (hash ^ (bits >> 8)) * kPrime;
+  }
+  return hash;
+}
+
 }  // namespace aud
 
 #endif  // TESTS_SERVER_FIXTURE_H_

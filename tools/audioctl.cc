@@ -41,10 +41,10 @@ int CmdInfo(AudioConnection& audio) {
     const ServerStatsReply& s = stats.value();
     std::printf("protocol: %u.%u (stats v%u)\n", s.proto_major, s.proto_minor,
                 s.stats_version);
-    std::printf("uptime: %llu.%03llu s  engine: %u Hz x%u threads  ticks: %llu\n",
+    std::printf("uptime: %llu.%03llu s  engine: %u Hz  ticks: %llu\n",
                 static_cast<unsigned long long>(s.uptime_ms / 1000),
                 static_cast<unsigned long long>(s.uptime_ms % 1000), s.engine_rate_hz,
-                s.engine_threads, static_cast<unsigned long long>(s.ticks_run));
+                static_cast<unsigned long long>(s.ticks_run));
   }
   auto devices = audio.QueryDeviceLoud();
   if (!devices.ok()) {
@@ -230,16 +230,13 @@ int CmdStats(AudioConnection& audio, bool json) {
     std::printf("  \"stats_version\": %u,\n", s.stats_version);
     std::printf("  \"protocol\": \"%u.%u\",\n", s.proto_major, s.proto_minor);
     std::printf("  \"uptime_ms\": %llu,\n", static_cast<unsigned long long>(s.uptime_ms));
-    std::printf("  \"engine\": {\"rate_hz\": %u, \"threads\": %u, \"ticks_run\": %llu, "
+    std::printf("  \"engine\": {\"rate_hz\": %u, \"ticks_run\": %llu, "
                 "\"tick_overruns\": %llu},\n",
-                s.engine_rate_hz, s.engine_threads,
-                static_cast<unsigned long long>(s.ticks_run),
+                s.engine_rate_hz, static_cast<unsigned long long>(s.ticks_run),
                 static_cast<unsigned long long>(s.tick_overruns));
     std::printf("  \"histograms\": {\n");
     PrintHistogramJson("tick_us", s.tick_us, false);
     PrintHistogramJson("tick_jitter_us", s.tick_jitter_us, false);
-    PrintHistogramJson("islands_per_tick", s.islands_per_tick, false);
-    PrintHistogramJson("worker_imbalance", s.worker_imbalance, false);
     PrintHistogramJson("dispatch_us", s.dispatch_us, false);
     PrintHistogramJson("lock_wait_us", s.lock_wait_us, false);
     PrintHistogramJson("epoch_commit_us", s.epoch_commit_us, false);
@@ -321,14 +318,11 @@ int CmdStats(AudioConnection& audio, bool json) {
               s.proto_minor, s.stats_version,
               static_cast<unsigned long long>(s.uptime_ms / 1000),
               static_cast<unsigned long long>(s.uptime_ms % 1000));
-  std::printf("engine: %u Hz, %u thread%s, %llu ticks, %llu overruns\n", s.engine_rate_hz,
-              s.engine_threads, s.engine_threads == 1 ? "" : "s",
+  std::printf("engine: %u Hz, %llu ticks, %llu overruns\n", s.engine_rate_hz,
               static_cast<unsigned long long>(s.ticks_run),
               static_cast<unsigned long long>(s.tick_overruns));
   PrintHistogramLine("tick us", s.tick_us);
   PrintHistogramLine("tick jitter us", s.tick_jitter_us);
-  PrintHistogramLine("islands/tick", s.islands_per_tick);
-  PrintHistogramLine("worker imbalance", s.worker_imbalance);
   std::printf("requests: %llu total, %llu errors\n",
               static_cast<unsigned long long>(s.requests_total),
               static_cast<unsigned long long>(s.request_errors_total));

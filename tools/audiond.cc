@@ -4,7 +4,7 @@
 //
 // Usage:
 //   audiond [--port N] [--speakers N] [--microphones N] [--lines N]
-//           [--engine-threads N] [--connection-threads N] [--speakerphone]
+//           [--connection-threads N] [--speakerphone]
 //           [--wav-out FILE] [--stats-interval-ms N] [--trace-sample N]
 //           [--metrics-port N] [--flight-dump FILE] [--verbose]
 //
@@ -117,11 +117,6 @@ int main(int argc, char** argv) {
       config.microphones = next_int(config.microphones);
     } else if (arg == "--lines") {
       config.phone_lines = next_int(config.phone_lines);
-    } else if (arg == "--engine-threads") {
-      options.engine_threads = next_int(options.engine_threads);
-      if (options.engine_threads < 1) {
-        options.engine_threads = 1;
-      }
     } else if (arg == "--connection-threads") {
       int n = next_int(0);
       options.connection_threads = n > 0 ? static_cast<uint32_t>(n) : 0;
@@ -210,7 +205,7 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: audiond [--port N] [--speakers N] [--microphones N] "
-                   "[--lines N] [--engine-threads N] [--connection-threads N] "
+                   "[--lines N] [--connection-threads N] "
                    "[--loop-poll] [--loop-edge] [--speakerphone] "
                    "[--wav-out FILE] [--catalogue DIR] [--stats-interval-ms N] "
                    "[--trace-sample N] [--metrics-port N] [--flight-dump FILE] "
@@ -275,8 +270,6 @@ int main(int argc, char** argv) {
   std::printf("audiond: board: %d speaker(s), %d microphone(s), %d line(s)%s\n",
               config.speakers, config.microphones, config.phone_lines,
               config.speakerphone ? " + speakerphone" : "");
-  std::printf("audiond: engine: %d thread(s)%s\n", options.engine_threads,
-              options.engine_threads > 1 ? " (island-parallel tick)" : "");
   if (server.connection_loops() > 0) {
     std::printf("audiond: connections: %zu event loop(s)%s%s\n",
                 server.connection_loops(),

@@ -37,12 +37,12 @@ void PrintFrame(AudioConnection& audio, bool clear) {
   if (clear) {
     std::printf("\033[H\033[2J");  // cursor home + clear screen
   }
-  std::printf("audiond %u.%u  up %llu.%03llu s  engine %u Hz x%u  ticks %llu  "
+  std::printf("audiond %u.%u  up %llu.%03llu s  engine %u Hz  ticks %llu  "
               "req %llu (%llu err)  conns %lld\n",
               s.proto_major, s.proto_minor,
               static_cast<unsigned long long>(s.uptime_ms / 1000),
               static_cast<unsigned long long>(s.uptime_ms % 1000), s.engine_rate_hz,
-              s.engine_threads, static_cast<unsigned long long>(s.ticks_run),
+              static_cast<unsigned long long>(s.ticks_run),
               static_cast<unsigned long long>(s.requests_total),
               static_cast<unsigned long long>(s.request_errors_total),
               static_cast<long long>(s.connections_open));
