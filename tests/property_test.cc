@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "src/dsp/encoding.h"
 #include "src/dsp/gain.h"
@@ -71,6 +72,12 @@ struct FormatCase {
   Encoding encoding;
   uint32_t rate;
 };
+
+// Without a printer gtest dumps the raw bytes, uninitialized padding included,
+// and those bytes would leak into the parameter's test name.
+void PrintTo(const FormatCase& format_case, std::ostream* os) {
+  *os << EncodingName(format_case.encoding) << " at " << format_case.rate << " Hz";
+}
 
 class ServerFormatSweep : public ServerFixture,
                           public ::testing::WithParamInterface<FormatCase> {

@@ -6,6 +6,8 @@
 #include <cmath>
 #include <span>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "src/synth/lts_rules.h"
 #include "src/synth/phonemes.h"
@@ -52,7 +54,9 @@ TEST(PhonemeTest, ParseIsCaseInsensitive) {
   ASSERT_EQ(seq.size(), 2u);
 }
 
-class LtsWords : public ::testing::TestWithParam<std::pair<const char*, const char*>> {};
+// std::string, not const char*: gtest prints a char pointer with its address,
+// and that address would leak into the parameter's test name.
+class LtsWords : public ::testing::TestWithParam<std::pair<std::string, std::string>> {};
 
 TEST_P(LtsWords, KnownWordsConvert) {
   LetterToSound lts;
