@@ -3,11 +3,14 @@
 // one time" walking top-down. Preemption must be cheap enough to happen
 // on every map/unmap/restack.
 //
-// Measures: map->active latency (requests), RecomputeActivation cost vs
-// stack depth, and preemption/restore round trips on the exclusive phone
-// line (with server-paused queues).
+// Measures: map->active latency (requests) vs stack depth up to capacity
+// scale, the wall time of one client's death among 4096 mapped roots, and
+// preemption/restore round trips on the exclusive phone line (with
+// server-paused queues).
 
 #include <chrono>
+#include <memory>
+#include <string>
 
 #include "bench/bench_util.h"
 
@@ -19,9 +22,9 @@ int Run() {
               "activation/deactivation is the fundamental scheduling mechanism; it "
               "happens dynamically with device state restored (section 5.4)");
 
-  // Part 1: activation recompute cost vs stack depth.
+  // Part 1: map+activate cost vs stack depth.
   std::printf("%-14s %-22s\n", "stack depth", "map+activate cost");
-  for (int depth : {1, 8, 32, 128}) {
+  for (int depth : {1, 8, 32, 128, 1024, 4096}) {
     BenchWorld world;
     AudioConnection& client = world.client();
     std::vector<ResourceId> louds;
@@ -32,7 +35,7 @@ int Run() {
       louds.push_back(loud);
     }
     (void)client.Sync();
-    // Map all (each map walks the whole stack).
+    // Map all, each on top of the ones before it.
     auto t0 = std::chrono::steady_clock::now();
     for (ResourceId loud : louds) {
       client.MapLoud(loud);
@@ -44,7 +47,42 @@ int Run() {
     std::printf("%-14d %18.1f us/map\n", depth, per_map_us);
   }
 
-  // Part 2: preemption/restore churn on the exclusive telephone.
+  // Part 2: owner death at capacity scale. Four clients map 1024 playback
+  // roots each; one closes, and the clock runs until its objects are gone
+  // from the registry (reader wake-up, teardown under the state lock, and
+  // activation for the 3072 roots left).
+  {
+    BenchWorld world;
+    constexpr int kOwners = 4;
+    constexpr int kRootsEach = 1024;
+    std::vector<std::unique_ptr<AudioConnection>> owners;
+    for (int c = 0; c < kOwners; ++c) {
+      owners.push_back(world.Connect("owner" + std::to_string(c)));
+      AudioConnection& owner = *owners.back();
+      for (int i = 0; i < kRootsEach; ++i) {
+        ResourceId loud = owner.CreateLoud(kNoResource, {});
+        owner.CreateDevice(loud, DeviceClass::kOutput, {});
+        owner.CreateDevice(loud, DeviceClass::kPlayer, {});
+        owner.MapLoud(loud);
+      }
+      (void)owner.Sync();
+    }
+    auto object_count = [&world] {
+      MutexLock lock(&world.server().mutex());
+      return world.server().state().object_count();
+    };
+    const size_t remaining = object_count() - kRootsEach * 3;
+    auto t0 = std::chrono::steady_clock::now();
+    owners.front()->Close();
+    while (object_count() > remaining) {
+    }
+    auto t1 = std::chrono::steady_clock::now();
+    std::printf("owner death (%d of %d mapped roots): %.2f ms\n", kRootsEach,
+                kOwners * kRootsEach,
+                std::chrono::duration<double, std::milli>(t1 - t0).count());
+  }
+
+  // Part 3: preemption/restore churn on the exclusive telephone.
   {
     BenchWorld world;
     AudioConnection& client = world.client();

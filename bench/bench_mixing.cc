@@ -41,7 +41,7 @@ void RunKernelMicro(BenchJsonWriter* json, bool quick) {
   const int iters = quick ? 2000 : 50000;
   constexpr size_t kFrames = 160;
   std::vector<Sample> pcm(kFrames);
-  std::vector<int32_t> acc(kFrames, 0), acc2(kFrames, 1);
+  std::vector<int32_t> acc(kFrames, 0);
   std::vector<uint8_t> bytes(kFrames);
   for (size_t i = 0; i < kFrames; ++i) {
     pcm[i] = static_cast<Sample>((i * 997) % 65536 - 32768);
@@ -53,36 +53,32 @@ void RunKernelMicro(BenchJsonWriter* json, bool quick) {
   struct Row {
     const char* name;
     void (*run)(const KernelOps&, std::vector<Sample>&, std::vector<int32_t>&,
-                std::vector<int32_t>&, std::vector<uint8_t>&);
+                std::vector<uint8_t>&);
   };
   const Row rows[] = {
       {"mix_accumulate", [](const KernelOps& k, std::vector<Sample>& p, std::vector<int32_t>& a,
-                            std::vector<int32_t>&, std::vector<uint8_t>&) {
+                            std::vector<uint8_t>&) {
          k.mix_accumulate(a.data(), p.data(), p.size(), kUnityGain);
        }},
-      {"mix_add", [](const KernelOps& k, std::vector<Sample>&, std::vector<int32_t>& a,
-                     std::vector<int32_t>& b, std::vector<uint8_t>&) {
-         k.mix_add(a.data(), b.data(), a.size());
-       }},
       {"mix_resolve", [](const KernelOps& k, std::vector<Sample>& p, std::vector<int32_t>& a,
-                         std::vector<int32_t>&, std::vector<uint8_t>&) {
+                         std::vector<uint8_t>&) {
          k.mix_resolve(p.data(), a.data(), p.size());
        }},
       {"mulaw_encode", [](const KernelOps& k, std::vector<Sample>& p, std::vector<int32_t>&,
-                          std::vector<int32_t>&, std::vector<uint8_t>& by) {
+                          std::vector<uint8_t>& by) {
          k.mulaw_encode(by.data(), p.data(), by.size());
        }},
       {"mulaw_decode", [](const KernelOps& k, std::vector<Sample>& p, std::vector<int32_t>&,
-                          std::vector<int32_t>&, std::vector<uint8_t>& by) {
+                          std::vector<uint8_t>& by) {
          k.mulaw_decode(p.data(), by.data(), by.size());
        }},
   };
   for (const Row& row : rows) {
     double scalar_ns = TimeKernel(iters, [&] {
-      row.run(ScalarKernels(), pcm, acc, acc2, bytes);
+      row.run(ScalarKernels(), pcm, acc, bytes);
     });
     double dispatched_ns = TimeKernel(iters, [&] {
-      row.run(Kernels(), pcm, acc, acc2, bytes);
+      row.run(Kernels(), pcm, acc, bytes);
     });
     std::printf("  %-16s scalar %8.1f ns   dispatched %8.1f ns  (%.2fx)\n",
                 row.name, scalar_ns, dispatched_ns,

@@ -76,12 +76,6 @@ void ScalarMixAccumulate(int32_t* __restrict acc, const Sample* __restrict src,
   }
 }
 
-void ScalarMixAdd(int32_t* __restrict acc, const int32_t* __restrict src, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    acc[i] = WrapAdd(acc[i], src[i]);
-  }
-}
-
 void ScalarMixResolve(Sample* __restrict out, const int32_t* __restrict acc, size_t n) {
   for (size_t i = 0; i < n; ++i) {
     out[i] = SaturateSample(acc[i]);
@@ -127,9 +121,8 @@ void ScalarAlawDecode(Sample* __restrict out, const uint8_t* __restrict in, size
 }
 
 constexpr KernelOps kScalarOps = {
-    "scalar",        ScalarMixAccumulate, ScalarMixAdd,     ScalarMixResolve,
-    ScalarApplyGain, ScalarMulawEncode,   ScalarMulawDecode, ScalarAlawEncode,
-    ScalarAlawDecode,
+    "scalar",          ScalarMixAccumulate, ScalarMixResolve, ScalarApplyGain,
+    ScalarMulawEncode, ScalarMulawDecode,   ScalarAlawEncode, ScalarAlawDecode,
 };
 
 // ---------------------------------------------------------------------------
@@ -164,18 +157,6 @@ void Sse2MixAccumulate(int32_t* acc, const Sample* src, size_t n, int32_t gain) 
   }
 }
 
-void Sse2MixAdd(int32_t* acc, const int32_t* src, size_t n) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m128i a = _mm_loadu_si128(reinterpret_cast<const __m128i*>(acc + i));
-    __m128i b = _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(acc + i), _mm_add_epi32(a, b));
-  }
-  for (; i < n; ++i) {
-    acc[i] = WrapAdd(acc[i], src[i]);
-  }
-}
-
 void Sse2MixResolve(Sample* out, const int32_t* acc, size_t n) {
   size_t i = 0;
   for (; i + 8 <= n; i += 8) {
@@ -189,9 +170,8 @@ void Sse2MixResolve(Sample* out, const int32_t* acc, size_t n) {
 }
 
 constexpr KernelOps kSse2Ops = {
-    "sse2",          Sse2MixAccumulate, Sse2MixAdd,        Sse2MixResolve,
-    ScalarApplyGain, ScalarMulawEncode, ScalarMulawDecode, ScalarAlawEncode,
-    ScalarAlawDecode,
+    "sse2",            Sse2MixAccumulate, Sse2MixResolve,   ScalarApplyGain,
+    ScalarMulawEncode, ScalarMulawDecode, ScalarAlawEncode, ScalarAlawDecode,
 };
 
 #endif  // __SSE2__
@@ -216,16 +196,6 @@ void NeonMixAccumulate(int32_t* acc, const Sample* src, size_t n, int32_t gain) 
   }
 }
 
-void NeonMixAdd(int32_t* acc, const int32_t* src, size_t n) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    vst1q_s32(acc + i, vaddq_s32(vld1q_s32(acc + i), vld1q_s32(src + i)));
-  }
-  for (; i < n; ++i) {
-    acc[i] = WrapAdd(acc[i], src[i]);
-  }
-}
-
 void NeonMixResolve(Sample* out, const int32_t* acc, size_t n) {
   size_t i = 0;
   for (; i + 8 <= n; i += 8) {
@@ -240,9 +210,8 @@ void NeonMixResolve(Sample* out, const int32_t* acc, size_t n) {
 }
 
 constexpr KernelOps kNeonOps = {
-    "neon",          NeonMixAccumulate, NeonMixAdd,        NeonMixResolve,
-    ScalarApplyGain, ScalarMulawEncode, ScalarMulawDecode, ScalarAlawEncode,
-    ScalarAlawDecode,
+    "neon",            NeonMixAccumulate, NeonMixResolve,   ScalarApplyGain,
+    ScalarMulawEncode, ScalarMulawDecode, ScalarAlawEncode, ScalarAlawDecode,
 };
 
 #endif  // __ARM_NEON

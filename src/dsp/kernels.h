@@ -1,5 +1,5 @@
 // Runtime-dispatched DSP kernels: the hot inner loops of the data plane
-// (mix accumulate/merge/resolve, gain, G.711 companding) behind one table
+// (mix accumulate/resolve, gain, G.711 companding) behind one table
 // of function pointers. The scalar implementations are table-driven and
 // written so the compiler can auto-vectorize them; on x86-64 an SSE2
 // variant of the mix kernels is selected at first use, and on ARM a NEON
@@ -28,9 +28,6 @@ struct KernelOps {
   // acc[i] += src[i] scaled by gain (centi-percent; kUnityGain passes
   // samples through unscaled). Matches MixAccumulator semantics.
   void (*mix_accumulate)(int32_t* acc, const Sample* src, size_t n, int32_t gain);
-
-  // acc[i] += src[i].
-  void (*mix_add)(int32_t* acc, const int32_t* src, size_t n);
 
   // out[i] = saturate16(acc[i]).
   void (*mix_resolve)(Sample* out, const int32_t* acc, size_t n);

@@ -191,7 +191,6 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
         send_error(destroyed.code(), req.id);
         break;
       }
-      state_.RecomputeActivation();
       break;
     }
 
@@ -222,9 +221,7 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
       VirtualDevice* raw = device.get();
       if (send_status(state_.Register(std::move(device)), req.id)) {
         loud->AddDevice(raw);
-        if (loud->Root()->mapped()) {
-          state_.RecomputeActivation();
-        }
+        state_.ActivationChanged(loud->Root());
       }
       break;
     }
@@ -252,10 +249,8 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
         send_error(ErrorCode::kBadResource, req.id);
         break;
       }
-      device->mutable_attrs().Merge(req.attrs);
-      if (device->loud()->Root()->mapped()) {
-        state_.RecomputeActivation();
-      }
+      device->Augment(req.attrs);
+      state_.ActivationChanged(device->loud()->Root());
       break;
     }
 

@@ -52,6 +52,11 @@ class Loud : public ServerObject {
   void set_mapped(bool mapped) { mapped_ = mapped; }
   bool active() const { return active_; }
   void set_active(bool active) { active_ = active; }
+  // Activation's cache, meaningful on roots: whether some device in the
+  // tree can claim a resource against lower roots — a telephone line, or
+  // an exclusive input or output domain (ServerState::ActivationChanged).
+  bool may_claim() const { return may_claim_; }
+  void set_may_claim(bool may_claim) { may_claim_ = may_claim; }
 
   // Tree maintenance (called by the dispatcher).
   void AddChild(Loud* child) { children_.push_back(child); }
@@ -107,6 +112,7 @@ class Loud : public ServerObject {
   std::unique_ptr<CommandQueue> queue_;
   bool mapped_ = false;
   bool active_ = false;
+  bool may_claim_ = false;
   std::map<std::string, Property> properties_;
   std::map<uint32_t, uint32_t> event_masks_;
   uint32_t sync_interval_ms_ = 0;

@@ -211,18 +211,7 @@ void AudioServer::ReaderLoop(ClientConnection* conn) {
 
   // Flush queued replies/events (bounded), then close the transport.
   conn->BeginDrain();
-  // Free every resource the client owned (the paper's per-connection
-  // container teardown).
-  {
-    MutexLock lock(&mu_);
-    // Structural teardown: wait out any in-flight epoch so the tick fan-out
-    // holds no pointers into the objects about to be destroyed.
-    state_.WaitEngineIdle();
-    state_.DestroyConnectionObjects(conn->index());
-    state_.RecomputeActivation();
-    metrics.connections_open.Sub(1);
-    obs::Trace(obs::TraceReason::kConnectionClose, conn->index());
-  }
+  ReclaimConnection(conn);
   // Last action: the connection may now be joined and destroyed by the
   // next AddConnection prune or by Shutdown.
   conn->MarkFinished();
@@ -435,19 +424,20 @@ void AudioServer::LoopTeardown(ClientConnection* conn, uint32_t loop_index) {
   ls.torn_down = true;
   loops_[loop_index]->Remove(conn->pollable_fd());
   conn->HardClose();
-  // Free every resource the client owned — identical to the legacy
-  // reader-thread teardown in ReaderLoop.
-  {
-    MutexLock lock(&mu_);
-    state_.WaitEngineIdle();
-    state_.DestroyConnectionObjects(conn->index());
-    state_.RecomputeActivation();
-    metrics_->connections_open.Sub(1);
-    obs::Trace(obs::TraceReason::kConnectionClose, conn->index());
-  }
+  ReclaimConnection(conn);
   // Last action: the connection may now be pruned by AddConnection or
   // destroyed by Shutdown.
   conn->MarkFinished();
+}
+
+void AudioServer::ReclaimConnection(ClientConnection* conn) {
+  MutexLock lock(&mu_);
+  // Structural teardown: wait out any in-flight epoch so the tick fan-out
+  // holds no pointers into the objects about to be destroyed.
+  state_.WaitEngineIdle();
+  state_.DestroyConnectionObjects(conn->index());
+  metrics_->connections_open.Sub(1);
+  obs::Trace(obs::TraceReason::kConnectionClose, conn->index());
 }
 
 void AudioServer::LoopSweep(uint32_t loop_index) {
@@ -657,12 +647,7 @@ void AudioServer::Shutdown() {
   // gauges and the registry end balanced either way.
   for (auto& conn : conns) {
     if (conn->loop_mode() && !conn->finished()) {
-      MutexLock lock(&mu_);
-      state_.WaitEngineIdle();
-      state_.DestroyConnectionObjects(conn->index());
-      state_.RecomputeActivation();
-      metrics_->connections_open.Sub(1);
-      obs::Trace(obs::TraceReason::kConnectionClose, conn->index());
+      ReclaimConnection(conn.get());
       conn->MarkFinished();
     }
   }

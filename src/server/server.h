@@ -217,6 +217,13 @@ class AudioServer {
   void LoopTeardown(ClientConnection* conn, uint32_t loop_index);
   void LoopSweep(uint32_t loop_index);
 
+  // Frees every resource a departed client owned (the paper's
+  // per-connection container teardown): waits out any in-flight epoch,
+  // destroys the client's objects with one activation pass, and closes the
+  // connection's gauge and trace. The one reclamation path of the reader
+  // exit, the loop teardown and Shutdown; the caller then MarkFinished()s.
+  void ReclaimConnection(ClientConnection* conn) AUD_EXCLUDES(mu_);
+
   // Tick-driver access to the state. Tick() manages the state lock itself
   // (epoch open/commit take it; the fan-out runs without it — the lock was
   // attached at construction via AttachStateLock), so the callers must NOT

@@ -17,10 +17,9 @@ namespace {
 // from it. Null on dispatcher threads, which go straight through.
 thread_local std::vector<std::pair<uint32_t, EventMessage>>* tls_tick_events = nullptr;
 
-// Cascade teardown and server-side registration operate on ids the caller
-// just enumerated from live registry state, so a failure means the registry
-// is inconsistent with itself — worth a warning, never worth aborting the
-// cascade half-way.
+// Server-side registration uses ids the server just allocated, so a failure
+// means the registry is inconsistent with itself — worth a warning, never
+// worth aborting startup.
 void WarnIfError(const Status& status, const char* what) {
   if (!status.ok()) {
     LogLine(LogLevel::kWarning) << what << ": " << status.ToString();
@@ -160,20 +159,37 @@ Status ServerState::Destroy(ResourceId id) {
   if (obj == nullptr) {
     return Status(ErrorCode::kBadResource, "destroy: no such resource");
   }
+  // The surviving tree whose devices change. A destroyed root has none:
+  // its unmap recorded whether it held claims. Wires and sounds change no
+  // activation, so the pass below is a no-op for them.
+  Loud* root = nullptr;
+  if (obj->kind() == ObjectKind::kLoud && !static_cast<Loud*>(obj)->IsRoot()) {
+    root = static_cast<Loud*>(obj)->Root();
+  } else if (obj->kind() == ObjectKind::kVirtualDevice) {
+    root = static_cast<VirtualDevice*>(obj)->loud()->Root();
+  }
+  DestroyObject(obj);
+  ActivationChanged(root);
+  return Status::Ok();
+}
+
+void ServerState::DestroyObject(ServerObject* obj) {
+  const ResourceId id = obj->id();
   switch (obj->kind()) {
     case ObjectKind::kLoud: {
       Loud* loud = static_cast<Loud*>(obj);
       if (loud->IsRoot() && loud->mapped()) {
-        WarnIfError(UnmapLoud(loud), "destroy: unmap of root loud");
+        std::erase(active_stack_, loud);
+        Withdraw(loud);
       }
       // Children and devices first (copy lists: destruction mutates them).
       std::vector<Loud*> children = loud->children();
       for (Loud* child : children) {
-        WarnIfError(Destroy(child->id()), "destroy: child loud cascade");
+        DestroyObject(child);
       }
       std::vector<VirtualDevice*> devices = loud->devices();
       for (VirtualDevice* dev : devices) {
-        WarnIfError(Destroy(dev->id()), "destroy: device cascade");
+        DestroyObject(dev);
       }
       if (loud->parent() != nullptr) {
         loud->parent()->RemoveChild(loud);
@@ -182,17 +198,12 @@ Status ServerState::Destroy(ResourceId id) {
     }
     case ObjectKind::kVirtualDevice: {
       VirtualDevice* dev = static_cast<VirtualDevice*>(obj);
-      // Destroy attached wires. Collect ids first and deduplicate: a
-      // self-wire appears in both the source and sink lists.
-      std::set<ResourceId> wire_ids;
-      for (WireObject* wire : dev->source_wires()) {
-        wire_ids.insert(wire->id());
-      }
-      for (WireObject* wire : dev->sink_wires()) {
-        wire_ids.insert(wire->id());
-      }
-      for (ResourceId wire_id : wire_ids) {
-        WarnIfError(Destroy(wire_id), "destroy: wire cascade");
+      // Destroy attached wires. Deduplicate: a self-wire appears in both
+      // the source and sink lists.
+      std::set<WireObject*> wires(dev->source_wires().begin(), dev->source_wires().end());
+      wires.insert(dev->sink_wires().begin(), dev->sink_wires().end());
+      for (WireObject* wire : wires) {
+        DestroyObject(wire);
       }
       if (dev->active()) {
         dev->AbortCommand();
@@ -225,15 +236,14 @@ Status ServerState::Destroy(ResourceId id) {
       break;
   }
   objects_.erase(id);
-  return Status::Ok();
 }
 
 void ServerState::DestroyConnectionObjects(uint32_t conn) {
   // A dying owner must not leave a phone line off-hook (the paper's
   // answering-machine crash case). Hang up every line the connection's
   // telephone devices still hold before the teardown below unbinds them —
-  // Destroy on a mapped root runs UnmapLoud first, which clears the
-  // device/line binding and would lose the line pointer.
+  // withdrawing a mapped root deactivates it, which clears the device/line
+  // binding and would lose the line pointer.
   for (const auto& [id, obj] : objects_) {
     if (obj->owner() != conn || obj->kind() != ObjectKind::kVirtualDevice) {
       continue;
@@ -244,6 +254,14 @@ void ServerState::DestroyConnectionObjects(uint32_t conn) {
       telephone->line_unit()->HangUp();
     }
   }
+  // Every root the connection mapped leaves the stack in one pass; the
+  // single activation pass at the end covers them all.
+  for (Loud* loud : active_stack_) {
+    if (loud->owner() == conn) {
+      Withdraw(loud);
+    }
+  }
+  std::erase_if(active_stack_, [conn](const Loud* loud) { return loud->owner() == conn; });
   // Louds first (they cascade), then stray devices/wires/sounds.
   for (int pass = 0; pass < 2; ++pass) {
     std::vector<ResourceId> ids;
@@ -257,8 +275,8 @@ void ServerState::DestroyConnectionObjects(uint32_t conn) {
       }
     }
     for (ResourceId id : ids) {
-      if (Find(id) != nullptr) {
-        WarnIfError(Destroy(id), "owner death: cascade");
+      if (ServerObject* obj = Find(id); obj != nullptr) {
+        DestroyObject(obj);
       }
     }
   }
@@ -272,6 +290,7 @@ void ServerState::DestroyConnectionObjects(uint32_t conn) {
   if (redirect_conn_ == conn) {
     redirect_conn_.reset();
   }
+  ActivationChanged(nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -354,7 +373,7 @@ Status ServerState::MapLoud(Loud* loud) {
   loud->set_mapped(true);
   active_stack_.insert(active_stack_.begin(), loud);  // mapped on top
   EmitEvent(loud, EventType::kMapNotify, loud->id(), {});
-  RecomputeActivation();
+  ActivationChanged(loud);
   return Status::Ok();
 }
 
@@ -362,14 +381,19 @@ Status ServerState::UnmapLoud(Loud* loud) {
   if (!loud->mapped()) {
     return Status::Ok();
   }
-  loud->set_mapped(false);
   std::erase(active_stack_, loud);
+  Withdraw(loud);
+  ActivationChanged(loud);
+  return Status::Ok();
+}
+
+void ServerState::Withdraw(Loud* loud) {
+  loud->set_mapped(false);
   if (loud->active()) {
+    claims_released_ = claims_released_ || loud->may_claim();
     Deactivate(loud);
   }
   EmitEvent(loud, EventType::kUnmapNotify, loud->id(), {});
-  RecomputeActivation();
-  return Status::Ok();
 }
 
 Status ServerState::RaiseLoud(Loud* loud) {
@@ -379,7 +403,7 @@ Status ServerState::RaiseLoud(Loud* loud) {
   }
   active_stack_.erase(it);
   active_stack_.insert(active_stack_.begin(), loud);
-  RecomputeActivation();
+  ActivationChanged(loud);
   return Status::Ok();
 }
 
@@ -390,7 +414,7 @@ Status ServerState::LowerLoud(Loud* loud) {
   }
   active_stack_.erase(it);
   active_stack_.push_back(loud);
-  RecomputeActivation();
+  ActivationChanged(loud);
   return Status::Ok();
 }
 
@@ -442,10 +466,8 @@ PhysicalDevice* ServerState::MatchPhysical(const VirtualDevice& vdev,
   return nullptr;
 }
 
-bool ServerState::TryActivate(Loud* loud, const std::set<uint32_t>& exclusive_in,
-                              const std::set<uint32_t>& exclusive_out,
-                              const std::set<PhysicalDevice*>& claimed_phones,
-                              std::vector<std::pair<VirtualDevice*, PhysicalDevice*>>* bindings) {
+bool ServerState::TryActivate(Loud* loud, const Claims& claims, bool dry_run,
+                              Bindings* bindings) {
   std::vector<VirtualDevice*> devices;
   loud->CollectDevices(&devices);
   for (VirtualDevice* vdev : devices) {
@@ -453,18 +475,26 @@ bool ServerState::TryActivate(Loud* loud, const std::set<uint32_t>& exclusive_in
       bindings->push_back({vdev, nullptr});
       continue;
     }
-    PhysicalDevice* match = MatchPhysical(*vdev, claimed_phones);
+    PhysicalDevice* match = nullptr;
+    if (dry_run || vdev->device_class() == DeviceClass::kTelephone) {
+      match = MatchPhysical(*vdev, claims.phones);
+    } else {
+      if (!vdev->cached_match().has_value()) {
+        vdev->set_cached_match(MatchPhysical(*vdev, claims.phones));
+      }
+      match = *vdev->cached_match();
+    }
     if (match == nullptr) {
       return false;
     }
     // Exclusive-domain preemption (section 5.8): a higher LOUD holding
     // exclusive input/output in this ambient domain blocks us.
     if (vdev->device_class() == DeviceClass::kInput &&
-        exclusive_in.count(match->ambient_domain()) != 0) {
+        claims.exclusive_in.count(match->ambient_domain()) != 0) {
       return false;
     }
     if (vdev->device_class() == DeviceClass::kOutput &&
-        exclusive_out.count(match->ambient_domain()) != 0) {
+        claims.exclusive_out.count(match->ambient_domain()) != 0) {
       return false;
     }
     bindings->push_back({vdev, match});
@@ -472,8 +502,34 @@ bool ServerState::TryActivate(Loud* loud, const std::set<uint32_t>& exclusive_in
   return true;
 }
 
-void ServerState::Activate(Loud* loud,
-                           const std::vector<std::pair<VirtualDevice*, PhysicalDevice*>>& bindings) {
+void ServerState::Claims::Add(const Bindings& bindings) {
+  for (const auto& [vdev, device] : bindings) {
+    if (device == nullptr) {
+      continue;
+    }
+    if (device->device_class() == DeviceClass::kTelephone) {
+      phones.insert(device);
+    }
+    if (vdev->attrs().GetBool(AttrTag::kExclusiveInput)) {
+      exclusive_in.insert(device->ambient_domain());
+    }
+    if (vdev->attrs().GetBool(AttrTag::kExclusiveOutput)) {
+      exclusive_out.insert(device->ambient_domain());
+    }
+  }
+}
+
+bool ServerState::MayClaim(Loud* root) {
+  std::vector<VirtualDevice*> devices;
+  root->CollectDevices(&devices);
+  return std::any_of(devices.begin(), devices.end(), [](const VirtualDevice* vdev) {
+    return vdev->device_class() == DeviceClass::kTelephone ||
+           vdev->attrs().GetBool(AttrTag::kExclusiveInput) ||
+           vdev->attrs().GetBool(AttrTag::kExclusiveOutput);
+  });
+}
+
+void ServerState::Activate(Loud* loud, const Bindings& bindings) {
   for (const auto& [vdev, device] : bindings) {
     if (device != nullptr) {
       vdev->Bind(device, IdForPhysical(device));
@@ -507,37 +563,90 @@ void ServerState::Deactivate(Loud* loud) {
   EmitEvent(loud, EventType::kDeactivateNotify, loud->id(), {});
 }
 
-void ServerState::RecomputeActivation() {
-  std::set<uint32_t> exclusive_in;
-  std::set<uint32_t> exclusive_out;
-  std::set<PhysicalDevice*> claimed_phones;
-
-  for (Loud* loud : active_stack_) {
-    std::vector<std::pair<VirtualDevice*, PhysicalDevice*>> bindings;
-    bool can = TryActivate(loud, exclusive_in, exclusive_out, claimed_phones, &bindings);
-    if (can) {
-      if (!loud->active()) {
-        Activate(loud, bindings);
-      }
-      // Record this LOUD's claims for everything below it.
-      for (const auto& [vdev, device] : bindings) {
-        if (device == nullptr) {
-          continue;
-        }
-        if (device->device_class() == DeviceClass::kTelephone) {
-          claimed_phones.insert(device);
-        }
-        if (vdev->attrs().GetBool(AttrTag::kExclusiveInput)) {
-          exclusive_in.insert(device->ambient_domain());
-        }
-        if (vdev->attrs().GetBool(AttrTag::kExclusiveOutput)) {
-          exclusive_out.insert(device->ambient_domain());
-        }
-      }
-    } else if (loud->active()) {
+void ServerState::ApplyActivation(const RootActivation& outcome) {
+  Loud* loud = outcome.root;
+  if (!outcome.active) {
+    if (loud->active()) {
       Deactivate(loud);
     }
+    return;
   }
+  if (!loud->active()) {
+    Activate(loud, outcome.bindings);
+    return;
+  }
+  // Still active: move only the devices whose match changed — a device
+  // added since activation, augmented attributes, or a line a higher root
+  // now holds. The queue keeps running; no lifecycle events.
+  for (const auto& [vdev, device] : outcome.bindings) {
+    if (vdev->active() && vdev->bound_device() == device) {
+      continue;
+    }
+    if (vdev->bound_device() != nullptr) {
+      vdev->Unbind();
+    }
+    if (device != nullptr) {
+      vdev->Bind(device, IdForPhysical(device));
+    }
+    vdev->set_active(true);
+  }
+}
+
+std::vector<ServerState::RootActivation> ServerState::PlanActivation(bool dry_run) {
+  std::vector<RootActivation> plan(active_stack_.size());
+  Claims claims;
+  for (size_t i = 0; i < active_stack_.size(); ++i) {
+    RootActivation& outcome = plan[i];
+    outcome.root = active_stack_[i];
+    outcome.active = TryActivate(outcome.root, claims, dry_run, &outcome.bindings);
+    if (outcome.active) {
+      claims.Add(outcome.bindings);
+    } else {
+      outcome.bindings.clear();
+    }
+  }
+  return plan;
+}
+
+std::vector<ServerState::RootActivation> ServerState::ActivationOracle() {
+  return PlanActivation(/*dry_run=*/true);
+}
+
+void ServerState::ActivationChanged(Loud* root) {
+  bool whole_walk = claims_released_;
+  if (root != nullptr) {
+    whole_walk = whole_walk || (root->active() && root->may_claim());  // held claims
+    root->set_may_claim(MayClaim(root));
+    whole_walk = whole_walk || (root->mapped() && root->may_claim());  // may hold them
+  }
+  claims_released_ = false;
+  if (whole_walk) {
+    ++activation_walks_;
+    for (const RootActivation& outcome : PlanActivation(/*dry_run=*/false)) {
+      ApplyActivation(outcome);
+    }
+    return;
+  }
+  if (root == nullptr || !root->mapped()) {
+    return;  // an unmapped root is already inactive, and it held no claims
+  }
+  // The claim set every other root sees is unchanged, so their outcomes
+  // are too. Only roots that may claim contribute to the set above
+  // `root`, so walking just those reproduces the whole walk's claims at
+  // its position.
+  Claims claims;
+  for (Loud* above : active_stack_) {
+    if (above == root) {
+      break;
+    }
+    Bindings held;
+    if (above->may_claim() && TryActivate(above, claims, /*dry_run=*/false, &held)) {
+      claims.Add(held);
+    }
+  }
+  RootActivation outcome{root, false, {}};
+  outcome.active = TryActivate(root, claims, /*dry_run=*/false, &outcome.bindings);
+  ApplyActivation(outcome);
 }
 
 // ---------------------------------------------------------------------------

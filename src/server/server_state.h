@@ -103,10 +103,12 @@ class ServerState {
   WireObject* FindWire(ResourceId id);
   SoundObject* FindSound(ResourceId id);
 
-  // Destroys one object (recursively for LOUDs: children, devices, wires).
+  // Destroys one object (recursively for LOUDs: children, devices, wires),
+  // then runs one activation pass for the tree it changed.
   Status Destroy(ResourceId id);
 
-  // Destroys everything a disconnected client owned.
+  // Destroys everything a disconnected client owned: its roots leave the
+  // active stack in one pass, and activation runs once for all of them.
   void DestroyConnectionObjects(uint32_t conn);
 
   size_t object_count() const { return objects_.size(); }
@@ -132,9 +134,33 @@ class ServerState {
   Status RaiseLoud(Loud* loud);
   Status LowerLoud(Loud* loud);
 
-  // Walks the stack top-down, activating every LOUD whose resources don't
-  // conflict with a higher active LOUD (exclusive domains, telephones).
-  void RecomputeActivation();
+  // The one activation entry point (DESIGN.md decision 5), called after a
+  // structural change to `root`'s tree: map, unmap, restack, a device
+  // added or destroyed, attributes augmented. `root` must still show the
+  // activation it had before the change; null when the changed root no
+  // longer exists. A root's outcome depends only on the claims (phone
+  // lines, exclusive domains) of the active roots above it, so a change
+  // to a root that neither held a claim nor may hold one re-evaluates
+  // that root alone; any other change runs the whole top-down walk.
+  void ActivationChanged(Loud* root);
+
+  // One root's outcome in the top-down walk: whether it activates, and the
+  // physical device each of its devices binds to (null for software
+  // devices). Inactive roots carry no bindings.
+  using Bindings = std::vector<std::pair<VirtualDevice*, PhysicalDevice*>>;
+  struct RootActivation {
+    Loud* root = nullptr;
+    bool active = false;
+    Bindings bindings;
+  };
+
+  // The whole-stack walk as a dry run: mutates nothing, matches every
+  // device live (no cache), and returns the outcomes in stack order. Tests
+  // hold the incremental result to it.
+  std::vector<RootActivation> ActivationOracle();
+
+  // Whole-stack walks run so far (tests check that teardown batches them).
+  uint64_t activation_walks() const { return activation_walks_; }
 
   // -- Engine -------------------------------------------------------------------
 
@@ -249,16 +275,33 @@ class ServerState {
   uint32_t CountRunningQueues(uint32_t conn) const;
 
  private:
+  // What the active roots above a position hold against it (section 5.8).
+  struct Claims {
+    std::set<uint32_t> exclusive_in;
+    std::set<uint32_t> exclusive_out;
+    std::set<PhysicalDevice*> phones;
+    void Add(const Bindings& bindings);
+  };
+
   void BuildDeviceLoud();
   void SeedCatalogue();
-  bool TryActivate(Loud* loud, const std::set<uint32_t>& exclusive_in,
-                   const std::set<uint32_t>& exclusive_out,
-                   const std::set<PhysicalDevice*>& claimed_phones,
-                   std::vector<std::pair<VirtualDevice*, PhysicalDevice*>>* bindings);
+  // Cascade teardown without activation; Destroy and owner death run
+  // activation once afterwards.
+  void DestroyObject(ServerObject* obj);
+  // Takes a root off the active stack's bookkeeping (the caller erases it
+  // from active_stack_): unmapped, deactivated, kUnmapNotify emitted.
+  void Withdraw(Loud* loud);
+  static bool MayClaim(Loud* root);
+  // The top-down walk over the whole stack. `dry_run` matches every device
+  // live and leaves the binding cache alone.
+  std::vector<RootActivation> PlanActivation(bool dry_run);
+  bool TryActivate(Loud* loud, const Claims& claims, bool dry_run, Bindings* bindings);
   PhysicalDevice* MatchPhysical(const VirtualDevice& vdev,
                                 const std::set<PhysicalDevice*>& claimed_phones);
-  void Activate(Loud* loud,
-                const std::vector<std::pair<VirtualDevice*, PhysicalDevice*>>& bindings);
+  // Brings `outcome.root` to its outcome: activate, deactivate, or (still
+  // active) rebind the devices whose match moved.
+  void ApplyActivation(const RootActivation& outcome);
+  void Activate(Loud* loud, const Bindings& bindings);
   void Deactivate(Loud* loud);
 
   // Engine internals.
@@ -282,6 +325,10 @@ class ServerState {
   ResourceId next_server_id_ = kServerIdBase;
 
   std::vector<Loud*> active_stack_;  // index 0 = top
+  // Set when a root holding claims leaves the stack; the next
+  // ActivationChanged then runs the whole walk.
+  bool claims_released_ = false;
+  uint64_t activation_walks_ = 0;
 
   std::map<PhoneLineUnit*, TelephoneDevice*> telephone_bindings_;
 

@@ -40,6 +40,11 @@ void VirtualDevice::DetachWire(WireObject* wire) {
   std::erase(sink_wires_, wire);
 }
 
+void VirtualDevice::Augment(const AttrList& attrs) {
+  attrs_.Merge(attrs);
+  cached_match_.reset();
+}
+
 void VirtualDevice::Bind(PhysicalDevice* device, ResourceId device_loud_id) {
   bound_ = device;
   bound_device_id_ = device_loud_id;

@@ -10,6 +10,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -51,7 +52,9 @@ class VirtualDevice : public ServerObject {
   Loud* loud() const { return loud_; }
 
   const AttrList& attrs() const { return attrs_; }
-  AttrList& mutable_attrs() { return attrs_; }
+  // Merges `attrs` over the device's attributes (AugmentVirtualDevice,
+  // section 5.3) and drops the cached physical match.
+  void Augment(const AttrList& attrs);
 
   // Port shape. Source ports emit audio; sink ports accept it.
   virtual int source_port_count() const { return 0; }
@@ -83,6 +86,14 @@ class VirtualDevice : public ServerObject {
 
   bool active() const { return active_; }
   void set_active(bool active) { active_ = active; }
+
+  // Activation's memo of this device's attribute match against the board
+  // (ServerState::MatchPhysical with no lines claimed). The board's device
+  // set is fixed and attributes change only through Augment(), so the memo
+  // stays exact until then. Telephones do not use it: their match depends
+  // on which lines higher roots hold.
+  const std::optional<PhysicalDevice*>& cached_match() const { return cached_match_; }
+  void set_cached_match(PhysicalDevice* device) { cached_match_ = device; }
 
   // -- Commands ---------------------------------------------------------------
 
@@ -145,6 +156,7 @@ class VirtualDevice : public ServerObject {
   std::vector<WireObject*> sink_wires_;
   PhysicalDevice* bound_ = nullptr;
   ResourceId bound_device_id_ = kNoResource;
+  std::optional<PhysicalDevice*> cached_match_;
   bool active_ = false;
   bool command_running_ = false;
   bool abort_latch_ = false;

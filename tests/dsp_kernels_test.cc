@@ -125,30 +125,23 @@ TEST(KernelGolden, MixAccumulateMatchesScalar) {
   }
 }
 
-TEST(KernelGolden, MixAddAndResolveMatchScalar) {
+TEST(KernelGolden, MixResolveMatchesScalar) {
   const KernelOps& ref = ScalarKernels();
   std::mt19937 rng(999);
-  std::uniform_int_distribution<int32_t> dist(-200000, 200000);
+  std::uniform_int_distribution<int32_t> dist(-400000, 400000);
   for (const KernelOps* ops : AllVariants()) {
     for (size_t len : {0u, 1u, 7u, 8u, 9u, 160u, 1023u}) {
-      std::vector<int32_t> a(len), b(len);
+      std::vector<int32_t> acc(len);
       for (size_t i = 0; i < len; ++i) {
-        a[i] = dist(rng);
-        b[i] = dist(rng);
+        acc[i] = dist(rng);
       }
       if (len >= 2) {
-        a[0] = 2000000000;  // resolve must saturate high
-        a[1] = -2000000000;  // ... and low
+        acc[0] = 2000000000;  // resolve must saturate high
+        acc[1] = -2000000000;  // ... and low
       }
-      std::vector<int32_t> want = a;
-      std::vector<int32_t> got = a;
-      ref.mix_add(want.data(), b.data(), len);
-      ops->mix_add(got.data(), b.data(), len);
-      ASSERT_EQ(got, want) << ops->name << " len " << len;
-
       std::vector<Sample> want_out(len), got_out(len);
-      ref.mix_resolve(want_out.data(), want.data(), len);
-      ops->mix_resolve(got_out.data(), got.data(), len);
+      ref.mix_resolve(want_out.data(), acc.data(), len);
+      ops->mix_resolve(got_out.data(), acc.data(), len);
       ASSERT_EQ(got_out, want_out) << ops->name << " len " << len;
     }
   }

@@ -1,15 +1,45 @@
 // Active-stack and activation tests (sections 5.3, 5.4, 5.8): mapping,
 // attribute matching, augmentation, telephone exclusivity, exclusive
-// ambient domains, preemption with server-paused queues, and redirection.
+// ambient domains, preemption with server-paused queues, redirection, and
+// the incremental activation path held to the whole-stack walk.
 
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <chrono>
+#include <random>
+#include <string>
+#include <thread>
 
 #include "tests/server_fixture.h"
 
 namespace aud {
 namespace {
 
-class ActivationTest : public ServerFixture {};
+class ActivationTest : public ServerFixture {
+ protected:
+  // Whole-stack walks run so far.
+  uint64_t Walks() {
+    MutexLock lock(&server_->mutex());
+    return server_->state().activation_walks();
+  }
+
+  size_t ObjectCount() {
+    MutexLock lock(&server_->mutex());
+    return server_->state().object_count();
+  }
+
+  // Waits for a closed client's teardown to bring the registry to `count`.
+  bool WaitForObjectCount(size_t count) {
+    for (int i = 0; i < 2000; ++i) {
+      if (ObjectCount() == count) {
+        return true;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    return false;
+  }
+};
 
 TEST_F(ActivationTest, MapActivatesAndBindsByClass) {
   ResourceId loud = client_->CreateLoud(kNoResource, {});
@@ -309,6 +339,375 @@ TEST_F(ActivationTest, ManagerDisconnectReleasesRedirect) {
   Flush();
   EXPECT_EQ(client_->QueryLoud(loud).value().mapped, 1);
 }
+
+TEST_F(ActivationTest, DestroyingTelephoneFreesLineForLowerRoot) {
+  ResourceId low = client_->CreateLoud(kNoResource, {});
+  client_->CreateDevice(low, DeviceClass::kTelephone, {});
+  client_->MapLoud(low);
+  ResourceId high = client_->CreateLoud(kNoResource, {});
+  ResourceId high_phone = client_->CreateDevice(high, DeviceClass::kTelephone, {});
+  ResourceId high_output = client_->CreateDevice(high, DeviceClass::kOutput, {});
+  client_->MapLoud(high);
+  Flush();
+  ASSERT_EQ(client_->QueryLoud(high).value().active, 1);
+  ASSERT_EQ(client_->QueryLoud(low).value().active, 0);
+
+  // The high root gives up its line but keeps its output: it stays active,
+  // and the line goes to the root below at once.
+  client_->DestroyDevice(high_phone);
+  ExpectNoErrors();
+  EXPECT_EQ(client_->QueryLoud(high).value().active, 1);
+  EXPECT_EQ(client_->QueryDevice(high_output).value().active, 1);
+  EXPECT_EQ(client_->QueryLoud(low).value().active, 1);
+}
+
+TEST_F(ActivationTest, DestroyingExclusiveOutputReactivatesSameDomainOutput) {
+  ResourceId background = client_->CreateLoud(kNoResource, {});
+  client_->CreateDevice(background, DeviceClass::kOutput, {});
+  client_->MapLoud(background);
+  ResourceId urgent = client_->CreateLoud(kNoResource, {});
+  AttrList exclusive;
+  exclusive.SetBool(AttrTag::kExclusiveOutput, true);
+  ResourceId urgent_output = client_->CreateDevice(urgent, DeviceClass::kOutput, exclusive);
+  client_->CreateDevice(urgent, DeviceClass::kPlayer, {});
+  client_->MapLoud(urgent);
+  Flush();
+  ASSERT_EQ(client_->QueryLoud(urgent).value().active, 1);
+  ASSERT_EQ(client_->QueryLoud(background).value().active, 0);
+
+  client_->DestroyDevice(urgent_output);
+  ExpectNoErrors();
+  EXPECT_EQ(client_->QueryLoud(urgent).value().active, 1);
+  EXPECT_EQ(client_->QueryLoud(background).value().active, 1)
+      << "the preempted same-domain output reactivates once the claim is gone";
+}
+
+TEST_F(ActivationTest, DestroyingMappedRootWalksAtMostOnce) {
+  ResourceId plain = client_->CreateLoud(kNoResource, {});
+  client_->CreateDevice(plain, DeviceClass::kOutput, {});
+  ResourceId phone = client_->CreateLoud(kNoResource, {});
+  client_->CreateDevice(phone, DeviceClass::kTelephone, {});
+  client_->MapLoud(phone);
+  client_->MapLoud(plain);
+  Flush();
+
+  // A root that holds no claim leaves without any whole-stack walk.
+  uint64_t before = Walks();
+  client_->DestroyLoud(plain);
+  ExpectNoErrors();
+  EXPECT_EQ(Walks(), before);
+
+  // A root that held the line leaves with exactly one.
+  before = Walks();
+  client_->DestroyLoud(phone);
+  ExpectNoErrors();
+  EXPECT_EQ(Walks(), before + 1);
+}
+
+TEST_F(ActivationTest, OwnerDeathOf1024RootsActivatesOnce) {
+  // Survivor 1 (the fixture client) and survivor 2 each play a long sound.
+  std::vector<Sample> pcm(8000 * 30, 500);
+  auto chain1 = toolkit_->BuildPlaybackChain();
+  ResourceId sound1 = toolkit_->UploadSound(pcm, {Encoding::kPcm16, 8000});
+  client_->SelectEvents(chain1.loud, kQueueEvents | kLifecycleEvents);
+  client_->Enqueue(chain1.loud, {PlayCommand(chain1.player, sound1, 1)});
+  client_->StartQueue(chain1.loud);
+  Flush();
+
+  auto survivor = Connect("survivor");
+  ASSERT_NE(survivor, nullptr);
+  AudioToolkit survivor_toolkit(survivor.get());
+  survivor_toolkit.set_time_pump([this] { server_->StepFrames(160); });
+  auto chain2 = survivor_toolkit.BuildPlaybackChain();
+  ResourceId sound2 = survivor_toolkit.UploadSound(pcm, {Encoding::kPcm16, 8000});
+  survivor->SelectEvents(chain2.loud, kQueueEvents | kLifecycleEvents);
+  survivor->Enqueue(chain2.loud, {PlayCommand(chain2.player, sound2, 1)});
+  survivor->StartQueue(chain2.loud);
+
+  // A second client's telephone root waits at the bottom of the stack.
+  auto waiter = Connect("waiter");
+  ASSERT_NE(waiter, nullptr);
+  ResourceId waiting = waiter->CreateLoud(kNoResource, {});
+  waiter->CreateDevice(waiting, DeviceClass::kTelephone, {});
+  waiter->SelectEvents(waiting, kLifecycleEvents);
+  waiter->MapLoud(waiting);
+  ASSERT_TRUE(survivor->Sync().ok());
+  ASSERT_TRUE(waiter->Sync().ok());
+  const size_t survivors_objects = ObjectCount();
+
+  // The owner maps 1024 telephone roots over it. The topmost holds the
+  // only line; the rest wait, mapped but inactive. (Inactive, so the tick
+  // holds few root locks: ThreadSanitizer tracks at most 64 held locks.)
+  auto owner = Connect("owner");
+  ASSERT_NE(owner, nullptr);
+  ResourceId top = kNoResource;
+  for (int i = 0; i < 1024; ++i) {
+    top = owner->CreateLoud(kNoResource, {});
+    owner->CreateDevice(top, DeviceClass::kTelephone, {});
+    owner->CreateDevice(top, DeviceClass::kPlayer, {});
+    owner->MapLoud(top);
+  }
+  ASSERT_TRUE(owner->Sync().ok());
+  ASSERT_EQ(owner->QueryLoud(top).value().active, 1);
+  ASSERT_EQ(waiter->QueryLoud(waiting).value().active, 0);
+  StepMs(100);
+  ASSERT_TRUE(survivor->Sync().ok());
+
+  // Drain everything the survivors saw so far.
+  EventMessage event;
+  while (client_->PollEvent(&event)) {
+  }
+  while (survivor->PollEvent(&event)) {
+  }
+  while (waiter->PollEvent(&event)) {
+  }
+
+  // Kill the owner while the engine keeps ticking.
+  const uint64_t walks_before = Walks();
+  std::atomic<bool> ticking{true};
+  std::thread engine([this, &ticking] {
+    while (ticking.load()) {
+      server_->StepFrames(160);
+    }
+  });
+  owner->Close();
+  const bool reclaimed = WaitForObjectCount(survivors_objects);
+  ticking.store(false);
+  engine.join();
+  ASSERT_TRUE(reclaimed) << "registry holds " << ObjectCount() << ", survivors own "
+                         << survivors_objects;
+  EXPECT_EQ(Walks(), walks_before + 1) << "one whole-stack walk for the whole teardown";
+
+  // The waiter's root takes the freed line.
+  EXPECT_EQ(waiter->QueryLoud(waiting).value().active, 1);
+  bool waiter_activated = false;
+  while (waiter->PollEvent(&event)) {
+    waiter_activated = waiter_activated || event.type == EventType::kActivateNotify;
+  }
+  EXPECT_TRUE(waiter_activated);
+
+  // The survivors never noticed: still active, still started, and no
+  // lifecycle or server-pause event reached them.
+  Flush();
+  ASSERT_TRUE(survivor->Sync().ok());
+  EXPECT_EQ(client_->QueryLoud(chain1.loud).value().active, 1);
+  EXPECT_EQ(survivor->QueryLoud(chain2.loud).value().active, 1);
+  EXPECT_EQ(client_->QueryQueue(chain1.loud).value().state, QueueState::kStarted);
+  EXPECT_EQ(survivor->QueryQueue(chain2.loud).value().state, QueueState::kStarted);
+  for (AudioConnection* conn : {client_.get(), survivor.get()}) {
+    while (conn->PollEvent(&event)) {
+      EXPECT_NE(event.type, EventType::kDeactivateNotify);
+      EXPECT_NE(event.type, EventType::kActivateNotify);
+      EXPECT_NE(event.type, EventType::kQueuePaused);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Property: seeded random structural sequences, each step held to the
+// whole-stack walk's dry run.
+// ---------------------------------------------------------------------------
+
+class ActivationPropertyTest : public ActivationTest,
+                               public ::testing::WithParamInterface<uint32_t> {
+ protected:
+  struct RootModel {
+    ResourceId id = kNoResource;
+    ResourceId child = kNoResource;  // a child LOUD, or none
+    std::vector<ResourceId> devices;
+    bool mapped = false;
+  };
+
+  // Every mapped root's active flag and every device binding must equal
+  // the oracle's; unmapped roots must be inactive.
+  void ExpectMatchesOracle(const std::vector<RootModel>& roots, int step) {
+    MutexLock lock(&server_->mutex());
+    ServerState& state = server_->state();
+    for (const ServerState::RootActivation& outcome : state.ActivationOracle()) {
+      ASSERT_EQ(outcome.root->active(), outcome.active)
+          << "step " << step << " root " << outcome.root->id();
+      for (const auto& [vdev, physical] : outcome.bindings) {
+        ASSERT_TRUE(vdev->active()) << "step " << step << " device " << vdev->id();
+        ASSERT_EQ(vdev->bound_device(), physical) << "step " << step << " device " << vdev->id();
+      }
+      if (!outcome.active) {
+        std::vector<VirtualDevice*> devices;
+        outcome.root->CollectDevices(&devices);
+        for (VirtualDevice* vdev : devices) {
+          ASSERT_EQ(vdev->bound_device(), nullptr) << "step " << step << " device " << vdev->id();
+        }
+      }
+    }
+    for (const RootModel& root : roots) {
+      Loud* loud = state.FindLoud(root.id);
+      ASSERT_NE(loud, nullptr);
+      ASSERT_EQ(loud->mapped(), root.mapped) << "step " << step << " root " << root.id;
+      if (!root.mapped) {
+        ASSERT_FALSE(loud->active()) << "step " << step << " root " << root.id;
+      }
+    }
+  }
+};
+
+TEST_P(ActivationPropertyTest, IncrementalMatchesWholeStackWalk) {
+  // Two desktop speakers and a microphone, two workstation lines, and the
+  // speaker-phone's speaker, microphone and line in domain 2.
+  Init(BoardConfig{.speakers = 2, .microphones = 1, .phone_lines = 2, .speakerphone = true});
+  std::mt19937 rng(GetParam());
+  auto pick = [&rng](size_t n) { return static_cast<size_t>(rng() % n); };
+  auto coin = [&rng](uint32_t percent) { return rng() % 100 < percent; };
+
+  // Random attributes: sometimes an ambient-domain or exclusivity claim.
+  auto random_attrs = [&](DeviceClass device_class) {
+    AttrList attrs;
+    if (coin(25)) {
+      attrs.SetU32(AttrTag::kAmbientDomain, coin(50) ? kDesktopDomain : 2);
+    }
+    if (device_class == DeviceClass::kInput && coin(30)) {
+      attrs.SetBool(AttrTag::kExclusiveInput, true);
+    }
+    if (device_class == DeviceClass::kOutput && coin(20)) {
+      attrs.SetBool(AttrTag::kExclusiveOutput, true);
+    }
+    return attrs;
+  };
+  constexpr DeviceClass kClasses[] = {DeviceClass::kOutput, DeviceClass::kInput,
+                                      DeviceClass::kTelephone, DeviceClass::kPlayer};
+
+  std::vector<RootModel> roots;
+  auto add_device = [&](RootModel& root, DeviceClass device_class, AttrList attrs) {
+    ResourceId loud = root.child != kNoResource && coin(40) ? root.child : root.id;
+    root.devices.push_back(client_->CreateDevice(loud, device_class, attrs));
+  };
+  auto create_root = [&] {
+    RootModel root;
+    root.id = client_->CreateLoud(kNoResource, {});
+    if (coin(30)) {
+      root.child = client_->CreateLoud(root.id, {});
+    }
+    switch (pick(5)) {
+      case 0:  // plain output/player root
+        add_device(root, DeviceClass::kOutput, random_attrs(DeviceClass::kOutput));
+        add_device(root, DeviceClass::kPlayer, {});
+        break;
+      case 1:  // telephone root
+        add_device(root, DeviceClass::kTelephone, {});
+        add_device(root, DeviceClass::kPlayer, {});
+        break;
+      case 2: {  // exclusive input root
+        AttrList attrs;
+        attrs.SetBool(AttrTag::kExclusiveInput, true);
+        add_device(root, DeviceClass::kInput, attrs);
+        break;
+      }
+      case 3: {  // exclusive output root
+        AttrList attrs;
+        attrs.SetBool(AttrTag::kExclusiveOutput, true);
+        add_device(root, DeviceClass::kOutput, attrs);
+        break;
+      }
+      default:  // plain input root
+        add_device(root, DeviceClass::kInput, random_attrs(DeviceClass::kInput));
+        break;
+    }
+    roots.push_back(root);
+  };
+  auto random_root = [&](bool mapped) -> RootModel* {
+    std::vector<RootModel*> matches;
+    for (RootModel& root : roots) {
+      if (root.mapped == mapped) {
+        matches.push_back(&root);
+      }
+    }
+    return matches.empty() ? nullptr : matches[pick(matches.size())];
+  };
+
+  constexpr int kSteps = 2000;
+  for (int step = 0; step < kSteps; ++step) {
+    switch (pick(9)) {
+      case 0:
+        if (roots.size() < 12) {
+          create_root();
+        }
+        break;
+      case 1:
+        if (RootModel* root = random_root(false)) {
+          client_->MapLoud(root->id);
+          root->mapped = true;
+        }
+        break;
+      case 2:
+        if (RootModel* root = random_root(true); root != nullptr && coin(60)) {
+          client_->UnmapLoud(root->id);
+          root->mapped = false;
+        }
+        break;
+      case 3:
+        if (RootModel* root = random_root(true)) {
+          client_->RaiseLoud(root->id);
+        }
+        break;
+      case 4:
+        if (RootModel* root = random_root(true)) {
+          client_->LowerLoud(root->id);
+        }
+        break;
+      case 5:
+        if (!roots.empty() && coin(35)) {
+          size_t index = pick(roots.size());
+          client_->DestroyLoud(roots[index].id);
+          roots.erase(roots.begin() + static_cast<std::ptrdiff_t>(index));
+        }
+        break;
+      case 6:
+        if (!roots.empty()) {
+          DeviceClass device_class = kClasses[pick(std::size(kClasses))];
+          add_device(roots[pick(roots.size())], device_class, random_attrs(device_class));
+        }
+        break;
+      case 7:
+        if (!roots.empty()) {
+          RootModel& root = roots[pick(roots.size())];
+          if (!root.devices.empty()) {
+            AttrList attrs;
+            switch (pick(3)) {
+              case 0:
+                attrs.SetBool(AttrTag::kExclusiveInput, coin(50));
+                break;
+              case 1:
+                attrs.SetBool(AttrTag::kExclusiveOutput, coin(50));
+                break;
+              default:
+                attrs.SetU32(AttrTag::kAmbientDomain, coin(50) ? kDesktopDomain : 2);
+                break;
+            }
+            client_->AugmentDevice(root.devices[pick(root.devices.size())], attrs);
+          }
+        }
+        break;
+      default:
+        if (!roots.empty()) {
+          RootModel& root = roots[pick(roots.size())];
+          if (!root.devices.empty()) {
+            size_t index = pick(root.devices.size());
+            client_->DestroyDevice(root.devices[index]);
+            root.devices.erase(root.devices.begin() + static_cast<std::ptrdiff_t>(index));
+          }
+        }
+        break;
+    }
+    ExpectNoErrors();
+    ExpectMatchesOracle(roots, step);
+    if (HasFatalFailure()) {
+      return;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ActivationPropertyTest, ::testing::Values(1u, 2u, 3u, 4u, 5u),
+                         [](const ::testing::TestParamInfo<uint32_t>& param_info) {
+                           return "seed" + std::to_string(param_info.param);
+                         });
 
 }  // namespace
 }  // namespace aud
