@@ -1,10 +1,9 @@
 // E11 -- connection-plane capacity (the C10k experiment behind DESIGN.md
 // decision 14): how many concurrent clients can one server hold at its
-// latency SLOs on each connection plane?
+// latency SLOs on its fixed pool of event-loop threads?
 //
-// Each ladder step starts a fresh realtime server (legacy thread-per-
-// connection vs a 4-thread event-loop pool) and connects C raw-protocol
-// clients from a fixed worker pool. The population is the classic C10k mix:
+// Each ladder step starts a fresh realtime server with default options and
+// connects C raw-protocol clients from a fixed worker pool. The population is the classic C10k mix:
 // every client creates and maps a loud, subscribes to events, and keeps a
 // trickle of kSync round-trips flowing through the measure window, while
 // every kPlayerStride-th client additionally builds a full playback chain
@@ -17,15 +16,10 @@
 // reached the players. Capacity = the highest passing step; the ladder
 // stops at the first failure.
 //
-// The per-connection overhead is the discriminator: the legacy plane pays
-// two dedicated threads per held connection plus a writer wake per
-// subscribed player per tick, so the scheduler drowns first; the loop plane
-// holds every connection on <= 4 loop threads and egress rides the owning
-// loop's write readiness.
-//
-// Full-run acceptance (exit 1 otherwise):
-//   * loop capacity >= 4x legacy capacity at the same SLOs;
-//   * O(1) threads: on every passing loop step the process thread count is
+// Full-run acceptance (exit 1 otherwise), absolute so it does not flip
+// with the host's core count:
+//   * capacity >= kAcceptCapacity clients at the SLOs;
+//   * O(1) threads: on every passing step the process thread count is
 //     unchanged by accepting C clients (thread_delta == 0).
 //
 // Emitted via bench/bench_json.h for tools/benchdiff. Capacity counts are
@@ -64,6 +58,11 @@ namespace {
 
 constexpr double kSloTickP99Us = 20000.0;      // one 20 ms engine period
 constexpr double kSloDispatchP99Us = 20000.0;  // end-to-end server dispatch
+
+// The capacity the 4-thread loop pool held when this gate was set (2048
+// clients on a 4-vCPU VM, bench/baselines/BENCH_capacity.json); the fixed
+// loop pool must keep it.
+constexpr int kAcceptCapacity = 2048;
 
 // Every kPlayerStride-th client actively plays; the rest hold mapped,
 // subscribed, periodically-syncing connections. Client 0 always plays, so
@@ -362,14 +361,12 @@ struct StepResult {
 // requests and one 80 KB sound upload, the hold phase trickles syncs — so
 // the step must pass the same SLOs *and* record zero refusals, proving the
 // admission/bucket/quota checks cost compliant clients nothing.
-StepResult RunStep(uint32_t connection_threads, int clients, int window_ms,
-                   bool with_limits) {
+StepResult RunStep(int clients, int window_ms, bool with_limits) {
   StepResult result;
   result.clients = clients;
   result.players = (clients + kPlayerStride - 1) / kPlayerStride;
 
   ServerOptions options;
-  options.connection_threads = connection_threads;
   if (with_limits) {
     options.max_connections = static_cast<size_t>(clients) + 8;
     options.limit_rps = 2000;
@@ -499,10 +496,6 @@ StepResult RunStep(uint32_t connection_threads, int clients, int window_ms,
   return result;
 }
 
-const char* PlaneName(uint32_t connection_threads) {
-  return connection_threads == 0 ? "legacy" : "loop";
-}
-
 }  // namespace
 }  // namespace aud
 
@@ -520,9 +513,9 @@ int main(int argc, char** argv) {
   argc = out;
   aud::BenchFlags flags = aud::BenchFlags::Parse(argc, argv);
 
-  // The legacy plane burns 2 fds-worth of kernel objects and 2 threads per
-  // client, and the bench itself holds the client end of every socket: lift
-  // the fd ceiling so the ladder measures the server, not our rlimit.
+  // The bench holds the client end of every socket besides the server's
+  // end: lift the fd ceiling so the ladder measures the server, not our
+  // rlimit.
   rlimit nofile{};
   if (::getrlimit(RLIMIT_NOFILE, &nofile) == 0 &&
       nofile.rlim_cur < nofile.rlim_max) {
@@ -531,71 +524,57 @@ int main(int argc, char** argv) {
   }
 
   const int window_ms = flags.quick ? 1000 : 2000;
-  const std::vector<int> legacy_ladder =
-      flags.quick ? std::vector<int>{16, 48} : std::vector<int>{64, 128, 256, 512, 1024};
-  const std::vector<int> loop_ladder =
-      flags.quick ? std::vector<int>{16, 48, 96}
-                  : std::vector<int>{512, 1024, 2048, 4096, 8192};
+  const std::vector<int> ladder = flags.quick
+                                      ? std::vector<int>{16, 48, 96}
+                                      : std::vector<int>{512, 1024, 2048, 4096, 8192};
+  const unsigned cores = std::thread::hardware_concurrency();
 
   aud::BenchJsonWriter json("capacity");
-  int capacity[2] = {0, 0};  // [0]=legacy, [1]=loop
+  int capacity = 0;
   int loop_thread_delta_max = 0;
   // Limit-armed steps get their own names so benchdiff never compares a
   // guarded run against an unguarded baseline.
   const std::string step_prefix = with_limits ? "step_limits/" : "step/";
 
-  for (int plane = 0; plane < 2; ++plane) {
-    const uint32_t connection_threads = plane == 0 ? 0u : 4u;
-    const std::vector<int>& ladder = plane == 0 ? legacy_ladder : loop_ladder;
-    for (int clients : ladder) {
-      aud::StepResult r =
-          aud::RunStep(connection_threads, clients, window_ms, with_limits);
-      // threads_before is sampled before the bench spawns its own workers,
-      // so subtract them: the delta isolates server-side thread growth.
-      const int thread_delta = r.threads_loaded - r.threads_before - r.bench_threads;
-      std::printf(
-          "capacity%s/%s/%d: %s connected=%d players=%d died=%d tick_p99=%.0fus "
-          "dispatch_p99=%.0fus loop_dispatch_p99=%.0fus threads=%d (+%d) "
-          "fds=%lld events rx=%llu tx=%llu cuts=%llu ratelim=%llu quota=%llu\n",
-          with_limits ? "+limits" : "", aud::PlaneName(connection_threads),
-          clients, r.pass ? "PASS" : "fail", r.connected, r.players, r.died,
-          r.tick_p99_us, r.dispatch_p99_us, r.loop_dispatch_p99_us,
-          r.threads_loaded, thread_delta, static_cast<long long>(r.fds_watched),
-          static_cast<unsigned long long>(r.events_received),
-          static_cast<unsigned long long>(r.events_sent),
-          static_cast<unsigned long long>(r.egress_disconnects),
-          static_cast<unsigned long long>(r.rate_limited),
-          static_cast<unsigned long long>(r.quota_denials));
-      std::fflush(stdout);
-      auto& entry = json.Add(step_prefix + aud::PlaneName(connection_threads) +
-                                 "/" + std::to_string(clients),
-                             /*iterations=*/1, r.tick_p99_us * 1000.0);
-      entry.extra.emplace_back("tick_p99_us", r.tick_p99_us);
-      entry.extra.emplace_back("dispatch_p99_us", r.dispatch_p99_us);
-      entry.extra.emplace_back("loop_dispatch_p99_us", r.loop_dispatch_p99_us);
-      entry.extra.emplace_back("threads", r.threads_loaded);
-      entry.extra.emplace_back("thread_delta", thread_delta);
-      entry.extra.emplace_back("connected", r.connected);
-      entry.extra.emplace_back("players", r.players);
-      entry.extra.emplace_back("events_rx", static_cast<double>(r.events_received));
-      entry.extra.emplace_back("pass", r.pass ? 1.0 : 0.0);
-      if (r.pass) {
-        capacity[plane] = clients;
-        if (plane == 1) {
-          loop_thread_delta_max = std::max(loop_thread_delta_max, thread_delta);
-        }
-      } else {
-        break;  // the ladder is monotone; higher steps only burn time
-      }
+  for (int clients : ladder) {
+    aud::StepResult r = aud::RunStep(clients, window_ms, with_limits);
+    // threads_before is sampled before the bench spawns its own workers,
+    // so subtract them: the delta isolates server-side thread growth.
+    const int thread_delta = r.threads_loaded - r.threads_before - r.bench_threads;
+    std::printf(
+        "capacity%s/%d: %s connected=%d players=%d died=%d tick_p99=%.0fus "
+        "dispatch_p99=%.0fus loop_dispatch_p99=%.0fus threads=%d (+%d) "
+        "fds=%lld events rx=%llu tx=%llu cuts=%llu ratelim=%llu quota=%llu\n",
+        with_limits ? "+limits" : "", clients, r.pass ? "PASS" : "fail", r.connected,
+        r.players, r.died, r.tick_p99_us, r.dispatch_p99_us, r.loop_dispatch_p99_us,
+        r.threads_loaded, thread_delta, static_cast<long long>(r.fds_watched),
+        static_cast<unsigned long long>(r.events_received),
+        static_cast<unsigned long long>(r.events_sent),
+        static_cast<unsigned long long>(r.egress_disconnects),
+        static_cast<unsigned long long>(r.rate_limited),
+        static_cast<unsigned long long>(r.quota_denials));
+    std::fflush(stdout);
+    auto& entry = json.Add(step_prefix + std::to_string(clients),
+                           /*iterations=*/1, r.tick_p99_us * 1000.0);
+    entry.extra.emplace_back("tick_p99_us", r.tick_p99_us);
+    entry.extra.emplace_back("dispatch_p99_us", r.dispatch_p99_us);
+    entry.extra.emplace_back("loop_dispatch_p99_us", r.loop_dispatch_p99_us);
+    entry.extra.emplace_back("threads", r.threads_loaded);
+    entry.extra.emplace_back("thread_delta", thread_delta);
+    entry.extra.emplace_back("connected", r.connected);
+    entry.extra.emplace_back("players", r.players);
+    entry.extra.emplace_back("events_rx", static_cast<double>(r.events_received));
+    entry.extra.emplace_back("pass", r.pass ? 1.0 : 0.0);
+    if (!r.pass) {
+      break;  // the ladder is monotone; higher steps only burn time
     }
+    capacity = clients;
+    loop_thread_delta_max = std::max(loop_thread_delta_max, thread_delta);
   }
 
-  const double ratio =
-      capacity[0] > 0 ? static_cast<double>(capacity[1]) / capacity[0] : 0.0;
-  std::printf("capacity%s: legacy=%d loop=%d ratio=%.2fx loop_thread_delta=%d\n",
-              with_limits ? "+limits" : "", capacity[0], capacity[1], ratio,
-              loop_thread_delta_max);
-  // Quick runs use a toy ladder whose ratio says nothing about the full
+  std::printf("capacity%s: clients=%d loop_thread_delta=%d cores=%u\n",
+              with_limits ? "+limits" : "", capacity, loop_thread_delta_max, cores);
+  // Quick runs use a toy ladder whose capacity says nothing about the full
   // acceptance run; a distinct summary name keeps benchdiff from comparing
   // the two (its per-step names never collide because the ladders differ).
   // Limit-armed runs are a third population, named apart for the same reason.
@@ -604,9 +583,7 @@ int main(int argc, char** argv) {
     summary_name += "_limits";
   }
   auto& summary = json.Add(summary_name, 1, 1.0);
-  summary.extra.emplace_back("legacy_clients_speedup", capacity[0]);
-  summary.extra.emplace_back("loop_clients_speedup", capacity[1]);
-  summary.extra.emplace_back("loop_vs_legacy_speedup", ratio);
+  summary.extra.emplace_back("clients_speedup", capacity);
   summary.extra.emplace_back("loop_thread_delta", loop_thread_delta_max);
 
   if (!flags.json_out.empty() && !json.WriteTo(flags.json_out)) {
@@ -616,17 +593,14 @@ int main(int argc, char** argv) {
   }
 
   if (!flags.quick) {
-    // Acceptance: the event-loop plane must hold >= 4x the clients at the
-    // same SLOs, without growing the thread count per client.
-    if (ratio < 4.0) {
-      std::fprintf(stderr,
-                   "bench_capacity: FAIL loop/legacy capacity ratio %.2f < 4.0\n",
-                   ratio);
+    if (capacity < aud::kAcceptCapacity) {
+      std::fprintf(stderr, "bench_capacity: FAIL capacity %d < %d clients\n", capacity,
+                   aud::kAcceptCapacity);
       return 1;
     }
     if (loop_thread_delta_max != 0) {
       std::fprintf(stderr,
-                   "bench_capacity: FAIL loop plane grew %d threads with "
+                   "bench_capacity: FAIL the server grew %d threads with "
                    "clients (want 0)\n",
                    loop_thread_delta_max);
       return 1;

@@ -5,7 +5,7 @@
 //
 // google-benchmark over the wire path: asynchronous request throughput,
 // blocking round-trip latency, pipelined-vs-blocking speedup, and sound
-// data upload bandwidth -- over the in-memory pipe and over TCP.
+// data upload bandwidth -- over an in-process socket pair and over TCP.
 
 #include <benchmark/benchmark.h>
 

@@ -7,7 +7,7 @@
 
 #include "examples/example_util.h"
 #include "src/toolkit/audio_manager.h"
-#include "src/transport/pipe_stream.h"
+#include "src/transport/socket_stream.h"
 
 int main(int argc, char** argv) {
   using namespace aud;

@@ -17,7 +17,7 @@ AudioConnection::AudioConnection(std::unique_ptr<ByteStream> stream, const Setup
       id_base_(setup.id_base),
       id_next_(setup.id_base),
       id_end_(setup.id_base + setup.id_count) {
-  reader_ = std::thread([this] { ReaderLoop(); });
+  reader_ = std::thread([this] { ReceiveLoop(); });
 }
 
 AudioConnection::~AudioConnection() { Close(); }
@@ -92,7 +92,7 @@ ResourceId AudioConnection::AllocId() {
   return id_next_++;
 }
 
-void AudioConnection::ReaderLoop() {
+void AudioConnection::ReceiveLoop() {
   while (!closed_.load()) {
     std::optional<FramedMessage> message = ReadMessage(stream_.get());
     if (!message) {

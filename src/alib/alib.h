@@ -194,7 +194,7 @@ class AudioConnection {
  private:
   AudioConnection(std::unique_ptr<ByteStream> stream, const SetupReply& setup);
 
-  void ReaderLoop();
+  void ReceiveLoop();
 
   // The stream object is not guarded: the reader thread calls
   // stream_->Read() concurrently with writers (ByteStream impls are

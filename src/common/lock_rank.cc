@@ -23,8 +23,6 @@ const char* LockRankName(LockRank rank) {
       return "kTraceRing";
     case LockRank::kAlibWrite:
       return "kAlibWrite";
-    case LockRank::kPipeChannel:
-      return "kPipeChannel";
     case LockRank::kClock:
       return "kClock";
     case LockRank::kLogging:

@@ -48,7 +48,6 @@ enum class LockRank : int {
   kTraceRing = 3,      // obs::TraceRing::mu_ — per-thread trace ring
   kAlibWrite = 4,      // AudioConnection::write_mu_ — client frame writes
   kAlibQueue = 4,      // AudioConnection::queue_mu_ — client reply queues
-  kPipeChannel = 5,    // PipeChannel::mu_ — in-memory transport byte queue
   kClock = 6,          // VirtualClock::mu_ — test clock advance/sleep
   kLogging = 7,        // g_log_mu (logging.cc) — stderr serialization, leaf
 };

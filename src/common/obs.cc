@@ -135,11 +135,14 @@ void TraceRing::Record(TraceReason reason, uint32_t arg0, uint32_t arg1, int64_t
   ++next_;
 }
 
-void TraceRing::Collect(std::vector<TraceEvent>* out) const {
+void TraceRing::Collect(std::vector<TraceEvent>* out, uint64_t trace) const {
   MutexLock lock(&mu_);
   uint64_t retained = std::min<uint64_t>(next_, kCapacity);
   for (uint64_t i = next_ - retained; i < next_; ++i) {
-    out->push_back(events_[i % kCapacity]);
+    const TraceEvent& e = events_[i % kCapacity];
+    if (trace == 0 || e.trace == trace) {
+      out->push_back(e);
+    }
   }
 }
 
@@ -186,12 +189,12 @@ void TraceRegistry::SpanWithSeq(uint64_t seq, TraceReason reason, uint64_t trace
   ThreadRing()->Record(reason, arg0, arg1, t_start_us, seq, trace, parent, dur_us);
 }
 
-std::vector<TraceEvent> TraceRegistry::Snapshot(size_t max_events) const {
+std::vector<TraceEvent> TraceRegistry::Snapshot(size_t max_events, uint64_t trace) const {
   std::vector<TraceEvent> events;
   {
     MutexLock lock(&mu_);
     for (const auto& ring : rings_) {
-      ring->Collect(&events);
+      ring->Collect(&events, trace);
     }
   }
   // One timeline: order by timestamp so interleaved threads read as they

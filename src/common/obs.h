@@ -151,7 +151,13 @@ struct TraceEvent {
 // record path except during the rare snapshot.
 class TraceRing {
  public:
-  static constexpr size_t kCapacity = 256;
+  // Sized for a connection-loop thread, whose one ring records the trace
+  // events of every connection it serves (a point event per request at
+  // >100k requests/s): 4096 events keep a sampled request's spans for
+  // tens of milliseconds, long enough for a client to fetch them.
+  static constexpr size_t kCapacity = 4096;
+  // What GetServerTrace returns when the client names no limit.
+  static constexpr size_t kDefaultSnapshotEvents = 256;
 
   explicit TraceRing(uint32_t tid) : tid_(tid) {}
 
@@ -160,8 +166,9 @@ class TraceRing {
   void Record(TraceReason reason, uint32_t arg0, uint32_t arg1, int64_t t_us, uint64_t seq,
               uint64_t trace = 0, uint64_t parent = 0, uint32_t dur_us = 0);
 
-  // Appends the retained events (oldest first) to `out`.
-  void Collect(std::vector<TraceEvent>* out) const;
+  // Appends the retained events (oldest first) to `out`; only those of
+  // request trace `trace` when it is nonzero.
+  void Collect(std::vector<TraceEvent>* out, uint64_t trace = 0) const;
 
  private:
   const uint32_t tid_;
@@ -198,8 +205,10 @@ class TraceRegistry {
 
   // Merged snapshot across every ring as one timeline: globally ordered by
   // timestamp (ties broken by seq, so the order is total and stable across
-  // threads), truncated to the newest `max_events` (0 = no limit).
-  std::vector<TraceEvent> Snapshot(size_t max_events) const;
+  // threads), truncated to the newest `max_events` (0 = no limit). A
+  // nonzero `trace` keeps only that request trace's spans, filtered before
+  // the sort.
+  std::vector<TraceEvent> Snapshot(size_t max_events, uint64_t trace = 0) const;
 
   // Microseconds since the trace epoch (process start of tracing).
   int64_t NowUs() const;

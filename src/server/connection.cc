@@ -4,118 +4,72 @@
 
 namespace aud {
 
-ClientConnection::~ClientConnection() {
-  // Whoever destroys the connection must already have ensured both loops
-  // can exit (HardClose, or reader exit + BeginDrain).
-  if (writer_thread_.joinable()) {
-    writer_thread_.join();
-  }
-  if (reader_thread_.joinable()) {
-    reader_thread_.join();
-  }
-}
-
 void ClientConnection::set_metrics(ServerMetrics* metrics) {
   metrics_ = metrics;
   egress_.set_bytes_gauge(metrics != nullptr ? &metrics->egress_queued_bytes
                                              : nullptr);
 }
 
-void ClientConnection::StartWriter() {
-  writer_started_.store(true);
-  writer_thread_ = std::thread([this] { WriterLoop(); });
-}
-
-void ClientConnection::StartReader(std::function<void()> body) {
-  reader_thread_ = std::thread(std::move(body));
-}
-
-void ClientConnection::WriterLoop() {
-  auto& tracer = obs::TraceRegistry::Instance();
+void ClientConnection::FillBatch() {
   EgressFrame frame;
-  while (egress_.Pop(&frame)) {
-    const int64_t write_t0 = frame.trace != 0 ? tracer.NowUs() : 0;
-    if (!WriteMessage(stream_.get(), frame.type, frame.code, frame.sequence,
-                      frame.payload)) {
-      // Transport dead: the reader will see EOF and run reclamation.
-      MarkClosed();
-      egress_.CloseNow();
-      break;
-    }
-    const size_t frame_bytes = kHeaderSize + frame.payload.size();
+  while (out_.size() < kFlushBytes && egress_.TryPop(&frame)) {
+    const size_t start = out_.size();
+    ByteWriter w(&out_);
+    MessageHeader header;
+    header.type = frame.type;
+    header.code = frame.code;
+    header.length = static_cast<uint32_t>(frame.payload.size());
+    header.sequence = frame.sequence;
+    header.Encode(&w);
+    w.WriteBytes(frame.payload);
     if (frame.trace != 0) {
-      tracer.Span(obs::TraceReason::kSpanWrite, frame.trace, frame.parent, write_t0,
-                  static_cast<uint32_t>(tracer.NowUs() - write_t0),
-                  static_cast<uint32_t>(frame_bytes));
-      if (metrics_ != nullptr) {
-        metrics_->trace_spans.Increment();
-      }
-    }
-    stats_.bytes_out.Increment(frame_bytes);
-    if (metrics_ != nullptr) {
-      metrics_->bytes_out.Increment(frame_bytes);
+      out_traced_.push_back({frame.trace, frame.parent,
+                             static_cast<uint32_t>(out_.size() - start)});
     }
   }
-  egress_.MarkWriterExited();
 }
 
 ClientConnection::DrainStatus ClientConnection::DrainEgress() {
   auto& tracer = obs::TraceRegistry::Instance();
   while (true) {
-    if (wire_off_ >= wire_buf_.size()) {
-      EgressFrame frame;
-      if (!egress_.TryPop(&frame)) {
+    if (out_off_ == out_.size()) {
+      out_.clear();
+      out_off_ = 0;
+      out_traced_.clear();
+      FillBatch();
+      if (out_.empty()) {
+        if (out_.capacity() > kFlushBytes) {
+          std::vector<uint8_t>().swap(out_);  // one huge reply: don't pin it
+        }
         return DrainStatus::kIdle;
       }
-      wire_buf_ = FrameMessage(frame.type, frame.code, frame.sequence, frame.payload);
-      wire_off_ = 0;
-      wire_trace_ = frame.trace;
-      wire_parent_ = frame.parent;
-      wire_t0_ = frame.trace != 0 ? tracer.NowUs() : 0;
+      out_t0_ = out_traced_.empty() ? 0 : tracer.NowUs();
     }
-    while (wire_off_ < wire_buf_.size()) {
-      IoResult r = stream_->WriteSome(
-          std::span<const uint8_t>(wire_buf_).subspan(wire_off_));
-      if (r.status == IoStatus::kWouldBlock) {
-        return DrainStatus::kBlocked;
-      }
-      if (r.status != IoStatus::kOk) {
-        // Transport dead: same reaction as the writer thread.
-        MarkClosed();
-        egress_.CloseNow();
-        return DrainStatus::kError;
-      }
-      wire_off_ += r.bytes;
+    IoResult r = stream_->WriteSome(std::span<const uint8_t>(out_).subspan(out_off_));
+    if (r.status == IoStatus::kWouldBlock) {
+      return DrainStatus::kBlocked;
     }
-    const size_t frame_bytes = wire_buf_.size();
-    if (wire_trace_ != 0) {
-      tracer.Span(obs::TraceReason::kSpanWrite, wire_trace_, wire_parent_, wire_t0_,
-                  static_cast<uint32_t>(tracer.NowUs() - wire_t0_),
-                  static_cast<uint32_t>(frame_bytes));
-      if (metrics_ != nullptr) {
-        metrics_->trace_spans.Increment();
-      }
+    if (r.status != IoStatus::kOk) {
+      // Transport dead: the owning loop tears the connection down.
+      MarkClosed();
+      egress_.CloseNow();
+      return DrainStatus::kError;
     }
-    stats_.bytes_out.Increment(frame_bytes);
+    out_off_ += r.bytes;
+    stats_.bytes_out.Increment(r.bytes);
     if (metrics_ != nullptr) {
-      metrics_->bytes_out.Increment(frame_bytes);
+      metrics_->bytes_out.Increment(r.bytes);
     }
-    wire_buf_.clear();
-    wire_off_ = 0;
+    if (out_off_ == out_.size() && !out_traced_.empty()) {
+      const auto dur = static_cast<uint32_t>(tracer.NowUs() - out_t0_);
+      for (const TracedWrite& t : out_traced_) {
+        tracer.Span(obs::TraceReason::kSpanWrite, t.trace, t.parent, out_t0_, dur, t.bytes);
+      }
+      if (metrics_ != nullptr) {
+        metrics_->trace_spans.Increment(out_traced_.size());
+      }
+    }
   }
-}
-
-void ClientConnection::BeginDrain() {
-  MarkClosed();
-  egress_.BeginDrain();
-  // Bounded flush so a peer that stops reading mid-drain cannot pin the
-  // reader thread. Never join here — BeginDrain runs on the reader thread
-  // while the destructor (pruner/shutdown) may be joining concurrently;
-  // the destructor is the single owner of both joins.
-  if (writer_started_.load()) {
-    egress_.WaitWriterExitedFor(std::chrono::milliseconds(2000));
-  }
-  stream_->Close();
 }
 
 void ClientConnection::HardClose() {
@@ -133,7 +87,7 @@ bool ClientConnection::Send(MessageType type, uint16_t code, uint32_t sequence,
   EgressFrame frame{type, code, sequence,
                     std::vector<uint8_t>(payload.begin(), payload.end())};
   if (trace != 0) {
-    // Point span marking the enqueue; the writer's kSpanWrite links to it.
+    // Point span marking the enqueue; the drain's kSpanWrite links to it.
     auto& tracer = obs::TraceRegistry::Instance();
     frame.trace = trace;
     frame.parent = tracer.Span(obs::TraceReason::kSpanEgress, trace, parent,
@@ -148,10 +102,7 @@ bool ClientConnection::Send(MessageType type, uint16_t code, uint32_t sequence,
   }
   switch (result.status) {
     case EgressPushStatus::kQueued:
-      // Loop mode: make sure the owning loop flushes this frame. (From the
-      // loop thread itself the post-dispatch flush covers it; the notifier
-      // filters that case to avoid per-send interest churn.)
-      if (loop_mode_ && arm_write_) {
+      if (arm_write_) {
         arm_write_();
       }
       return true;
@@ -159,7 +110,7 @@ bool ClientConnection::Send(MessageType type, uint16_t code, uint32_t sequence,
       return false;
     case EgressPushStatus::kOverflow:
       // Slow client: it stopped reading even its replies. Cut it off; the
-      // reader observes the closed stream and reclaims its resources.
+      // owning loop observes the closed stream and reclaims its resources.
       LogLine(LogLevel::kWarning)
           << "egress overflow, disconnecting slow client #" << index_
           << (client_name_.empty() ? "" : " (" + client_name_ + ")");

@@ -4,11 +4,12 @@
 // the object registry tags every resource with its owning connection so
 // disconnect cleanup is exact.
 //
-// Each connection owns two threads: the reader (loop body supplied by the
-// server — parses requests, dispatches under the big lock) and the writer,
-// which drains the bounded egress queue. Send* enqueue and never perform
-// transport I/O, so they are safe to call with the big lock held
-// (DESIGN.md decision 11); all blocking writes happen on the writer.
+// A connection owns no threads: the server's event loop that the
+// connection is sharded to reads and reassembles its requests, dispatches
+// them, and drains its bounded egress queue (DESIGN.md decision 14). Send*
+// enqueue and never perform transport I/O, so they are safe to call with
+// the big lock held (DESIGN.md decision 11); they ask the owning loop to
+// flush instead.
 
 #ifndef SRC_SERVER_CONNECTION_H_
 #define SRC_SERVER_CONNECTION_H_
@@ -18,7 +19,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/server/egress_queue.h"
@@ -34,9 +34,9 @@ namespace aud {
 inline constexpr size_t kDefaultEgressBudgetBytes = 1u << 20;  // 1 MiB
 
 // Per-connection statistics (GetEntityStats). Same contract as the global
-// ServerMetrics: every member is relaxed-atomic, so the reader thread, the
-// writer thread and the engine may all bump them lock-free, and a snapshot
-// taken from any thread never tears.
+// ServerMetrics: every member is relaxed-atomic, so the owning loop, a
+// dispatching thread and the engine may all bump them lock-free, and a
+// snapshot taken from any thread never tears.
 struct ConnectionStats {
   obs::Counter requests;
   obs::Counter errors;
@@ -57,15 +57,10 @@ class ClientConnection {
         stream_(std::move(stream)),
         egress_(egress_budget_bytes, overflow_policy) {}
 
-  // Joins both threads. The server must have unblocked them first
-  // (HardClose, or natural reader exit + drain).
-  ~ClientConnection();
-
   uint32_t index() const { return index_; }
-  ByteStream* stream() { return stream_.get(); }
 
   // Optional byte/event accounting sink (the server's metrics aggregate;
-  // counters are atomic, so writes need no lock). Set before StartWriter.
+  // counters are atomic, so writes need no lock). Set before the first Send.
   void set_metrics(ServerMetrics* metrics);
   ServerMetrics* metrics() { return metrics_; }
 
@@ -79,24 +74,23 @@ class ClientConnection {
   uint32_t last_sequence() const { return last_sequence_.load(); }
   void set_last_sequence(uint32_t seq) { last_sequence_.store(seq); }
 
-  // Spawns the writer thread draining the egress queue.
-  void StartWriter();
-  // Spawns the reader thread running `body` (the server's ReaderLoop).
-  void StartReader(std::function<void()> body);
-
-  // Reader-exit teardown: stop accepting new frames, let the writer flush
-  // what is already queued (a final error/refusal still reaches the
-  // client), then close the stream. Called from the reader thread.
-  void BeginDrain();
+  // Stops accepting new frames; the owning loop keeps flushing what is
+  // already queued (a final error/refusal still reaches the client),
+  // bounded by the server's drain deadline.
+  void BeginDrain() {
+    MarkClosed();
+    egress_.BeginDrain();
+  }
 
   // Immediate teardown: mark closed, discard the egress backlog, shut the
-  // stream down so a blocked reader/writer wakes. Safe from any thread and
-  // idempotent; used for slow-client disconnect and server shutdown.
+  // stream down so the owning loop sees it readable and tears it down. Safe
+  // from any thread and idempotent; used for slow-client disconnect and
+  // server shutdown.
   void HardClose();
 
-  // True once the reader thread has finished its teardown and is about to
-  // exit — the connection can be joined and destroyed without touching
-  // server state. Set by the reader as its last action.
+  // True once the owning loop has finished the connection's teardown — it
+  // can be destroyed without touching server state. Set by the loop as the
+  // teardown's last action.
   bool finished() const { return finished_.load(std::memory_order_acquire); }
   void MarkFinished() { finished_.store(true, std::memory_order_release); }
 
@@ -105,7 +99,7 @@ class ClientConnection {
   // the overflow policy. Event frames may be shed under pressure (counted
   // in events_dropped) without failing the call. A nonzero `trace` marks
   // the frame request-scoped: enqueue records a kSpanEgress span parented
-  // on `parent`, and the writer records a kSpanWrite span for the socket
+  // on `parent`, and the drain records a kSpanWrite span for the socket
   // write itself.
   bool Send(MessageType type, uint16_t code, uint32_t sequence,
             std::span<const uint8_t> payload, uint64_t trace = 0, uint64_t parent = 0);
@@ -124,8 +118,8 @@ class ClientConnection {
   ConnectionStats& stats() { return stats_; }
   const ConnectionStats& stats() const { return stats_; }
 
-  // Per-connection trace-sampling state, owned by the reader thread (only
-  // the reader touches it, so a plain field suffices).
+  // Per-connection trace-sampling state, owned by the loop that reads this
+  // connection (only it touches it, so a plain field suffices).
   uint64_t& trace_sample_counter() { return trace_sample_counter_; }
 
   // Rate-limit buckets (DESIGN.md decision 15), owned by the same thread
@@ -140,19 +134,15 @@ class ClientConnection {
   TokenBucket& rps_bucket() { return rps_bucket_; }
   TokenBucket& bps_bucket() { return bps_bucket_; }
 
-  // ---- Event-loop mode (DESIGN.md decision 14) ----
-  // In loop mode the connection owns no threads: the loop that the fd
-  // hashes to drives TryReadFrame/DrainEgress from its one thread, and
-  // Send arms write interest via `arm_write` instead of waking a writer.
+  // ---- Event-loop driving (DESIGN.md decision 14) ----
 
-  // Switches to loop-driven I/O. Call before the fd is registered (and
-  // before any Send can happen).
-  void ConfigureLoopMode(uint32_t loop_index, std::function<void()> arm_write) {
-    loop_mode_ = true;
+  // Binds the connection to its loop. `arm_write` asks that loop to flush
+  // this connection; Send calls it after every queued frame. Call before
+  // the fd is registered (and before any Send can happen).
+  void AttachLoop(uint32_t loop_index, std::function<void()> arm_write) {
     loop_index_ = loop_index;
     arm_write_ = std::move(arm_write);
   }
-  bool loop_mode() const { return loop_mode_; }
   uint32_t loop_index() const { return loop_index_; }
   int pollable_fd() const { return stream_->pollable_fd(); }
 
@@ -162,19 +152,13 @@ class ClientConnection {
     return framer_.TryReadMessage(stream_.get(), out);
   }
 
-  // Non-blocking egress drain (loop thread only). kIdle: nothing queued
-  // (write interest can be disarmed); kBlocked: the socket buffer filled
-  // mid-frame (arm write interest); kError: transport dead.
+  // Non-blocking egress drain (loop thread only): encodes queued frames
+  // into one output buffer (up to kFlushBytes) and sends it with one write
+  // per batch. kIdle: nothing left to send (write interest can be
+  // disarmed); kBlocked: the socket buffer filled (arm write interest);
+  // kError: transport dead.
   enum class DrainStatus : uint8_t { kIdle, kBlocked, kError };
   DrainStatus DrainEgress();
-
-  // Loop-path drain: stop accepting frames, let the owning loop flush the
-  // backlog (bounded by the server's drain deadline). The legacy
-  // BeginDrain blocks on the writer thread, which does not exist here.
-  void BeginLoopDrain() {
-    MarkClosed();
-    egress_.BeginDrain();
-  }
 
   // Connection-plane driver state, touched only by the owning loop thread
   // (the sweep also runs there), so plain fields suffice.
@@ -187,12 +171,22 @@ class ClientConnection {
   LoopState& loop_state() { return loop_state_; }
 
  private:
-  void WriterLoop();
+  // Soft cap on one flush batch: frames are encoded until the buffer
+  // reaches it (a single larger frame still goes out whole).
+  static constexpr size_t kFlushBytes = 64 * 1024;
+
+  // A request-scoped frame inside the current batch, for its kSpanWrite.
+  struct TracedWrite {
+    uint64_t trace;
+    uint64_t parent;
+    uint32_t bytes;
+  };
+
+  // Encodes queued frames into out_ until it reaches kFlushBytes or the
+  // queue runs dry.
+  void FillBatch();
 
   uint32_t index_;
-  // Not guarded: the reader thread calls stream_->Read() concurrently with
-  // the writer thread's stream_->Write(). ByteStream impls are duplex-safe
-  // (one reader + one writer); the egress queue serializes all writers.
   std::unique_ptr<ByteStream> stream_;
   ServerMetrics* metrics_ = nullptr;
   std::string client_name_;
@@ -201,21 +195,16 @@ class ClientConnection {
   TokenBucket rps_bucket_;
   TokenBucket bps_bucket_;
   EgressQueue egress_;
-  // Loop-mode I/O state (loop thread only): the resumable framer and the
-  // partially written wire frame carried across EPOLLOUT rounds.
+  // Loop-thread I/O state: the resumable framer, and the encoded batch with
+  // its write offset carried across EPOLLOUT rounds.
   Framer framer_;
-  std::vector<uint8_t> wire_buf_;
-  size_t wire_off_ = 0;
-  uint64_t wire_trace_ = 0;
-  uint64_t wire_parent_ = 0;
-  int64_t wire_t0_ = 0;
+  std::vector<uint8_t> out_;
+  size_t out_off_ = 0;
+  std::vector<TracedWrite> out_traced_;
+  int64_t out_t0_ = 0;
   LoopState loop_state_;
-  bool loop_mode_ = false;
   uint32_t loop_index_ = 0;
   std::function<void()> arm_write_;
-  std::thread writer_thread_;
-  std::thread reader_thread_;
-  std::atomic<bool> writer_started_{false};
   std::atomic<bool> closed_{false};
   std::atomic<bool> finished_{false};
   std::atomic<uint32_t> last_sequence_{0};

@@ -101,7 +101,7 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
   // Per-opcode accounting (unknown opcodes only hit the totals).
   ServerMetrics& metrics = state_.metrics();
   const bool known_opcode = message.header.code < ServerMetrics::kOpcodes;
-  // Clock dispatch from when the reader thread started queueing for the
+  // Clock dispatch from when the loop thread started queueing for the
   // state lock: dispatch_us = lock wait + handling, so a tick that stalls
   // dispatch shows up here even though the stall happens before the handler.
   const auto dispatch_t0 = received_at;
@@ -877,7 +877,8 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
       // Each per-thread ring carries its own mutex (see obs.h), so this
       // snapshot is safe against the tick thread still tracing mid-fan-out —
       // the tick no longer runs under the state lock.
-      size_t max_events = req.max_events == 0 ? obs::TraceRing::kCapacity : req.max_events;
+      size_t max_events =
+          req.max_events == 0 ? obs::TraceRing::kDefaultSnapshotEvents : req.max_events;
       ServerTraceReply reply;
       for (const obs::TraceEvent& e :
            obs::TraceRegistry::Instance().Snapshot(max_events)) {
@@ -909,10 +910,7 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
       RequestTraceReply reply;
       reply.trace_id = want;
       if (want != 0) {
-        for (const obs::TraceEvent& e : obs::TraceRegistry::Instance().Snapshot(0)) {
-          if (e.trace != want) {
-            continue;
-          }
+        for (const obs::TraceEvent& e : obs::TraceRegistry::Instance().Snapshot(0, want)) {
           if (reply.spans.size() >= max_spans) {
             break;
           }
@@ -938,7 +936,7 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
       EntityStatsReply reply;
       // connections_ is guarded by the state lock, which dispatch holds;
       // the per-connection counters themselves are lock-free atomics, so
-      // the reader/writer threads of other clients keep running.
+      // the loops serving other clients keep running.
       for (const auto& c : connections_) {
         if (c->finished()) {
           continue;
@@ -996,7 +994,7 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
   obs::Trace(obs::TraceReason::kDispatch, message.header.code,
              static_cast<uint32_t>(dispatch_us));
   if (trace.trace_id != 0) {
-    // Dispatch span: lock wait + handling, backdated to when the reader
+    // Dispatch span: lock wait + handling, backdated to when the loop
     // started queueing for the state lock (same window dispatch_us clocks).
     auto& tracer = obs::TraceRegistry::Instance();
     const int64_t now_us = tracer.NowUs();

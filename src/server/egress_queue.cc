@@ -64,31 +64,7 @@ EgressPushResult EgressQueue::Push(EgressFrame frame) {
   if (result.dropped_events > 0) {
     dropped_events_.fetch_add(result.dropped_events, std::memory_order_relaxed);
   }
-  cv_.NotifyOne();
   return result;
-}
-
-bool EgressQueue::Pop(EgressFrame* out) {
-  MutexLock lock(&mu_);
-  while (true) {
-    if (closed_) {
-      return false;
-    }
-    if (!frames_.empty()) {
-      *out = std::move(frames_.front());
-      frames_.pop_front();
-      const size_t bytes = FrameBytes(*out);
-      queued_bytes_ -= bytes;
-      if (bytes_gauge_ != nullptr) {
-        bytes_gauge_->Sub(static_cast<int64_t>(bytes));
-      }
-      return true;
-    }
-    if (draining_) {
-      return false;
-    }
-    cv_.Wait(mu_);
-  }
 }
 
 bool EgressQueue::TryPop(EgressFrame* out) {
@@ -112,44 +88,18 @@ bool EgressQueue::finished_draining() const {
 }
 
 void EgressQueue::BeginDrain() {
-  {
-    MutexLock lock(&mu_);
-    draining_ = true;
-  }
-  cv_.NotifyAll();
+  MutexLock lock(&mu_);
+  draining_ = true;
 }
 
 void EgressQueue::CloseNow() {
-  {
-    MutexLock lock(&mu_);
-    closed_ = true;
-    if (bytes_gauge_ != nullptr && queued_bytes_ > 0) {
-      bytes_gauge_->Sub(static_cast<int64_t>(queued_bytes_));
-    }
-    queued_bytes_ = 0;
-    frames_.clear();
-  }
-  cv_.NotifyAll();
-}
-
-void EgressQueue::MarkWriterExited() {
-  {
-    MutexLock lock(&mu_);
-    writer_exited_ = true;
-  }
-  cv_.NotifyAll();
-}
-
-bool EgressQueue::WaitWriterExitedFor(std::chrono::milliseconds timeout) {
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
   MutexLock lock(&mu_);
-  while (!writer_exited_) {
-    if (cv_.WaitUntil(mu_, deadline) == std::cv_status::timeout &&
-        !writer_exited_) {
-      return false;
-    }
+  closed_ = true;
+  if (bytes_gauge_ != nullptr && queued_bytes_ > 0) {
+    bytes_gauge_->Sub(static_cast<int64_t>(queued_bytes_));
   }
-  return true;
+  queued_bytes_ = 0;
+  frames_.clear();
 }
 
 size_t EgressQueue::queued_bytes() const {

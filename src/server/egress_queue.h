@@ -1,8 +1,8 @@
 // Bounded, byte-budgeted outbound frame queue — the mechanism behind
 // DESIGN.md decision 11 ("no socket I/O under mu_"). The dispatcher and
 // engine enqueue replies/errors/events here without ever touching the
-// transport; a per-connection writer thread drains the queue and performs
-// the (possibly blocking) writes outside every server lock. A stalled
+// transport; the event loop that owns the connection drains the queue and
+// performs the non-blocking writes outside every server lock. A stalled
 // client therefore backs up only its own queue, never the big lock.
 //
 // On overflow the queue applies an X-server-style policy: drop the oldest
@@ -13,15 +13,14 @@
 // the queue reports overflow regardless of policy.
 //
 // Lock rank: EgressQueue::mu_ is a leaf (rank 2 in DESIGN.md's inventory,
-// below the big lock and the per-root engine locks; same tier as the old
-// ClientConnection::write_mu_ it replaces). Pop copies one frame out under
-// the lock; the actual transport write happens with no queue lock held.
+// below the big lock and the per-root engine locks). TryPop moves one frame
+// out under the lock; the actual transport write happens with no queue lock
+// held.
 
 #ifndef SRC_SERVER_EGRESS_QUEUE_H_
 #define SRC_SERVER_EGRESS_QUEUE_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <vector>
@@ -44,7 +43,7 @@ struct EgressFrame {
   uint32_t sequence = 0;
   std::vector<uint8_t> payload;
   // Request-trace propagation (DESIGN.md decision 13): when trace != 0 the
-  // writer records a kSpanWrite span for this frame, parented on `parent`
+  // drain records a kSpanWrite span for this frame, parented on `parent`
   // (the enqueue-side kSpanEgress span's seq).
   uint64_t trace = 0;
   uint64_t parent = 0;
@@ -76,32 +75,20 @@ class EgressQueue {
   // the backlog past the byte budget.
   EgressPushResult Push(EgressFrame frame);
 
-  // Blocks until a frame is available (true) or the queue is finished
-  // (false): finished means closed, or draining with nothing left.
-  bool Pop(EgressFrame* out);
-
-  // Non-blocking Pop for the event-loop drain path: takes the next frame
-  // if one is queued, returns false immediately otherwise (whether empty,
-  // draining-and-empty, or closed).
+  // Takes the next frame if one is queued; returns false immediately
+  // otherwise (whether empty, draining-and-empty, or closed). Never blocks.
   bool TryPop(EgressFrame* out);
 
   // True once CloseNow ran, or BeginDrain ran and the backlog is empty —
   // i.e. a drain-to-completion has nothing left to flush.
   bool finished_draining() const;
 
-  // No further pushes; Pop hands out the remaining backlog then returns
-  // false. Used on clean reader exit so a final reply/error still flushes.
+  // No further pushes; TryPop still hands out the remaining backlog. Used
+  // when a connection stops reading, so a final reply/error still flushes.
   void BeginDrain();
 
-  // Discard the backlog and wake the writer immediately (slow-client
-  // disconnect, server shutdown).
+  // Discards the backlog (slow-client disconnect, server shutdown).
   void CloseNow();
-
-  // The writer loop announces its exit (last statement, every path), so a
-  // drain can wait for the flush with a bound instead of an unbounded
-  // join — a peer that stops reading mid-flush cannot pin the reader.
-  void MarkWriterExited();
-  bool WaitWriterExitedFor(std::chrono::milliseconds timeout);
 
   size_t queued_bytes() const;
   uint64_t dropped_events_total() const {
@@ -114,12 +101,10 @@ class EgressQueue {
   obs::Gauge* bytes_gauge_ = nullptr;
 
   mutable Mutex mu_{LockRank::kEgressQueue, "EgressQueue::mu_"};
-  CondVar cv_;
   std::deque<EgressFrame> frames_ AUD_GUARDED_BY(mu_);
   size_t queued_bytes_ AUD_GUARDED_BY(mu_) = 0;
   bool draining_ AUD_GUARDED_BY(mu_) = false;
   bool closed_ AUD_GUARDED_BY(mu_) = false;
-  bool writer_exited_ AUD_GUARDED_BY(mu_) = false;
   std::atomic<uint64_t> dropped_events_{0};
 };
 

@@ -3,9 +3,9 @@
 // a ServerStatsReply under the big lock (GetServerStats).
 //
 // Thread-safety contract: counters and gauges are relaxed atomics, so any
-// thread (reader threads counting transport bytes, the tick thread, the
+// thread (loop threads counting transport bytes, the tick thread, the
 // dispatcher) may bump them without holding the state lock. Histograms are
-// built entirely from relaxed atomics too: recording needs no lock (reader
+// built entirely from relaxed atomics too: recording needs no lock (loop
 // threads record lock_wait_us while they are *waiting* for the state lock,
 // and the tick thread records epoch/tick timings inside its commit
 // section), and a snapshot taken concurrently never tears a bucket. See
@@ -59,7 +59,7 @@ struct ServerMetrics {
 
   // -- Event-loop connection plane (DESIGN.md decision 14) -------------------
   obs::Counter epoll_waits;         // wait syscalls across all loops
-  obs::Counter loop_wakeups;        // self-pipe wakeups consumed by loops
+  obs::Counter loop_wakeups;        // eventfd wakeups consumed by loops
   obs::Counter readiness_spurious;  // readiness that yielded no work
   obs::Gauge fds_watched;           // fds currently registered with loops
   obs::LatencyHistogram loop_dispatch_us;  // one readiness handler run

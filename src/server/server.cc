@@ -6,6 +6,14 @@
 
 namespace aud {
 
+namespace {
+
+// The connection the calling loop thread is dispatching right now, or null
+// (on every other thread, and between dispatches).
+thread_local ClientConnection* t_dispatching = nullptr;
+
+}  // namespace
+
 AudioServer::AudioServer(Board* board) : AudioServer(board, ServerOptions{}) {}
 
 AudioServer::AudioServer(Board* board, ServerOptions options)
@@ -26,26 +34,19 @@ AudioServer::AudioServer(Board* board, ServerOptions options)
 }
 
 void AudioServer::StartLoops() {
-  if (options_.connection_threads == 0) {
-    return;
-  }
   EventLoopOptions lo;
-  lo.backend = options_.loop_use_poll ? EventLoopOptions::Backend::kPoll
-                                      : EventLoopOptions::Backend::kAuto;
-  lo.edge_triggered = options_.loop_edge_triggered;
   lo.metrics.epoll_waits = &metrics_->epoll_waits;
   lo.metrics.wakeups = &metrics_->loop_wakeups;
   lo.metrics.readiness_spurious = &metrics_->readiness_spurious;
   lo.metrics.fds_watched = &metrics_->fds_watched;
   lo.metrics.dispatch_us = &metrics_->loop_dispatch_us;
-  for (uint32_t i = 0; i < options_.connection_threads; ++i) {
+  for (uint32_t i = 0; i < kConnectionLoops; ++i) {
     auto loop = std::make_unique<EventLoop>(lo);
     loop->set_sweep([this, i] { LoopSweep(i); });
     if (!loop->Start()) {
-      LogLine(LogLevel::kWarning)
-          << "event loop " << i << " failed to start; "
-          << "falling back to thread-per-connection";
-      loops_.clear();
+      // Out of fds or kernel memory at startup: serve on the loops that
+      // did start (AddConnection refuses every client if none did).
+      LogLine(LogLevel::kError) << "event loop " << i << " failed to start";
       return;
     }
     loops_.push_back(std::move(loop));
@@ -53,24 +54,28 @@ void AudioServer::StartLoops() {
 }
 
 // Called with mu_ held (from dispatch or engine tick) — see the declaration
-// for why the analysis is opted out here.
+// for why the analysis is opted out here. connections_ is sorted by index
+// (indices are handed out in increasing order and pruning keeps the order),
+// so the target is one binary search away.
 void AudioServer::DeliverEvent(uint32_t conn_index, const EventMessage& event) {
-  for (auto& conn : connections_) {
-    if (conn->index() == conn_index && !conn->closed()) {
-      conn->SendEvent(event);
-      return;
-    }
+  auto it = std::lower_bound(
+      connections_.begin(), connections_.end(), conn_index,
+      [](const std::unique_ptr<ClientConnection>& conn, uint32_t index) {
+        return conn->index() < index;
+      });
+  if (it != connections_.end() && (*it)->index() == conn_index && !(*it)->closed()) {
+    (*it)->SendEvent(event);
   }
 }
 
 AudioServer::~AudioServer() { Shutdown(); }
 
 void AudioServer::AddConnection(std::unique_ptr<ByteStream> stream) {
-  // Declared before the lock so the joins in ~ClientConnection run after
-  // the lock is released (their readers take mu_ during teardown).
+  // Declared before the lock so the pruned connections are destroyed after
+  // it is released.
   std::vector<std::unique_ptr<ClientConnection>> finished;
   MutexLock lock(&mu_);
-  // Prune connections whose reader completed teardown: each accepted
+  // Prune connections whose loop completed teardown: each accepted
   // stream pays the (tiny) cleanup cost for its predecessors, so a
   // long-lived server does not accumulate dead connection objects.
   for (auto it = connections_.begin(); it != connections_.end();) {
@@ -82,12 +87,13 @@ void AudioServer::AddConnection(std::unique_ptr<ByteStream> stream) {
     }
   }
   // Admission control (decision 15): over capacity — or draining toward
-  // shutdown — the connection is politely closed before it gets a reader
-  // or an fd registration, and the accept loop keeps running. connections_
-  // holds only live connections here (the finished were just pruned).
+  // shutdown — the connection is politely closed before it gets an fd
+  // registration, and the accept loop keeps running. connections_ holds
+  // only live connections here (the finished were just pruned). A stream
+  // no loop can watch is refused the same way.
   if ((options_.max_connections != 0 &&
        connections_.size() >= options_.max_connections) ||
-      draining_.load()) {
+      draining_.load() || loops_.empty() || stream->pollable_fd() < 0) {
     metrics_->admission_rejects.Increment();
     stream->Close();
     return;
@@ -111,29 +117,26 @@ void AudioServer::AddConnection(std::unique_ptr<ByteStream> stream) {
   metrics_->connections_total.Increment();
   metrics_->connections_open.Add(1);
   obs::Trace(obs::TraceReason::kConnectionOpen, raw->index());
+  // Shard by connection index, not fd: a socket pair's two fds are
+  // adjacent, so with an even loop count every in-process server end would
+  // hash to the same loop.
   const int fd = raw->pollable_fd();
-  if (!loops_.empty() && fd >= 0) {
-    // Loop plane: shard by fd hash, no per-connection threads. The fd is
-    // registered after the connection is published (still under mu_, so
-    // the first readiness dispatch — which takes mu_ — cannot overtake us).
-    const uint32_t loop_index = static_cast<uint32_t>(fd) % loops_.size();
-    EventLoop* loop = loops_[loop_index].get();
-    raw->ConfigureLoopMode(loop_index, [loop, fd] {
-      // The owning loop flushes after every dispatch round itself; only
-      // foreign threads (engine events) need to arm write interest.
-      if (!loop->OnLoopThread()) {
-        loop->SetWantWrite(fd, true);
-      }
-    });
-    connections_.push_back(std::move(conn));
-    loop->Add(fd, [this, raw, loop_index](uint32_t events) {
-      LoopHandleReady(raw, loop_index, events);
-    });
-    return;
-  }
-  raw->StartWriter();
-  raw->StartReader([this, raw] { ReaderLoop(raw); });
+  const uint32_t loop_index = index % static_cast<uint32_t>(loops_.size());
+  EventLoop* loop = loops_[loop_index].get();
+  raw->AttachLoop(loop_index, [loop, fd, raw] {
+    // The loop flushes the connection it is dispatching once the dispatch
+    // returns; every other target — a connection of another loop, or of
+    // this one (a request on A emitting an event for B) — needs its write
+    // interest armed, or the frame waits for the target's next read.
+    if (t_dispatching != raw) {
+      loop->SetWantWrite(fd, true);
+    }
+  });
+  // The fd is registered after the connection is published (still under
+  // mu_, so the first readiness dispatch — which takes mu_ — cannot
+  // overtake us).
   connections_.push_back(std::move(conn));
+  loop->Add(fd, [this, raw](uint32_t events) { LoopHandleReady(raw, events); });
 }
 
 bool AudioServer::ListenTcp(uint16_t port) {
@@ -161,9 +164,7 @@ void AudioServer::AcceptLoop() {
     // Transient accept failures (EINTR, ECONNABORTED, fd exhaustion) are
     // retried inside Accept with bounded backoff; nullptr means the
     // listener itself was closed.
-    // Loop-plane fds are accepted non-blocking (atomically, via accept4);
-    // legacy-mode fds stay blocking for the reader/writer threads.
-    std::unique_ptr<ByteStream> stream = listener_.Accept(!loops_.empty());
+    std::unique_ptr<ByteStream> stream = listener_.Accept();
     const uint64_t retries = listener_.accept_retries();
     if (retries > retries_seen) {
       metrics_->accept_retries.Increment(retries - retries_seen);
@@ -174,47 +175,6 @@ void AudioServer::AcceptLoop() {
     }
     AddConnection(std::move(stream));
   }
-}
-
-void AudioServer::ReaderLoop(ClientConnection* conn) {
-  ServerMetrics& metrics = *metrics_;
-  // First message must be the connection setup.
-  std::optional<FramedMessage> setup = ReadMessage(conn->stream());
-  if (setup) {
-    metrics.bytes_in.Increment(kHeaderSize + setup->payload.size());
-    conn->stats().bytes_in.Increment(kHeaderSize + setup->payload.size());
-  }
-  if (!setup || !HandleSetup(conn, *setup)) {
-    // Drain first: the refusal reply queued by HandleSetup still flushes.
-    conn->BeginDrain();
-    metrics.connections_open.Sub(1);
-    conn->MarkFinished();
-    return;
-  }
-
-  while (!conn->closed() && !shutting_down_.load()) {
-    std::optional<FramedMessage> message = ReadMessage(conn->stream());
-    if (!message) {
-      break;
-    }
-    metrics.bytes_in.Increment(kHeaderSize + message->payload.size());
-    conn->stats().bytes_in.Increment(kHeaderSize + message->payload.size());
-    const RateGate gate = CheckRateLimit(conn, *message);
-    if (gate == RateGate::kCut) {
-      break;  // hard policy: fall through to the normal teardown below
-    }
-    if (gate == RateGate::kThrottled) {
-      continue;  // soft policy: kRateLimited queued, request dropped
-    }
-    DispatchRequest(conn, *message);
-  }
-
-  // Flush queued replies/events (bounded), then close the transport.
-  conn->BeginDrain();
-  ReclaimConnection(conn);
-  // Last action: the connection may now be joined and destroyed by the
-  // next AddConnection prune or by Shutdown.
-  conn->MarkFinished();
 }
 
 void AudioServer::DispatchRequest(ClientConnection* conn, const FramedMessage& message) {
@@ -292,8 +252,7 @@ AudioServer::RateGate AudioServer::CheckRateLimit(ClientConnection* conn,
 // (handlers and the sweep are dispatched there, and teardown removes the fd
 // before finishing), so the per-connection LoopState needs no lock.
 
-void AudioServer::LoopHandleReady(ClientConnection* conn, uint32_t loop_index,
-                                  uint32_t events) {
+void AudioServer::LoopHandleReady(ClientConnection* conn, uint32_t events) {
   // Once LoopTeardown runs it ends in MarkFinished, after which the pruner
   // (AddConnection) or Shutdown may destroy the object — so every helper
   // below returns false the moment the connection was torn down, and no
@@ -302,36 +261,39 @@ void AudioServer::LoopHandleReady(ClientConnection* conn, uint32_t loop_index,
   if (ls.torn_down) {
     return;
   }
+  // Frames queued for `conn` during this call are flushed at its end, so
+  // its Sends skip arming write interest; see AddConnection.
+  struct Dispatching {
+    explicit Dispatching(ClientConnection* conn) { t_dispatching = conn; }
+    ~Dispatching() { t_dispatching = nullptr; }
+  } dispatching(conn);
   if ((events & kLoopError) != 0) {
     // EPOLLERR/EPOLLHUP: the transport is gone both ways — nothing queued
     // can be flushed, so skip draining and reclaim immediately.
-    LoopTeardown(conn, loop_index);
+    LoopTeardown(conn);
     return;
   }
   if (conn->closed() && !ls.draining) {
     // A foreign thread hard-closed this connection (egress overflow cut a
     // slow client off); the stream shutdown made the fd readable. The
     // backlog was already discarded, so there is nothing to drain.
-    LoopTeardown(conn, loop_index);
+    LoopTeardown(conn);
     return;
   }
   if ((events & kLoopReadable) != 0 && !ls.draining && !conn->closed()) {
-    if (!LoopReadAndDispatch(conn, loop_index)) {
+    if (!LoopReadAndDispatch(conn)) {
       return;
     }
   }
   // Flush whatever dispatch queued; also services write readiness.
-  LoopFlush(conn, loop_index);
+  LoopFlush(conn);
 }
 
-bool AudioServer::LoopReadAndDispatch(ClientConnection* conn, uint32_t loop_index) {
+bool AudioServer::LoopReadAndDispatch(ClientConnection* conn) {
   auto& ls = conn->loop_state();
   // Level-triggered readiness re-reports leftover input, so cap one round
-  // to keep a flooding client from starving its loop siblings. Under
-  // edge-triggering the kernel only reports state *changes*, so the drain
-  // must run all the way to kWouldBlock.
-  const bool edge = loops_[loop_index]->edge_triggered();
-  int budget = edge ? INT32_MAX : 256;
+  // to keep a flooding client from starving its loop siblings.
+  int budget = 256;
   bool progressed = false;
   while (!conn->closed() && !shutting_down_.load() && budget-- > 0) {
     FramedMessage message;
@@ -346,7 +308,7 @@ bool AudioServer::LoopReadAndDispatch(ClientConnection* conn, uint32_t loop_inde
     if (status != FrameStatus::kMessage) {
       // kEof (peer died, possibly mid-frame) or kMalformed (poisoned
       // framing): stop reading, flush what the client is still owed.
-      return LoopBeginDrain(conn, loop_index);
+      return LoopBeginDrain(conn);
     }
     progressed = true;
     metrics_->bytes_in.Increment(kHeaderSize + message.payload.size());
@@ -355,7 +317,7 @@ bool AudioServer::LoopReadAndDispatch(ClientConnection* conn, uint32_t loop_inde
       ls.awaiting_setup = false;
       if (!HandleSetup(conn, message)) {
         // The refusal reply still flushes through the drain.
-        return LoopBeginDrain(conn, loop_index);
+        return LoopBeginDrain(conn);
       }
       continue;
     }
@@ -363,7 +325,7 @@ bool AudioServer::LoopReadAndDispatch(ClientConnection* conn, uint32_t loop_inde
       case RateGate::kCut:
         // Hard policy: stop reading; the drain still flushes queued
         // replies before the teardown reclaims the connection.
-        return LoopBeginDrain(conn, loop_index);
+        return LoopBeginDrain(conn);
       case RateGate::kThrottled:
         continue;
       case RateGate::kDispatch:
@@ -374,7 +336,7 @@ bool AudioServer::LoopReadAndDispatch(ClientConnection* conn, uint32_t loop_inde
   return true;
 }
 
-bool AudioServer::LoopFlush(ClientConnection* conn, uint32_t loop_index) {
+bool AudioServer::LoopFlush(ClientConnection* conn) {
   auto& ls = conn->loop_state();
   if (ls.torn_down) {
     return false;
@@ -382,25 +344,25 @@ bool AudioServer::LoopFlush(ClientConnection* conn, uint32_t loop_index) {
   const int fd = conn->pollable_fd();
   switch (conn->DrainEgress()) {
     case ClientConnection::DrainStatus::kBlocked:
-      loops_[loop_index]->SetWantWrite(fd, true);
+      loops_[conn->loop_index()]->SetWantWrite(fd, true);
       return true;
     case ClientConnection::DrainStatus::kError:
-      LoopTeardown(conn, loop_index);
+      LoopTeardown(conn);
       return false;
     case ClientConnection::DrainStatus::kIdle:
       if (ls.draining || conn->closed()) {
         // Drain-to-completion (the backlog has fully flushed), or an
         // overflow disconnect during dispatch discarded it; reclaim.
-        LoopTeardown(conn, loop_index);
+        LoopTeardown(conn);
         return false;
       }
-      loops_[loop_index]->SetWantWrite(fd, false);
+      loops_[conn->loop_index()]->SetWantWrite(fd, false);
       return true;
   }
   return true;
 }
 
-bool AudioServer::LoopBeginDrain(ClientConnection* conn, uint32_t loop_index) {
+bool AudioServer::LoopBeginDrain(ClientConnection* conn) {
   auto& ls = conn->loop_state();
   if (ls.torn_down) {
     return false;
@@ -409,20 +371,20 @@ bool AudioServer::LoopBeginDrain(ClientConnection* conn, uint32_t loop_index) {
     return true;
   }
   ls.draining = true;
-  // Same bound as the legacy writer drain: a peer that stops reading
-  // mid-flush cannot pin the loop — the sweep forces teardown at deadline.
+  // A peer that stops reading mid-flush cannot pin the connection: the
+  // sweep forces teardown at the deadline.
   ls.drain_deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
-  conn->BeginLoopDrain();
-  return LoopFlush(conn, loop_index);
+  conn->BeginDrain();
+  return LoopFlush(conn);
 }
 
-void AudioServer::LoopTeardown(ClientConnection* conn, uint32_t loop_index) {
+void AudioServer::LoopTeardown(ClientConnection* conn) {
   auto& ls = conn->loop_state();
   if (ls.torn_down) {
     return;
   }
   ls.torn_down = true;
-  loops_[loop_index]->Remove(conn->pollable_fd());
+  loops_[conn->loop_index()]->Remove(conn->pollable_fd());
   conn->HardClose();
   ReclaimConnection(conn);
   // Last action: the connection may now be pruned by AddConnection or
@@ -451,8 +413,7 @@ void AudioServer::LoopSweep(uint32_t loop_index) {
   {
     MutexLock lock(&mu_);
     for (auto& conn : connections_) {
-      if (!conn->loop_mode() || conn->loop_index() != loop_index ||
-          conn->finished()) {
+      if (conn->loop_index() != loop_index || conn->finished()) {
         continue;
       }
       auto& ls = conn->loop_state();
@@ -462,7 +423,7 @@ void AudioServer::LoopSweep(uint32_t loop_index) {
     }
   }
   for (ClientConnection* conn : expired) {
-    LoopTeardown(conn, loop_index);
+    LoopTeardown(conn);
   }
 }
 
@@ -559,7 +520,7 @@ bool AudioServer::Drain(std::chrono::milliseconds deadline) {
     accept_thread_.join();
   }
   // In-flight requests keep dispatching and their replies keep flushing
-  // (readers, writers, loops, and the engine all stay up); wait for every
+  // (the loops and the engine stay up); wait for every
   // connection's egress backlog to empty, bounded by the deadline.
   while (std::chrono::steady_clock::now() < cutoff &&
          metrics_->egress_queued_bytes.value() != 0) {
@@ -592,7 +553,7 @@ bool AudioServer::Drain(std::chrono::milliseconds deadline) {
 
 void AudioServer::ReapFinishedConnections() {
   // Same discipline as the AddConnection prune: collect under the lock,
-  // join/destroy outside it (legacy readers take mu_ during teardown).
+  // destroy outside it.
   std::vector<std::unique_ptr<ClientConnection>> finished;
   {
     MutexLock lock(&mu_);
@@ -605,7 +566,6 @@ void AudioServer::ReapFinishedConnections() {
       }
     }
   }
-  finished.clear();  // ~ClientConnection joins the (already exited) threads
 }
 
 size_t AudioServer::connection_objects_for_test() {
@@ -634,24 +594,22 @@ void AudioServer::Shutdown() {
   for (auto& loop : loops_) {
     loop->Stop();
   }
-  // Swap the connections out under the lock, then join/destroy outside it
-  // (legacy readers take mu_ during teardown). No new connections can
-  // appear: the accept thread has already been joined above.
+  // Swap the connections out under the lock, then reclaim and destroy
+  // outside it. No new connections can appear: the accept thread has
+  // already been joined above.
   std::vector<std::unique_ptr<ClientConnection>> conns;
   {
     MutexLock lock(&mu_);
     conns.swap(connections_);
   }
-  // Loop-plane connections whose teardown never ran (their loop stopped
-  // first) get the same reclamation the legacy reader exit performs, so
-  // gauges and the registry end balanced either way.
+  // Connections whose teardown never ran (their loop stopped first) get
+  // the same reclamation, so gauges and the registry end balanced.
   for (auto& conn : conns) {
-    if (conn->loop_mode() && !conn->finished()) {
+    if (!conn->finished()) {
       ReclaimConnection(conn.get());
       conn->MarkFinished();
     }
   }
-  conns.clear();  // ~ClientConnection joins each legacy reader + writer
 }
 
 }  // namespace aud

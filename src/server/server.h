@@ -4,12 +4,13 @@
 //
 // Threading (section 6.1's thread inventory, adapted):
 //   * the connection-manager thread accepts TCP connections;
-//   * one reader thread per client connection parses and dispatches
-//     requests;
+//   * kConnectionLoops event-loop threads serve every client connection,
+//     TCP and in-process alike: each parses its connections' requests,
+//     dispatches them and flushes their egress (DESIGN.md decision 14);
 //   * the engine thread (realtime mode) pumps the board every period and
 //     runs the whole tick on that one thread.
-// All protocol *mutation* is serialized by one state lock; reader threads
-// take it per message. The engine tick does NOT hold it across the fan-out
+// All protocol *mutation* is serialized by one state lock; the loops take
+// it per message. The engine tick does NOT hold it across the fan-out
 // (DESIGN.md decision 12): Tick() takes the lock only for the short epoch
 // open (active-graph snapshot) and epoch commit (event flush, codec
 // resolve, board advance) critical sections. During the fan-out the tick
@@ -43,6 +44,11 @@
 
 namespace aud {
 
+// Event-loop threads serving all connections, sharded by connection index.
+// Fixed: on a 4-vCPU host two loops matched or beat one on every perfbench
+// workload and held the bench_capacity ladder (DESIGN.md decision 14).
+inline constexpr uint32_t kConnectionLoops = 2;
+
 // What to do with a request that exceeds the connection's token-bucket
 // rate (DESIGN.md decision 15). Soft answers `kRateLimited` and keeps the
 // connection; hard disconnects the flooder outright.
@@ -72,23 +78,12 @@ struct ServerOptions {
   // decision 13). 0 disables tracing entirely (the default) — the hot path
   // then pays only one integer increment per request.
   uint32_t trace_sample_every = 0;
-  // Event-loop connection plane (DESIGN.md decision 14): number of loop
-  // threads sharing all pollable connections, sharded by fd hash. 0 keeps
-  // the legacy thread-per-connection mode (one reader + one writer thread
-  // per client); non-pollable transports (in-process pipes) always use the
-  // legacy mode regardless.
-  uint32_t connection_threads = 0;
-  // Edge-triggered epoll readiness for the loops (level-triggered default).
-  bool loop_edge_triggered = false;
-  // Force the portable poll(2) backend even where epoll is available
-  // (fallback-path test coverage).
-  bool loop_use_poll = false;
   // -- Overload protection (DESIGN.md decision 15). Zero disables each
   // limit; all limits are per connection except max_connections.
   // Admission control: connections beyond this are politely closed at
-  // accept time (counted in admission_rejects), on both planes.
+  // accept time (counted in admission_rejects).
   size_t max_connections = 0;
-  // Token-bucket rate limits checked in the reader before dispatch:
+  // Token-bucket rate limits checked by the owning loop before dispatch:
   // requests per second and ingress bytes per second, each with a burst
   // capacity (0 = one second's worth of the rate).
   uint32_t limit_rps = 0;
@@ -104,7 +99,7 @@ struct ServerOptions {
   uint32_t quota_plays = 0;
 };
 
-// Sampling decision for one request, made by the reader thread before it
+// Sampling decision for one request, made by the owning loop before it
 // queues for the state lock and threaded through dispatch so every span the
 // request produces shares one trace id and hangs off one root span.
 // trace_id == 0 means "not sampled" everywhere.
@@ -125,8 +120,9 @@ class AudioServer {
 
   // -- Connections -------------------------------------------------------------
 
-  // Adopts an in-process transport endpoint (the other end goes to an
-  // Alib client). Spawns the reader thread.
+  // Adopts a connected transport endpoint — an accepted TCP socket, or one
+  // end of CreatePipePair whose other end goes to an in-process Alib
+  // client — and registers it with its event loop.
   void AddConnection(std::unique_ptr<ByteStream> stream);
 
   // Starts the connection-manager thread on 127.0.0.1:`port` (0 for an
@@ -171,7 +167,7 @@ class AudioServer {
   bool Drain(std::chrono::milliseconds deadline);
   bool draining() const { return draining_.load(); }
 
-  // Destroys connections whose reader/loop finished teardown. AddConnection
+  // Destroys connections whose loop finished teardown. AddConnection
   // already prunes on every accept; this is the timed sweep for an
   // otherwise idle server (called ~1/s by the realtime engine thread), so
   // a dead client's memory and fds never linger until the next accept.
@@ -180,21 +176,20 @@ class AudioServer {
   // Connection objects still held (live + finished-but-unreaped).
   size_t connection_objects_for_test();
 
-  // Number of event-loop threads actually running (0 in legacy mode).
+  // Number of event-loop threads actually running (kConnectionLoops unless
+  // one failed to start).
   size_t connection_loops() const { return loops_.size(); }
 
  private:
-  void ReaderLoop(ClientConnection* conn);
   void AcceptLoop();
   void EngineLoop();
 
   // Shared per-message dispatch body: byte accounting aside, everything a
   // request goes through between framing and its reply — trace sampling,
-  // the state-lock acquire, HandleRequest, and the root span. Called from
-  // the legacy ReaderLoop and from the loop-plane read path alike.
+  // the state-lock acquire, HandleRequest, and the root span.
   void DispatchRequest(ClientConnection* conn, const FramedMessage& message);
 
-  // Token-bucket rate gate, checked by the owning reader/loop thread after
+  // Token-bucket rate gate, checked by the owning loop thread after
   // byte accounting and before dispatch (DESIGN.md decision 15).
   enum class RateGate {
     kDispatch,   // within budget: dispatch normally
@@ -210,18 +205,18 @@ class AudioServer {
   // The bool-returning loop helpers report liveness: false means the
   // connection was torn down (MarkFinished ran — it may be destroyed by the
   // pruner at any moment) and the caller must not touch it again.
-  void LoopHandleReady(ClientConnection* conn, uint32_t loop_index, uint32_t events);
-  bool LoopReadAndDispatch(ClientConnection* conn, uint32_t loop_index);
-  bool LoopFlush(ClientConnection* conn, uint32_t loop_index);
-  bool LoopBeginDrain(ClientConnection* conn, uint32_t loop_index);
-  void LoopTeardown(ClientConnection* conn, uint32_t loop_index);
+  void LoopHandleReady(ClientConnection* conn, uint32_t events);
+  bool LoopReadAndDispatch(ClientConnection* conn);
+  bool LoopFlush(ClientConnection* conn);
+  bool LoopBeginDrain(ClientConnection* conn);
+  void LoopTeardown(ClientConnection* conn);
   void LoopSweep(uint32_t loop_index);
 
   // Frees every resource a departed client owned (the paper's
   // per-connection container teardown): waits out any in-flight epoch,
   // destroys the client's objects with one activation pass, and closes the
-  // connection's gauge and trace. The one reclamation path of the reader
-  // exit, the loop teardown and Shutdown; the caller then MarkFinished()s.
+  // connection's gauge and trace. The one reclamation path of the loop
+  // teardown and Shutdown; the caller then MarkFinished()s.
   void ReclaimConnection(ClientConnection* conn) AUD_EXCLUDES(mu_);
 
   // Tick-driver access to the state. Tick() manages the state lock itself
@@ -230,7 +225,7 @@ class AudioServer {
   // hold mu_; the annotation opt-out reflects that inverted ownership.
   ServerState& tick_state() AUD_NO_THREAD_SAFETY_ANALYSIS { return state_; }
 
-  // Dispatcher (dispatcher.cc). `received_at` is taken by the reader thread
+  // Dispatcher (dispatcher.cc). `received_at` is taken by the loop thread
   // before it queues for the state lock, so dispatch_us covers state-lock
   // wait + handling — the end-to-end server-side dispatch latency that the
   // epoch-snapshot tick is designed to bound (DESIGN.md decision 12).
@@ -252,11 +247,11 @@ class AudioServer {
   // unit under the big lock (DESIGN.md decision 9).
   ServerState state_ AUD_GUARDED_BY(mu_);
   // state_.metrics() is all relaxed atomics; this unguarded alias lets the
-  // reader/engine hot paths count bytes and jitter without taking mu_.
+  // loop/engine hot paths count bytes and jitter without taking mu_.
   ServerMetrics* metrics_ = nullptr;
 
-  // Connections own their reader and writer threads; AddConnection prunes
-  // entries whose reader has finished teardown (joining outside mu_).
+  // Sorted by index (DeliverEvent binary-searches it); AddConnection prunes
+  // entries whose loop has finished teardown (destroying them outside mu_).
   std::vector<std::unique_ptr<ClientConnection>> connections_ AUD_GUARDED_BY(mu_);
   uint32_t next_connection_index_ AUD_GUARDED_BY(mu_) = 0;
   // Resolved once at construction: options_.fault, else the AUD_FAULT env.
@@ -265,8 +260,8 @@ class AudioServer {
   SocketListener listener_;
   std::thread accept_thread_;
 
-  // The event-loop pool (empty in legacy mode). Started at construction,
-  // stopped by Shutdown after every connection is hard-closed.
+  // The event-loop pool. Started at construction, stopped by Shutdown
+  // after every connection is hard-closed.
   std::vector<std::unique_ptr<EventLoop>> loops_;
 
   std::thread engine_thread_;

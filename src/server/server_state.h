@@ -239,9 +239,8 @@ class ServerState {
   void set_trace_sample_every(uint32_t n) { trace_sample_every_ = n; }
   uint32_t trace_sample_every() const { return trace_sample_every_; }
 
-  // Number of event-loop connection threads (ServerOptions::
-  // connection_threads as actually started), mirrored for GetServerStats.
-  // 0 = legacy thread-per-connection plane.
+  // Number of event-loop connection threads actually started (the fixed
+  // kConnectionLoops), mirrored for GetServerStats.
   void set_connection_loops(uint32_t n) { connection_loops_ = n; }
   uint32_t connection_loops() const { return connection_loops_; }
 

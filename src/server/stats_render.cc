@@ -86,7 +86,7 @@ std::string RenderPrometheusText(const ServerStatsReply& stats) {
   EmitGauge(out, "aud_trace_sample_every", stats.trace_sample_every,
             "Trace sampling period (0 = tracing off)");
   EmitGauge(out, "aud_connection_loops", stats.loops,
-            "Event-loop threads serving connections (0 = thread-per-connection)");
+            "Event-loop threads serving connections");
   EmitGauge(out, "aud_fds_watched", stats.fds_watched,
             "Connection fds currently registered with event loops");
   EmitCounter(out, "aud_epoll_waits_total", stats.epoll_waits,

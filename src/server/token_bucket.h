@@ -1,7 +1,6 @@
 // Token bucket for per-connection rate limiting (DESIGN.md decision 15).
 // Plain non-atomic state: each bucket is owned by the single thread that
-// reads its connection (the legacy reader thread or the event-loop thread
-// that owns the fd), exactly like ClientConnection's trace sample counter,
+// reads its connection (the event-loop thread that owns it), exactly like ClientConnection's trace sample counter,
 // so no locking or atomics are needed on the per-request path.
 
 #ifndef SRC_SERVER_TOKEN_BUCKET_H_

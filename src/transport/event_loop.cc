@@ -1,46 +1,22 @@
 #include "src/transport/event_loop.h"
 
-#include <fcntl.h>
-#include <poll.h>
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
 #include <utility>
 
-#ifdef __linux__
-#include <sys/epoll.h>
-#endif
-
 #include "src/common/logging.h"
 
 namespace aud {
 
-namespace {
-
-void SetNonBlocking(int fd) {
-  int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) {
-    ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-  }
-}
-
-}  // namespace
-
-EventLoop::EventLoop(EventLoopOptions options) : options_(options) {
-#ifdef __linux__
-  use_epoll_ = options_.backend != EventLoopOptions::Backend::kPoll;
-#else
-  use_epoll_ = false;
-#endif
-}
+EventLoop::EventLoop(EventLoopOptions options) : options_(options) {}
 
 EventLoop::~EventLoop() {
   Stop();
-  if (epoll_fd_ >= 0) {
-    ::close(epoll_fd_);
-  }
-  for (int fd : wake_fds_) {
+  for (int fd : {epoll_fd_, wake_fd_}) {
     if (fd >= 0) {
       ::close(fd);
     }
@@ -51,31 +27,16 @@ bool EventLoop::Start() {
   if (running_.load(std::memory_order_relaxed)) {
     return true;
   }
-  if (!use_epoll_ && options_.backend == EventLoopOptions::Backend::kEpoll) {
-    LogLine(LogLevel::kWarning) << "event loop: epoll backend unavailable";
+  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  if (wake_fd_ < 0 || epoll_fd_ < 0) {
+    LogLine(LogLevel::kWarning) << "event loop: eventfd/epoll_create1 failed";
     return false;
   }
-  if (::pipe(wake_fds_) != 0) {
-    LogLine(LogLevel::kWarning) << "event loop: pipe() failed";
-    return false;
-  }
-  SetNonBlocking(wake_fds_[0]);
-  SetNonBlocking(wake_fds_[1]);
-  ::fcntl(wake_fds_[0], F_SETFD, FD_CLOEXEC);
-  ::fcntl(wake_fds_[1], F_SETFD, FD_CLOEXEC);
-#ifdef __linux__
-  if (use_epoll_) {
-    epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-    if (epoll_fd_ < 0) {
-      LogLine(LogLevel::kWarning) << "event loop: epoll_create1 failed";
-      return false;
-    }
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = wake_fds_[0];
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fds_[0], &ev);
-  }
-#endif
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.fd = wake_fd_;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev);
   running_.store(true, std::memory_order_release);
   thread_ = std::thread([this] { Run(); });
   return true;
@@ -92,51 +53,41 @@ void EventLoop::Stop() {
 }
 
 void EventLoop::Wakeup() {
-  if (wake_fds_[1] >= 0) {
-    // A full pipe already guarantees a pending wakeup, so EAGAIN is fine.
-    uint8_t one = 1;
-    [[maybe_unused]] ssize_t n = ::write(wake_fds_[1], &one, 1);
+  if (wake_fd_ >= 0) {
+    // A saturated counter already guarantees a pending wakeup, so EAGAIN
+    // is fine.
+    const uint64_t one = 1;
+    [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
   }
 }
 
 void EventLoop::Add(int fd, Handler handler) {
-  Op op{Op::Kind::kAdd, fd, false,
-        std::make_shared<Handler>(std::move(handler))};
-  if (OnLoopThread()) {
-    ApplyOp(std::move(op));
-    return;
-  }
-  {
-    MutexLock lock(&mu_);
-    pending_.push_back(std::move(op));
-  }
-  Wakeup();
+  Submit({Op::Kind::kAdd, fd, false, std::make_shared<Handler>(std::move(handler))});
 }
 
-void EventLoop::Remove(int fd) {
-  Op op{Op::Kind::kRemove, fd, false, nullptr};
-  if (OnLoopThread()) {
-    ApplyOp(std::move(op));
-    return;
-  }
-  {
-    MutexLock lock(&mu_);
-    pending_.push_back(std::move(op));
-  }
-  Wakeup();
-}
+void EventLoop::Remove(int fd) { Submit({Op::Kind::kRemove, fd, false, nullptr}); }
 
 void EventLoop::SetWantWrite(int fd, bool want) {
-  Op op{Op::Kind::kWantWrite, fd, want, nullptr};
+  Submit({Op::Kind::kWantWrite, fd, want, nullptr});
+}
+
+void EventLoop::Submit(Op op) {
   if (OnLoopThread()) {
     ApplyOp(std::move(op));
     return;
   }
+  bool wake;
   {
     MutexLock lock(&mu_);
+    // Only the op that makes the queue non-empty wakes the loop: the loop
+    // applies the whole queue after consuming that wakeup, so later ops
+    // ride along (one eventfd write per batch, not per op).
+    wake = pending_.empty();
     pending_.push_back(std::move(op));
   }
-  Wakeup();
+  if (wake) {
+    Wakeup();
+  }
 }
 
 void EventLoop::ApplyPending() {
@@ -157,7 +108,7 @@ void EventLoop::ApplyOp(Op op) {
       const bool fresh = watch.handler == nullptr;
       watch.handler = std::move(op.handler);
       watch.want_write = false;
-      SyncBackend(op.fd, watch, /*add=*/fresh);
+      SyncInterest(op.fd, watch, /*add=*/fresh);
       if (fresh && options_.metrics.fds_watched != nullptr) {
         options_.metrics.fds_watched->Add(1);
       }
@@ -169,11 +120,7 @@ void EventLoop::ApplyOp(Op op) {
         break;
       }
       watches_.erase(it);
-#ifdef __linux__
-      if (use_epoll_) {
-        ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, op.fd, nullptr);
-      }
-#endif
+      ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, op.fd, nullptr);
       if (options_.metrics.fds_watched != nullptr) {
         options_.metrics.fds_watched->Sub(1);
       }
@@ -185,110 +132,61 @@ void EventLoop::ApplyOp(Op op) {
         break;
       }
       it->second.want_write = op.want_write;
-      SyncBackend(op.fd, it->second, /*add=*/false);
+      SyncInterest(op.fd, it->second, /*add=*/false);
       break;
     }
   }
 }
 
-void EventLoop::SyncBackend(int fd, const Watch& watch, bool add) {
-#ifdef __linux__
-  if (use_epoll_) {
-    epoll_event ev{};
-    ev.events = EPOLLIN | EPOLLRDHUP | (watch.want_write ? EPOLLOUT : 0u) |
-                (options_.edge_triggered ? EPOLLET : 0u);
-    ev.data.fd = fd;
-    if (::epoll_ctl(epoll_fd_, add ? EPOLL_CTL_ADD : EPOLL_CTL_MOD, fd, &ev) !=
-            0 &&
-        add && errno == EEXIST) {
-      ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev);
-    }
-    return;
+void EventLoop::SyncInterest(int fd, const Watch& watch, bool add) {
+  epoll_event ev{};
+  ev.events = EPOLLIN | EPOLLRDHUP | (watch.want_write ? EPOLLOUT : 0u);
+  ev.data.fd = fd;
+  if (::epoll_ctl(epoll_fd_, add ? EPOLL_CTL_ADD : EPOLL_CTL_MOD, fd, &ev) != 0 &&
+      add && errno == EEXIST) {
+    ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev);
   }
-#endif
-  // The poll backend rebuilds its pollfd set each round from watches_, so
-  // there is nothing to sync eagerly.
-  (void)fd;
-  (void)watch;
-  (void)add;
 }
 
 void EventLoop::Run() {
   loop_thread_id_.store(std::this_thread::get_id(), std::memory_order_release);
+  const auto sweep_every = std::chrono::milliseconds(options_.wait_timeout_ms);
+  auto next_sweep = std::chrono::steady_clock::now() + sweep_every;
   while (running_.load(std::memory_order_acquire)) {
     ApplyPending();
     WaitAndDispatch();
-    if (sweep_) {
+    const auto now = std::chrono::steady_clock::now();
+    if (sweep_ && now >= next_sweep) {
       sweep_();
+      next_sweep = now + sweep_every;
     }
   }
 }
 
 void EventLoop::WaitAndDispatch() {
-  const int timeout_ms = static_cast<int>(options_.wait_timeout_ms);
-#ifdef __linux__
-  if (use_epoll_) {
-    epoll_event events[64];
-    int n = ::epoll_wait(epoll_fd_, events, 64, timeout_ms);
-    if (options_.metrics.epoll_waits != nullptr) {
-      options_.metrics.epoll_waits->Increment();
-    }
-    for (int i = 0; i < n; ++i) {
-      const int fd = events[i].data.fd;
-      if (fd == wake_fds_[0]) {
-        DrainWakePipe();
-        continue;
-      }
-      uint32_t bits = 0;
-      if ((events[i].events & (EPOLLIN | EPOLLRDHUP)) != 0) {
-        bits |= kLoopReadable;
-      }
-      if ((events[i].events & EPOLLOUT) != 0) {
-        bits |= kLoopWritable;
-      }
-      if ((events[i].events & (EPOLLERR | EPOLLHUP)) != 0) {
-        bits |= kLoopError;
-      }
-      DispatchEvent(fd, bits);
-    }
-    return;
-  }
-#endif
-  std::vector<pollfd> fds;
-  fds.reserve(watches_.size() + 1);
-  fds.push_back({wake_fds_[0], POLLIN, 0});
-  for (const auto& [fd, watch] : watches_) {
-    fds.push_back(
-        {fd, static_cast<short>(POLLIN | (watch.want_write ? POLLOUT : 0)), 0});
-  }
-  int n = ::poll(fds.data(), fds.size(), timeout_ms);
+  epoll_event events[64];
+  const int n = ::epoll_wait(epoll_fd_, events, 64,
+                             static_cast<int>(options_.wait_timeout_ms));
   if (options_.metrics.epoll_waits != nullptr) {
     options_.metrics.epoll_waits->Increment();
   }
-  if (n <= 0) {
-    return;
-  }
-  for (const pollfd& p : fds) {
-    if (p.revents == 0) {
-      continue;
-    }
-    if (p.fd == wake_fds_[0]) {
-      DrainWakePipe();
+  for (int i = 0; i < n; ++i) {
+    const int fd = events[i].data.fd;
+    if (fd == wake_fd_) {
+      DrainWakeup();
       continue;
     }
     uint32_t bits = 0;
-    // POLLIN alone suffices for EOF detection: a closed peer is readable
-    // and the read returns 0. (POLLRDHUP is Linux-only.)
-    if ((p.revents & POLLIN) != 0) {
+    if ((events[i].events & (EPOLLIN | EPOLLRDHUP)) != 0) {
       bits |= kLoopReadable;
     }
-    if ((p.revents & POLLOUT) != 0) {
+    if ((events[i].events & EPOLLOUT) != 0) {
       bits |= kLoopWritable;
     }
-    if ((p.revents & (POLLERR | POLLHUP | POLLNVAL)) != 0) {
+    if ((events[i].events & (EPOLLERR | EPOLLHUP)) != 0) {
       bits |= kLoopError;
     }
-    DispatchEvent(p.fd, bits);
+    DispatchEvent(fd, bits);
   }
 }
 
@@ -314,20 +212,13 @@ void EventLoop::DispatchEvent(int fd, uint32_t events) {
   }
 }
 
-void EventLoop::DrainWakePipe() {
-  uint8_t buf[256];
-  size_t drained = 0;
-  while (true) {
-    ssize_t n = ::read(wake_fds_[0], buf, sizeof(buf));
-    if (n <= 0) {
-      break;
-    }
-    drained += static_cast<size_t>(n);
-  }
-  if (options_.metrics.wakeups != nullptr && drained > 0) {
+void EventLoop::DrainWakeup() {
+  uint64_t count = 0;
+  const bool woken = ::read(wake_fd_, &count, sizeof(count)) == sizeof(count);
+  if (woken && options_.metrics.wakeups != nullptr) {
     options_.metrics.wakeups->Increment();
   }
-  if (options_.metrics.readiness_spurious != nullptr && drained == 0) {
+  if (!woken && options_.metrics.readiness_spurious != nullptr) {
     options_.metrics.readiness_spurious->Increment();
   }
 }

@@ -1,11 +1,7 @@
 // EventLoop: readiness-driven I/O multiplexing for the connection plane.
-// One instance owns one thread and a set of watched descriptors; the
-// server shards accepted sockets across a small pool of these by fd hash
-// instead of spending a reader + writer thread per client (DESIGN.md
-// decision 14). The epoll backend is the Linux fast path (level-triggered
-// by default, optionally edge-triggered); a poll(2) backend provides the
-// portable fallback and is selectable at runtime so tests cover it on any
-// host.
+// One instance owns one thread, one level-triggered epoll set and the
+// descriptors watched in it; the server shards every client connection
+// across a fixed pool of these by connection index (DESIGN.md decision 14).
 //
 // Threading contract: handlers and the sweep callback run on the loop
 // thread only, with no EventLoop lock held — a handler may freely take the
@@ -13,7 +9,7 @@
 // connection down. Registration calls are thread-safe: from the loop
 // thread they apply immediately, from any other thread they enqueue onto a
 // pending-op queue (guarded by mu_, rank kEventLoop) and wake the loop via
-// a self-pipe.
+// an eventfd.
 
 #ifndef SRC_TRANSPORT_EVENT_LOOP_H_
 #define SRC_TRANSPORT_EVENT_LOOP_H_
@@ -40,23 +36,13 @@ inline constexpr uint32_t kLoopError = 1u << 2;  // EPOLLERR/EPOLLHUP
 // at its ServerMetrics fields so every loop feeds the same v6 stats.
 struct EventLoopMetrics {
   obs::Counter* epoll_waits = nullptr;         // wait syscalls issued
-  obs::Counter* wakeups = nullptr;             // self-pipe wakeups consumed
+  obs::Counter* wakeups = nullptr;             // eventfd wakeups consumed
   obs::Counter* readiness_spurious = nullptr;  // events with no useful work
   obs::Gauge* fds_watched = nullptr;           // currently registered fds
   obs::LatencyHistogram* dispatch_us = nullptr;  // per-handler run time
 };
 
 struct EventLoopOptions {
-  enum class Backend : uint8_t {
-    kAuto,   // epoll on Linux, poll elsewhere
-    kEpoll,  // fails Start() where unavailable
-    kPoll,   // portable fallback, also usable on Linux for test coverage
-  };
-  Backend backend = Backend::kAuto;
-  // Edge-triggered readiness (epoll backend only). Handlers must drain to
-  // kWouldBlock — which ours do under level-triggering too, so both modes
-  // share one state machine.
-  bool edge_triggered = false;
   // Upper bound on one wait; bounds sweep latency for drain deadlines.
   uint32_t wait_timeout_ms = 50;
   EventLoopMetrics metrics;
@@ -72,14 +58,16 @@ class EventLoop {
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
 
-  // Spawns the loop thread. False if the backend could not be set up.
+  // Spawns the loop thread. False if epoll or the eventfd could not be set
+  // up.
   bool Start();
 
   // Stops and joins the loop thread; pending ops are discarded. Idempotent.
   void Stop();
 
-  // Periodic callback run on the loop thread after every wait round (so at
-  // least every wait_timeout_ms). Set before Start.
+  // Periodic callback run on the loop thread about every wait_timeout_ms,
+  // after a wait round (not after every one: a busy loop would otherwise
+  // run it thousands of times a second). Set before Start.
   void set_sweep(std::function<void()> sweep) { sweep_ = std::move(sweep); }
 
   // Watches `fd` for readability (writability is armed separately). The
@@ -97,8 +85,6 @@ class EventLoop {
   // Forces the loop out of its wait (used by Stop and cross-thread ops).
   void Wakeup();
 
-  bool using_epoll() const { return use_epoll_; }
-  bool edge_triggered() const { return use_epoll_ && options_.edge_triggered; }
   bool OnLoopThread() const {
     // Before the loop thread publishes its id, callers see "not the loop
     // thread" and take the (always-correct) queued-op path.
@@ -123,17 +109,18 @@ class EventLoop {
   };
 
   void Run();
+  // Applies `op` now on the loop thread, else queues it and wakes the loop.
+  void Submit(Op op);
   void ApplyPending();
   void ApplyOp(Op op);                      // loop thread only
-  void SyncBackend(int fd, const Watch& watch, bool add);  // epoll_ctl
+  void SyncInterest(int fd, const Watch& watch, bool add);  // epoll_ctl
   void WaitAndDispatch();
   void DispatchEvent(int fd, uint32_t events);
-  void DrainWakePipe();
+  void DrainWakeup();
 
   EventLoopOptions options_;
-  bool use_epoll_ = false;
   int epoll_fd_ = -1;
-  int wake_fds_[2] = {-1, -1};  // self-pipe; [0] is watched by the loop
+  int wake_fd_ = -1;  // eventfd, watched by the loop
 
   std::thread thread_;
   std::atomic<std::thread::id> loop_thread_id_{};

@@ -56,8 +56,8 @@ class FaultStream : public ByteStream {
   void Close() override;
 
   // Non-blocking variants apply the same seeded fault schedule (short
-  // reads, chopped writes, sticky resets) so the event-loop plane is
-  // chaos-testable exactly like the thread-per-connection plane.
+  // reads, chopped writes, sticky resets) so the server's event loops are
+  // chaos-testable exactly like blocking clients.
   IoResult ReadSome(std::span<uint8_t> out) override;
   IoResult WriteSome(std::span<const uint8_t> data) override;
   int pollable_fd() const override { return inner_->pollable_fd(); }

@@ -1,7 +1,6 @@
 #include "src/transport/socket_stream.h"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
@@ -18,8 +17,9 @@
 namespace aud {
 
 SocketStream::~SocketStream() {
-  // The owner joins its reader thread before destroying the stream, so the
-  // fd can be released here without racing a blocked recv().
+  // The owner stops every thread using the stream (a client's reader, the
+  // server loop watching the fd) before destroying it, so the fd can be
+  // released here without racing a blocked recv() or a readiness wait.
   const int fd = fd_.exchange(-1, std::memory_order_relaxed);
   if (fd >= 0) {
     ::close(fd);
@@ -113,7 +113,7 @@ SocketListener::~SocketListener() {
 }
 
 bool SocketListener::Listen(uint16_t port) {
-  fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+  fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd_ < 0) {
     return false;
   }
@@ -129,7 +129,7 @@ bool SocketListener::Listen(uint16_t port) {
     fd_ = -1;
     return false;
   }
-  if (::listen(fd_, 16) != 0) {
+  if (::listen(fd_, SOMAXCONN) != 0) {
     ::close(fd_);
     fd_ = -1;
     return false;
@@ -161,29 +161,9 @@ bool IsTransientAcceptError(int err) {
   }
 }
 
-// Accepts with FD_CLOEXEC (and optionally O_NONBLOCK) applied atomically.
-// accept4(2) closes the race where a concurrent fork() in a spawned tool
-// inherits the freshly accepted fd before fcntl could mark it; the fcntl
-// fallback keeps non-Linux builds working at the cost of that window.
-int AcceptClient(int listen_fd, bool nonblocking) {
-#ifdef SOCK_CLOEXEC
-  int flags = SOCK_CLOEXEC | (nonblocking ? SOCK_NONBLOCK : 0);
-  return ::accept4(listen_fd, nullptr, nullptr, flags);
-#else
-  int client = ::accept(listen_fd, nullptr, nullptr);
-  if (client >= 0) {
-    ::fcntl(client, F_SETFD, FD_CLOEXEC);
-    if (nonblocking) {
-      ::fcntl(client, F_SETFL, ::fcntl(client, F_GETFL, 0) | O_NONBLOCK);
-    }
-  }
-  return client;
-#endif
-}
-
 }  // namespace
 
-std::unique_ptr<ByteStream> SocketListener::Accept(bool nonblocking) {
+std::unique_ptr<ByteStream> SocketListener::Accept() {
   uint32_t backoff_ms = 0;  // 0 → 1 → 2 → ... → 100 (capped)
   while (true) {
     if (closed_.load(std::memory_order_relaxed) || fd_ < 0) {
@@ -196,7 +176,9 @@ std::unique_ptr<ByteStream> SocketListener::Accept(bool nonblocking) {
       err = injected_errnos_.front();
       injected_errnos_.erase(injected_errnos_.begin());
     } else {
-      client = AcceptClient(fd_, nonblocking);
+      // accept4 marks the fd close-on-exec atomically, so a concurrent
+      // fork() in a spawned tool cannot inherit it.
+      client = ::accept4(fd_, nullptr, nullptr, SOCK_CLOEXEC);
       err = errno;
     }
     if (client >= 0) {
@@ -243,7 +225,7 @@ void SocketListener::InjectAcceptErrnosForTest(std::vector<int> errnos) {
 }
 
 std::unique_ptr<ByteStream> ConnectTcp(const std::string& host, uint16_t port) {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) {
     return nullptr;
   }
@@ -263,6 +245,15 @@ std::unique_ptr<ByteStream> ConnectTcp(const std::string& host, uint16_t port) {
   int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   return std::make_unique<SocketStream>(fd);
+}
+
+std::pair<std::unique_ptr<ByteStream>, std::unique_ptr<ByteStream>> CreatePipePair() {
+  int fds[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) != 0) {
+    LogLine(LogLevel::kWarning) << "socketpair failed: " << std::strerror(errno);
+    return {nullptr, nullptr};
+  }
+  return {std::make_unique<SocketStream>(fds[0]), std::make_unique<SocketStream>(fds[1])};
 }
 
 }  // namespace aud

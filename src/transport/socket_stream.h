@@ -1,6 +1,9 @@
-// TCP socket transport: the "networked access to resources" requirement of
+// Socket transport: the "networked access to resources" requirement of
 // section 2 — a client connects to the audio server of any workstation on
-// the network the same way X clients reach remote displays.
+// the network the same way X clients reach remote displays. In-process
+// clients use a connected AF_UNIX socket pair, so every connection reaches
+// the server's event loops the same way. Every socket this file creates is
+// close-on-exec, so none leaks into a forked tool.
 
 #ifndef SRC_TRANSPORT_SOCKET_STREAM_H_
 #define SRC_TRANSPORT_SOCKET_STREAM_H_
@@ -9,13 +12,14 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/transport/stream.h"
 
 namespace aud {
 
-// A connected TCP socket endpoint.
+// A connected stream-socket endpoint (TCP or one end of a socket pair).
 class SocketStream : public ByteStream {
  public:
   // Takes ownership of a connected fd.
@@ -29,9 +33,9 @@ class SocketStream : public ByteStream {
   size_t Read(std::span<uint8_t> out) override;
   void Close() override;
 
-  // Non-blocking variants for the event-loop connection plane. Correct
-  // whether or not the fd carries O_NONBLOCK: blocking-mode fds simply
-  // never return kWouldBlock (send/recv are used with MSG_DONTWAIT).
+  // Non-blocking variants for the server's event loops. send/recv run with
+  // MSG_DONTWAIT, so the fd itself stays in blocking mode and the blocking
+  // Read/Write above keep working on the same stream.
   IoResult ReadSome(std::span<uint8_t> out) override;
   IoResult WriteSome(std::span<const uint8_t> data) override;
   int pollable_fd() const override {
@@ -52,7 +56,9 @@ class SocketListener {
   SocketListener(const SocketListener&) = delete;
   SocketListener& operator=(const SocketListener&) = delete;
 
-  // Binds and listens on 127.0.0.1:`port`. Returns false on failure.
+  // Binds and listens on 127.0.0.1:`port` with a SOMAXCONN backlog, so a
+  // connect burst queues in the kernel instead of stalling on SYN
+  // retransmits. Returns false on failure.
   bool Listen(uint16_t port);
 
   // The bound port (useful after Listen(0)).
@@ -64,11 +70,7 @@ class SocketListener {
   // exponential backoff (1 ms doubling to 100 ms) so one failure burst can
   // never permanently stop the server accepting. The first failure of a
   // burst is logged; subsequent ones are only counted.
-  //
-  // Accepted fds are always FD_CLOEXEC (via accept4 where available, fcntl
-  // otherwise) so they cannot leak into forked tools; pass `nonblocking`
-  // to additionally set O_NONBLOCK atomically for event-loop ownership.
-  std::unique_ptr<ByteStream> Accept(bool nonblocking = false);
+  std::unique_ptr<ByteStream> Accept();
 
   // Unblocks Accept.
   void Close();
@@ -96,6 +98,11 @@ class SocketListener {
 
 // Connects to 127.0.0.1:`port`; nullptr on failure.
 std::unique_ptr<ByteStream> ConnectTcp(const std::string& host, uint16_t port);
+
+// Creates a connected pair of endpoints over socketpair(AF_UNIX): one end
+// goes to AudioServer::AddConnection, the other to an in-process client.
+// Both are null if the kernel refuses the pair.
+std::pair<std::unique_ptr<ByteStream>, std::unique_ptr<ByteStream>> CreatePipePair();
 
 }  // namespace aud
 

@@ -1,8 +1,8 @@
 // The transport abstraction under the protocol: "clients and a server
 // communicate over a reliable full duplex, 8-bit byte stream" (section
-// 4.1). The protocol is transport-independent; we provide an in-memory
-// pipe (for in-process servers, tests and benches) and TCP sockets (for
-// networked access), both behind this interface.
+// 4.1). The protocol is transport-independent; we provide TCP sockets (for
+// networked access) and connected AF_UNIX socket pairs (for in-process
+// clients, tests and benches), both behind this interface.
 
 #ifndef SRC_TRANSPORT_STREAM_H_
 #define SRC_TRANSPORT_STREAM_H_
@@ -31,9 +31,9 @@ struct IoResult {
 // may use an endpoint concurrently.
 //
 // Streams backed by a pollable descriptor additionally support the
-// non-blocking ReadSome/WriteSome pair, used by the event-loop connection
-// plane. The default implementations adapt the blocking calls (never
-// returning kWouldBlock) so in-memory transports keep working unchanged.
+// non-blocking ReadSome/WriteSome pair, used by the server's event loops.
+// The default implementations adapt the blocking calls (never returning
+// kWouldBlock) for client-side wrappers that only ever block.
 class ByteStream {
  public:
   virtual ~ByteStream() = default;
@@ -71,8 +71,7 @@ class ByteStream {
   }
 
   // The descriptor an event loop can watch for readiness, or -1 when the
-  // transport is not pollable (in-memory pipes). A connection whose stream
-  // returns -1 falls back to the legacy thread-per-connection mode.
+  // transport is not pollable. The server only serves pollable streams.
   virtual int pollable_fd() const { return -1; }
 };
 

@@ -593,10 +593,10 @@ struct ServerStatsReply {
   uint32_t trace_sample_every = 0;        // sampling period; 0 = tracing off
 
   // Event-loop connection plane (v6, DESIGN.md decision 14).
-  uint32_t loops = 0;                  // loop threads; 0 = thread-per-connection
+  uint32_t loops = 0;                  // loop threads serving connections
   int64_t fds_watched = 0;             // fds currently registered with loops
   uint64_t epoll_waits = 0;            // wait syscalls across all loops
-  uint64_t wakeups = 0;                // self-pipe wakeups consumed
+  uint64_t wakeups = 0;                // loop wakeups consumed
   uint64_t readiness_spurious = 0;     // readiness that yielded no work
   obs::HistogramSnapshot loop_dispatch_us;  // one readiness handler run
 

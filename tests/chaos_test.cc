@@ -19,7 +19,6 @@
 #include "src/toolkit/toolkit.h"
 #include "src/transport/fault_stream.h"
 #include "src/transport/framer.h"
-#include "src/transport/pipe_stream.h"
 #include "src/transport/socket_stream.h"
 #include "tests/server_fixture.h"
 
@@ -74,8 +73,8 @@ void SendReq(ByteStream* stream, Opcode opcode, uint32_t seq,
 }
 
 // A client that builds up a large reply backlog and never reads it: uploads
-// a sound, then requests it back over and over. The writer thread fills the
-// socket buffers, the egress queue hits its budget, and the overflow policy
+// a sound, then requests it back over and over. The server's egress drain
+// fills the socket buffers, the egress queue hits its budget, and the overflow policy
 // must cut this client — and only this client — off.
 void StallerClient(uint16_t port, int index) {
   auto stream = ConnectTcp("127.0.0.1", port);

@@ -176,8 +176,8 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
 
   // The resumable framer over the same content must recover the identical
   // message sequence, no matter where the would-block injections land: the
-  // loop-plane parse (DESIGN.md decision 14) and the legacy blocking parse
-  // are the same protocol or one of them is wrong.
+  // loop-plane parse (DESIGN.md decision 14) and the blocking client-side
+  // parse are the same protocol or one of them is wrong.
   aud::ScriptedNonBlockingStream nb(std::move(content), std::move(chunks));
   aud::Framer framer;
   std::vector<aud::FramedMessage> incremental_messages;

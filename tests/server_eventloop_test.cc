@@ -1,10 +1,9 @@
-// Event-loop connection plane (DESIGN.md decision 14): the same contracts
-// the thread-per-connection plane honors — hostile-client survival, full
-// resource reclamation, engine-output bit-identity, slow-client overflow
-// policies — re-proven with connections multiplexed onto a fixed pool of
-// event-loop threads (level- and edge-triggered, epoll and poll backends),
-// plus the one property the legacy plane cannot have: thread count that
-// does not grow with the client count.
+// Event-loop connection plane (DESIGN.md decision 14): the server's
+// connection contracts — hostile-client survival, full resource
+// reclamation, engine-output bit-identity, slow-client overflow policies,
+// prompt delivery of events one client's request emits for another — with
+// every connection multiplexed onto the fixed pool of event-loop threads,
+// plus a thread count that does not grow with the client count.
 
 #include <gtest/gtest.h>
 #include <sys/socket.h>
@@ -202,13 +201,10 @@ bool WaitForReclaim(AudioServer* server, size_t want_objects) {
 }
 
 // ---------------------------------------------------------------------------
-// EventLoop unit coverage: both backends through the bare interface.
+// EventLoop unit coverage through the bare interface.
 
-class EventLoopTest : public ::testing::TestWithParam<EventLoopOptions::Backend> {};
-
-TEST_P(EventLoopTest, DispatchesReadinessAndInterestChanges) {
+TEST(EventLoopTest, DispatchesReadinessAndInterestChanges) {
   EventLoopOptions options;
-  options.backend = GetParam();
   options.wait_timeout_ms = 10;
   EventLoop loop(options);
   ASSERT_TRUE(loop.Start());
@@ -259,19 +255,13 @@ TEST_P(EventLoopTest, DispatchesReadinessAndInterestChanges) {
   ::close(fds[1]);
 }
 
-INSTANTIATE_TEST_SUITE_P(Backends, EventLoopTest,
-                         ::testing::Values(EventLoopOptions::Backend::kAuto,
-                                           EventLoopOptions::Backend::kPoll));
-
 // ---------------------------------------------------------------------------
 // Loop-plane server behavior.
 
 TEST(EventLoopPlane, ServesClientsAndReportsLoopStats) {
-  ServerOptions options;
-  options.connection_threads = 2;
   Board board{BoardConfig{}};
-  AudioServer server(&board, options);
-  ASSERT_EQ(server.connection_loops(), 2u);
+  AudioServer server(&board);
+  ASSERT_EQ(server.connection_loops(), kConnectionLoops);
   ASSERT_TRUE(server.ListenTcp(0));
   server.StartRealtime();
   const uint16_t port = server.tcp_port();
@@ -293,7 +283,7 @@ TEST(EventLoopPlane, ServesClientsAndReportsLoopStats) {
   ASSERT_TRUE(wire.ok()) << wire.status().ToString();
   const ServerStatsReply& s = wire.value();
   EXPECT_EQ(s.stats_version, kServerStatsVersion);
-  EXPECT_EQ(s.loops, 2u);
+  EXPECT_EQ(s.loops, kConnectionLoops);
   EXPECT_GE(s.fds_watched, 6);
   EXPECT_GT(s.epoll_waits, 0u);
   EXPECT_EQ(s.connections_open, 6);
@@ -315,57 +305,45 @@ TEST(EventLoopPlane, ServesClientsAndReportsLoopStats) {
   server.Shutdown();
 }
 
-TEST(EventLoopPlane, PollBackendServesClients) {
-  ServerOptions options;
-  options.connection_threads = 2;
-  options.loop_use_poll = true;  // portable fallback, forced on Linux too
-  Board board{BoardConfig{}};
-  AudioServer server(&board, options);
-  ASSERT_TRUE(server.ListenTcp(0));
-  server.StartRealtime();
-
-  auto conn = AudioConnection::OpenTcp("127.0.0.1", server.tcp_port(), "poll-client");
-  ASSERT_NE(conn, nullptr);
-  ResourceId loud = conn->CreateLoud(kNoResource, {});
-  conn->CreateDevice(loud, DeviceClass::kOutput, {});
-  ASSERT_TRUE(conn->Sync().ok());
-  auto stats = conn->GetServerStats(false);
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats.value().loops, 2u);
-  EXPECT_GT(stats.value().epoll_waits, 0u);  // poll(2) waits count here too
-  conn->Close();
-  server.Shutdown();
-}
-
 TEST(EventLoopPlane, ThreadCountDoesNotGrowWithClients) {
   const int probe = ProcessThreadCount();
   if (probe < 0) {
     GTEST_SKIP() << "/proc/self/status unavailable";
   }
-  ServerOptions options;
-  options.connection_threads = 2;
   Board board{BoardConfig{}};
-  AudioServer server(&board, options);
+  AudioServer server(&board);  // default options: the shipped plane
   ASSERT_TRUE(server.ListenTcp(0));
   server.StartRealtime();
   const uint16_t port = server.tcp_port();
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  const int threads_idle = ProcessThreadCount();
-  ASSERT_GT(threads_idle, 0);
 
-  // Raw clients (no Alib reader threads in this process): every accepted
-  // connection must be multiplexed, not given threads of its own.
+  // Raw clients (no Alib reader threads in this process), TCP and
+  // in-process socket pairs alike: every connection must be multiplexed,
+  // not given threads of its own.
   std::vector<std::unique_ptr<ByteStream>> clients;
-  for (int i = 0; i < 16; ++i) {
-    auto stream = ConnectTcp("127.0.0.1", port);
-    ASSERT_NE(stream, nullptr);
-    ASSERT_NE(RawSetup(stream.get(), "counted-" + std::to_string(i)), kNoResource);
-    clients.push_back(std::move(stream));
-  }
-  EXPECT_EQ(StatsOf(&server).connections_open, 16);
-  const int threads_loaded = ProcessThreadCount();
-  EXPECT_EQ(threads_loaded, threads_idle)
-      << "16 loop-plane clients changed the process thread count";
+  auto connect_up_to = [&](size_t n) {
+    while (clients.size() < n) {
+      std::unique_ptr<ByteStream> stream;
+      if (clients.size() % 2 == 0) {
+        stream = ConnectTcp("127.0.0.1", port);
+      } else {
+        auto [server_end, client_end] = CreatePipePair();
+        server.AddConnection(std::move(server_end));
+        stream = std::move(client_end);
+      }
+      ASSERT_NE(stream, nullptr);
+      ASSERT_NE(RawSetup(stream.get(), "counted-" + std::to_string(clients.size())),
+                kNoResource);
+      clients.push_back(std::move(stream));
+    }
+  };
+  connect_up_to(4);
+  EXPECT_EQ(StatsOf(&server).connections_open, 4);
+  const int threads_at_4 = ProcessThreadCount();
+  ASSERT_GT(threads_at_4, 0);
+  connect_up_to(64);
+  EXPECT_EQ(StatsOf(&server).connections_open, 64);
+  EXPECT_EQ(ProcessThreadCount(), threads_at_4)
+      << "going from 4 to 64 clients changed the process thread count";
 
   for (auto& stream : clients) {
     stream->Close();
@@ -374,11 +352,48 @@ TEST(EventLoopPlane, ThreadCountDoesNotGrowWithClients) {
   server.Shutdown();
 }
 
-TEST(EventLoopPlane, MidReadinessClientDeathReclaimsEverything) {
-  ServerOptions options;
-  options.connection_threads = 2;
+// Events one client's request emits for another connection — here the
+// kMapRequest that redirection sends the audio manager — must be flushed
+// promptly whichever loop the target lives on, including the loop that is
+// dispatching the request (sharding is by connection index, so the apps
+// at indices 1 and 2 cover both cases for the manager at index 0).
+TEST(EventLoopPlane, RedirectedMapRequestReachesManagerOnEveryLoop) {
   Board board{BoardConfig{}};
-  AudioServer server(&board, options);
+  AudioServer server(&board);
+  ASSERT_TRUE(server.ListenTcp(0));
+  server.StartRealtime();
+  const uint16_t port = server.tcp_port();
+
+  auto manager = AudioConnection::OpenTcp("127.0.0.1", port, "audio-manager");
+  ASSERT_NE(manager, nullptr);
+  manager->SetRedirect(true);
+  ASSERT_TRUE(manager->Sync().ok());
+
+  std::vector<std::unique_ptr<AudioConnection>> apps;
+  for (int i = 0; i < static_cast<int>(kConnectionLoops); ++i) {
+    auto app = AudioConnection::OpenTcp("127.0.0.1", port, "app-" + std::to_string(i));
+    ASSERT_NE(app, nullptr);
+    ResourceId loud = app->CreateLoud(kNoResource, {});
+    app->CreateDevice(loud, DeviceClass::kOutput, {});
+    app->MapLoud(loud);  // redirected to the manager, not performed
+    ASSERT_TRUE(app->Sync().ok());
+
+    EventMessage event;
+    ASSERT_TRUE(manager->WaitEvent(&event, 2000)) << "no MapRequest for app " << i;
+    EXPECT_EQ(event.type, EventType::kMapRequest);
+    EXPECT_EQ(MapRequestArgs::Decode(event.args).loud, loud);
+    apps.push_back(std::move(app));
+  }
+  for (auto& app : apps) {
+    app->Close();
+  }
+  manager->Close();
+  server.Shutdown();
+}
+
+TEST(EventLoopPlane, MidReadinessClientDeathReclaimsEverything) {
+  Board board{BoardConfig{}};
+  AudioServer server(&board);
   ASSERT_TRUE(server.ListenTcp(0));
   server.StartRealtime();
   const uint16_t port = server.tcp_port();
@@ -418,7 +433,6 @@ TEST_P(EventLoopOverflow, SlowClientIsCutOffAndReclaimed) {
   // budget must disconnect the staller on the loop path — kDropEvents may
   // shed queued events first, kDisconnect cuts straight away.
   ServerOptions options;
-  options.connection_threads = 2;
   options.egress_buffer_bytes = 8 * 1024;
   options.egress_overflow = GetParam();
   Board board{BoardConfig{}};
@@ -451,13 +465,11 @@ INSTANTIATE_TEST_SUITE_P(Policies, EventLoopOverflow,
                          ::testing::Values(EgressOverflowPolicy::kDropEvents,
                                            EgressOverflowPolicy::kDisconnect));
 
-// The decision-11 chaos contract, re-run with the connection plane
-// multiplexed: 25 hostile clients against 2 loop threads.
-void RunHostileMix(bool edge_triggered) {
+// The decision-11 chaos contract with the connection plane multiplexed:
+// 25 hostile clients against the loop threads.
+TEST(EventLoopPlane, SurvivesHostileClientMixLevelTriggered) {
   ServerOptions options;
   options.egress_buffer_bytes = 8 * 1024;  // small: overflow must trigger
-  options.connection_threads = 2;
-  options.loop_edge_triggered = edge_triggered;
   Board board{BoardConfig{}};
   AudioServer server(&board, options);
   ASSERT_TRUE(server.ListenTcp(0));
@@ -497,7 +509,7 @@ void RunHostileMix(bool edge_triggered) {
   EXPECT_GE(after.egress_disconnects, 1u);
   EXPECT_GT(after.requests_total, idle.requests_total);
   EXPECT_GT(after.request_errors_total, 0u);
-  EXPECT_EQ(after.loops, 2u);
+  EXPECT_EQ(after.loops, kConnectionLoops);
 
   // Still serving; the loop plane reports over the wire.
   ConnectRetryOptions retry;
@@ -534,27 +546,15 @@ void RunHostileMix(bool edge_triggered) {
   server.Shutdown();
 }
 
-TEST(EventLoopPlane, SurvivesHostileClientMixLevelTriggered) {
-  RunHostileMix(/*edge_triggered=*/false);
-}
-
-TEST(EventLoopPlane, SurvivesHostileClientMixEdgeTriggered) {
-  RunHostileMix(/*edge_triggered=*/true);
-}
-
 TEST(EventLoopPlane, SerialAndParallelEnginesStayBitIdentical) {
   // The engine's bit-identity contract, with requests arriving through the
-  // loop plane instead of reader threads: neither the transport swap nor a
-  // hostile flooder riding along on the second run may perturb engine
-  // output. Both captures equal the one recorded when the serial and
+  // loop plane: a hostile flooder riding along on the second run may not
+  // perturb engine output. Both captures equal the one recorded when the serial and
   // island-parallel engines still ran side by side and agreed.
   std::vector<Sample> captures[2];
   for (bool hostile_run : {false, true}) {
-    BoardConfig config;
-    ServerOptions options;
-    options.connection_threads = 2;
-    Board board(config);
-    AudioServer server(&board, options);
+    Board board{BoardConfig{}};
+    AudioServer server(&board);
     board.speakers()[0]->set_capture_output(true);
     ASSERT_TRUE(server.ListenTcp(0));
     const uint16_t port = server.tcp_port();

@@ -15,7 +15,6 @@
 
 #include "src/server/connection.h"
 #include "src/server/egress_queue.h"
-#include "src/transport/pipe_stream.h"
 #include "src/transport/socket_stream.h"
 #include "tests/server_fixture.h"
 
@@ -45,13 +44,13 @@ TEST(EgressQueueTest, DeliversInOrderThenDrains) {
   EXPECT_EQ(queue.Push(Frame(MessageType::kReply, 4)).status,
             EgressPushStatus::kClosed);
   EgressFrame out;
-  ASSERT_TRUE(queue.Pop(&out));
+  ASSERT_TRUE(queue.TryPop(&out));
   EXPECT_EQ(out.code, 1);
-  ASSERT_TRUE(queue.Pop(&out));
+  ASSERT_TRUE(queue.TryPop(&out));
   EXPECT_EQ(out.code, 2);
-  ASSERT_TRUE(queue.Pop(&out));
+  ASSERT_TRUE(queue.TryPop(&out));
   EXPECT_EQ(out.code, 3);
-  EXPECT_FALSE(queue.Pop(&out));  // drained
+  EXPECT_FALSE(queue.TryPop(&out));  // drained
   EXPECT_EQ(queue.queued_bytes(), 0u);
 }
 
@@ -67,9 +66,9 @@ TEST(EgressQueueTest, ShedsOldestEventsToFitNewFrames) {
   EXPECT_EQ(result.dropped_events, 1u);
   EXPECT_EQ(queue.dropped_events_total(), 1u);
   EgressFrame out;
-  ASSERT_TRUE(queue.Pop(&out));
+  ASSERT_TRUE(queue.TryPop(&out));
   EXPECT_EQ(out.code, 2);  // event 1 was shed
-  ASSERT_TRUE(queue.Pop(&out));
+  ASSERT_TRUE(queue.TryPop(&out));
   EXPECT_EQ(out.code, 3);
 }
 
@@ -114,7 +113,7 @@ TEST(EgressQueueTest, CloseNowDiscardsBacklog) {
             EgressPushStatus::kQueued);
   queue.CloseNow();
   EgressFrame out;
-  EXPECT_FALSE(queue.Pop(&out));
+  EXPECT_FALSE(queue.TryPop(&out));
   EXPECT_EQ(queue.Push(Frame(MessageType::kReply, 2)).status,
             EgressPushStatus::kClosed);
   EXPECT_EQ(queue.queued_bytes(), 0u);
@@ -128,7 +127,7 @@ TEST(EgressQueueTest, GaugeMirrorsBacklog) {
   queue.Push(Frame(MessageType::kEvent, 2));
   EXPECT_EQ(gauge.value(), 100);
   EgressFrame out;
-  queue.Pop(&out);
+  queue.TryPop(&out);
   EXPECT_EQ(gauge.value(), 50);
   queue.CloseNow();  // discard zeroes the gauge
   EXPECT_EQ(gauge.value(), 0);
@@ -137,8 +136,8 @@ TEST(EgressQueueTest, GaugeMirrorsBacklog) {
 // -- ClientConnection: overflow policy wiring --------------------------------
 
 TEST(ConnectionEgressTest, SlowClientDisconnectPolicyCutsConnection) {
-  // No writer thread started: frames pile up as they would behind a client
-  // that never reads.
+  // No loop attached: frames pile up as they would behind a client that
+  // never reads.
   auto [client_end, server_end] = CreatePipePair();
   ClientConnection conn(0, std::move(server_end), /*egress_budget_bytes=*/128,
                         EgressOverflowPolicy::kDisconnect);

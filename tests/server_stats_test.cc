@@ -14,7 +14,7 @@
 #include "src/hw/board.h"
 #include "src/server/server.h"
 #include "src/toolkit/toolkit.h"
-#include "src/transport/pipe_stream.h"
+#include "src/transport/socket_stream.h"
 #include "tests/server_fixture.h"
 
 namespace aud {

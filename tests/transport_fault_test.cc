@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "src/transport/framer.h"
-#include "src/transport/pipe_stream.h"
+#include "src/transport/socket_stream.h"
 
 namespace aud {
 namespace {

@@ -1,11 +1,12 @@
-// Transport tests: pipe streams, TCP sockets, framing.
+// Transport tests: in-process socket pairs, TCP sockets, framing.
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <thread>
 
 #include "src/transport/framer.h"
-#include "src/transport/pipe_stream.h"
 #include "src/transport/socket_stream.h"
 
 namespace aud {
@@ -96,6 +97,43 @@ TEST(SocketStreamTest, ConnectToClosedPortFails) {
   uint16_t port = listener.port();
   listener.Close();
   EXPECT_EQ(ConnectTcp("127.0.0.1", port), nullptr);
+}
+
+TEST(SocketStreamTest, ListenerQueuesAConnectBurst) {
+  // Nobody accepts yet: every connect must complete from the kernel's
+  // accept queue instead of stalling on SYN retransmits (a backlog of 16
+  // left most of these waiting a second or more).
+  SocketListener listener;
+  ASSERT_TRUE(listener.Listen(0));
+  std::vector<std::unique_ptr<ByteStream>> clients;
+  for (int i = 0; i < 64; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    auto client = ConnectTcp("127.0.0.1", listener.port());
+    const auto took = std::chrono::steady_clock::now() - t0;
+    ASSERT_NE(client, nullptr) << "connect " << i;
+    EXPECT_LT(took, std::chrono::milliseconds(300)) << "connect " << i;
+    clients.push_back(std::move(client));
+  }
+}
+
+TEST(SocketStreamTest, EverySocketIsCloseOnExec) {
+  auto cloexec = [](const std::unique_ptr<ByteStream>& stream) {
+    return (::fcntl(stream->pollable_fd(), F_GETFD) & FD_CLOEXEC) != 0;
+  };
+  SocketListener listener;
+  ASSERT_TRUE(listener.Listen(0));
+  auto client = ConnectTcp("127.0.0.1", listener.port());
+  ASSERT_NE(client, nullptr);
+  EXPECT_TRUE(cloexec(client));
+  auto accepted = listener.Accept();
+  ASSERT_NE(accepted, nullptr);
+  EXPECT_TRUE(cloexec(accepted));
+
+  auto [a, b] = CreatePipePair();
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  EXPECT_TRUE(cloexec(a));
+  EXPECT_TRUE(cloexec(b));
 }
 
 TEST(FramerTest, MessageRoundTrip) {

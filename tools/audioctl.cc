@@ -373,19 +373,13 @@ int CmdStats(AudioConnection& audio, bool json) {
     std::printf("tracing: off (start audiond with --trace-sample N)\n");
   }
   PrintHistogramLine("mouth-to-ear us", s.mouth_to_ear_us);
-  if (s.loops > 0) {
-    std::printf("loops: %u event loop%s, %lld fds watched; %llu waits, "
-                "%llu wakeups, %llu spurious\n",
-                s.loops, s.loops == 1 ? "" : "s",
-                static_cast<long long>(s.fds_watched),
-                static_cast<unsigned long long>(s.epoll_waits),
-                static_cast<unsigned long long>(s.wakeups),
-                static_cast<unsigned long long>(s.readiness_spurious));
-    PrintHistogramLine("loop dispatch us", s.loop_dispatch_us);
-  } else {
-    std::printf("loops: off (thread-per-connection; start audiond with "
-                "--connection-threads N)\n");
-  }
+  std::printf("loops: %u event loop%s, %lld fds watched; %llu waits, "
+              "%llu wakeups, %llu spurious\n",
+              s.loops, s.loops == 1 ? "" : "s", static_cast<long long>(s.fds_watched),
+              static_cast<unsigned long long>(s.epoll_waits),
+              static_cast<unsigned long long>(s.wakeups),
+              static_cast<unsigned long long>(s.readiness_spurious));
+  PrintHistogramLine("loop dispatch us", s.loop_dispatch_us);
   std::printf("overload: %llu admission rejects, %llu rate-limited, "
               "%llu rate-limit disconnects, %llu quota denials\n",
               static_cast<unsigned long long>(s.admission_rejects),

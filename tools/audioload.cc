@@ -271,6 +271,9 @@ class LoadClient {
         } else if (er.ok() && error.code == ErrorCode::kQuotaExceeded) {
           ++quota_denied_seen_;
         }
+        if (msg->header.sequence == want) {
+          return true;  // the sync itself was refused: no reply will follow
+        }
         continue;
       }
       if (msg->header.type == MessageType::kReply &&

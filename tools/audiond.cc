@@ -4,7 +4,7 @@
 //
 // Usage:
 //   audiond [--port N] [--speakers N] [--microphones N] [--lines N]
-//           [--connection-threads N] [--speakerphone]
+//           [--speakerphone]
 //           [--wav-out FILE] [--stats-interval-ms N] [--trace-sample N]
 //           [--metrics-port N] [--flight-dump FILE] [--verbose]
 //
@@ -117,13 +117,6 @@ int main(int argc, char** argv) {
       config.microphones = next_int(config.microphones);
     } else if (arg == "--lines") {
       config.phone_lines = next_int(config.phone_lines);
-    } else if (arg == "--connection-threads") {
-      int n = next_int(0);
-      options.connection_threads = n > 0 ? static_cast<uint32_t>(n) : 0;
-    } else if (arg == "--loop-poll") {
-      options.loop_use_poll = true;
-    } else if (arg == "--loop-edge") {
-      options.loop_edge_triggered = true;
     } else if (arg == "--speakerphone") {
       config.speakerphone = true;
     } else if (arg == "--wav-out") {
@@ -205,8 +198,7 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: audiond [--port N] [--speakers N] [--microphones N] "
-                   "[--lines N] [--connection-threads N] "
-                   "[--loop-poll] [--loop-edge] [--speakerphone] "
+                   "[--lines N] [--speakerphone] "
                    "[--wav-out FILE] [--catalogue DIR] [--stats-interval-ms N] "
                    "[--trace-sample N] [--metrics-port N] [--flight-dump FILE] "
                    "[--egress-buffer-bytes N] [--egress-overflow drop-events|disconnect] "
@@ -270,14 +262,7 @@ int main(int argc, char** argv) {
   std::printf("audiond: board: %d speaker(s), %d microphone(s), %d line(s)%s\n",
               config.speakers, config.microphones, config.phone_lines,
               config.speakerphone ? " + speakerphone" : "");
-  if (server.connection_loops() > 0) {
-    std::printf("audiond: connections: %zu event loop(s)%s%s\n",
-                server.connection_loops(),
-                options.loop_use_poll ? " [poll backend]" : "",
-                options.loop_edge_triggered ? " [edge-triggered]" : "");
-  } else {
-    std::printf("audiond: connections: thread-per-connection\n");
-  }
+  std::printf("audiond: connections: %zu event loop(s)\n", server.connection_loops());
   if (options.trace_sample_every > 0) {
     std::printf("audiond: tracing every %uth request per connection\n",
                 options.trace_sample_every);
@@ -331,8 +316,11 @@ int main(int argc, char** argv) {
         MutexLock lock(&server.mutex());
         stats = server.state().BuildServerStats(false);
       }
+      // The newest 1024 trace events: enough to see the last moments, and the
+      // rendered dump stays well inside the recorder's 256 KB buffer (so its
+      // end marker is never cut off).
       std::vector<TraceEventWire> trace;
-      for (const obs::TraceEvent& e : obs::TraceRegistry::Instance().Snapshot(0)) {
+      for (const obs::TraceEvent& e : obs::TraceRegistry::Instance().Snapshot(1024)) {
         TraceEventWire wire;
         wire.t_us = e.t_us;
         wire.seq = e.seq;
