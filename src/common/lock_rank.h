@@ -11,14 +11,12 @@
 // lock of the acquiring thread:
 //   1. Recursion: re-acquiring a mutex already held by this thread aborts.
 //   2. Ascending rank: the new lock's rank must be strictly greater than
-//      the held lock's rank...
-//   3. ...except the same-rank carve-out: ranks flagged by
-//      LockRankAllowsSameRank (only kEngineRoot) may be acquired repeatedly
-//      at the same rank in strictly ascending order-key order. This is the
-//      ActiveRootLocks shape: the epoch fan-out takes the engine lock of
-//      every active root in ascending LOUD-id order (server_state.cc).
-//      All other same-rank pairs abort — which is exactly the documented
-//      "never held together" invariant for the rank-2 leaf group.
+//      the held lock's rank. Every same-rank pair aborts — which is exactly
+//      the documented "never held together" invariant: two root LOUDs'
+//      engine locks (the epoch fan-out ticks one root at a time), or two
+//      of the rank-2 leaf group.
+// A thread can therefore hold at most one lock per rank, so the held-lock
+// stack is bounded by the number of ranks.
 //
 // The numeric ranks below ARE the DESIGN.md lock table; tools/audlint
 // cross-references the two (CheckLockRanks) so the code and the doc cannot
@@ -32,15 +30,14 @@
 namespace aud {
 
 // The global lock hierarchy, outermost first. A thread holding a lock of
-// rank n may only acquire locks of strictly greater rank (see the same-rank
-// carve-out above). Equal values are deliberate: they declare locks that
-// must NEVER be held together (enforced at runtime), not interchangeable
-// ones. audlint enforces that this enum and the DESIGN.md lock table agree.
+// rank n may only acquire locks of strictly greater rank. Equal values are
+// deliberate: they declare locks that must NEVER be held together (enforced
+// at runtime), not interchangeable ones. audlint enforces that this enum
+// and the DESIGN.md lock table agree.
 enum class LockRank : int {
   kUnranked = -1,      // exempt from checking (test-local/ad-hoc mutexes)
   kServerState = 0,    // AudioServer::mu_ — the "big lock"
-  kEngineRoot = 1,     // Loud::engine_mu_ — per-root engine shard (same-rank
-                       // multi-acquire in ascending LOUD-id order)
+  kEngineRoot = 1,     // Loud::engine_mu_ — per-root engine shard, one at a time
   kEgressQueue = 2,    // EgressQueue::mu_ — per-connection outbound queue
   kDecodedCache = 2,   // DecodedCache::mu_ — decoded-PCM LRU cache
   kTraceRegistry = 2,  // obs::TraceRegistry::mu_ — ring registration list
@@ -55,19 +52,12 @@ enum class LockRank : int {
 // Human-readable enumerator name ("kEngineRoot") for abort diagnostics.
 const char* LockRankName(LockRank rank);
 
-// Ranks that may be acquired repeatedly at the same rank, in strictly
-// ascending order-key order (the ActiveRootLocks carve-out).
-constexpr bool LockRankAllowsSameRank(LockRank rank) {
-  return rank == LockRank::kEngineRoot;
-}
-
 namespace lockrank {
 
 // Called by aud::Mutex before blocking on the underlying lock. Validates
 // the acquisition against the calling thread's held-lock stack and pushes
 // the new entry; aborts with both lock names and ranks on violation.
-// `order` disambiguates same-rank acquisitions (LOUD id for kEngineRoot).
-void OnAcquire(const void* mu, LockRank rank, uint64_t order, const char* name);
+void OnAcquire(const void* mu, LockRank rank, const char* name);
 
 // Called by aud::Mutex after releasing. Removes the entry from the calling
 // thread's stack (releases need not be LIFO; the stack stays rank-sorted

@@ -91,7 +91,7 @@ class AUD_CAPABILITY("mutex") Mutex {
 
   void Lock() AUD_ACQUIRE() {
 #if AUD_LOCK_RANK_CHECKS
-    lockrank::OnAcquire(this, rank_, order_, name_);
+    lockrank::OnAcquire(this, rank_, name_);
 #endif
     mu_.lock();
   }
@@ -109,15 +109,10 @@ class AUD_CAPABILITY("mutex") Mutex {
     // A successful try_lock is an acquisition like any other: taking it out
     // of rank order is the same latent deadlock, just one that happened to
     // win the race this time.
-    lockrank::OnAcquire(this, rank_, order_, name_);
+    lockrank::OnAcquire(this, rank_, name_);
 #endif
     return true;
   }
-
-  // Disambiguates same-rank acquisitions (the ActiveRootLocks carve-out):
-  // kEngineRoot mutexes carry their root LOUD's id so ascending-id
-  // acquisition validates. Set once, before the mutex is ever contended.
-  void SetRankOrder(uint64_t order) { order_ = order; }
 
   LockRank rank() const { return rank_; }
   const char* name() const { return name_; }
@@ -129,7 +124,6 @@ class AUD_CAPABILITY("mutex") Mutex {
   // checking flag (one TU built with a stale flag would otherwise corrupt
   // every mutex it touches).
   LockRank rank_ = LockRank::kUnranked;
-  uint64_t order_ = 0;
   const char* name_ = "unranked";
 };
 

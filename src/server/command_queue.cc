@@ -79,6 +79,7 @@ void CommandQueue::SetState(QueueState state, EngineTick* tick, bool server_init
   }
   QueueState old = state_;
   state_ = state;
+  loud_->RefreshRunnable();
   ServerState* server = loud_->server();
   switch (state) {
     case QueueState::kStarted:
@@ -319,7 +320,7 @@ void CommandQueue::StartCommandNode(Node* node, EngineTick* tick) {
     args.tag = node->spec.tag;
     args.command = static_cast<uint16_t>(node->spec.command);
     args.aborted = 1;
-    server->EmitEvent(loud_, EventType::kCommandDone, node->spec.device, args.Encode());
+    server->EmitEvent(loud_, EventType::kCommandDone, node->spec.device, args);
     return;
   }
   node->device = device;
@@ -332,7 +333,7 @@ void CommandQueue::StartCommandNode(Node* node, EngineTick* tick) {
     args.tag = node->spec.tag;
     args.command = static_cast<uint16_t>(node->spec.command);
     args.aborted = 1;
-    server->EmitEvent(loud_, EventType::kCommandDone, device->id(), args.Encode());
+    server->EmitEvent(loud_, EventType::kCommandDone, device->id(), args);
     return;
   }
   // Instantaneous commands (ChangeGain, Answer, SendDTMF...) may already be
@@ -352,7 +353,7 @@ void CommandQueue::FinishCommandNode(Node* node, EngineTick* tick) {
   args.aborted = node->aborted ? 1 : 0;
   loud_->server()->EmitEvent(loud_, EventType::kCommandDone,
                              node->device != nullptr ? node->device->id() : kNoResource,
-                             args.Encode());
+                             args);
   (void)tick;
 }
 

@@ -13,6 +13,10 @@ void ClientConnection::set_metrics(ServerMetrics* metrics) {
 void ClientConnection::FillBatch() {
   EgressFrame frame;
   while (out_.size() < kFlushBytes && egress_.TryPop(&frame)) {
+    if (frame.batched_events != 0) {
+      out_.insert(out_.end(), frame.payload.begin(), frame.payload.end());
+      continue;
+    }
     const size_t start = out_.size();
     ByteWriter w(&out_);
     MessageHeader header;
@@ -96,6 +100,10 @@ bool ClientConnection::Send(MessageType type, uint16_t code, uint32_t sequence,
       metrics_->trace_spans.Increment();
     }
   }
+  return Enqueue(std::move(frame));
+}
+
+bool ClientConnection::Enqueue(EgressFrame frame) {
   EgressPushResult result = egress_.Push(std::move(frame));
   if (result.dropped_events > 0 && metrics_ != nullptr) {
     metrics_->events_dropped.Increment(result.dropped_events);
@@ -137,18 +145,26 @@ bool ClientConnection::SendError(uint32_t sequence, const ErrorMessage& error,
               w.bytes(), trace, parent);
 }
 
-bool ClientConnection::SendEvent(const EventMessage& event) {
-  ByteWriter w;
-  event.Encode(&w);
-  bool sent = Send(MessageType::kEvent, static_cast<uint16_t>(event.type),
-                   last_sequence_.load(), w.bytes());
-  if (sent) {
-    stats_.events_sent.Increment();
-    if (metrics_ != nullptr) {
-      metrics_->events_sent.Increment();
-    }
+bool ClientConnection::SendEvents(std::vector<uint8_t> frames, uint32_t events) {
+  if (closed_.load() || events == 0) {
+    return false;
   }
-  return sent;
+  // The header's last field is the sequence (MessageHeader::Encode).
+  const uint32_t sequence = last_sequence_.load();
+  ByteWriter w(&frames);
+  for (size_t offset = 0; offset < frames.size(); offset += BatchedFrameBytes(frames, offset)) {
+    w.PatchU32(offset + kHeaderSize - 4, sequence);
+  }
+  EgressFrame batch{MessageType::kEvent, 0, 0, std::move(frames)};
+  batch.batched_events = events;
+  if (!Enqueue(std::move(batch))) {
+    return false;
+  }
+  stats_.events_sent.Increment(events);
+  if (metrics_ != nullptr) {
+    metrics_->events_sent.Increment(events);
+  }
+  return true;
 }
 
 }  // namespace aud

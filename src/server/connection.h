@@ -109,7 +109,11 @@ class ClientConnection {
                  uint64_t trace = 0, uint64_t parent = 0);
   bool SendError(uint32_t sequence, const ErrorMessage& error, uint64_t trace = 0,
                  uint64_t parent = 0);
-  bool SendEvent(const EventMessage& event);
+  // Queues `events` event frames built by AppendEventFrame as one egress
+  // entry: one queue lock and at most one write arm for the lot. Stamps
+  // each header with the sequence of the last request processed, as X
+  // does. Under pressure the oldest events are shed one at a time.
+  bool SendEvents(std::vector<uint8_t> frames, uint32_t events);
 
   uint64_t events_dropped() const { return egress_.dropped_events_total(); }
   size_t egress_queued_bytes() const { return egress_.queued_bytes(); }
@@ -185,6 +189,9 @@ class ClientConnection {
   // Encodes queued frames into out_ until it reaches kFlushBytes or the
   // queue runs dry.
   void FillBatch();
+  // Queues one entry and applies the outcome: counts shed events, arms the
+  // write, or cuts the client off on overflow.
+  bool Enqueue(EgressFrame frame);
 
   uint32_t index_;
   std::unique_ptr<ByteStream> stream_;

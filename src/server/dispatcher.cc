@@ -395,16 +395,10 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
           req.override_redirect == 0) {
         MapRequestArgs args;
         args.loud = req.loud;
-        EventMessage event;
-        event.type = EventType::kMapRequest;
-        event.resource = req.loud;
-        event.server_time = state_.server_time();
-        event.args = args.Encode();
-        for (auto& c : connections_) {
-          if (c->index() == *state_.redirect_conn()) {
-            c->SendEvent(event);
-          }
-        }
+        std::vector<uint8_t> frame;
+        AppendEventFrame(&frame, EventType::kMapRequest, req.loud, state_.server_time(),
+                         args.Encode());
+        DeliverEvents(*state_.redirect_conn(), std::move(frame), 1);
         break;
       }
       send_status(state_.MapLoud(loud), req.loud);
@@ -438,16 +432,10 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
         MapRequestArgs args;
         args.loud = req.loud;
         args.raise = opcode == Opcode::kRaiseLoud ? 1 : 0;
-        EventMessage event;
-        event.type = EventType::kRestackRequest;
-        event.resource = req.loud;
-        event.server_time = state_.server_time();
-        event.args = args.Encode();
-        for (auto& c : connections_) {
-          if (c->index() == *state_.redirect_conn()) {
-            c->SendEvent(event);
-          }
-        }
+        std::vector<uint8_t> frame;
+        AppendEventFrame(&frame, EventType::kRestackRequest, req.loud, state_.server_time(),
+                         args.Encode());
+        DeliverEvents(*state_.redirect_conn(), std::move(frame), 1);
         break;
       }
       Status status = opcode == Opcode::kRaiseLoud ? state_.RaiseLoud(loud)

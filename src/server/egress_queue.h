@@ -5,15 +5,20 @@
 // performs the non-blocking writes outside every server lock. A stalled
 // client therefore backs up only its own queue, never the big lock.
 //
+// Events arrive as batches: one entry holding every event a tick emitted
+// for the connection, already encoded (one lock and one write arm per
+// connection per tick). A single frame — a reply, an error — is one entry.
+//
 // On overflow the queue applies an X-server-style policy: drop the oldest
-// events (replies and errors are never dropped — the protocol is
-// request/response and clients wait on them), or report overflow so the
-// caller can disconnect the slow client. If the non-droppable backlog
-// alone exceeds the budget the client is not reading replies at all, and
-// the queue reports overflow regardless of policy.
+// events, one event at a time even inside a batch (replies and errors are
+// never dropped — the protocol is request/response and clients wait on
+// them), or report overflow so the caller can disconnect the slow client.
+// If the non-droppable backlog alone exceeds the budget the client is not
+// reading replies at all, and the queue reports overflow regardless of
+// policy.
 //
 // Lock rank: EgressQueue::mu_ is a leaf (rank 2 in DESIGN.md's inventory,
-// below the big lock and the per-root engine locks). TryPop moves one frame
+// below the big lock and the per-root engine locks). TryPop moves one entry
 // out under the lock; the actual transport write happens with no queue lock
 // held.
 
@@ -36,18 +41,35 @@ enum class EgressOverflowPolicy : uint8_t {
   kDisconnect,  // any overflow disconnects the slow client
 };
 
-// One framed message, owned. `bytes` below means kHeaderSize + payload.
+// One queue entry, owned: a framed message, or a batch of encoded events.
+// Its size in bytes is kHeaderSize + payload for a frame, and the payload
+// alone for a batch.
 struct EgressFrame {
   MessageType type;
   uint16_t code = 0;
   uint32_t sequence = 0;
   std::vector<uint8_t> payload;
+  // Nonzero for an event batch (type kEvent): `payload` then holds that
+  // many complete event frames back to back, headers included and
+  // sequences stamped, and code/sequence are unused.
+  uint32_t batched_events = 0;
   // Request-trace propagation (DESIGN.md decision 13): when trace != 0 the
   // drain records a kSpanWrite span for this frame, parented on `parent`
   // (the enqueue-side kSpanEgress span's seq).
   uint64_t trace = 0;
   uint64_t parent = 0;
 };
+
+// Appends one complete event frame — header and payload — to an event
+// batch: the wire bytes of EventMessage{type, resource, server_time, args}.
+// The header's sequence is left 0; ClientConnection::SendEvents stamps it
+// when the batch is queued.
+void AppendEventFrame(std::vector<uint8_t>* batch, EventType type, ResourceId resource,
+                      int64_t server_time, std::span<const uint8_t> args);
+
+// Size of the encoded frame at `offset` of an event batch: its header plus
+// the payload length that header carries.
+size_t BatchedFrameBytes(const std::vector<uint8_t>& batch, size_t offset);
 
 enum class EgressPushStatus : uint8_t {
   kQueued,    // frame accepted (possibly after shedding older events)
@@ -71,11 +93,12 @@ class EgressQueue {
   // every enqueue/dequeue/shed. Set before the first Push.
   void set_bytes_gauge(obs::Gauge* gauge) { bytes_gauge_ = gauge; }
 
-  // Never blocks. Applies the overflow policy when the frame would push
-  // the backlog past the byte budget.
+  // Never blocks. Applies the overflow policy when the entry would push
+  // the backlog past the byte budget; an incoming batch may itself lose
+  // its oldest events.
   EgressPushResult Push(EgressFrame frame);
 
-  // Takes the next frame if one is queued; returns false immediately
+  // Takes the next entry if one is queued; returns false immediately
   // otherwise (whether empty, draining-and-empty, or closed). Never blocks.
   bool TryPop(EgressFrame* out);
 
@@ -96,6 +119,11 @@ class EgressQueue {
   }
 
  private:
+  // Sheds queued events, oldest first, until `bytes` more fit the budget
+  // or no sheddable event is left; returns the number shed.
+  uint32_t ShedQueuedEvents(size_t bytes) AUD_REQUIRES(mu_);
+  void Account(int64_t delta_bytes) AUD_REQUIRES(mu_);
+
   size_t budget_bytes_;
   EgressOverflowPolicy policy_;
   obs::Gauge* bytes_gauge_ = nullptr;

@@ -15,9 +15,6 @@ Loud::Loud(ResourceId id, uint32_t owner, ServerState* server, Loud* parent, Att
   if (parent_ == nullptr) {
     queue_ = std::make_unique<CommandQueue>(this);
   }
-  // The epoch fan-out acquires the active roots' locks at the same rank in
-  // ascending id order; the order key is what the rank checker validates.
-  engine_mu_.SetRankOrder(static_cast<uint64_t>(id));
 }
 
 Loud::~Loud() = default;
@@ -32,15 +29,59 @@ Loud* Loud::Root() {
 
 CommandQueue* Loud::queue() { return Root()->queue_.get(); }
 
-void Loud::RemoveChild(Loud* child) { std::erase(children_, child); }
+namespace {
 
-void Loud::RemoveDevice(VirtualDevice* dev) { std::erase(devices_, dev); }
+// The device classes the epoch fan-out runs whatever the queue's state.
+bool RunsWithoutQueue(DeviceClass device_class) {
+  switch (device_class) {
+    case DeviceClass::kInput:
+    case DeviceClass::kTelephone:
+    case DeviceClass::kMixer:
+    case DeviceClass::kCrossbar:
+    case DeviceClass::kDsp:
+    case DeviceClass::kRecorder:
+    case DeviceClass::kSpeechRecognizer:
+      return true;
+    default:
+      return false;
+  }
+}
+
+}  // namespace
+
+void Loud::RefreshRunnable() {
+  Loud* root = Root();
+  bool runnable = root->active_ && root->queue_->state() == QueueState::kStarted;
+  if (root->active_ && !runnable) {
+    root->ForEachDevice([&runnable](const VirtualDevice* dev) {
+      runnable = runnable || RunsWithoutQueue(dev->device_class());
+    });
+  }
+  root->runnable_.store(runnable, std::memory_order_relaxed);
+}
+
+void Loud::AddChild(Loud* child) {
+  children_.push_back(child);
+  RefreshRunnable();
+}
+
+void Loud::RemoveChild(Loud* child) {
+  std::erase(children_, child);
+  RefreshRunnable();
+}
+
+void Loud::AddDevice(VirtualDevice* dev) {
+  devices_.push_back(dev);
+  RefreshRunnable();
+}
+
+void Loud::RemoveDevice(VirtualDevice* dev) {
+  std::erase(devices_, dev);
+  RefreshRunnable();
+}
 
 void Loud::CollectDevices(std::vector<VirtualDevice*>* out) const {
-  out->insert(out->end(), devices_.begin(), devices_.end());
-  for (const Loud* child : children_) {
-    child->CollectDevices(out);
-  }
+  ForEachDevice([out](VirtualDevice* dev) { out->push_back(dev); });
 }
 
 void Loud::CollectLouds(std::vector<Loud*>* out) {
@@ -72,7 +113,7 @@ void Loud::NoteSyncProgress(int64_t position_samples, int64_t total_samples,
     args.position_samples = static_cast<uint64_t>(position_samples);
     args.device_time = device_time;
     args.total_samples = static_cast<uint64_t>(total_samples);
-    server_->EmitEvent(Root(), EventType::kSyncMark, id(), args.Encode());
+    server_->EmitEvent(Root(), EventType::kSyncMark, id(), args);
   }
 }
 

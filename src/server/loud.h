@@ -41,17 +41,31 @@ class Loud : public ServerObject {
   CommandQueue* queue();
 
   // Per-root engine shard lock (DESIGN.md decision 12). The engine fan-out
-  // holds the locks of every active root while it ticks; the
-  // dispatcher takes exactly one of them (after the state lock, see the
-  // documented rank order) for engine-plane requests, so requests against a
-  // root the tick is not touching never wait on the tick. Non-roots forward
-  // to the root, mirroring queue().
+  // holds it while it ticks this root, and only then; the dispatcher takes
+  // it (after the state lock, see the documented rank order) for
+  // engine-plane requests, so a request waits only while its own root is
+  // being ticked. Non-roots forward to the root, mirroring queue().
   Mutex* engine_mutex() { return &Root()->engine_mu_; }
 
   bool mapped() const { return mapped_; }
   void set_mapped(bool mapped) { mapped_ = mapped; }
   bool active() const { return active_; }
-  void set_active(bool active) { active_ = active; }
+  void set_active(bool active) {
+    active_ = active;
+    RefreshRunnable();
+  }
+  // Whether the epoch fan-out ticks this tree (meaningful on roots): the
+  // root is active, and either its queue is started or the tree holds a
+  // device the fan-out runs regardless of the queue — input, telephone,
+  // mixer, crossbar, DSP, recorder or speech recognizer. Kept current by
+  // RefreshRunnable on every change to its inputs (queue state,
+  // activation, devices and children). Atomic: EpochOpen reads it under the
+  // state lock alone, while a queue changes state under the root's engine
+  // lock.
+  bool runnable() const { return runnable_.load(std::memory_order_relaxed); }
+  // Recomputes the root's runnable flag from scratch. Any LOUD of the tree
+  // may call it.
+  void RefreshRunnable();
   // Activation's cache, meaningful on roots: whether some device in the
   // tree can claim a resource against lower roots — a telephone line, or
   // an exclusive input or output domain (ServerState::ActivationChanged).
@@ -59,12 +73,23 @@ class Loud : public ServerObject {
   void set_may_claim(bool may_claim) { may_claim_ = may_claim; }
 
   // Tree maintenance (called by the dispatcher).
-  void AddChild(Loud* child) { children_.push_back(child); }
+  void AddChild(Loud* child);
   void RemoveChild(Loud* child);
-  void AddDevice(VirtualDevice* dev) { devices_.push_back(dev); }
+  void AddDevice(VirtualDevice* dev);
   void RemoveDevice(VirtualDevice* dev);
 
-  // All devices in this subtree, depth-first.
+  // Visits every device in this subtree, depth-first: this LOUD's devices
+  // in creation order, then each child's subtree.
+  template <typename Fn>
+  void ForEachDevice(Fn&& fn) const {
+    for (VirtualDevice* dev : devices_) {
+      fn(dev);
+    }
+    for (const Loud* child : children_) {
+      child->ForEachDevice(fn);
+    }
+  }
+  // All devices in this subtree, in ForEachDevice order.
   void CollectDevices(std::vector<VirtualDevice*>* out) const;
   void CollectLouds(std::vector<Loud*>* out);
 
@@ -113,13 +138,12 @@ class Loud : public ServerObject {
   bool mapped_ = false;
   bool active_ = false;
   bool may_claim_ = false;
+  std::atomic<bool> runnable_{false};
   std::map<std::string, Property> properties_;
   std::map<uint32_t, uint32_t> event_masks_;
   uint32_t sync_interval_ms_ = 0;
   int64_t last_sync_position_ = -1;
   // Meaningful on roots only (engine_mutex() resolves through Root()).
-  // Rank order key = this LOUD's id (set in the constructor), so the epoch
-  // fan-out's ascending-id multi-acquisition validates (lock_rank.h).
   Mutex engine_mu_{LockRank::kEngineRoot, "Loud::engine_mu_"};
   // Meaningful on roots only (Count* resolve through Root()).
   std::atomic<uint64_t> frames_produced_{0};

@@ -22,9 +22,10 @@ AudioServer::AudioServer(Board* board, ServerOptions options)
   state_.ConfigureDecodedCache(options.decoded_cache_bytes);
   state_.set_trace_sample_every(options.trace_sample_every);
   metrics_ = &state_.metrics();
-  state_.set_event_sender([this](uint32_t conn_index, const EventMessage& event) {
-    DeliverEvent(conn_index, event);
-  });
+  state_.set_event_sender(
+      [this](uint32_t conn_index, std::vector<uint8_t> frames, uint32_t events) {
+        DeliverEvents(conn_index, std::move(frames), events);
+      });
   fault_options_ = options_.fault;
   if (!fault_options_.enabled) {
     fault_options_ = FaultOptionsFromEnv("AUD_FAULT");
@@ -53,18 +54,19 @@ void AudioServer::StartLoops() {
   }
 }
 
-// Called with mu_ held (from dispatch or engine tick) — see the declaration
+// Called with mu_ held (from dispatch or epoch commit) — see the declaration
 // for why the analysis is opted out here. connections_ is sorted by index
 // (indices are handed out in increasing order and pruning keeps the order),
 // so the target is one binary search away.
-void AudioServer::DeliverEvent(uint32_t conn_index, const EventMessage& event) {
+void AudioServer::DeliverEvents(uint32_t conn_index, std::vector<uint8_t> frames,
+                                uint32_t events) {
   auto it = std::lower_bound(
       connections_.begin(), connections_.end(), conn_index,
       [](const std::unique_ptr<ClientConnection>& conn, uint32_t index) {
         return conn->index() < index;
       });
   if (it != connections_.end() && (*it)->index() == conn_index && !(*it)->closed()) {
-    (*it)->SendEvent(event);
+    (*it)->SendEvents(std::move(frames), events);
   }
 }
 

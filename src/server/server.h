@@ -12,13 +12,14 @@
 // All protocol *mutation* is serialized by one state lock; the loops take
 // it per message. The engine tick does NOT hold it across the fan-out
 // (DESIGN.md decision 12): Tick() takes the lock only for the short epoch
-// open (active-graph snapshot) and epoch commit (event flush, codec
+// open (runnable-root snapshot) and epoch commit (event batches, codec
 // resolve, board advance) critical sections. During the fan-out the tick
-// holds every active root LOUD's engine shard lock (Loud::engine_mutex()),
-// which is what serializes it against engine-plane requests on those roots;
-// structural requests (create/destroy/rewire/activate/sound data) wait for
-// the epoch boundary via ServerState::WaitEngineIdle(). Lock rank: state
-// lock -> root engine locks (ascending id) -> leaf locks.
+// holds one root LOUD's engine shard lock (Loud::engine_mutex()) at a
+// time, while it ticks that root, which is what serializes it against
+// engine-plane requests on the same root; structural requests
+// (create/destroy/rewire/activate/sound data) wait for the epoch boundary
+// via ServerState::WaitEngineIdle(). Lock rank: state lock -> one root
+// engine lock -> leaf locks.
 //
 // Time can instead be driven manually with StepFrames() for deterministic
 // tests and virtual-time benches.
@@ -234,10 +235,12 @@ class AudioServer {
                      const TraceContext& trace) AUD_REQUIRES(mu_);
   bool HandleSetup(ClientConnection* conn, const FramedMessage& message);
 
-  // Event-sender target. Only ever invoked from ServerState (dispatch or
-  // engine tick), both of which run with mu_ held; the std::function
-  // indirection hides that from the analysis, hence the opt-out.
-  void DeliverEvent(uint32_t conn_index, const EventMessage& event)
+  // Queues encoded events (AppendEventFrame) on one connection. The
+  // event-sender target of ServerState (dispatch or epoch commit), also
+  // called by the dispatcher's redirection; all run with mu_ held, but the
+  // std::function indirection hides that from the analysis, hence the
+  // opt-out.
+  void DeliverEvents(uint32_t conn_index, std::vector<uint8_t> frames, uint32_t events)
       AUD_NO_THREAD_SAFETY_ANALYSIS;
 
   Board* board_;
@@ -250,7 +253,7 @@ class AudioServer {
   // loop/engine hot paths count bytes and jitter without taking mu_.
   ServerMetrics* metrics_ = nullptr;
 
-  // Sorted by index (DeliverEvent binary-searches it); AddConnection prunes
+  // Sorted by index (DeliverEvents binary-searches it); AddConnection prunes
   // entries whose loop has finished teardown (destroying them outside mu_).
   std::vector<std::unique_ptr<ClientConnection>> connections_ AUD_GUARDED_BY(mu_);
   uint32_t next_connection_index_ AUD_GUARDED_BY(mu_) = 0;

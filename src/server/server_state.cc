@@ -12,10 +12,11 @@ namespace aud {
 
 namespace {
 
-// Event buffer of the tick fan-out, set on the tick thread while it runs:
-// the fan-out holds no state lock, so the transport must not be written
-// from it. Null on dispatcher threads, which go straight through.
-thread_local std::vector<std::pair<uint32_t, EventMessage>>* tls_tick_events = nullptr;
+// The state whose fan-out the calling thread is running, or null. Its
+// events go to the epoch's per-connection batches: the fan-out holds no
+// state lock, so the transport must not be written from it. Dispatcher
+// threads go straight through.
+thread_local const ServerState* tls_fanout = nullptr;
 
 // Server-side registration uses ids the server just allocated, so a failure
 // means the registry is inconsistent with itself — worth a warning, never
@@ -25,38 +26,6 @@ void WarnIfError(const Status& status, const char* what) {
     LogLine(LogLevel::kWarning) << what << ": " << status.ToString();
   }
 }
-
-// Holds the engine shard locks of every active root LOUD, in id order. The
-// id order only matters against the dispatcher, which takes a single root
-// lock after the state lock (the documented rank order: state lock -> root
-// engine locks -> leaf locks). Opted out of the analysis: the lock set is
-// computed at runtime.
-class ActiveRootLocks {
- public:
-  explicit ActiveRootLocks(const std::vector<Loud*>& louds) AUD_NO_THREAD_SAFETY_ANALYSIS
-      : roots_(louds) {
-    std::sort(roots_.begin(), roots_.end(),
-              [](const Loud* a, const Loud* b) { return a->id() < b->id(); });
-    for (Loud* root : roots_) {
-      root->engine_mutex()->Lock();
-    }
-  }
-  ~ActiveRootLocks() AUD_NO_THREAD_SAFETY_ANALYSIS {
-    for (auto it = roots_.rbegin(); it != roots_.rend(); ++it) {
-      (*it)->engine_mutex()->Unlock();
-    }
-  }
-
-  ActiveRootLocks(const ActiveRootLocks&) = delete;
-  ActiveRootLocks& operator=(const ActiveRootLocks&) = delete;
-
- private:
-  std::vector<Loud*> roots_;
-};
-
-}  // namespace
-
-namespace {
 
 // Maps an event type to its selection-mask category (section 5.7's three
 // categories, subdivided for finer control).
@@ -708,16 +677,15 @@ void ServerState::EpochOpen(size_t frames) {
     PrepareOutputAccumulator(phone, frames);
   }
 
-  // The active graph in stack order.
+  // The roots with work, in stack order: a mapped root that is idle
+  // (inactive, or a stopped queue and only queue-driven devices) costs the
+  // epoch nothing past this check.
   tick_louds_.clear();
-  tick_devices_.clear();
   for (Loud* loud : active_stack_) {
-    if (loud->active()) {
+    if (loud->runnable()) {
       tick_louds_.push_back(loud);
-      loud->CollectDevices(&tick_devices_);
     }
   }
-  tick_events_.clear();
   epoch_in_flight_ = true;
   if (state_mu_ != nullptr) {
     state_mu_->Unlock();
@@ -725,61 +693,64 @@ void ServerState::EpochOpen(size_t frames) {
 }
 
 void ServerState::EpochFanOut(EngineTick* tick, size_t frames) {
-  // Runs under the active roots' shard locks. Events buffer: with the state
-  // lock dropped, the connection list must not be walked from here.
-  ActiveRootLocks locks(tick_louds_);
-  tls_tick_events = &tick_events_;
+  // One root at a time, under that root's engine lock alone: wires never
+  // cross LOUD trees, so a root's phases need nothing from another root.
+  tls_fanout = this;
+  for (Loud* root : tick_louds_) {
+    MutexLock lock(root->engine_mutex());
+    TickRoot(root, tick, frames);
+  }
+  tls_fanout = nullptr;
+}
 
-  // 1. Command queues: players/synths produce, commands advance (gapless
+void ServerState::TickRoot(Loud* root, EngineTick* tick, size_t frames) {
+  // 1. The command queue: players/synths produce, commands advance (gapless
   //    transitions happen inside this call).
-  for (Loud* loud : tick_louds_) {
-    loud->queue()->Tick(tick, frames);
-    if (loud->queue()->state() == QueueState::kStarted) {
-      loud->CountFramesProduced(frames);
-    }
+  CommandQueue* queue = root->queue();
+  queue->Tick(tick, frames);
+  if (queue->state() == QueueState::kStarted) {
+    root->CountFramesProduced(frames);
   }
 
   // 2. Free-running sources: inputs and telephones stream regardless of
   //    queue state.
-  for (VirtualDevice* dev : tick_devices_) {
+  root->ForEachDevice([&](VirtualDevice* dev) {
     if (dev->device_class() == DeviceClass::kInput ||
         dev->device_class() == DeviceClass::kTelephone) {
       dev->Produce(tick, frames);
-      dev->loud()->CountFramesProduced(frames);
+      root->CountFramesProduced(frames);
     }
-  }
+  });
 
   // 3. Transforms, in creation order (covers transform chains built in
   //    order).
-  for (VirtualDevice* dev : tick_devices_) {
+  root->ForEachDevice([&](VirtualDevice* dev) {
     switch (dev->device_class()) {
       case DeviceClass::kMixer:
       case DeviceClass::kCrossbar:
       case DeviceClass::kDsp:
         dev->Produce(tick, frames);
-        dev->loud()->CountFramesProduced(frames);
+        root->CountFramesProduced(frames);
         break;
       default:
         break;
     }
-  }
+  });
 
   // 4. Sinks.
-  for (VirtualDevice* dev : tick_devices_) {
+  root->ForEachDevice([&](VirtualDevice* dev) {
     switch (dev->device_class()) {
       case DeviceClass::kOutput:
       case DeviceClass::kRecorder:
       case DeviceClass::kTelephone:
       case DeviceClass::kSpeechRecognizer:
         dev->Consume(tick);
-        dev->loud()->CountFramesConsumed(frames);
+        root->CountFramesConsumed(frames);
         break;
       default:
         break;
     }
-  }
-
-  tls_tick_events = nullptr;
+  });
 }
 
 void ServerState::EpochCommit(size_t frames) {
@@ -788,15 +759,17 @@ void ServerState::EpochCommit(size_t frames) {
     state_mu_->Lock();
   }
 
-  // Flush deferred events in emission order, so the client-visible sequence
-  // matches the pre-epoch engine.
-  if (event_sender_) {
-    for (const auto& [conn, event] : tick_events_) {
-      event_sender_(conn, event);
+  // Hand each connection the batch the fan-out encoded for it: one egress
+  // entry per connection, its events in emission order.
+  if (!tick_batches_.empty()) {
+    uint32_t events = 0;
+    for (EventBatch& batch : tick_batches_) {
+      events += batch.events;
+      event_sender_(batch.conn, std::move(batch.frames), batch.events);
     }
-    if (!tick_events_.empty()) {
-      obs::Trace(obs::TraceReason::kEventFlush, static_cast<uint32_t>(tick_events_.size()));
-    }
+    obs::Trace(obs::TraceReason::kEventFlush, events);
+    tick_batches_.clear();
+    tick_batch_slots_.clear();
   }
 
   // Resolve the transparent mixers into the codecs. The server keeps every
@@ -892,53 +865,57 @@ void ServerState::Tick(size_t frames) {
 // Events
 // ---------------------------------------------------------------------------
 
-void ServerState::DeliverEvent(uint32_t conn, const EventMessage& event) {
-  // The tick fan-out buffers deliveries; EpochCommit flushes them.
-  if (tls_tick_events != nullptr) {
-    tls_tick_events->emplace_back(conn, event);
+void ServerState::Deliver(const std::map<uint32_t, uint32_t>& masks, EventType type,
+                          ResourceId resource, std::span<const uint8_t> args) {
+  const uint32_t category = CategoryFor(type);
+  const int64_t time = server_time();
+  if (tls_fanout == this) {
+    // Encoded once per subscriber, straight into its batch for the epoch.
+    for (const auto& [conn, mask] : masks) {
+      if ((mask & category) == 0) {
+        continue;
+      }
+      auto [slot, inserted] = tick_batch_slots_.try_emplace(conn, tick_batches_.size());
+      if (inserted) {
+        tick_batches_.push_back({conn, 0, {}});
+      }
+      EventBatch& batch = tick_batches_[slot->second];
+      AppendEventFrame(&batch.frames, type, resource, time, args);
+      ++batch.events;
+    }
     return;
   }
-  event_sender_(conn, event);
+  // Outside the fan-out (the state lock is held): a batch of one each.
+  std::vector<uint8_t> frame;
+  for (const auto& [conn, mask] : masks) {
+    if ((mask & category) == 0) {
+      continue;
+    }
+    if (frame.empty()) {
+      AppendEventFrame(&frame, type, resource, time, args);
+    }
+    event_sender_(conn, frame, 1);
+  }
 }
 
 void ServerState::EmitEvent(Loud* loud, EventType type, ResourceId resource,
-                            std::vector<uint8_t> args) {
+                            std::span<const uint8_t> args) {
   if (!event_sender_) {
     return;
   }
-  uint32_t category = CategoryFor(type);
-  if (category == kQueueEvents) {
+  if (CategoryFor(type) == kQueueEvents) {
     metrics_.queue_events.Increment();
   }
-  EventMessage event;
-  event.type = type;
-  event.resource = resource;
-  event.server_time = server_time();
-  event.args = std::move(args);
-  for (const auto& [conn, mask] : loud->event_masks()) {
-    if ((mask & category) != 0) {
-      DeliverEvent(conn, event);
-    }
-  }
+  Deliver(loud->event_masks(), type, resource, args);
 }
 
 void ServerState::EmitDeviceLoudEvent(ResourceId device_loud_id, EventType type,
-                                      std::vector<uint8_t> args) {
+                                      std::span<const uint8_t> args) {
   Loud* entry = FindLoud(device_loud_id);
-  if (entry == nullptr) {
+  if (entry == nullptr || !event_sender_) {
     return;
   }
-  EventMessage event;
-  event.type = type;
-  event.resource = device_loud_id;
-  event.server_time = server_time();
-  event.args = std::move(args);
-  uint32_t category = CategoryFor(type);
-  for (const auto& [conn, mask] : entry->event_masks()) {
-    if ((mask & category) != 0 && event_sender_) {
-      DeliverEvent(conn, event);
-    }
-  }
+  Deliver(entry->event_masks(), type, device_loud_id, args);
 }
 
 void ServerState::OnPhoneEvent(PhoneLineUnit* unit, const ExchangeLine::Event& event) {

@@ -7,22 +7,21 @@
 // request), mirroring the paper's per-server serialization point for
 // resource arbitration. The engine tick, however, no longer holds that lock
 // across its fan-out. Tick() runs in three phases:
-//   1. Epoch open (state lock held, short): capture the active root LOUDs
-//      (in stack order) and their devices, plus the per-device output
-//      accumulators, as the epoch's immutable snapshot.
-//   2. Fan-out (state lock NOT held): queues/produce/transform/consume run
-//      on the tick thread while it holds the engine shard locks of every
-//      active root (Loud::engine_mutex(), in id order), which is what
-//      serializes it against engine-plane requests on those same roots.
-//      Events buffer until commit. Structure (registry, wiring,
-//      activation) cannot change mid-epoch: mutating requests wait for the
-//      epoch via WaitEngineIdle().
-//   3. Commit (state lock held, short): flush buffered events in emission
-//      order, resolve accumulators into the codecs, advance the board,
+//   1. Epoch open (state lock held, short): capture the runnable root LOUDs
+//      in stack order — active roots with a started queue or a device that
+//      runs without one (Loud::runnable()) — and clear the per-device
+//      output accumulators. Idle mapped roots cost nothing past this.
+//   2. Fan-out (state lock NOT held): each runnable root in turn runs its
+//      queue, sources, transforms and sinks under its own engine shard
+//      lock (Loud::engine_mutex()), then releases it; the tick thread never
+//      holds two. A request on a root waits only while that root is being
+//      ticked. Events are encoded into one batch per connection. Structure
+//      (registry, wiring, activation) cannot change mid-epoch: mutating
+//      requests wait for the epoch via WaitEngineIdle().
+//   3. Commit (state lock held, short): hand each connection its event
+//      batch, resolve accumulators into the codecs, advance the board,
 //      publish engine time, and wake any structural mutators waiting for
 //      the epoch boundary.
-// Requests against roots the tick is not touching therefore only overlap
-// the tick's two short critical sections, never the fan-out.
 
 #ifndef SRC_SERVER_SERVER_STATE_H_
 #define SRC_SERVER_SERVER_STATE_H_
@@ -33,6 +32,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -45,6 +45,7 @@
 #include "src/server/core.h"
 #include "src/server/decoded_cache.h"
 #include "src/server/devices.h"
+#include "src/server/egress_queue.h"
 #include "src/server/loud.h"
 #include "src/server/metrics.h"
 
@@ -59,10 +60,11 @@ struct CatalogueSound {
 
 class ServerState {
  public:
-  // Delivers an event to a connection (index) — wired to the transport by
-  // AudioServer, or to a test harness.
+  // Delivers encoded events to a connection (index): `frames` holds
+  // `events` complete event frames built by AppendEventFrame, sequences
+  // unstamped. Wired to the transport by AudioServer.
   using EventSender =
-      std::function<void(uint32_t conn, const EventMessage& event)>;
+      std::function<void(uint32_t conn, std::vector<uint8_t> frames, uint32_t events)>;
 
   // `board` must outlive the state.
   ServerState(Board* board, std::string server_name);
@@ -164,11 +166,11 @@ class ServerState {
 
   // -- Engine -------------------------------------------------------------------
 
-  // One engine tick: open an epoch (snapshot the active graph under the
-  // state lock), run queues/produce/transform/consume for `frames` with the
-  // lock dropped, then commit — flush events, resolve codecs, advance the
-  // board — in a short critical section at the tick boundary. Callers must
-  // NOT hold the attached state lock.
+  // One engine tick: open an epoch (snapshot the runnable roots under the
+  // state lock), run each one's queue/produce/transform/consume for
+  // `frames` with the lock dropped, then commit — hand out event batches,
+  // resolve codecs, advance the board — in a short critical section at the
+  // tick boundary. Callers must NOT hold the attached state lock.
   void Tick(size_t frames);
 
   // Output mixing: devices add their streams here during Consume; the tick
@@ -179,14 +181,26 @@ class ServerState {
   // -- Events (section 5.7) --------------------------------------------------------
 
   // Emits to every connection whose event mask on `loud` includes the
-  // event's category. Inside the tick fan-out the delivery is buffered and
-  // flushed at epoch commit.
-  void EmitEvent(Loud* loud, EventType type, ResourceId resource, std::vector<uint8_t> args);
+  // event's category. Inside the tick fan-out the event is encoded into
+  // each subscriber's batch for the epoch, handed out at commit.
+  void EmitEvent(Loud* loud, EventType type, ResourceId resource,
+                 std::span<const uint8_t> args);
+  // Typed-args form: encodes `args` into a reused per-thread buffer, so a
+  // hot event (sync mark, command completion) allocates nothing of its own.
+  template <typename Args>
+    requires requires(const Args& args, ByteWriter* w) { args.Encode(w); }
+  void EmitEvent(Loud* loud, EventType type, ResourceId resource, const Args& args) {
+    thread_local std::vector<uint8_t> bytes;
+    bytes.clear();
+    ByteWriter w(&bytes);
+    args.Encode(&w);
+    EmitEvent(loud, type, resource, std::span<const uint8_t>(bytes));
+  }
 
   // Emits to subscribers of a device-LOUD entry (e.g. monitoring the
   // telephone while the answering machine is unmapped, section 5.9).
   void EmitDeviceLoudEvent(ResourceId device_loud_id, EventType type,
-                           std::vector<uint8_t> args);
+                           std::span<const uint8_t> args);
 
   // Phone-line events enter here (wired to each PhoneLineUnit at startup).
   void OnPhoneEvent(PhoneLineUnit* unit, const ExchangeLine::Event& event);
@@ -309,8 +323,13 @@ class ServerState {
   // does not.
   void EpochOpen(size_t frames) AUD_NO_THREAD_SAFETY_ANALYSIS;
   void EpochFanOut(EngineTick* tick, size_t frames);
+  void TickRoot(Loud* root, EngineTick* tick, size_t frames);
   void EpochCommit(size_t frames) AUD_NO_THREAD_SAFETY_ANALYSIS;
-  void DeliverEvent(uint32_t conn, const EventMessage& event);
+  // Sends one event to every connection in `masks` that selected its
+  // category: into the epoch's batches from the fan-out, directly
+  // otherwise.
+  void Deliver(const std::map<uint32_t, uint32_t>& masks, EventType type,
+               ResourceId resource, std::span<const uint8_t> args);
 
   Board* board_;
   std::string server_name_;
@@ -344,12 +363,18 @@ class ServerState {
   CondVar epoch_cv_;
   bool epoch_in_flight_ = false;
   int drain_waiters_ = 0;
-  // The epoch's snapshot: active roots in stack order and their devices.
-  // Members, so their capacity is reused across ticks.
+  // The epoch's snapshot: runnable roots in stack order. A member, so its
+  // capacity is reused across ticks.
   std::vector<Loud*> tick_louds_;
-  std::vector<VirtualDevice*> tick_devices_;
-  // Events emitted during the fan-out, flushed at commit in emission order.
-  std::vector<std::pair<uint32_t, EventMessage>> tick_events_;
+  // The events the fan-out emits, encoded once into one batch per
+  // connection in emission order; EpochCommit hands each batch over whole.
+  struct EventBatch {
+    uint32_t conn = 0;
+    uint32_t events = 0;
+    std::vector<uint8_t> frames;
+  };
+  std::vector<EventBatch> tick_batches_;
+  std::unordered_map<uint32_t, size_t> tick_batch_slots_;  // conn -> tick_batches_ index
   std::vector<Sample> resolved_;
 
   // Traced plays awaiting their first possible mix (NotePlayAccepted).

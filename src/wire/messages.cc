@@ -1188,7 +1188,10 @@ EntityStatsReply EntityStatsReply::Decode(ByteReader* r) {
 // Events
 // ---------------------------------------------------------------------------
 
-void EventMessage::Encode(ByteWriter* w) const {
+void EventMessage::Encode(ByteWriter* w) const { Encode(w, type, resource, server_time, args); }
+
+void EventMessage::Encode(ByteWriter* w, EventType type, ResourceId resource,
+                          int64_t server_time, std::span<const uint8_t> args) {
   w->WriteU16(static_cast<uint16_t>(type));
   w->WriteU32(resource);
   w->WriteI64(server_time);
@@ -1206,10 +1209,14 @@ EventMessage EventMessage::Decode(ByteReader* r) {
 
 std::vector<uint8_t> CommandDoneArgs::Encode() const {
   ByteWriter w;
-  w.WriteU32(tag);
-  w.WriteU16(command);
-  w.WriteU8(aborted);
+  Encode(&w);
   return w.Take();
+}
+
+void CommandDoneArgs::Encode(ByteWriter* w) const {
+  w->WriteU32(tag);
+  w->WriteU16(command);
+  w->WriteU8(aborted);
 }
 
 CommandDoneArgs CommandDoneArgs::Decode(std::span<const uint8_t> args) {
@@ -1307,10 +1314,14 @@ RecognitionArgs RecognitionArgs::Decode(std::span<const uint8_t> args) {
 
 std::vector<uint8_t> SyncMarkArgs::Encode() const {
   ByteWriter w;
-  w.WriteU64(position_samples);
-  w.WriteI64(device_time);
-  w.WriteU64(total_samples);
+  Encode(&w);
   return w.Take();
+}
+
+void SyncMarkArgs::Encode(ByteWriter* w) const {
+  w->WriteU64(position_samples);
+  w->WriteI64(device_time);
+  w->WriteU64(total_samples);
 }
 
 SyncMarkArgs SyncMarkArgs::Decode(std::span<const uint8_t> args) {

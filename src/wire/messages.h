@@ -724,6 +724,10 @@ struct EventMessage {
   std::vector<uint8_t> args;
 
   void Encode(ByteWriter* w) const;
+  // The same wire form from the fields, for encoders that hold no
+  // EventMessage (the server's per-connection event batches).
+  static void Encode(ByteWriter* w, EventType type, ResourceId resource, int64_t server_time,
+                     std::span<const uint8_t> args);
   static EventMessage Decode(ByteReader* r);
 };
 
@@ -735,6 +739,7 @@ struct CommandDoneArgs {
   uint8_t aborted = 0;
 
   std::vector<uint8_t> Encode() const;
+  void Encode(ByteWriter* w) const;  // allocation-free form for hot events
   static CommandDoneArgs Decode(std::span<const uint8_t> args);
 };
 
@@ -789,6 +794,7 @@ struct SyncMarkArgs {
   uint64_t total_samples = 0;
 
   std::vector<uint8_t> Encode() const;
+  void Encode(ByteWriter* w) const;  // allocation-free form for hot events
   static SyncMarkArgs Decode(std::span<const uint8_t> args);
 };
 

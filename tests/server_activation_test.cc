@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <random>
 #include <string>
 #include <thread>
@@ -436,8 +438,7 @@ TEST_F(ActivationTest, OwnerDeathOf1024RootsActivatesOnce) {
   const size_t survivors_objects = ObjectCount();
 
   // The owner maps 1024 telephone roots over it. The topmost holds the
-  // only line; the rest wait, mapped but inactive. (Inactive, so the tick
-  // holds few root locks: ThreadSanitizer tracks at most 64 held locks.)
+  // only line; the rest wait, mapped but inactive.
   auto owner = Connect("owner");
   ASSERT_NE(owner, nullptr);
   ResourceId top = kNoResource;
@@ -708,6 +709,288 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ActivationPropertyTest, ::testing::Values(1u, 2u
                          [](const ::testing::TestParamInfo<uint32_t>& param_info) {
                            return "seed" + std::to_string(param_info.param);
                          });
+
+// ---------------------------------------------------------------------------
+// Property: the epoch ticks exactly the roots with work. Seeded random
+// structural, queue and preemption steps; after each one every root's
+// runnable flag equals the predicate recomputed from scratch, and one
+// epoch advances the frame counters of runnable roots only.
+// ---------------------------------------------------------------------------
+
+class TickFlagPropertyTest : public ActivationTest,
+                             public ::testing::WithParamInterface<uint32_t> {
+ protected:
+  // Loud::runnable()'s contract, from scratch.
+  static bool ExpectedRunnable(Loud* root) {
+    if (!root->active()) {
+      return false;
+    }
+    if (root->queue()->state() == QueueState::kStarted) {
+      return true;
+    }
+    std::vector<VirtualDevice*> devices;
+    root->CollectDevices(&devices);
+    return std::any_of(devices.begin(), devices.end(), [](const VirtualDevice* dev) {
+      switch (dev->device_class()) {
+        case DeviceClass::kInput:
+        case DeviceClass::kTelephone:
+        case DeviceClass::kMixer:
+        case DeviceClass::kCrossbar:
+        case DeviceClass::kDsp:
+        case DeviceClass::kRecorder:
+        case DeviceClass::kSpeechRecognizer:
+          return true;
+        default:
+          return false;
+      }
+    });
+  }
+
+  struct Frames {
+    uint64_t produced = 0;
+    uint64_t consumed = 0;
+  };
+
+  // Checks every root's flag; returns each root's frame counters and
+  // whether the epoch should tick it.
+  std::map<ResourceId, std::pair<Frames, bool>> CheckFlags(const std::vector<ResourceId>& roots,
+                                                           int step) {
+    MutexLock lock(&server_->mutex());
+    std::map<ResourceId, std::pair<Frames, bool>> out;
+    for (ResourceId id : roots) {
+      Loud* root = server_->state().FindLoud(id);
+      EXPECT_NE(root, nullptr) << "step " << step;
+      if (root == nullptr) {
+        continue;
+      }
+      const bool expected = ExpectedRunnable(root);
+      EXPECT_EQ(root->runnable(), expected)
+          << "step " << step << " root " << id << " active " << root->active() << " queue "
+          << static_cast<int>(root->queue()->state());
+      out[id] = {{root->frames_produced(), root->frames_consumed()}, expected};
+    }
+    return out;
+  }
+};
+
+TEST_P(TickFlagPropertyTest, FlagMatchesPredicateAndGatesTheFanOut) {
+  // One line and one speaker, so telephone and exclusive-output roots
+  // preempt each other and server-pause their queues.
+  Init(BoardConfig{.speakers = 1, .microphones = 1, .phone_lines = 1});
+  std::mt19937 rng(GetParam());
+  auto pick = [&rng](size_t n) { return static_cast<size_t>(rng() % n); };
+  auto coin = [&rng](uint32_t percent) { return rng() % 100 < percent; };
+  constexpr DeviceClass kClasses[] = {
+      DeviceClass::kOutput,      DeviceClass::kPlayer,           DeviceClass::kPlayer,
+      DeviceClass::kOutput,      DeviceClass::kInput,            DeviceClass::kTelephone,
+      DeviceClass::kMixer,       DeviceClass::kRecorder,         DeviceClass::kDsp,
+      DeviceClass::kCrossbar,    DeviceClass::kSpeechRecognizer, DeviceClass::kSpeechSynthesizer,
+      DeviceClass::kMusicSynthesizer};
+  const ResourceId sound = toolkit_->UploadSound(TestTone(2000), kTelephoneFormat);
+
+  struct RootModel {
+    ResourceId id = kNoResource;
+    ResourceId child = kNoResource;
+    std::vector<ResourceId> devices;
+    std::vector<ResourceId> players;
+    bool mapped = false;
+  };
+  std::vector<RootModel> roots;
+  auto add_device = [&](RootModel& root) {
+    const DeviceClass device_class = kClasses[pick(std::size(kClasses))];
+    AttrList attrs;
+    if (device_class == DeviceClass::kOutput && coin(25)) {
+      attrs.SetBool(AttrTag::kExclusiveOutput, true);
+    }
+    const ResourceId loud = root.child != kNoResource && coin(40) ? root.child : root.id;
+    const ResourceId device = client_->CreateDevice(loud, device_class, attrs);
+    root.devices.push_back(device);
+    if (device_class == DeviceClass::kPlayer) {
+      root.players.push_back(device);
+    }
+  };
+  auto queue_state = [&](ResourceId id) {
+    MutexLock lock(&server_->mutex());
+    return server_->state().FindLoud(id)->queue()->state();
+  };
+
+  constexpr int kSteps = 2000;
+  for (int step = 0; step < kSteps; ++step) {
+    RootModel* root = roots.empty() ? nullptr : &roots[pick(roots.size())];
+    switch (pick(12)) {
+      case 0:
+        if (roots.size() < 10) {
+          RootModel created;
+          created.id = client_->CreateLoud(kNoResource, {});
+          if (coin(30)) {
+            created.child = client_->CreateLoud(created.id, {});
+          }
+          for (size_t n = 1 + pick(3); n > 0; --n) {
+            add_device(created);
+          }
+          roots.push_back(created);
+        }
+        break;
+      case 1:
+        if (root != nullptr) {
+          add_device(*root);
+        }
+        break;
+      case 2:
+        if (root != nullptr && !root->devices.empty()) {
+          const size_t index = pick(root->devices.size());
+          const ResourceId device = root->devices[index];
+          client_->DestroyDevice(device);
+          root->devices.erase(root->devices.begin() + static_cast<std::ptrdiff_t>(index));
+          std::erase(root->players, device);
+        }
+        break;
+      case 3:
+        if (root != nullptr && coin(30)) {
+          client_->DestroyLoud(root->id);
+          roots.erase(roots.begin() + (root - roots.data()));
+        }
+        break;
+      case 4:
+        if (root != nullptr) {
+          client_->MapLoud(root->id);
+          root->mapped = true;
+        }
+        break;
+      case 5:
+        if (root != nullptr && coin(50)) {
+          client_->UnmapLoud(root->id);
+          root->mapped = false;
+        }
+        break;
+      case 6:  // restack: preempts, or lifts a preemption
+        if (root != nullptr && root->mapped) {
+          if (coin(50)) {
+            client_->RaiseLoud(root->id);
+          } else {
+            client_->LowerLoud(root->id);
+          }
+        }
+        break;
+      case 7:
+        if (root != nullptr) {
+          if (!root->players.empty() && coin(50)) {
+            client_->Enqueue(root->id, {PlayCommand(root->players[pick(root->players.size())],
+                                                    sound, static_cast<uint32_t>(step))});
+          }
+          client_->StartQueue(root->id);
+        }
+        break;
+      case 8:
+        if (root != nullptr) {
+          client_->StopQueue(root->id);
+        }
+        break;
+      case 9:
+        if (root != nullptr && queue_state(root->id) == QueueState::kStarted) {
+          client_->PauseQueue(root->id);
+        }
+        break;
+      case 10:
+        if (root != nullptr) {
+          const QueueState state = queue_state(root->id);
+          if (state == QueueState::kClientPaused || state == QueueState::kServerPaused) {
+            client_->ResumeQueue(root->id);
+          }
+        }
+        break;
+      default:
+        StepMs(20);  // let queued plays run and finish
+        break;
+    }
+    ExpectNoErrors();
+    std::vector<ResourceId> ids;
+    for (const RootModel& model : roots) {
+      ids.push_back(model.id);
+    }
+    const auto before = CheckFlags(ids, step);
+    if (HasFailure()) {
+      return;
+    }
+    // One epoch: idle roots stay untouched; a started active queue
+    // produces the whole period.
+    server_->StepFrames(160);
+    MutexLock lock(&server_->mutex());
+    for (const auto& [id, entry] : before) {
+      const auto& [frames, runnable] = entry;
+      Loud* loud = server_->state().FindLoud(id);
+      if (!runnable) {
+        ASSERT_EQ(loud->frames_produced(), frames.produced) << "step " << step << " root " << id;
+        ASSERT_EQ(loud->frames_consumed(), frames.consumed) << "step " << step << " root " << id;
+      } else if (loud->queue()->state() == QueueState::kStarted) {
+        ASSERT_GE(loud->frames_produced(), frames.produced + 160)
+            << "step " << step << " root " << id;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TickFlagPropertyTest, ::testing::Values(1u, 2u, 3u, 4u, 5u),
+                         [](const ::testing::TestParamInfo<uint32_t>& param_info) {
+                           return "seed" + std::to_string(param_info.param);
+                         });
+
+TEST_F(ActivationTest, IdleRootStartsSampleExactOnTheNextEpoch) {
+  board_->speakers()[0]->set_capture_output(true);
+  std::vector<Sample> pcm(1600);
+  for (size_t i = 0; i < pcm.size(); ++i) {
+    pcm[i] = static_cast<Sample>(static_cast<int>(i % 397) * 40 - 8000);
+  }
+  const ResourceId sound = toolkit_->UploadSound(pcm, {Encoding::kPcm16, 8000});
+  auto chain = toolkit_->BuildPlaybackChain();
+  client_->SetSyncMarks(chain.loud, 20);
+  client_->Enqueue(chain.loud, {PlayCommand(chain.player, sound, 1)});
+  Flush();
+
+  // Mapped, active, queue stopped: the epoch leaves the root alone.
+  auto frames = [&] {
+    MutexLock lock(&server_->mutex());
+    Loud* root = server_->state().FindLoud(chain.loud);
+    EXPECT_TRUE(root->active());
+    EXPECT_FALSE(root->runnable());
+    return std::pair{root->frames_produced(), root->frames_consumed()};
+  };
+  const auto idle = frames();
+  StepMs(100);
+  EXPECT_EQ(frames(), idle);
+  EventMessage event;
+  while (client_->PollEvent(&event)) {
+  }
+
+  const size_t played_before = board_->speakers()[0]->played().size();
+  const int64_t start_frame = [&] {
+    MutexLock lock(&server_->mutex());
+    return server_->state().engine_frame();
+  }();
+  client_->StartQueue(chain.loud);
+  Flush();
+  server_->StepFrames(160);
+  Flush();
+
+  // Heard on that very epoch, from its first sample.
+  const std::vector<Sample>& played = board_->speakers()[0]->played();
+  ASSERT_EQ(played.size(), played_before + 160);
+  EXPECT_TRUE(std::equal(pcm.begin(), pcm.begin() + 160, played.begin() + played_before));
+  bool started = false;
+  int marks = 0;
+  while (client_->PollEvent(&event)) {
+    started = started || event.type == EventType::kQueueStarted;
+    if (event.type == EventType::kSyncMark) {
+      ++marks;
+      SyncMarkArgs mark = SyncMarkArgs::Decode(event.args);
+      EXPECT_EQ(mark.position_samples, 160u);
+      EXPECT_EQ(mark.device_time, SamplesToTicks(start_frame, 8000));
+      EXPECT_EQ(mark.total_samples, pcm.size());
+    }
+  }
+  EXPECT_TRUE(started);
+  EXPECT_EQ(marks, 1);
+}
 
 }  // namespace
 }  // namespace aud

@@ -13,6 +13,9 @@
 //     (this suite runs under TSan in CI with --gtest_repeat=3).
 //   * Dispatch latency stays bounded while a tick storm runs — the big
 //     lock is no longer held across the fan-out.
+//   * The fan-out holds one root lock at a time, so a tick of hundreds of
+//     playing roots races engine-plane requests on them without tripping
+//     the lock-rank checker or TSan's held-lock ceiling.
 //   * Output stays pinned to a recorded golden capture.
 
 #include <gtest/gtest.h>
@@ -217,6 +220,67 @@ TEST(EpochRaceTest, CreateDestroyRewireDuringStorm) {
   auto stats = client.GetServerStats(false);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats.value().epoch_commits, stats.value().ticks_run);
+}
+
+// -- Capacity shape: many playing roots under engine-plane requests ----------
+
+// 128 playing roots tick back to back while queue control and gain
+// changes hit them. Each root is ticked under its own engine lock and
+// released before the next, so the request on a root waits only while that
+// root is ticked, and no thread ever holds more than one root lock (TSan
+// tracks at most 64 held locks per thread).
+TEST(EpochCapacityTest, EngineRequestsRaceTickOf128PlayingRoots) {
+  World world(BoardConfig{});
+  AudioConnection& client = world.client();
+  AudioToolkit& toolkit = world.toolkit();
+  constexpr int kRoots = 128;
+  const ResourceId sound = toolkit.UploadSound(Tone(3, 8000), {Encoding::kPcm16, 8000});
+  std::vector<AudioToolkit::PlaybackChain> chains;
+  for (int i = 0; i < kRoots; ++i) {
+    chains.push_back(toolkit.BuildPlaybackChain());
+    client.Enqueue(chains.back().loud, {PlayCommand(chains.back().player, sound, 1),
+                                        PlayCommand(chains.back().player, sound, 2)});
+    client.StartQueue(chains.back().loud);
+  }
+  ASSERT_TRUE(client.Sync().ok());
+  auto before = client.GetServerStats(false);
+  ASSERT_TRUE(before.ok());
+  ASSERT_GE(before.value().active_louds, static_cast<uint32_t>(kRoots));
+
+  std::atomic<bool> stop{false};
+  std::thread pump([&world, &stop] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      world.server().StepFrames(160);
+    }
+  });
+  for (int i = 0; i < 4 * kRoots; ++i) {
+    const AudioToolkit::PlaybackChain& chain = chains[static_cast<size_t>(i * 37 % kRoots)];
+    client.Immediate(chain.loud, ChangeGainCommand(chain.output, 5000 + i));
+    client.StopQueue(chain.loud);
+    client.Enqueue(chain.loud, {PlayCommand(chain.player, sound, static_cast<uint32_t>(i + 3))});
+    client.StartQueue(chain.loud);
+    if (i % 32 == 31) {
+      ASSERT_TRUE(client.Sync().ok()) << "request batch " << i / 32;
+    }
+  }
+  ASSERT_TRUE(client.Sync().ok());
+  stop.store(true);
+  pump.join();
+
+  auto after = client.GetServerStats(false);
+  ASSERT_TRUE(after.ok());
+  EXPECT_GT(after.value().ticks_run, before.value().ticks_run);
+  EXPECT_EQ(after.value().epoch_commits, after.value().ticks_run);
+  AsyncError error;
+  EXPECT_FALSE(client.NextError(&error)) << ErrorCodeName(error.error.code);
+  // Every root was ticked throughout and is still playing.
+  MutexLock lock(&world.server().mutex());
+  for (const AudioToolkit::PlaybackChain& chain : chains) {
+    Loud* root = world.server().state().FindLoud(chain.loud);
+    ASSERT_NE(root, nullptr);
+    EXPECT_TRUE(root->runnable()) << "root " << chain.loud;
+    EXPECT_GT(root->frames_consumed(), 0u) << "root " << chain.loud;
+  }
 }
 
 // -- Mutation visibility at the epoch boundary -------------------------------

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <thread>
@@ -133,6 +134,93 @@ TEST(EgressQueueTest, GaugeMirrorsBacklog) {
   EXPECT_EQ(gauge.value(), 0);
 }
 
+// -- Event batches: per-event shedding ---------------------------------------
+
+// A batch of `count` SyncMark events for resources first, first+1, ...;
+// each encoded event frame is 30 bytes (12-byte header, 18-byte payload).
+EgressFrame Batch(ResourceId first, uint32_t count) {
+  EgressFrame batch;
+  batch.type = MessageType::kEvent;
+  for (uint32_t i = 0; i < count; ++i) {
+    AppendEventFrame(&batch.payload, EventType::kSyncMark, first + i, 0, {});
+  }
+  batch.batched_events = count;
+  return batch;
+}
+
+// The resources of a popped batch's events, in order.
+std::vector<ResourceId> BatchResources(const EgressFrame& batch) {
+  std::vector<ResourceId> out;
+  for (size_t offset = 0; offset < batch.payload.size();
+       offset += BatchedFrameBytes(batch.payload, offset)) {
+    ByteReader r(std::span<const uint8_t>(batch.payload).subspan(offset + kHeaderSize));
+    out.push_back(EventMessage::Decode(&r).resource);
+  }
+  return out;
+}
+
+TEST(EgressQueueTest, QueuedBatchShedsOldestEventsOneAtATime) {
+  obs::Gauge gauge;
+  EgressQueue queue(200, EgressOverflowPolicy::kDropEvents);
+  queue.set_bytes_gauge(&gauge);
+  ASSERT_EQ(queue.Push(Batch(100, 5)).status, EgressPushStatus::kQueued);  // 150 B
+  ASSERT_EQ(queue.Push(Frame(MessageType::kReply, 1)).status,
+            EgressPushStatus::kQueued);  // 200 B: full
+  EXPECT_EQ(gauge.value(), 200);
+
+  // 50 more bytes free two 30-byte events, the batch's oldest two, not
+  // the whole batch and never the reply.
+  EgressPushResult result = queue.Push(Frame(MessageType::kReply, 2));
+  EXPECT_EQ(result.status, EgressPushStatus::kQueued);
+  EXPECT_EQ(result.dropped_events, 2u);
+  EXPECT_EQ(queue.dropped_events_total(), 2u);
+  EXPECT_EQ(queue.queued_bytes(), 190u);
+  EXPECT_EQ(gauge.value(), 190);
+
+  EgressFrame out;
+  ASSERT_TRUE(queue.TryPop(&out));
+  EXPECT_EQ(out.batched_events, 3u);
+  EXPECT_EQ(BatchResources(out), (std::vector<ResourceId>{102, 103, 104}));
+  EXPECT_EQ(gauge.value(), 100);
+  ASSERT_TRUE(queue.TryPop(&out));
+  EXPECT_EQ(out.code, 1);
+  ASSERT_TRUE(queue.TryPop(&out));
+  EXPECT_EQ(out.code, 2);
+  EXPECT_EQ(gauge.value(), 0);
+}
+
+TEST(EgressQueueTest, IncomingBatchShedsItsOwnOldestEvents) {
+  obs::Gauge gauge;
+  EgressQueue queue(100, EgressOverflowPolicy::kDropEvents);
+  queue.set_bytes_gauge(&gauge);
+  ASSERT_EQ(queue.Push(Batch(1, 1)).status, EgressPushStatus::kQueued);  // 30 B
+  ASSERT_EQ(queue.Push(Frame(MessageType::kReply, 1)).status,
+            EgressPushStatus::kQueued);  // 80 B
+  // 150 B of new events: the queued event goes first, then the batch's
+  // own oldest, until the newest events fit beside the reply.
+  EgressPushResult result = queue.Push(Batch(10, 5));
+  EXPECT_EQ(result.status, EgressPushStatus::kQueued);
+  EXPECT_EQ(result.dropped_events, 1u + 4u);
+  EXPECT_EQ(queue.queued_bytes(), 80u);
+  EXPECT_EQ(gauge.value(), 80);
+
+  EgressFrame out;
+  ASSERT_TRUE(queue.TryPop(&out));
+  EXPECT_EQ(out.code, 1);
+  ASSERT_TRUE(queue.TryPop(&out));
+  EXPECT_EQ(BatchResources(out), (std::vector<ResourceId>{14}));
+
+  // A reply backlog still overflows; the incoming batch does not rescue it.
+  EgressQueue full(100, EgressOverflowPolicy::kDropEvents);
+  ASSERT_EQ(full.Push(Frame(MessageType::kReply, 1)).status, EgressPushStatus::kQueued);
+  ASSERT_EQ(full.Push(Frame(MessageType::kReply, 2)).status, EgressPushStatus::kQueued);
+  result = full.Push(Batch(20, 2));
+  EXPECT_EQ(result.status, EgressPushStatus::kQueued);
+  EXPECT_EQ(result.dropped_events, 2u);  // shed whole, counted per event
+  EXPECT_EQ(full.queued_bytes(), 100u);
+  EXPECT_EQ(full.Push(Frame(MessageType::kReply, 3)).status, EgressPushStatus::kOverflow);
+}
+
 // -- ClientConnection: overflow policy wiring --------------------------------
 
 TEST(ConnectionEgressTest, SlowClientDisconnectPolicyCutsConnection) {
@@ -173,6 +261,60 @@ TEST(ConnectionEgressTest, EventSheddingCountsButNeverFailsSend) {
   EXPECT_EQ(metrics.events_dropped.value(), 9u);
   EXPECT_EQ(metrics.egress_disconnects.value(), 0u);
   EXPECT_FALSE(conn.closed());
+}
+
+TEST(ConnectionEgressTest, EventBatchesStampSequenceAndKeepDropsWithinSent) {
+  auto [client_end, server_end] = CreatePipePair();
+  ClientConnection conn(0, std::move(server_end), /*egress_budget_bytes=*/512,
+                        EgressOverflowPolicy::kDropEvents);
+  ServerMetrics metrics;
+  conn.set_metrics(&metrics);
+  conn.set_last_sequence(41);
+
+  // Far more events than the budget holds, beside undroppable replies.
+  std::vector<uint8_t> payload(52);
+  for (uint32_t round = 0; round < 20; ++round) {
+    std::vector<uint8_t> frames;
+    for (uint32_t i = 0; i < 7; ++i) {
+      AppendEventFrame(&frames, EventType::kSyncMark, round * 7 + i, round, {});
+    }
+    EXPECT_TRUE(conn.SendEvents(std::move(frames), 7));
+    if (round % 5 == 0) {
+      EXPECT_TRUE(conn.Send(MessageType::kReply, 1, round, payload));
+    }
+  }
+  EXPECT_EQ(conn.stats().events_sent.value(), 140u);
+  EXPECT_EQ(metrics.events_sent.value(), 140u);
+  EXPECT_GT(metrics.events_dropped.value(), 0u);
+  EXPECT_LE(metrics.events_dropped.value(), metrics.events_sent.value());
+  EXPECT_EQ(metrics.egress_queued_bytes.value(), static_cast<int64_t>(conn.egress_queued_bytes()));
+  EXPECT_FALSE(conn.closed());
+
+  // What survives reaches the wire: every reply, then the newest events in
+  // order, each stamped with the last request's sequence.
+  ASSERT_FALSE(conn.closed());
+  ASSERT_EQ(conn.DrainEgress(), ClientConnection::DrainStatus::kIdle);
+  EXPECT_EQ(metrics.egress_queued_bytes.value(), 0);
+  conn.HardClose();  // a short read below fails instead of blocking
+  int replies = 0;
+  std::vector<ResourceId> events;
+  const uint64_t delivered = 140 - metrics.events_dropped.value();
+  while (replies < 4 || events.size() < delivered) {
+    std::optional<FramedMessage> message = ReadMessage(client_end.get());
+    ASSERT_TRUE(message.has_value());
+    if (message->header.type == MessageType::kReply) {
+      ++replies;
+      continue;
+    }
+    ASSERT_EQ(message->header.type, MessageType::kEvent);
+    EXPECT_EQ(message->header.sequence, 41u);
+    EXPECT_EQ(message->header.code, static_cast<uint16_t>(EventType::kSyncMark));
+    ByteReader r(message->payload);
+    events.push_back(EventMessage::Decode(&r).resource);
+  }
+  ASSERT_EQ(events.size(), delivered);
+  EXPECT_TRUE(std::is_sorted(events.begin(), events.end()));
+  EXPECT_EQ(events.back(), 139u);
 }
 
 // -- Server-level lifecycle ---------------------------------------------------
