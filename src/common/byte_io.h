@@ -75,6 +75,62 @@ class ByteWriter {
   std::vector<uint8_t>* external_ = nullptr;
 };
 
+// Stores little-endian values through a raw cursor into memory the caller
+// has already sized — the in-place writer for hot encoders that know their
+// length up front (ByteCounter measures it). It has the Write* calls the
+// templated encoders use, so one encoder serves it and ByteWriter both.
+class ByteCursor {
+ public:
+  explicit ByteCursor(uint8_t* at) : at_(at) {}
+
+  void WriteU8(uint8_t v) { *at_++ = v; }
+  void WriteU16(uint16_t v) { Store(v); }
+  void WriteU32(uint32_t v) { Store(v); }
+  void WriteU64(uint64_t v) { Store(v); }
+  void WriteI64(int64_t v) { Store(static_cast<uint64_t>(v)); }
+  void WriteBytes(std::span<const uint8_t> data) {
+    if (!data.empty()) {
+      std::memcpy(at_, data.data(), data.size());
+      at_ += data.size();
+    }
+  }
+  void WriteBlob(std::span<const uint8_t> data) {
+    WriteU32(static_cast<uint32_t>(data.size()));
+    WriteBytes(data);
+  }
+
+ private:
+  // Byte by byte, so the stored order is little-endian on any host; the
+  // compiler merges the stores into one.
+  template <typename U>
+  void Store(U v) {
+    for (size_t i = 0; i < sizeof(U); ++i) {
+      at_[i] = static_cast<uint8_t>(v >> (8 * i));
+    }
+    at_ += sizeof(U);
+  }
+
+  uint8_t* at_;
+};
+
+// Counts the bytes an encoder would write, writing nothing: sizes a
+// ByteCursor's buffer from the same encoder.
+class ByteCounter {
+ public:
+  void WriteU8(uint8_t) { size_ += 1; }
+  void WriteU16(uint16_t) { size_ += 2; }
+  void WriteU32(uint32_t) { size_ += 4; }
+  void WriteU64(uint64_t) { size_ += 8; }
+  void WriteI64(int64_t) { size_ += 8; }
+  void WriteBytes(std::span<const uint8_t> data) { size_ += data.size(); }
+  void WriteBlob(std::span<const uint8_t> data) { size_ += 4 + data.size(); }
+
+  size_t size() const { return size_; }
+
+ private:
+  size_t size_ = 0;
+};
+
 // Reads little-endian values from a byte span. Over-reads are reported via
 // ok() turning false and zero values returned, so a malformed message can
 // never read out of bounds; callers check ok() once at the end of parsing.

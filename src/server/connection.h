@@ -150,6 +150,16 @@ class ClientConnection {
   uint32_t loop_index() const { return loop_index_; }
   int pollable_fd() const { return stream_->pollable_fd(); }
 
+  // One write arm in flight at a time: a sender on another thread claims
+  // the arm (true: submit it) only if none is pending since the owning
+  // loop last serviced the connection. The loop releases it before it
+  // flushes, so a frame queued before the release goes out with that flush
+  // and one queued after it arms anew. Both are read-modify-writes, so a
+  // claim that saw the arm pending is ordered before the release, and its
+  // frame before the flush.
+  bool ClaimWriteArm() { return !write_arm_pending_.exchange(true); }
+  void ReleaseWriteArm() { write_arm_pending_.exchange(false); }
+
   // Incremental frame reassembly (loop thread only): resumes the partial
   // frame across readiness events, returning kWouldBlock mid-frame.
   FrameStatus TryReadFrame(FramedMessage* out) {
@@ -212,6 +222,7 @@ class ClientConnection {
   LoopState loop_state_;
   uint32_t loop_index_ = 0;
   std::function<void()> arm_write_;
+  std::atomic<bool> write_arm_pending_{false};
   std::atomic<bool> closed_{false};
   std::atomic<bool> finished_{false};
   std::atomic<uint32_t> last_sequence_{0};

@@ -51,9 +51,6 @@ class OutputDevice : public VirtualDevice {
   bool NeedsPhysicalDevice() const override { return true; }
 
   void Consume(EngineTick* tick) override;
-
- private:
-  std::vector<Sample> scratch_;
 };
 
 // ---------------------------------------------------------------------------
@@ -81,7 +78,15 @@ class PlayerDevice : public VirtualDevice {
   // to streaming decode after the sound mutated mid-play).
   void SwitchToIncremental(SoundObject* sound, EngineTick* tick, size_t consumed);
 
+  // Looks the sound up again if a sound was destroyed since the last look;
+  // null once this play's sound is gone.
+  SoundObject* CurrentSound(EngineTick* tick);
+
   ResourceId sound_id_ = kNoResource;
+  // The playing sound, kept from StartCommand instead of a registry lookup
+  // per tick, and the ServerState::sound_destroys() it was valid at.
+  SoundObject* sound_ = nullptr;
+  uint64_t sound_destroys_seen_ = 0;
   int64_t position_ = 0;   // next sample index to decode
   int64_t end_sample_ = -1;
   int64_t total_ = 0;

@@ -61,11 +61,14 @@ void OutputDevice::Consume(EngineTick* tick) {
   if (bound_device() == nullptr) {
     return;
   }
+  // Accumulates straight from each wire's buffer, then drops what it took.
   for (WireObject* wire : sink_wires()) {
-    scratch_.clear();
-    wire->Pull(tick->frames, &scratch_);
-    if (!scratch_.empty()) {
-      tick->server->AccumulateOutput(bound_device(), scratch_, gain());
+    std::vector<Sample>& buffer = wire->buffer();
+    const size_t n = std::min(tick->frames, buffer.size());
+    if (n > 0) {
+      tick->server->AccumulateOutput(bound_device(), std::span<const Sample>(buffer).first(n),
+                                     gain());
+      buffer.erase(buffer.begin(), buffer.begin() + static_cast<ptrdiff_t>(n));
     }
   }
 }
@@ -87,6 +90,8 @@ Status PlayerDevice::StartCommand(const CommandSpec& spec, EngineTick* tick) {
     return Status(ErrorCode::kBadResource, "Play: no such sound");
   }
   sound_id_ = args.sound;
+  sound_ = sound;
+  sound_destroys_seen_ = tick->server->sound_destroys();
   position_ = 0;
   end_sample_ = args.end_sample;
   decode_byte_pos_ = 0;
@@ -140,15 +145,22 @@ void PlayerDevice::SwitchToIncremental(SoundObject* sound, EngineTick* tick,
   cache_pos_ = 0;
 }
 
+SoundObject* PlayerDevice::CurrentSound(EngineTick* tick) {
+  if (sound_destroys_seen_ != tick->server->sound_destroys()) {
+    sound_destroys_seen_ = tick->server->sound_destroys();
+    sound_ = tick->server->FindSound(sound_id_);
+  }
+  return sound_;
+}
+
 size_t PlayerDevice::Produce(EngineTick* tick, size_t frames) {
   if (!CommandRunning() || paused()) {
     return 0;
   }
-  SoundObject* sound = tick->server->FindSound(sound_id_);
+  SoundObject* sound = CurrentSound(tick);
   if (sound == nullptr) {
-    // Sound destroyed mid-play: abort.
-    set_command_running(false);
-    cached_.reset();
+    // Sound destroyed mid-play: the command ends aborted.
+    AbortCommand();
     return 0;
   }
 

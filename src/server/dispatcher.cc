@@ -715,11 +715,7 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
         break;
       }
       EngineShardGuard shard(&state_, &metrics, loud);
-      if (req.mask == 0) {
-        loud->event_masks().erase(conn->index());
-      } else {
-        loud->event_masks()[conn->index()] = req.mask;
-      }
+      loud->SetEventMask(conn->index(), req.mask);
       break;
     }
 

@@ -28,19 +28,6 @@ std::pair<uint32_t, size_t> ShedBatchFront(EgressFrame* batch, size_t excess) {
 
 }  // namespace
 
-void AppendEventFrame(std::vector<uint8_t>* batch, EventType type, ResourceId resource,
-                      int64_t server_time, std::span<const uint8_t> args) {
-  const size_t start = batch->size();
-  ByteWriter w(batch);
-  MessageHeader header;
-  header.type = MessageType::kEvent;
-  header.code = static_cast<uint16_t>(type);
-  header.Encode(&w);
-  EventMessage::Encode(&w, type, resource, server_time, args);
-  // Back-fill the header's payload length (its u32 at byte 4).
-  w.PatchU32(start + 4, static_cast<uint32_t>(batch->size() - start - kHeaderSize));
-}
-
 size_t BatchedFrameBytes(const std::vector<uint8_t>& batch, size_t offset) {
   // The payload length is the header's u32 at byte 4.
   ByteReader r(std::span<const uint8_t>(batch).subspan(offset + 4, 4));

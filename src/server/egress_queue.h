@@ -33,6 +33,7 @@
 #include "src/common/obs.h"
 #include "src/common/thread_annotations.h"
 #include "src/transport/framer.h"
+#include "src/wire/messages.h"
 
 namespace aud {
 
@@ -62,10 +63,30 @@ struct EgressFrame {
 
 // Appends one complete event frame — header and payload — to an event
 // batch: the wire bytes of EventMessage{type, resource, server_time, args}.
-// The header's sequence is left 0; ClientConnection::SendEvents stamps it
-// when the batch is queued.
+// `args` is encoded bytes or a typed args struct (EventMessage::Encode).
+// The frame is written in place: its length is counted first, the batch
+// grows once, and each field is stored through a cursor. The header's
+// sequence is left 0; ClientConnection::SendEvents stamps it when the
+// batch is queued.
+template <typename Args>
 void AppendEventFrame(std::vector<uint8_t>* batch, EventType type, ResourceId resource,
-                      int64_t server_time, std::span<const uint8_t> args);
+                      int64_t server_time, const Args& args) {
+  ByteCounter payload;
+  EventMessage::Encode(&payload, type, resource, server_time, args);
+  MessageHeader header;
+  header.type = MessageType::kEvent;
+  header.code = static_cast<uint16_t>(type);
+  header.length = static_cast<uint32_t>(payload.size());
+  const size_t start = batch->size();
+  batch->resize(start + kHeaderSize + payload.size());
+  ByteCursor w(batch->data() + start);
+  header.Encode(&w);
+  EventMessage::Encode(&w, type, resource, server_time, args);
+}
+inline void AppendEventFrame(std::vector<uint8_t>* batch, EventType type, ResourceId resource,
+                             int64_t server_time, std::span<const uint8_t> args) {
+  AppendEventFrame<std::span<const uint8_t>>(batch, type, resource, server_time, args);
+}
 
 // Size of the encoded frame at `offset` of an event batch: its header plus
 // the payload length that header carries.

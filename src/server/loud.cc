@@ -91,9 +91,19 @@ void Loud::CollectLouds(std::vector<Loud*>* out) {
   }
 }
 
-uint32_t Loud::MaskFor(uint32_t conn) const {
-  auto it = event_masks_.find(conn);
-  return it == event_masks_.end() ? 0 : it->second;
+void Loud::SetEventMask(uint32_t conn, uint32_t mask) {
+  auto it = std::lower_bound(event_masks_.begin(), event_masks_.end(), conn,
+                             [](const EventMask& m, uint32_t c) { return m.conn < c; });
+  const bool present = it != event_masks_.end() && it->conn == conn;
+  if (mask == 0) {
+    if (present) {
+      event_masks_.erase(it);
+    }
+  } else if (present) {
+    it->mask = mask;
+  } else {
+    event_masks_.insert(it, {conn, mask});
+  }
 }
 
 void Loud::NoteSyncProgress(int64_t position_samples, int64_t total_samples,

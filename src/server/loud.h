@@ -96,9 +96,16 @@ class Loud : public ServerObject {
   // Properties (section 5.8).
   std::map<std::string, Property>& properties() { return properties_; }
 
-  // Event selection: per-connection masks.
-  std::map<uint32_t, uint32_t>& event_masks() { return event_masks_; }
-  uint32_t MaskFor(uint32_t conn) const;
+  // Event selection: per-connection masks, ascending by connection (the
+  // order events fan out to subscribers). A flat vector: the tick walks it
+  // for every event the root emits.
+  struct EventMask {
+    uint32_t conn;
+    uint32_t mask;
+  };
+  const std::vector<EventMask>& event_masks() const { return event_masks_; }
+  // Sets `conn`'s mask; 0 clears the selection.
+  void SetEventMask(uint32_t conn, uint32_t mask);
 
   // Sync marks (section 5.7). Interval 0 disables.
   uint32_t sync_interval_ms() const { return sync_interval_ms_; }
@@ -110,16 +117,15 @@ class Loud : public ServerObject {
   // interval boundaries.
   void NoteSyncProgress(int64_t position_samples, int64_t total_samples, int64_t device_time);
 
-  // Per-root frame accounting (GetEntityStats). Counted by the engine tick
-  // on the root — relaxed atomics, so a stats snapshot from the dispatcher
-  // is safe against a concurrent fan-out. Like queue(), these resolve
-  // through Root() so device-phase code can charge the frames through any
-  // LOUD of the tree.
-  void CountFramesProduced(uint64_t n) {
-    Root()->frames_produced_.fetch_add(n, std::memory_order_relaxed);
-  }
-  void CountFramesConsumed(uint64_t n) {
-    Root()->frames_consumed_.fetch_add(n, std::memory_order_relaxed);
+  // Per-root frame accounting (GetEntityStats), added once per tick by the
+  // fan-out on the root. Relaxed atomics, so a stats snapshot from the
+  // dispatcher is safe against a concurrent fan-out; the fan-out is the
+  // only writer, so a load and a store do without a locked add.
+  void CountFrames(uint64_t produced, uint64_t consumed) {
+    frames_produced_.store(frames_produced_.load(std::memory_order_relaxed) + produced,
+                           std::memory_order_relaxed);
+    frames_consumed_.store(frames_consumed_.load(std::memory_order_relaxed) + consumed,
+                           std::memory_order_relaxed);
   }
   uint64_t frames_produced() const {
     return frames_produced_.load(std::memory_order_relaxed);
@@ -140,7 +146,7 @@ class Loud : public ServerObject {
   bool may_claim_ = false;
   std::atomic<bool> runnable_{false};
   std::map<std::string, Property> properties_;
-  std::map<uint32_t, uint32_t> event_masks_;
+  std::vector<EventMask> event_masks_;
   uint32_t sync_interval_ms_ = 0;
   int64_t last_sync_position_ = -1;
   // Meaningful on roots only (engine_mutex() resolves through Root()).

@@ -129,8 +129,9 @@ void AudioServer::AddConnection(std::unique_ptr<ByteStream> stream) {
     // The loop flushes the connection it is dispatching once the dispatch
     // returns; every other target — a connection of another loop, or of
     // this one (a request on A emitting an event for B) — needs its write
-    // interest armed, or the frame waits for the target's next read.
-    if (t_dispatching != raw) {
+    // interest armed, or the frame waits for the target's next read. An
+    // arm still pending covers this frame too, so only one is submitted.
+    if (t_dispatching != raw && raw->ClaimWriteArm()) {
       loop->SetWantWrite(fd, true);
     }
   });
@@ -269,6 +270,9 @@ void AudioServer::LoopHandleReady(ClientConnection* conn, uint32_t events) {
     explicit Dispatching(ClientConnection* conn) { t_dispatching = conn; }
     ~Dispatching() { t_dispatching = nullptr; }
   } dispatching(conn);
+  // Whatever is queued now is flushed below, including every frame whose
+  // write arm is pending; a frame queued from here on arms anew.
+  conn->ReleaseWriteArm();
   if ((events & kLoopError) != 0) {
     // EPOLLERR/EPOLLHUP: the transport is gone both ways — nothing queued
     // can be flushed, so skip draining and reclaim immediately.

@@ -180,6 +180,8 @@ class AudioServer {
   // Number of event-loop threads actually running (kConnectionLoops unless
   // one failed to start).
   size_t connection_loops() const { return loops_.size(); }
+  // The loop that serves connection index `i`'s shard (tests).
+  EventLoop& loop_for_test(uint32_t i) { return *loops_[i % loops_.size()]; }
 
  private:
   void AcceptLoop();

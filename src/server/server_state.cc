@@ -18,6 +18,15 @@ namespace {
 // threads go straight through.
 thread_local const ServerState* tls_fanout = nullptr;
 
+// Prefetches every cache line of the `bytes` at `object`. A prefetch
+// neither faults nor reads: only the pointer itself must be valid to form.
+void PrefetchLines(const void* object, size_t bytes) {
+  const char* at = static_cast<const char*>(object);
+  for (size_t offset = 0; offset < bytes; offset += 64) {
+    __builtin_prefetch(at + offset);
+  }
+}
+
 // Server-side registration uses ids the server just allocated, so a failure
 // means the registry is inconsistent with itself — worth a warning, never
 // worth aborting startup.
@@ -25,45 +34,6 @@ void WarnIfError(const Status& status, const char* what) {
   if (!status.ok()) {
     LogLine(LogLevel::kWarning) << what << ": " << status.ToString();
   }
-}
-
-// Maps an event type to its selection-mask category (section 5.7's three
-// categories, subdivided for finer control).
-uint32_t CategoryFor(EventType type) {
-  switch (type) {
-    case EventType::kQueueStarted:
-    case EventType::kQueueStopped:
-    case EventType::kQueuePaused:
-    case EventType::kQueueResumed:
-    case EventType::kCommandDone:
-      return kQueueEvents;
-    case EventType::kMapNotify:
-    case EventType::kUnmapNotify:
-    case EventType::kActivateNotify:
-    case EventType::kDeactivateNotify:
-      return kLifecycleEvents;
-    case EventType::kMapRequest:
-    case EventType::kRestackRequest:
-      return kRedirectEvents;
-    case EventType::kTelephoneRing:
-    case EventType::kTelephoneAnswered:
-    case EventType::kTelephoneDialDone:
-    case EventType::kCallProgress:
-    case EventType::kDtmfReceived:
-      return kTelephoneEvents;
-    case EventType::kRecorderStarted:
-    case EventType::kRecorderStopped:
-      return kRecorderEvents;
-    case EventType::kRecognition:
-      return kRecognitionEvents;
-    case EventType::kSyncMark:
-      return kSyncEvents;
-    case EventType::kPropertyNotify:
-      return kPropertyEvents;
-    case EventType::kEventTypeCount:
-      break;
-  }
-  return 0;
 }
 
 }  // namespace
@@ -200,6 +170,7 @@ void ServerState::DestroyObject(ServerObject* obj) {
       break;
     }
     case ObjectKind::kSound:
+      ++sound_destroys_;
       decoded_cache_.EraseSound(id);
       metrics_.decoded_cache_bytes.Set(static_cast<int64_t>(decoded_cache_.bytes()));
       break;
@@ -250,12 +221,13 @@ void ServerState::DestroyConnectionObjects(uint32_t conn) {
     }
   }
   // Drop event selections the connection held on surviving objects (the
-  // device LOUD tree).
+  // device LOUD tree), and its batch-size hint.
   for (auto& [id, obj] : objects_) {
     if (obj->kind() == ObjectKind::kLoud) {
-      static_cast<Loud*>(obj.get())->event_masks().erase(conn);
+      static_cast<Loud*>(obj.get())->SetEventMask(conn, 0);
     }
   }
+  batch_slots_.erase(conn);
   if (redirect_conn_ == conn) {
     redirect_conn_.reset();
   }
@@ -695,8 +667,31 @@ void ServerState::EpochOpen(size_t frames) {
 void ServerState::EpochFanOut(EngineTick* tick, size_t frames) {
   // One root at a time, under that root's engine lock alone: wires never
   // cross LOUD trees, so a root's phases need nothing from another root.
+  //
+  // The roots are scattered on the heap, so while one ticks the next ones'
+  // objects are fetched ahead (DESIGN.md decision 12). Only fields that are
+  // readable without that root's lock are read: the Loud pointer itself,
+  // its queue (fixed at construction) and its device list (changed only by
+  // drain-class requests, never during an epoch). Another root's queue
+  // program is never touched: shard-class requests rewrite it under that
+  // root's lock.
+  constexpr size_t kLoudAhead = 4;
+  constexpr size_t kDevicesAhead = 2;
   tls_fanout = this;
-  for (Loud* root : tick_louds_) {
+  const size_t n = tick_louds_.size();
+  for (size_t i = 0; i < n; ++i) {
+    if (i + kLoudAhead < n) {
+      PrefetchLines(tick_louds_[i + kLoudAhead], sizeof(Loud));
+    }
+    if (i + kDevicesAhead < n) {
+      Loud* ahead = tick_louds_[i + kDevicesAhead];
+      PrefetchLines(ahead->queue(), sizeof(CommandQueue));
+      // Sized for a player, the largest device of a playing root.
+      for (VirtualDevice* dev : ahead->devices()) {
+        PrefetchLines(dev, sizeof(PlayerDevice));
+      }
+    }
+    Loud* root = tick_louds_[i];
     MutexLock lock(root->engine_mutex());
     TickRoot(root, tick, frames);
   }
@@ -704,12 +699,14 @@ void ServerState::EpochFanOut(EngineTick* tick, size_t frames) {
 }
 
 void ServerState::TickRoot(Loud* root, EngineTick* tick, size_t frames) {
+  uint64_t produced = 0;
+  uint64_t consumed = 0;
   // 1. The command queue: players/synths produce, commands advance (gapless
   //    transitions happen inside this call).
   CommandQueue* queue = root->queue();
   queue->Tick(tick, frames);
   if (queue->state() == QueueState::kStarted) {
-    root->CountFramesProduced(frames);
+    produced += frames;
   }
 
   // 2. Free-running sources: inputs and telephones stream regardless of
@@ -718,7 +715,7 @@ void ServerState::TickRoot(Loud* root, EngineTick* tick, size_t frames) {
     if (dev->device_class() == DeviceClass::kInput ||
         dev->device_class() == DeviceClass::kTelephone) {
       dev->Produce(tick, frames);
-      root->CountFramesProduced(frames);
+      produced += frames;
     }
   });
 
@@ -730,7 +727,7 @@ void ServerState::TickRoot(Loud* root, EngineTick* tick, size_t frames) {
       case DeviceClass::kCrossbar:
       case DeviceClass::kDsp:
         dev->Produce(tick, frames);
-        root->CountFramesProduced(frames);
+        produced += frames;
         break;
       default:
         break;
@@ -745,12 +742,13 @@ void ServerState::TickRoot(Loud* root, EngineTick* tick, size_t frames) {
       case DeviceClass::kTelephone:
       case DeviceClass::kSpeechRecognizer:
         dev->Consume(tick);
-        root->CountFramesConsumed(frames);
+        consumed += frames;
         break;
       default:
         break;
     }
   });
+  root->CountFrames(produced, consumed);
 }
 
 void ServerState::EpochCommit(size_t frames) {
@@ -765,11 +763,13 @@ void ServerState::EpochCommit(size_t frames) {
     uint32_t events = 0;
     for (EventBatch& batch : tick_batches_) {
       events += batch.events;
+      BatchSlot& slot = batch_slots_[batch.conn];
+      slot.index = BatchSlot::kNoBatch;
+      slot.size_hint = batch.frames.size();
       event_sender_(batch.conn, std::move(batch.frames), batch.events);
     }
     obs::Trace(obs::TraceReason::kEventFlush, events);
     tick_batches_.clear();
-    tick_batch_slots_.clear();
   }
 
   // Resolve the transparent mixers into the codecs. The server keeps every
@@ -865,48 +865,61 @@ void ServerState::Tick(size_t frames) {
 // Events
 // ---------------------------------------------------------------------------
 
-void ServerState::Deliver(const std::map<uint32_t, uint32_t>& masks, EventType type,
-                          ResourceId resource, std::span<const uint8_t> args) {
-  const uint32_t category = CategoryFor(type);
-  const int64_t time = server_time();
-  if (tls_fanout == this) {
-    // Encoded once per subscriber, straight into its batch for the epoch.
-    for (const auto& [conn, mask] : masks) {
-      if ((mask & category) == 0) {
-        continue;
-      }
-      auto [slot, inserted] = tick_batch_slots_.try_emplace(conn, tick_batches_.size());
-      if (inserted) {
-        tick_batches_.push_back({conn, 0, {}});
-      }
-      EventBatch& batch = tick_batches_[slot->second];
-      AppendEventFrame(&batch.frames, type, resource, time, args);
-      ++batch.events;
-    }
-    return;
+// Maps an event type to its selection-mask category (section 5.7's three
+// categories, subdivided for finer control).
+uint32_t ServerState::EventCategory(EventType type) {
+  switch (type) {
+    case EventType::kQueueStarted:
+    case EventType::kQueueStopped:
+    case EventType::kQueuePaused:
+    case EventType::kQueueResumed:
+    case EventType::kCommandDone:
+      return kQueueEvents;
+    case EventType::kMapNotify:
+    case EventType::kUnmapNotify:
+    case EventType::kActivateNotify:
+    case EventType::kDeactivateNotify:
+      return kLifecycleEvents;
+    case EventType::kMapRequest:
+    case EventType::kRestackRequest:
+      return kRedirectEvents;
+    case EventType::kTelephoneRing:
+    case EventType::kTelephoneAnswered:
+    case EventType::kTelephoneDialDone:
+    case EventType::kCallProgress:
+    case EventType::kDtmfReceived:
+      return kTelephoneEvents;
+    case EventType::kRecorderStarted:
+    case EventType::kRecorderStopped:
+      return kRecorderEvents;
+    case EventType::kRecognition:
+      return kRecognitionEvents;
+    case EventType::kSyncMark:
+      return kSyncEvents;
+    case EventType::kPropertyNotify:
+      return kPropertyEvents;
+    case EventType::kEventTypeCount:
+      break;
   }
-  // Outside the fan-out (the state lock is held): a batch of one each.
-  std::vector<uint8_t> frame;
-  for (const auto& [conn, mask] : masks) {
-    if ((mask & category) == 0) {
-      continue;
-    }
-    if (frame.empty()) {
-      AppendEventFrame(&frame, type, resource, time, args);
-    }
-    event_sender_(conn, frame, 1);
-  }
+  return 0;
 }
 
-void ServerState::EmitEvent(Loud* loud, EventType type, ResourceId resource,
-                            std::span<const uint8_t> args) {
-  if (!event_sender_) {
-    return;
+bool ServerState::InFanOut() const { return tls_fanout == this; }
+
+ServerState::EventBatch& ServerState::BatchFor(uint32_t conn) {
+  BatchSlot& slot = batch_slots_[conn];
+  if (slot.index == BatchSlot::kNoBatch) {
+    slot.index = tick_batches_.size();
+    EventBatch& batch = tick_batches_.emplace_back();
+    batch.conn = conn;
+    batch.frames.reserve(slot.size_hint);
   }
-  if (CategoryFor(type) == kQueueEvents) {
-    metrics_.queue_events.Increment();
-  }
-  Deliver(loud->event_masks(), type, resource, args);
+  return tick_batches_[slot.index];
+}
+
+size_t ServerState::batch_size_hint(uint32_t conn) const {
+  auto it = batch_slots_.find(conn);
+  return it == batch_slots_.end() ? 0 : it->second.size_hint;
 }
 
 void ServerState::EmitDeviceLoudEvent(ResourceId device_loud_id, EventType type,

@@ -27,6 +27,7 @@
 #define SRC_SERVER_SERVER_STATE_H_
 
 #include <atomic>
+#include <concepts>
 #include <functional>
 #include <map>
 #include <memory>
@@ -104,6 +105,10 @@ class ServerState {
   VirtualDevice* FindDevice(ResourceId id);
   WireObject* FindWire(ResourceId id);
   SoundObject* FindSound(ResourceId id);
+  // Sounds destroyed so far. A player keeps its sound's pointer and looks
+  // the sound up again only when this count has moved. Destroys are
+  // drain-class, so the count never moves while a fan-out runs.
+  uint64_t sound_destroys() const { return sound_destroys_; }
 
   // Destroys one object (recursively for LOUDs: children, devices, wires),
   // then runs one activation pass for the tree it changed.
@@ -184,17 +189,21 @@ class ServerState {
   // event's category. Inside the tick fan-out the event is encoded into
   // each subscriber's batch for the epoch, handed out at commit.
   void EmitEvent(Loud* loud, EventType type, ResourceId resource,
-                 std::span<const uint8_t> args);
-  // Typed-args form: encodes `args` into a reused per-thread buffer, so a
-  // hot event (sync mark, command completion) allocates nothing of its own.
+                 std::span<const uint8_t> args) {
+    EmitEvent<std::span<const uint8_t>>(loud, type, resource, args);
+  }
+  // Typed-args form (sync marks, command completions): the args are
+  // written straight into each subscriber's frame, with no staging copy.
   template <typename Args>
-    requires requires(const Args& args, ByteWriter* w) { args.Encode(w); }
+    requires WriterEncodable<Args> || std::same_as<Args, std::span<const uint8_t>>
   void EmitEvent(Loud* loud, EventType type, ResourceId resource, const Args& args) {
-    thread_local std::vector<uint8_t> bytes;
-    bytes.clear();
-    ByteWriter w(&bytes);
-    args.Encode(&w);
-    EmitEvent(loud, type, resource, std::span<const uint8_t>(bytes));
+    if (!event_sender_) {
+      return;
+    }
+    if (EventCategory(type) == kQueueEvents) {
+      metrics_.queue_events.Increment();
+    }
+    Deliver(loud->event_masks(), type, resource, args);
   }
 
   // Emits to subscribers of a device-LOUD entry (e.g. monitoring the
@@ -208,6 +217,10 @@ class ServerState {
   // Telephone vdev binding registry (who gets line events).
   void BindTelephone(PhoneLineUnit* unit, TelephoneDevice* device);
   void UnbindTelephone(PhoneLineUnit* unit, TelephoneDevice* device);
+
+  // The size `conn`'s last event batch reached, which its next batch is
+  // reserved at; 0 once the connection is reclaimed.
+  size_t batch_size_hint(uint32_t conn) const;
 
   // -- Audio manager support (section 5.8) ---------------------------------------
 
@@ -325,11 +338,45 @@ class ServerState {
   void EpochFanOut(EngineTick* tick, size_t frames);
   void TickRoot(Loud* root, EngineTick* tick, size_t frames);
   void EpochCommit(size_t frames) AUD_NO_THREAD_SAFETY_ANALYSIS;
+  // The selection-mask category of an event type (section 5.7).
+  static uint32_t EventCategory(EventType type);
+  // Whether the calling thread is running this state's fan-out.
+  bool InFanOut() const;
+  // `conn`'s batch for the epoch, opened on its first event at the size
+  // its previous batch reached (fan-out only).
+  struct EventBatch;
+  EventBatch& BatchFor(uint32_t conn);
   // Sends one event to every connection in `masks` that selected its
   // category: into the epoch's batches from the fan-out, directly
   // otherwise.
-  void Deliver(const std::map<uint32_t, uint32_t>& masks, EventType type,
-               ResourceId resource, std::span<const uint8_t> args);
+  template <typename Args>
+  void Deliver(const std::vector<Loud::EventMask>& masks, EventType type, ResourceId resource,
+               const Args& args) {
+    const uint32_t category = EventCategory(type);
+    const int64_t time = server_time();
+    if (InFanOut()) {
+      // Encoded once per subscriber, straight into its batch for the epoch.
+      for (const Loud::EventMask& m : masks) {
+        if ((m.mask & category) != 0) {
+          EventBatch& batch = BatchFor(m.conn);
+          AppendEventFrame(&batch.frames, type, resource, time, args);
+          ++batch.events;
+        }
+      }
+      return;
+    }
+    // Outside the fan-out (the state lock is held): a batch of one each.
+    std::vector<uint8_t> frame;
+    for (const Loud::EventMask& m : masks) {
+      if ((m.mask & category) == 0) {
+        continue;
+      }
+      if (frame.empty()) {
+        AppendEventFrame(&frame, type, resource, time, args);
+      }
+      event_sender_(m.conn, frame, 1);
+    }
+  }
 
   Board* board_;
   std::string server_name_;
@@ -341,6 +388,7 @@ class ServerState {
   std::map<ResourceId, PhysicalDevice*> device_loud_entries_;
   std::map<PhysicalDevice*, ResourceId> physical_ids_;
   ResourceId next_server_id_ = kServerIdBase;
+  uint64_t sound_destroys_ = 0;
 
   std::vector<Loud*> active_stack_;  // index 0 = top
   // Set when a root holding claims leaves the stack; the next
@@ -374,7 +422,16 @@ class ServerState {
     std::vector<uint8_t> frames;
   };
   std::vector<EventBatch> tick_batches_;
-  std::unordered_map<uint32_t, size_t> tick_batch_slots_;  // conn -> tick_batches_ index
+  // Per connection that has had a batch: its tick_batches_ index this
+  // epoch (kNoBatch when none is open), and the size its last batch
+  // reached, so the next one is reserved once instead of regrown from
+  // empty. DestroyConnectionObjects drops the entry.
+  struct BatchSlot {
+    static constexpr size_t kNoBatch = ~size_t{0};
+    size_t index = kNoBatch;
+    size_t size_hint = 0;
+  };
+  std::unordered_map<uint32_t, BatchSlot> batch_slots_;
   std::vector<Sample> resolved_;
 
   // Traced plays awaiting their first possible mix (NotePlayAccepted).

@@ -85,6 +85,12 @@ class EventLoop {
   // Forces the loop out of its wait (used by Stop and cross-thread ops).
   void Wakeup();
 
+  // Ops queued from other threads that the loop has not applied yet.
+  size_t pending_ops() {
+    MutexLock lock(&mu_);
+    return pending_.size();
+  }
+
   bool OnLoopThread() const {
     // Before the loop thread publishes its id, callers see "not the loop
     // thread" and take the (always-correct) queued-op path.

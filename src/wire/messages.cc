@@ -6,14 +6,6 @@ namespace aud {
 // Header & setup
 // ---------------------------------------------------------------------------
 
-void MessageHeader::Encode(ByteWriter* w) const {
-  w->WriteU8(static_cast<uint8_t>(type));
-  w->WriteU8(0);
-  w->WriteU16(code);
-  w->WriteU32(length);
-  w->WriteU32(sequence);
-}
-
 MessageHeader MessageHeader::Decode(ByteReader* r) {
   MessageHeader h;
   h.type = static_cast<MessageType>(r->ReadU8());
@@ -1190,14 +1182,6 @@ EntityStatsReply EntityStatsReply::Decode(ByteReader* r) {
 
 void EventMessage::Encode(ByteWriter* w) const { Encode(w, type, resource, server_time, args); }
 
-void EventMessage::Encode(ByteWriter* w, EventType type, ResourceId resource,
-                          int64_t server_time, std::span<const uint8_t> args) {
-  w->WriteU16(static_cast<uint16_t>(type));
-  w->WriteU32(resource);
-  w->WriteI64(server_time);
-  w->WriteBlob(args);
-}
-
 EventMessage EventMessage::Decode(ByteReader* r) {
   EventMessage e;
   e.type = static_cast<EventType>(r->ReadU16());
@@ -1211,12 +1195,6 @@ std::vector<uint8_t> CommandDoneArgs::Encode() const {
   ByteWriter w;
   Encode(&w);
   return w.Take();
-}
-
-void CommandDoneArgs::Encode(ByteWriter* w) const {
-  w->WriteU32(tag);
-  w->WriteU16(command);
-  w->WriteU8(aborted);
 }
 
 CommandDoneArgs CommandDoneArgs::Decode(std::span<const uint8_t> args) {
@@ -1316,12 +1294,6 @@ std::vector<uint8_t> SyncMarkArgs::Encode() const {
   ByteWriter w;
   Encode(&w);
   return w.Take();
-}
-
-void SyncMarkArgs::Encode(ByteWriter* w) const {
-  w->WriteU64(position_samples);
-  w->WriteI64(device_time);
-  w->WriteU64(total_samples);
 }
 
 SyncMarkArgs SyncMarkArgs::Decode(std::span<const uint8_t> args) {

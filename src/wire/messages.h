@@ -30,7 +30,14 @@ struct MessageHeader {
   uint32_t length = 0;   // payload length
   uint32_t sequence = 0;
 
-  void Encode(ByteWriter* w) const;
+  template <typename Writer>
+  void Encode(Writer* w) const {
+    w->WriteU8(static_cast<uint8_t>(type));
+    w->WriteU8(0);
+    w->WriteU16(code);
+    w->WriteU32(length);
+    w->WriteU32(sequence);
+  }
   static MessageHeader Decode(ByteReader* r);
 };
 
@@ -716,6 +723,11 @@ struct EntityStatsReply {
 // Events
 // ---------------------------------------------------------------------------
 
+// Typed event args whose templated Encode writes through any byte writer
+// (ByteWriter, ByteCursor, ByteCounter).
+template <typename Args>
+concept WriterEncodable = requires(const Args& args, ByteCounter* w) { args.Encode(w); };
+
 // Generic wire event: type + the resource it concerns + typed args.
 struct EventMessage {
   EventType type = EventType::kQueueStarted;
@@ -725,9 +737,24 @@ struct EventMessage {
 
   void Encode(ByteWriter* w) const;
   // The same wire form from the fields, for encoders that hold no
-  // EventMessage (the server's per-connection event batches).
-  static void Encode(ByteWriter* w, EventType type, ResourceId resource, int64_t server_time,
-                     std::span<const uint8_t> args);
+  // EventMessage (the server's per-connection event batches). `args` is
+  // either encoded bytes or a WriterEncodable struct, which is then
+  // written straight into the message.
+  template <typename Writer, typename Args>
+  static void Encode(Writer* w, EventType type, ResourceId resource, int64_t server_time,
+                     const Args& args) {
+    w->WriteU16(static_cast<uint16_t>(type));
+    w->WriteU32(resource);
+    w->WriteI64(server_time);
+    if constexpr (WriterEncodable<Args>) {
+      ByteCounter size;
+      args.Encode(&size);
+      w->WriteU32(static_cast<uint32_t>(size.size()));
+      args.Encode(w);
+    } else {
+      w->WriteBlob(std::span<const uint8_t>(args));
+    }
+  }
   static EventMessage Decode(ByteReader* r);
 };
 
@@ -739,7 +766,12 @@ struct CommandDoneArgs {
   uint8_t aborted = 0;
 
   std::vector<uint8_t> Encode() const;
-  void Encode(ByteWriter* w) const;  // allocation-free form for hot events
+  template <typename Writer>
+  void Encode(Writer* w) const {
+    w->WriteU32(tag);
+    w->WriteU16(command);
+    w->WriteU8(aborted);
+  }
   static CommandDoneArgs Decode(std::span<const uint8_t> args);
 };
 
@@ -794,7 +826,12 @@ struct SyncMarkArgs {
   uint64_t total_samples = 0;
 
   std::vector<uint8_t> Encode() const;
-  void Encode(ByteWriter* w) const;  // allocation-free form for hot events
+  template <typename Writer>
+  void Encode(Writer* w) const {
+    w->WriteU64(position_samples);
+    w->WriteI64(device_time);
+    w->WriteU64(total_samples);
+  }
   static SyncMarkArgs Decode(std::span<const uint8_t> args);
 };
 

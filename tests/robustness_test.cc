@@ -13,6 +13,8 @@ namespace {
 class RobustnessTest : public ServerFixture {};
 
 TEST_F(RobustnessTest, SoundDestroyedMidPlayAbortsCleanly) {
+  SpeakerUnit* speaker = board_->speakers()[0];
+  speaker->set_capture_output(true);
   auto tone = TestTone(2000);
   ResourceId sound = toolkit_->UploadSound(tone, kTelephoneFormat);
   auto chain = toolkit_->BuildPlaybackChain();
@@ -20,15 +22,73 @@ TEST_F(RobustnessTest, SoundDestroyedMidPlayAbortsCleanly) {
   client_->StartQueue(chain.loud);
   Flush();
   StepMs(100);
+  ASSERT_GE(speaker->played().size(), 160u);
+  EXPECT_GT(Rms(std::span<const Sample>(speaker->played()).last(160)), 0.05);
 
   client_->DestroySound(sound);
   Flush();
-  // The play command terminates (the sound vanished under it).
-  auto done = toolkit_->WaitFor(
-      [](const EventMessage& e) { return e.type == EventType::kCommandDone; }, 10000);
-  ASSERT_TRUE(done.has_value());
+  const size_t played_at_destroy = speaker->played().size();
+  // The play command ends aborted on the first tick after the destroy
+  // (the sound vanished under it).
+  server_->StepFrames(160);
+  Flush();
+  std::optional<CommandDoneArgs> done;
+  EventMessage event;
+  while (client_->PollEvent(&event)) {
+    if (event.type == EventType::kCommandDone) {
+      done = CommandDoneArgs::Decode(event.args);
+    }
+  }
+  ASSERT_TRUE(done.has_value()) << "no CommandDone within one period of the destroy";
+  EXPECT_EQ(done->tag, 1u);
+  EXPECT_EQ(done->aborted, 1);
+  // Nothing of the sound is heard after it is gone.
+  StepMs(200);
+  const std::vector<Sample>& played = speaker->played();
+  ASSERT_GT(played.size(), played_at_destroy);
+  for (size_t i = played_at_destroy; i < played.size(); ++i) {
+    ASSERT_EQ(played[i], 0) << "sample " << i - played_at_destroy << " after the destroy";
+  }
   // The server remains healthy.
   ExpectNoErrors();
+}
+
+// Destroying some other sound mid-play changes nothing the playing chain
+// produces: the player keeps its own sound, and the speaker capture is
+// sample for sample the same as without the destroy.
+TEST_F(RobustnessTest, UnrelatedSoundDestroyedMidPlayLeavesOutputUnchanged) {
+  auto play = [this](bool destroy_unrelated) {
+    Init(BoardConfig{});
+    SpeakerUnit* speaker = board_->speakers()[0];
+    speaker->set_capture_output(true);
+    ResourceId sound = toolkit_->UploadSound(TestTone(1000), kTelephoneFormat);
+    ResourceId unrelated = toolkit_->UploadSound(TestTone(300, 880.0), kTelephoneFormat);
+    auto chain = toolkit_->BuildPlaybackChain();
+    client_->Enqueue(chain.loud, {PlayCommand(chain.player, sound, 1)});
+    client_->StartQueue(chain.loud);
+    Flush();
+    StepMs(300);
+    if (destroy_unrelated) {
+      client_->DestroySound(unrelated);
+      Flush();
+    }
+    StepMs(1000);
+    Flush();
+    std::optional<CommandDoneArgs> done;
+    EventMessage event;
+    while (client_->PollEvent(&event)) {
+      if (event.type == EventType::kCommandDone) {
+        done = CommandDoneArgs::Decode(event.args);
+      }
+    }
+    EXPECT_TRUE(done.has_value() && done->tag == 1 && done->aborted == 0);
+    ExpectNoErrors();
+    return std::make_pair(speaker->played().size(), CaptureHash(speaker->played()));
+  };
+  const auto undisturbed = play(false);
+  const auto disturbed = play(true);
+  EXPECT_EQ(disturbed.first, undisturbed.first);
+  EXPECT_EQ(disturbed.second, undisturbed.second);
 }
 
 TEST_F(RobustnessTest, WireDestroyedMidPlayJustSilences) {

@@ -224,11 +224,15 @@ TEST(EpochRaceTest, CreateDestroyRewireDuringStorm) {
 
 // -- Capacity shape: many playing roots under engine-plane requests ----------
 
-// 128 playing roots tick back to back while queue control and gain
-// changes hit them. Each root is ticked under its own engine lock and
-// released before the next, so the request on a root waits only while that
-// root is ticked, and no thread ever holds more than one root lock (TSan
-// tracks at most 64 held locks per thread).
+// 128 playing roots tick back to back, each emitting sync marks, while
+// queue control, gain changes, event-selection toggles and destroys of
+// unrelated sounds hit them. Each root is ticked under its own engine lock
+// and released before the next, so the request on a root waits only while
+// that root is ticked, and no thread ever holds more than one root lock
+// (TSan tracks at most 64 held locks per thread). The fan-out reads each
+// root's event masks under that lock, reads ahead only what drain-class
+// requests change, and the players revalidate their sounds only after a
+// (drain-class) sound destroy.
 TEST(EpochCapacityTest, EngineRequestsRaceTickOf128PlayingRoots) {
   World world(BoardConfig{});
   AudioConnection& client = world.client();
@@ -238,6 +242,7 @@ TEST(EpochCapacityTest, EngineRequestsRaceTickOf128PlayingRoots) {
   std::vector<AudioToolkit::PlaybackChain> chains;
   for (int i = 0; i < kRoots; ++i) {
     chains.push_back(toolkit.BuildPlaybackChain());
+    client.SetSyncMarks(chains.back().loud, 20);
     client.Enqueue(chains.back().loud, {PlayCommand(chains.back().player, sound, 1),
                                         PlayCommand(chains.back().player, sound, 2)});
     client.StartQueue(chains.back().loud);
@@ -259,6 +264,10 @@ TEST(EpochCapacityTest, EngineRequestsRaceTickOf128PlayingRoots) {
     client.StopQueue(chain.loud);
     client.Enqueue(chain.loud, {PlayCommand(chain.player, sound, static_cast<uint32_t>(i + 3))});
     client.StartQueue(chain.loud);
+    client.SelectEvents(chain.loud, i % 2 == 0 ? kQueueEvents : kQueueEvents | kSyncEvents);
+    if (i % 16 == 0) {
+      client.DestroySound(toolkit.UploadSound(Tone(i, 800), {Encoding::kPcm16, 8000}));
+    }
     if (i % 32 == 31) {
       ASSERT_TRUE(client.Sync().ok()) << "request batch " << i / 32;
     }

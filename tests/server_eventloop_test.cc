@@ -6,6 +6,7 @@
 // plus a thread count that does not grow with the client count.
 
 #include <gtest/gtest.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -388,6 +389,75 @@ TEST(EventLoopPlane, RedirectedMapRequestReachesManagerOnEveryLoop) {
     app->Close();
   }
   manager->Close();
+  server.Shutdown();
+}
+
+// Sends from other threads to one connection arm its write once while the
+// arm is pending: with the owning loop held in another connection's
+// dispatch, a burst of events leaves one op queued, and once the loop runs
+// every event arrives, in order, with the next send arming anew.
+TEST(EventLoopPlane, CrossThreadSendsToOneConnectionQueueOneWriteArm) {
+  Board board{BoardConfig{}};
+  AudioServer server(&board);
+  ASSERT_EQ(server.connection_loops(), 2u);
+  // Indices 0 and 2 share a loop: 0 blocks it, 2 is the target.
+  auto [blocker_end, blocker_server_end] = CreatePipePair();
+  const int blocker_fd = blocker_server_end->pollable_fd();
+  server.AddConnection(std::move(blocker_server_end));
+  ASSERT_NE(RawSetup(blocker_end.get(), "blocker"), kNoResource);
+  auto [other_end, other_server_end] = CreatePipePair();
+  server.AddConnection(std::move(other_server_end));
+  ASSERT_NE(RawSetup(other_end.get(), "other-loop"), kNoResource);
+  auto [target_end, target_server_end] = CreatePipePair();
+  server.AddConnection(std::move(target_server_end));
+  auto target = AudioConnection::Open(std::move(target_end), "target");
+  ASSERT_NE(target, nullptr);
+  const ResourceId loud = target->CreateLoud(kNoResource, {});
+  target->SelectEvents(loud, kSyncEvents);
+  ASSERT_TRUE(target->Sync().ok());
+
+  constexpr int kEvents = 64;
+  EventLoop& loop = server.loop_for_test(2);
+  auto emit = [loud](ServerState& state, int position) {
+    SyncMarkArgs mark;
+    mark.position_samples = static_cast<uint64_t>(position);
+    state.EmitEvent(state.FindLoud(loud), EventType::kSyncMark, loud, mark);
+  };
+  {
+    MutexLock lock(&server.mutex());
+    // The blocker's request holds the loop in its dispatch, waiting for
+    // the lock held here, once the loop has read it off the socket.
+    SendReq(blocker_end.get(), Opcode::kSync, 1, {});
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    int unread = 1;
+    while (unread != 0) {
+      ASSERT_EQ(::ioctl(blocker_fd, FIONREAD, &unread), 0);
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "loop never read the request";
+      std::this_thread::yield();
+    }
+    for (int i = 0; i < kEvents; ++i) {
+      emit(server.state(), i);
+    }
+    EXPECT_EQ(loop.pending_ops(), 1u);
+  }
+  for (int i = 0; i < kEvents; ++i) {
+    EventMessage event;
+    ASSERT_TRUE(target->WaitEvent(&event, 5000)) << "event " << i << " never arrived";
+    ASSERT_EQ(event.type, EventType::kSyncMark);
+    EXPECT_EQ(SyncMarkArgs::Decode(event.args).position_samples, static_cast<uint64_t>(i));
+  }
+  // The loop released the arm when it flushed: a later send arms again,
+  // and its event arrives without the target sending anything.
+  {
+    MutexLock lock(&server.mutex());
+    emit(server.state(), kEvents);
+  }
+  EventMessage event;
+  ASSERT_TRUE(target->WaitEvent(&event, 5000));
+  EXPECT_EQ(SyncMarkArgs::Decode(event.args).position_samples, static_cast<uint64_t>(kEvents));
+  ASSERT_TRUE(ReadMessage(blocker_end.get()).has_value());  // the blocker's reply
+
+  target->Close();
   server.Shutdown();
 }
 

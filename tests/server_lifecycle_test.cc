@@ -134,6 +134,122 @@ TEST(EgressQueueTest, GaugeMirrorsBacklog) {
   EXPECT_EQ(gauge.value(), 0);
 }
 
+// -- Event frames written in place -------------------------------------------
+
+// One event frame as the generic encoders write it: MessageHeader::Encode
+// then EventMessage::Encode, through ByteWriter.
+std::vector<uint8_t> GenericEventFrame(const EventMessage& event) {
+  ByteWriter payload;
+  event.Encode(&payload);
+  MessageHeader header;
+  header.type = MessageType::kEvent;
+  header.code = static_cast<uint16_t>(event.type);
+  header.length = static_cast<uint32_t>(payload.size());
+  ByteWriter frame;
+  header.Encode(&frame);
+  frame.WriteBytes(payload.bytes());
+  return frame.Take();
+}
+
+// Every event type, with no args, the 7-byte CommandDone and 24-byte
+// SyncMark args written straight into the frame, and one large blob: the
+// in-place frame equals the generic encoders' bytes, and reads back
+// through the framer as the same event.
+TEST(EventFrameTest, InPlaceFramesMatchGenericEncodersForEveryEventType) {
+  CommandDoneArgs done;
+  done.tag = 0xA1B2C3D4;
+  done.command = static_cast<uint16_t>(DeviceCommand::kPlay);
+  done.aborted = 1;
+  SyncMarkArgs mark;
+  mark.position_samples = 0x0102030405060708ull;
+  mark.device_time = -1234567890123;
+  mark.total_samples = 0xFFFFFFFF00000001ull;
+  std::vector<uint8_t> blob(3000);
+  for (size_t i = 0; i < blob.size(); ++i) {
+    blob[i] = static_cast<uint8_t>(i * 131 + 7);
+  }
+  ASSERT_EQ(done.Encode().size(), 7u);
+  ASSERT_EQ(mark.Encode().size(), 24u);
+
+  auto [client_end, server_end] = CreatePipePair();
+  for (uint16_t code = 0; code < static_cast<uint16_t>(EventType::kEventTypeCount); ++code) {
+    const EventType type = static_cast<EventType>(code);
+    const ResourceId resource = 0x00C0FFEE + code;
+    const int64_t time = (int64_t{1} << 40) + code;
+    struct Case {
+      const char* args_name;
+      std::vector<uint8_t> args;
+      std::vector<uint8_t> frame;
+    };
+    std::vector<Case> cases(4);
+    cases[0].args_name = "none";
+    AppendEventFrame(&cases[0].frame, type, resource, time, {});
+    cases[1].args_name = "CommandDone";
+    cases[1].args = done.Encode();
+    AppendEventFrame(&cases[1].frame, type, resource, time, done);
+    cases[2].args_name = "SyncMark";
+    cases[2].args = mark.Encode();
+    AppendEventFrame(&cases[2].frame, type, resource, time, mark);
+    cases[3].args_name = "blob";
+    cases[3].args = blob;
+    AppendEventFrame(&cases[3].frame, type, resource, time, std::span<const uint8_t>(blob));
+    for (const Case& c : cases) {
+      SCOPED_TRACE(testing::Message() << "event type " << code << ", args " << c.args_name);
+      const EventMessage event{type, resource, time, c.args};
+      EXPECT_EQ(c.frame, GenericEventFrame(event));
+      ASSERT_EQ(BatchedFrameBytes(c.frame, 0), c.frame.size());
+
+      ASSERT_TRUE(server_end->Write(c.frame));
+      std::optional<FramedMessage> read = ReadMessage(client_end.get());
+      ASSERT_TRUE(read.has_value());
+      EXPECT_EQ(read->header.type, MessageType::kEvent);
+      EXPECT_EQ(read->header.code, code);
+      ByteReader r(read->payload);
+      const EventMessage decoded = EventMessage::Decode(&r);
+      ASSERT_TRUE(r.ok());
+      EXPECT_EQ(r.remaining(), 0u);
+      EXPECT_EQ(decoded.type, type);
+      EXPECT_EQ(decoded.resource, resource);
+      EXPECT_EQ(decoded.server_time, time);
+      EXPECT_EQ(decoded.args, c.args);
+    }
+  }
+}
+
+// A batch mixing every args size: SendEvents stamps the last request's
+// sequence into each frame's header, and the frames reach the wire in
+// order with their args intact.
+TEST(EventFrameTest, SendEventsStampsEveryFrameOfAMixedBatch) {
+  auto [client_end, server_end] = CreatePipePair();
+  ClientConnection conn(0, std::move(server_end));
+  conn.set_last_sequence(0x01020304);
+  CommandDoneArgs done;
+  done.tag = 9;
+  SyncMarkArgs mark;
+  mark.position_samples = 160;
+  const std::vector<uint8_t> blob(2000, 0x5A);
+  std::vector<uint8_t> frames;
+  AppendEventFrame(&frames, EventType::kQueueStarted, 1, 10, {});
+  AppendEventFrame(&frames, EventType::kCommandDone, 2, 20, done);
+  AppendEventFrame(&frames, EventType::kSyncMark, 3, 30, mark);
+  AppendEventFrame(&frames, EventType::kRecognition, 4, 40, std::span<const uint8_t>(blob));
+  ASSERT_TRUE(conn.SendEvents(std::move(frames), 4));
+  ASSERT_EQ(conn.DrainEgress(), ClientConnection::DrainStatus::kIdle);
+
+  const std::vector<std::vector<uint8_t>> want_args = {{}, done.Encode(), mark.Encode(), blob};
+  for (uint32_t i = 0; i < 4; ++i) {
+    std::optional<FramedMessage> read = ReadMessage(client_end.get());
+    ASSERT_TRUE(read.has_value()) << "frame " << i;
+    EXPECT_EQ(read->header.sequence, 0x01020304u) << "frame " << i;
+    ByteReader r(read->payload);
+    const EventMessage event = EventMessage::Decode(&r);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(event.resource, i + 1);
+    EXPECT_EQ(event.server_time, 10 * (i + 1));
+    EXPECT_EQ(event.args, want_args[i]);
+  }
+}
+
 // -- Event batches: per-event shedding ---------------------------------------
 
 // A batch of `count` SyncMark events for resources first, first+1, ...;

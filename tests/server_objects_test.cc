@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <map>
+#include <random>
+#include <thread>
+
 #include "tests/server_fixture.h"
 
 namespace aud {
@@ -317,6 +322,134 @@ TEST_F(ObjectsTest, GetServerTimeAdvancesWithEngine) {
   auto t1 = client_->GetServerTime();
   ASSERT_TRUE(t1.ok());
   EXPECT_EQ(t1.value() - t0.value(), 500 * kTicksPerMillisecond);
+}
+
+// Event selection as a random walk: several connections set, change and
+// clear their masks on one playing root, and some die and are replaced,
+// while the root emits sync marks from the tick. After every step the
+// root's flat mask list equals a std::map model (same entries, ascending
+// by connection), every connection's events arrive in emission order, and
+// a reclaimed connection keeps no batch-size hint.
+TEST_F(ObjectsTest, EventMasksFollowAMapModelThroughSelectionsAndDeaths) {
+  constexpr int kSlots = 4;
+  constexpr int kSteps = 300;
+  auto chain = toolkit_->BuildPlaybackChain();
+  client_->SetSyncMarks(chain.loud, 20);
+  ResourceId sound = toolkit_->UploadSound(TestTone(8000), kTelephoneFormat);
+  client_->Enqueue(chain.loud, {PlayCommand(chain.player, sound, 1)});
+  client_->StartQueue(chain.loud);
+  Flush();
+
+  struct Slot {
+    std::unique_ptr<AudioConnection> conn;
+    uint32_t index = 0;
+    int64_t last_time = -1;
+    int64_t last_position = -1;
+    uint64_t marks = 0;
+  };
+  std::vector<Slot> slots(kSlots);
+  // The owner's own selection (BuildPlaybackChain) is connection 0's.
+  std::map<uint32_t, uint32_t> model = {{0, kQueueEvents | kLifecycleEvents | kSyncEvents}};
+  uint32_t next_index = 1;
+  for (Slot& slot : slots) {
+    slot.conn = Connect("selector");
+    ASSERT_NE(slot.conn, nullptr);
+    slot.index = next_index++;
+  }
+  std::vector<uint32_t> dead;
+
+  // Drains a slot's events: each arrives after the one before it.
+  auto drain = [&](Slot& slot) {
+    ASSERT_TRUE(slot.conn->Sync().ok());
+    EventMessage event;
+    while (slot.conn->PollEvent(&event)) {
+      ASSERT_GE(event.server_time, slot.last_time) << "connection " << slot.index;
+      slot.last_time = event.server_time;
+      if (event.type == EventType::kSyncMark) {
+        const auto position =
+            static_cast<int64_t>(SyncMarkArgs::Decode(event.args).position_samples);
+        ASSERT_GT(position, slot.last_position) << "connection " << slot.index;
+        slot.last_position = position;
+        ++slot.marks;
+      }
+    }
+  };
+
+  std::mt19937 rng(20261018);
+  uint64_t marks_seen = 0;
+  int deaths_with_hint = 0;
+  for (int step = 0; step < kSteps; ++step) {
+    SCOPED_TRACE(testing::Message() << "step " << step);
+    Slot& slot = slots[rng() % kSlots];
+    switch (rng() % 6) {
+      case 0:
+      case 1: {  // set or change
+        const uint32_t mask = 1 + rng() % kAllEvents;
+        slot.conn->SelectEvents(chain.loud, mask);
+        model[slot.index] = mask;
+        break;
+      }
+      case 2:  // clear
+        slot.conn->SelectEvents(chain.loud, 0);
+        model.erase(slot.index);
+        break;
+      case 3: {  // death, and a newcomer in its place
+        {
+          MutexLock lock(&server_->mutex());
+          deaths_with_hint += server_->state().batch_size_hint(slot.index) > 0 ? 1 : 0;
+        }
+        marks_seen += slot.marks;
+        slot.conn->Close();
+        model.erase(slot.index);
+        dead.push_back(slot.index);
+        slot = Slot{};
+        slot.conn = Connect("selector");
+        ASSERT_NE(slot.conn, nullptr);
+        slot.index = next_index++;
+        // Wait for the server to reclaim the dead connection.
+        const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        for (;;) {
+          int64_t open = 0;
+          {
+            MutexLock lock(&server_->mutex());
+            open = server_->state().metrics().connections_open.value();
+          }
+          if (open == kSlots + 1) {
+            break;
+          }
+          ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "death not reclaimed";
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        break;
+      }
+      default:  // ticks: sync marks fan out to the selected connections
+        StepMs(20 * (1 + static_cast<int64_t>(rng() % 3)));
+        break;
+    }
+    Flush();
+    for (Slot& s : slots) {
+      drain(s);
+    }
+    MutexLock lock(&server_->mutex());
+    Loud* root = server_->state().FindLoud(chain.loud);
+    ASSERT_NE(root, nullptr);
+    std::vector<std::pair<uint32_t, uint32_t>> flat;
+    for (const Loud::EventMask& m : root->event_masks()) {
+      flat.emplace_back(m.conn, m.mask);
+    }
+    const std::vector<std::pair<uint32_t, uint32_t>> want(model.begin(), model.end());
+    ASSERT_EQ(flat, want);
+    for (uint32_t index : dead) {
+      ASSERT_EQ(server_->state().batch_size_hint(index), 0u) << "connection " << index;
+    }
+  }
+  for (const Slot& s : slots) {
+    marks_seen += s.marks;
+  }
+  // The walk did deliver marks from the tick, and connections that had
+  // batches did die.
+  EXPECT_GT(marks_seen, 0u);
+  EXPECT_GT(deaths_with_hint, 0);
 }
 
 }  // namespace
