@@ -16,8 +16,6 @@ size_t LatencyHistogram::BucketFor(uint64_t v) {
 }
 
 void LatencyHistogram::Record(uint64_t v) {
-  buckets_[BucketFor(v)].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
   sum_.fetch_add(v, std::memory_order_relaxed);
   uint64_t seen = min_.load(std::memory_order_relaxed);
   while (v < seen && !min_.compare_exchange_weak(seen, v, std::memory_order_relaxed)) {
@@ -25,15 +23,18 @@ void LatencyHistogram::Record(uint64_t v) {
   seen = max_.load(std::memory_order_relaxed);
   while (v > seen && !max_.compare_exchange_weak(seen, v, std::memory_order_relaxed)) {
   }
+  // Last, with release: a snapshot that sees this bucket count also sees
+  // the sum, min and max above.
+  buckets_[BucketFor(v)].fetch_add(1, std::memory_order_release);
 }
 
 HistogramSnapshot LatencyHistogram::Snapshot() const {
   HistogramSnapshot snap;
   snap.buckets.resize(kBuckets);
   for (size_t b = 0; b < kBuckets; ++b) {
-    snap.buckets[b] = buckets_[b].load(std::memory_order_relaxed);
+    snap.buckets[b] = buckets_[b].load(std::memory_order_acquire);
+    snap.count += snap.buckets[b];
   }
-  snap.count = count_.load(std::memory_order_relaxed);
   snap.sum = sum_.load(std::memory_order_relaxed);
   uint64_t min = min_.load(std::memory_order_relaxed);
   snap.min = min == UINT64_MAX ? 0 : min;

@@ -89,16 +89,45 @@ class LatencyHistogram {
   static uint64_t BucketHigh(size_t b) { return b == 0 ? 0 : (uint64_t{1} << b) - 1; }
 
   void Record(uint64_t v);
+  // `count` is the sum of the buckets read, so a snapshot taken while
+  // other threads record is consistent: min, max and sum cover every
+  // sample it counts (sum may also hold a few it does not yet count).
   HistogramSnapshot Snapshot() const;
-
-  uint64_t count() const { return count_.load(std::memory_order_relaxed); }
 
  private:
   std::atomic<uint64_t> buckets_[kBuckets]{};
-  std::atomic<uint64_t> count_{0};
   std::atomic<uint64_t> sum_{0};
   std::atomic<uint64_t> min_{UINT64_MAX};
   std::atomic<uint64_t> max_{0};
+};
+
+// Times consecutive phases with one clock read per boundary: Lap records
+// the time since the previous boundary (the start, at first) into `h`.
+class PhaseClock {
+ public:
+  using Clock = std::chrono::steady_clock;
+
+  PhaseClock() : start_(Clock::now()), last_(start_) {}
+
+  void Lap(LatencyHistogram* h) {
+    const Clock::time_point now = Clock::now();
+    h->Record(Us(now - last_));
+    last_ = now;
+  }
+
+  Clock::time_point start() const { return start_; }
+  Clock::time_point last() const { return last_; }
+
+  static uint64_t UsSince(Clock::time_point t) { return Us(Clock::now() - t); }
+
+ private:
+  static uint64_t Us(Clock::duration d) {
+    return static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(d).count());
+  }
+
+  const Clock::time_point start_;
+  Clock::time_point last_;
 };
 
 // Why a trace event was recorded. Values are wire-visible (GetServerTrace);

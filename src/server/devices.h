@@ -53,6 +53,21 @@ class OutputDevice : public VirtualDevice {
   void Consume(EngineTick* tick) override;
 };
 
+// The sound a player or recorder works on: kept from StartCommand instead
+// of a registry lookup per tick, and looked up again only after some sound
+// was destroyed (ServerState::sound_destroys() moved).
+class SoundRef {
+ public:
+  void Reset(ResourceId id, SoundObject* sound, EngineTick* tick);
+  // Null once the sound is gone.
+  SoundObject* Get(EngineTick* tick);
+
+ private:
+  ResourceId id_ = kNoResource;
+  SoundObject* sound_ = nullptr;
+  uint64_t destroys_seen_ = 0;
+};
+
 // ---------------------------------------------------------------------------
 // Player: sound data -> output port (Play, Stop, Pause, Restart).
 // ---------------------------------------------------------------------------
@@ -78,15 +93,7 @@ class PlayerDevice : public VirtualDevice {
   // to streaming decode after the sound mutated mid-play).
   void SwitchToIncremental(SoundObject* sound, EngineTick* tick, size_t consumed);
 
-  // Looks the sound up again if a sound was destroyed since the last look;
-  // null once this play's sound is gone.
-  SoundObject* CurrentSound(EngineTick* tick);
-
-  ResourceId sound_id_ = kNoResource;
-  // The playing sound, kept from StartCommand instead of a registry lookup
-  // per tick, and the ServerState::sound_destroys() it was valid at.
-  SoundObject* sound_ = nullptr;
-  uint64_t sound_destroys_seen_ = 0;
+  SoundRef sound_;
   int64_t position_ = 0;   // next sample index to decode
   int64_t end_sample_ = -1;
   int64_t total_ = 0;
@@ -125,7 +132,7 @@ class RecorderDevice : public VirtualDevice {
  private:
   void FinishRecording(EngineTick* tick, RecordStopReason reason);
 
-  ResourceId sound_id_ = kNoResource;
+  SoundRef sound_;
   uint8_t termination_ = kTerminateOnStop;
   int64_t max_samples_ = 0;  // 0 = unlimited
   uint64_t samples_recorded_ = 0;

@@ -74,6 +74,24 @@ void OutputDevice::Consume(EngineTick* tick) {
 }
 
 // ---------------------------------------------------------------------------
+// SoundRef
+// ---------------------------------------------------------------------------
+
+void SoundRef::Reset(ResourceId id, SoundObject* sound, EngineTick* tick) {
+  id_ = id;
+  sound_ = sound;
+  destroys_seen_ = tick->server->sound_destroys();
+}
+
+SoundObject* SoundRef::Get(EngineTick* tick) {
+  if (destroys_seen_ != tick->server->sound_destroys()) {
+    destroys_seen_ = tick->server->sound_destroys();
+    sound_ = tick->server->FindSound(id_);
+  }
+  return sound_;
+}
+
+// ---------------------------------------------------------------------------
 // PlayerDevice
 // ---------------------------------------------------------------------------
 
@@ -89,9 +107,7 @@ Status PlayerDevice::StartCommand(const CommandSpec& spec, EngineTick* tick) {
   if (sound == nullptr) {
     return Status(ErrorCode::kBadResource, "Play: no such sound");
   }
-  sound_id_ = args.sound;
-  sound_ = sound;
-  sound_destroys_seen_ = tick->server->sound_destroys();
+  sound_.Reset(args.sound, sound, tick);
   position_ = 0;
   end_sample_ = args.end_sample;
   decode_byte_pos_ = 0;
@@ -145,19 +161,11 @@ void PlayerDevice::SwitchToIncremental(SoundObject* sound, EngineTick* tick,
   cache_pos_ = 0;
 }
 
-SoundObject* PlayerDevice::CurrentSound(EngineTick* tick) {
-  if (sound_destroys_seen_ != tick->server->sound_destroys()) {
-    sound_destroys_seen_ = tick->server->sound_destroys();
-    sound_ = tick->server->FindSound(sound_id_);
-  }
-  return sound_;
-}
-
 size_t PlayerDevice::Produce(EngineTick* tick, size_t frames) {
   if (!CommandRunning() || paused()) {
     return 0;
   }
-  SoundObject* sound = CurrentSound(tick);
+  SoundObject* sound = sound_.Get(tick);
   if (sound == nullptr) {
     // Sound destroyed mid-play: the command ends aborted.
     AbortCommand();
@@ -264,7 +272,7 @@ Status RecorderDevice::StartCommand(const CommandSpec& spec, EngineTick* tick) {
   if (sound == nullptr) {
     return Status(ErrorCode::kBadResource, "Record: no such sound");
   }
-  sound_id_ = args.sound;
+  sound_.Reset(args.sound, sound, tick);
   termination_ = args.termination;
   max_samples_ = args.max_ms == 0
                      ? 0
@@ -302,7 +310,7 @@ void RecorderDevice::FinishRecording(EngineTick* tick, RecordStopReason reason) 
   // back through the codec, so finishing costs one pass over the take
   // instead of a whole-sound decode + re-encode.
   if (keep_linear_history_) {
-    SoundObject* sound = tick->server->FindSound(sound_id_);
+    SoundObject* sound = sound_.Get(tick);
     if (sound != nullptr) {
       auto compressed = CompressPauses(linear_history_, sound->format().sample_rate_hz);
       StreamEncoder re_encoder(sound->format().encoding);
@@ -329,9 +337,10 @@ void RecorderDevice::Consume(EngineTick* tick) {
   if (!CommandRunning() || paused()) {
     return;
   }
-  SoundObject* sound = tick->server->FindSound(sound_id_);
+  SoundObject* sound = sound_.Get(tick);
   if (sound == nullptr) {
-    set_command_running(false);
+    // Sound destroyed mid-record: the command ends aborted.
+    AbortCommand();
     return;
   }
 

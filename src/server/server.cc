@@ -37,7 +37,7 @@ AudioServer::AudioServer(Board* board, ServerOptions options)
 void AudioServer::StartLoops() {
   EventLoopOptions lo;
   lo.metrics.epoll_waits = &metrics_->epoll_waits;
-  lo.metrics.wakeups = &metrics_->loop_wakeups;
+  lo.metrics.wakeups = &metrics_->wakeups;
   lo.metrics.readiness_spurious = &metrics_->readiness_spurious;
   lo.metrics.fds_watched = &metrics_->fds_watched;
   lo.metrics.dispatch_us = &metrics_->loop_dispatch_us;

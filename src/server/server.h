@@ -82,7 +82,7 @@ struct ServerOptions {
   // -- Overload protection (DESIGN.md decision 15). Zero disables each
   // limit; all limits are per connection except max_connections.
   // Admission control: connections beyond this are politely closed at
-  // accept time (counted in admission_rejects).
+  // accept time (and counted).
   size_t max_connections = 0;
   // Token-bucket rate limits checked by the owning loop before dispatch:
   // requests per second and ingress bytes per second, each with a burst
@@ -164,7 +164,7 @@ class AudioServer {
   // (bounded by `deadline`), hang up any off-hook telephone lines, then
   // Shutdown. Returns true when every backlog flushed inside the deadline;
   // false when the deadline expired and connections with unflushed egress
-  // were forced closed (counted in drain_forced_closes).
+  // were forced closed (and counted).
   bool Drain(std::chrono::milliseconds deadline);
   bool draining() const { return draining_.load(); }
 

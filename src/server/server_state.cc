@@ -751,8 +751,8 @@ void ServerState::TickRoot(Loud* root, EngineTick* tick, size_t frames) {
   root->CountFrames(produced, consumed);
 }
 
-void ServerState::EpochCommit(size_t frames) {
-  const auto commit_t0 = std::chrono::steady_clock::now();
+void ServerState::EpochCommit(size_t frames, obs::PhaseClock* clock) {
+  const auto commit_t0 = clock->last();
   if (state_mu_ != nullptr) {
     state_mu_->Lock();
   }
@@ -771,6 +771,7 @@ void ServerState::EpochCommit(size_t frames) {
     obs::Trace(obs::TraceReason::kEventFlush, events);
     tick_batches_.clear();
   }
+  clock->Lap(&metrics_.tick_flush_us);
 
   // Resolve the transparent mixers into the codecs. The server keeps every
   // output codec fed (silence when idle) so the device clock runs
@@ -784,10 +785,12 @@ void ServerState::EpochCommit(size_t frames) {
       phone->tx_codec().WritePlayback(resolved_);
     }
   }
+  clock->Lap(&metrics_.tick_resolve_us);
 
   // Hardware time advances; phone/exchange events fire here (delivered
   // directly — the state lock is held).
   board_->Advance(frames);
+  clock->Lap(&metrics_.tick_advance_us);
 
   engine_frame_.fetch_add(static_cast<int64_t>(frames), std::memory_order_relaxed);
   ++ticks_run_;
@@ -821,33 +824,30 @@ void ServerState::EpochCommit(size_t frames) {
   epoch_in_flight_ = false;
   epoch_cv_.NotifyAll();
   metrics_.epoch_commits.Increment();
-  metrics_.epoch_commit_us.Record(static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - commit_t0)
-          .count()));
+  metrics_.epoch_commit_us.Record(obs::PhaseClock::UsSince(commit_t0));
   if (state_mu_ != nullptr) {
     state_mu_->Unlock();
   }
 }
 
 void ServerState::Tick(size_t frames) {
-  const auto tick_t0 = std::chrono::steady_clock::now();
+  // Each phase is timed once per tick, one clock read at each boundary.
+  obs::PhaseClock clock;
 
   // Epoch open: snapshot the active graph under the state lock.
   EpochOpen(frames);
+  clock.Lap(&metrics_.tick_open_us);
   EngineTick tick{this, frames, engine_frame()};
 
   // Phases 1-4: queues, sources, transforms, sinks — with the state lock
   // dropped.
   EpochFanOut(&tick, frames);
+  clock.Lap(&metrics_.tick_fanout_us);
 
   // Phases 5-6 + publication, in the commit critical section.
-  EpochCommit(frames);
+  EpochCommit(frames, &clock);
 
-  const uint64_t tick_dur_us = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - tick_t0)
-          .count());
+  const uint64_t tick_dur_us = obs::PhaseClock::UsSince(clock.start());
   metrics_.tick_us.Record(tick_dur_us);
   const uint64_t period_us =
       static_cast<uint64_t>(frames) * 1'000'000 / engine_rate();
@@ -1041,7 +1041,7 @@ const CatalogueSound* ServerState::FindCatalogueSound(const std::string& name) c
 
 ServerStatsReply ServerState::BuildServerStats(bool include_opcodes) {
   ServerStatsReply reply;
-  reply.stats_version = kServerStatsVersion;
+  metrics_.CopyTo(&reply);
   reply.proto_major = kProtocolMajor;
   reply.proto_minor = kProtocolMinor;
   reply.uptime_ms = metrics_.uptime_ms();
@@ -1049,12 +1049,6 @@ ServerStatsReply ServerState::BuildServerStats(bool include_opcodes) {
   reply.engine_threads = 1;  // fixed: the tick runs on one thread
   reply.engine_rate_hz = engine_rate();
   reply.ticks_run = static_cast<uint64_t>(ticks_run_);
-  reply.tick_overruns = metrics_.tick_overruns.value();
-  reply.tick_us = metrics_.tick_us.Snapshot();
-  reply.tick_jitter_us = metrics_.tick_jitter_us.Snapshot();
-  reply.requests_total = metrics_.requests_total.value();
-  reply.request_errors_total = metrics_.request_errors_total.value();
-  reply.dispatch_us = metrics_.dispatch_us.Snapshot();
   if (include_opcodes) {
     for (size_t op = 0; op < ServerMetrics::kOpcodes; ++op) {
       uint64_t count = metrics_.requests[op].value();
@@ -1062,60 +1056,18 @@ ServerStatsReply ServerState::BuildServerStats(bool include_opcodes) {
       if (count == 0 && errors == 0) {
         continue;  // only opcodes actually seen go on the wire
       }
-      OpcodeStats stats;
-      stats.opcode = static_cast<uint16_t>(op);
-      stats.count = count;
-      stats.errors = errors;
-      stats.total_us = metrics_.opcode_us[op].value();
-      reply.opcodes.push_back(stats);
+      reply.opcodes.push_back(
+          {static_cast<uint16_t>(op), count, errors, metrics_.opcode_us[op].value()});
     }
   }
-  reply.connections_open = metrics_.connections_open.value();
-  reply.connections_total = metrics_.connections_total.value();
-  reply.bytes_in = metrics_.bytes_in.value();
-  reply.bytes_out = metrics_.bytes_out.value();
-  reply.events_sent = metrics_.events_sent.value();
   reply.objects = static_cast<uint32_t>(objects_.size());
-  uint32_t active = 0;
   for (Loud* loud : active_stack_) {
     if (loud->active()) {
-      ++active;
+      ++reply.active_louds;
     }
   }
-  reply.active_louds = active;
-  reply.commands_enqueued = metrics_.commands_enqueued.value();
-  reply.commands_done = metrics_.commands_done.value();
-  reply.commands_aborted = metrics_.commands_aborted.value();
-  reply.queue_events = metrics_.queue_events.value();
-  reply.decoded_cache_hits = metrics_.decoded_cache_hits.value();
-  reply.decoded_cache_misses = metrics_.decoded_cache_misses.value();
-  reply.decoded_cache_bytes = static_cast<uint64_t>(metrics_.decoded_cache_bytes.value());
-  reply.decoded_cache_evictions = metrics_.decoded_cache_evictions.value();
-  reply.events_dropped = metrics_.events_dropped.value();
-  reply.egress_disconnects = metrics_.egress_disconnects.value();
-  reply.egress_queued_bytes = metrics_.egress_queued_bytes.value();
-  reply.accept_retries = metrics_.accept_retries.value();
-  reply.epoch_commits = metrics_.epoch_commits.value();
-  reply.dispatch_shard_contention = metrics_.dispatch_shard_contention.value();
-  reply.lock_wait_us = metrics_.lock_wait_us.Snapshot();
-  reply.epoch_commit_us = metrics_.epoch_commit_us.Snapshot();
-  reply.mouth_to_ear_us = metrics_.mouth_to_ear_us.Snapshot();
-  reply.trace_spans = metrics_.trace_spans.value();
-  reply.trace_requests_sampled = metrics_.trace_requests_sampled.value();
   reply.trace_sample_every = trace_sample_every_;
   reply.loops = connection_loops_;
-  reply.fds_watched = metrics_.fds_watched.value();
-  reply.epoll_waits = metrics_.epoll_waits.value();
-  reply.wakeups = metrics_.loop_wakeups.value();
-  reply.readiness_spurious = metrics_.readiness_spurious.value();
-  reply.loop_dispatch_us = metrics_.loop_dispatch_us.Snapshot();
-  reply.admission_rejects = metrics_.admission_rejects.value();
-  reply.rate_limited = metrics_.rate_limited.value();
-  reply.rate_limit_disconnects = metrics_.rate_limit_disconnects.value();
-  reply.quota_denials = metrics_.quota_denials.value();
-  reply.draining = static_cast<uint32_t>(metrics_.draining.value());
-  reply.drain_forced_closes = metrics_.drain_forced_closes.value();
-  reply.drain_duration_ms = static_cast<uint64_t>(metrics_.drain_duration_ms.value());
   return reply;
 }
 

@@ -337,7 +337,7 @@ class ServerState {
   void EpochOpen(size_t frames) AUD_NO_THREAD_SAFETY_ANALYSIS;
   void EpochFanOut(EngineTick* tick, size_t frames);
   void TickRoot(Loud* root, EngineTick* tick, size_t frames);
-  void EpochCommit(size_t frames) AUD_NO_THREAD_SAFETY_ANALYSIS;
+  void EpochCommit(size_t frames, obs::PhaseClock* clock) AUD_NO_THREAD_SAFETY_ANALYSIS;
   // The selection-mask category of an event type (section 5.7).
   static uint32_t EventCategory(EventType type);
   // Whether the calling thread is running this state's fan-out.

@@ -862,6 +862,31 @@ obs::HistogramSnapshot DecodeHistogram(ByteReader* r) {
   return h;
 }
 
+// One stats row's wire form, chosen by its type.
+void PutStat(ByteWriter* w, uint16_t v) { w->WriteU16(v); }
+void PutStat(ByteWriter* w, uint32_t v) { w->WriteU32(v); }
+void PutStat(ByteWriter* w, uint64_t v) { w->WriteU64(v); }
+void PutStat(ByteWriter* w, int64_t v) { w->WriteI64(v); }
+void PutStat(ByteWriter* w, const Histogram& h) { EncodeHistogram(w, h); }
+void PutStat(ByteWriter* w, const std::vector<OpcodeStats>& ops) {
+  w->WriteU32(static_cast<uint32_t>(ops.size()));
+  for (const OpcodeStats& op : ops) {
+    op.Encode(w);
+  }
+}
+
+void GetStat(ByteReader* r, uint16_t* v) { *v = r->ReadU16(); }
+void GetStat(ByteReader* r, uint32_t* v) { *v = r->ReadU32(); }
+void GetStat(ByteReader* r, uint64_t* v) { *v = r->ReadU64(); }
+void GetStat(ByteReader* r, int64_t* v) { *v = r->ReadI64(); }
+void GetStat(ByteReader* r, Histogram* h) { *h = DecodeHistogram(r); }
+void GetStat(ByteReader* r, std::vector<OpcodeStats>* ops) {
+  uint32_t n = r->ReadU32();
+  for (uint32_t i = 0; i < n && r->ok(); ++i) {
+    ops->push_back(OpcodeStats::Decode(r));
+  }
+}
+
 }  // namespace
 
 void OpcodeStats::Encode(ByteWriter* w) const {
@@ -890,129 +915,21 @@ GetServerStatsReq GetServerStatsReq::Decode(ByteReader* r) {
 
 void ServerStatsReply::Encode(ByteWriter* w) const {
   w->WriteU32(stats_version);
-  w->WriteU16(proto_major);
-  w->WriteU16(proto_minor);
-  w->WriteU64(uptime_ms);
-  w->WriteI64(server_time);
-  w->WriteU32(engine_threads);
-  w->WriteU32(engine_rate_hz);
-  w->WriteU64(ticks_run);
-  w->WriteU64(tick_overruns);
-  EncodeHistogram(w, tick_us);
-  EncodeHistogram(w, tick_jitter_us);
-  EncodeHistogram(w, islands_per_tick);
-  EncodeHistogram(w, worker_imbalance);
-  w->WriteU64(requests_total);
-  w->WriteU64(request_errors_total);
-  EncodeHistogram(w, dispatch_us);
-  w->WriteU32(static_cast<uint32_t>(opcodes.size()));
-  for (const OpcodeStats& op : opcodes) {
-    op.Encode(w);
-  }
-  w->WriteI64(connections_open);
-  w->WriteU64(connections_total);
-  w->WriteU64(bytes_in);
-  w->WriteU64(bytes_out);
-  w->WriteU64(events_sent);
-  w->WriteU32(objects);
-  w->WriteU32(active_louds);
-  w->WriteU64(commands_enqueued);
-  w->WriteU64(commands_done);
-  w->WriteU64(commands_aborted);
-  w->WriteU64(queue_events);
-  w->WriteU64(decoded_cache_hits);
-  w->WriteU64(decoded_cache_misses);
-  w->WriteU64(decoded_cache_bytes);
-  w->WriteU64(decoded_cache_evictions);
-  w->WriteU64(events_dropped);
-  w->WriteU64(egress_disconnects);
-  w->WriteI64(egress_queued_bytes);
-  w->WriteU64(accept_retries);
-  w->WriteU64(epoch_commits);
-  w->WriteU64(dispatch_shard_contention);
-  EncodeHistogram(w, lock_wait_us);
-  EncodeHistogram(w, epoch_commit_us);
-  EncodeHistogram(w, mouth_to_ear_us);
-  w->WriteU64(trace_spans);
-  w->WriteU64(trace_requests_sampled);
-  w->WriteU32(trace_sample_every);
-  w->WriteU32(loops);
-  w->WriteI64(fds_watched);
-  w->WriteU64(epoll_waits);
-  w->WriteU64(wakeups);
-  w->WriteU64(readiness_spurious);
-  EncodeHistogram(w, loop_dispatch_us);
-  w->WriteU64(admission_rejects);
-  w->WriteU64(rate_limited);
-  w->WriteU64(rate_limit_disconnects);
-  w->WriteU64(quota_denials);
-  w->WriteU32(draining);
-  w->WriteU64(drain_forced_closes);
-  w->WriteU64(drain_duration_ms);
+  ForEachStatField(*this, [&](const StatRow& row, const auto& value) {
+    if (stats_version >= row.version) {
+      PutStat(w, value);
+    }
+  });
 }
 
 ServerStatsReply ServerStatsReply::Decode(ByteReader* r) {
   ServerStatsReply p;
   p.stats_version = r->ReadU32();
-  p.proto_major = r->ReadU16();
-  p.proto_minor = r->ReadU16();
-  p.uptime_ms = r->ReadU64();
-  p.server_time = r->ReadI64();
-  p.engine_threads = r->ReadU32();
-  p.engine_rate_hz = r->ReadU32();
-  p.ticks_run = r->ReadU64();
-  p.tick_overruns = r->ReadU64();
-  p.tick_us = DecodeHistogram(r);
-  p.tick_jitter_us = DecodeHistogram(r);
-  p.islands_per_tick = DecodeHistogram(r);
-  p.worker_imbalance = DecodeHistogram(r);
-  p.requests_total = r->ReadU64();
-  p.request_errors_total = r->ReadU64();
-  p.dispatch_us = DecodeHistogram(r);
-  uint32_t n = r->ReadU32();
-  for (uint32_t i = 0; i < n && r->ok(); ++i) {
-    p.opcodes.push_back(OpcodeStats::Decode(r));
-  }
-  p.connections_open = r->ReadI64();
-  p.connections_total = r->ReadU64();
-  p.bytes_in = r->ReadU64();
-  p.bytes_out = r->ReadU64();
-  p.events_sent = r->ReadU64();
-  p.objects = r->ReadU32();
-  p.active_louds = r->ReadU32();
-  p.commands_enqueued = r->ReadU64();
-  p.commands_done = r->ReadU64();
-  p.commands_aborted = r->ReadU64();
-  p.queue_events = r->ReadU64();
-  p.decoded_cache_hits = r->ReadU64();
-  p.decoded_cache_misses = r->ReadU64();
-  p.decoded_cache_bytes = r->ReadU64();
-  p.decoded_cache_evictions = r->ReadU64();
-  p.events_dropped = r->ReadU64();
-  p.egress_disconnects = r->ReadU64();
-  p.egress_queued_bytes = r->ReadI64();
-  p.accept_retries = r->ReadU64();
-  p.epoch_commits = r->ReadU64();
-  p.dispatch_shard_contention = r->ReadU64();
-  p.lock_wait_us = DecodeHistogram(r);
-  p.epoch_commit_us = DecodeHistogram(r);
-  p.mouth_to_ear_us = DecodeHistogram(r);
-  p.trace_spans = r->ReadU64();
-  p.trace_requests_sampled = r->ReadU64();
-  p.trace_sample_every = r->ReadU32();
-  p.loops = r->ReadU32();
-  p.fds_watched = r->ReadI64();
-  p.epoll_waits = r->ReadU64();
-  p.wakeups = r->ReadU64();
-  p.readiness_spurious = r->ReadU64();
-  p.loop_dispatch_us = DecodeHistogram(r);
-  p.admission_rejects = r->ReadU64();
-  p.rate_limited = r->ReadU64();
-  p.rate_limit_disconnects = r->ReadU64();
-  p.quota_denials = r->ReadU64();
-  p.draining = r->ReadU32();
-  p.drain_forced_closes = r->ReadU64();
-  p.drain_duration_ms = r->ReadU64();
+  ForEachStatField(p, [&](const StatRow& row, auto& value) {
+    if (p.stats_version >= row.version) {
+      GetStat(r, &value);
+    }
+  });
   return p;
 }
 

@@ -17,6 +17,7 @@
 #include "src/common/status.h"
 #include "src/wire/attributes.h"
 #include "src/wire/protocol.h"
+#include "src/wire/server_stats_fields.h"
 
 namespace aud {
 
@@ -511,11 +512,11 @@ struct LoudStateReply {
 // -- Server statistics (GetServerStats) --------------------------------------------
 //
 // Versioning rule (docs/PROTOCOL.md): the reply opens with `stats_version`;
-// new fields are only ever appended and bump the version, so an old client
+// new fields are only ever appended and bump the version. Encode writes and
+// Decode reads the fields of rows up to `stats_version`, so an old client
 // decodes the prefix it knows and skips the rest, and a new client talking
-// to an old server zero-fills fields past the server's version.
-
-inline constexpr uint32_t kServerStatsVersion = 7;
+// to an old server zero-fills the fields past the server's version. The
+// fields themselves are the rows of src/wire/server_stats_fields.h.
 
 // Per-opcode dispatch accounting. Only opcodes with count > 0 are sent.
 struct OpcodeStats {
@@ -537,84 +538,9 @@ struct GetServerStatsReq {
 
 struct ServerStatsReply {
   uint32_t stats_version = kServerStatsVersion;
-
-  // Identity.
-  uint16_t proto_major = kProtocolMajor;
-  uint16_t proto_minor = kProtocolMinor;
-  uint64_t uptime_ms = 0;      // wall time since the server state was built
-  int64_t server_time = 0;     // Ticks on the engine clock
-  uint32_t engine_threads = 0;  // always 1: the engine tick runs on one thread
-  uint32_t engine_rate_hz = 0;
-
-  // Engine.
-  uint64_t ticks_run = 0;
-  uint64_t tick_overruns = 0;  // ticks whose cost exceeded their period
-  obs::HistogramSnapshot tick_us;          // tick duration
-  obs::HistogramSnapshot tick_jitter_us;   // realtime wakeup lateness
-  obs::HistogramSnapshot islands_per_tick; // retired: always empty
-  obs::HistogramSnapshot worker_imbalance; // retired: always empty
-
-  // Dispatcher.
-  uint64_t requests_total = 0;
-  uint64_t request_errors_total = 0;
-  obs::HistogramSnapshot dispatch_us;      // all opcodes
-  std::vector<OpcodeStats> opcodes;        // nonzero opcodes only
-
-  // Connections and transport.
-  int64_t connections_open = 0;
-  uint64_t connections_total = 0;
-  uint64_t bytes_in = 0;
-  uint64_t bytes_out = 0;
-  uint64_t events_sent = 0;
-
-  // Objects and queues.
-  uint32_t objects = 0;        // live registry entries
-  uint32_t active_louds = 0;   // active entries of the active stack
-  uint64_t commands_enqueued = 0;
-  uint64_t commands_done = 0;
-  uint64_t commands_aborted = 0;
-  uint64_t queue_events = 0;   // queue lifecycle + CommandDone events emitted
-
-  // Decoded-PCM cache (v2).
-  uint64_t decoded_cache_hits = 0;
-  uint64_t decoded_cache_misses = 0;
-  uint64_t decoded_cache_bytes = 0;      // resident payload bytes
-  uint64_t decoded_cache_evictions = 0;
-
-  // Connection-lifecycle robustness (v3).
-  uint64_t events_dropped = 0;      // events shed by egress overflow policy
-  uint64_t egress_disconnects = 0;  // slow clients cut off by overflow
-  int64_t egress_queued_bytes = 0;  // current total egress backlog
-  uint64_t accept_retries = 0;      // transient accept() failures retried
-
-  // Epoch-snapshot engine (v4, DESIGN.md decision 12).
-  uint64_t epoch_commits = 0;             // epochs published (completed ticks)
-  uint64_t dispatch_shard_contention = 0; // shard TryLock misses in dispatch
-  obs::HistogramSnapshot lock_wait_us;    // state-lock / shard-lock waits
-  obs::HistogramSnapshot epoch_commit_us; // commit critical-section duration
-
-  // Request tracing (v5, DESIGN.md decision 13).
-  obs::HistogramSnapshot mouth_to_ear_us; // play accept -> first mixed frame
-  uint64_t trace_spans = 0;               // request-scoped spans recorded
-  uint64_t trace_requests_sampled = 0;    // requests that got a root span
-  uint32_t trace_sample_every = 0;        // sampling period; 0 = tracing off
-
-  // Event-loop connection plane (v6, DESIGN.md decision 14).
-  uint32_t loops = 0;                  // loop threads serving connections
-  int64_t fds_watched = 0;             // fds currently registered with loops
-  uint64_t epoll_waits = 0;            // wait syscalls across all loops
-  uint64_t wakeups = 0;                // loop wakeups consumed
-  uint64_t readiness_spurious = 0;     // readiness that yielded no work
-  obs::HistogramSnapshot loop_dispatch_us;  // one readiness handler run
-
-  // Overload protection (v7, DESIGN.md decision 15).
-  uint64_t admission_rejects = 0;       // connections closed at accept time
-  uint64_t rate_limited = 0;            // requests refused by a token bucket
-  uint64_t rate_limit_disconnects = 0;  // flooders cut by the hard policy
-  uint64_t quota_denials = 0;           // requests refused by a client quota
-  uint32_t draining = 0;                // 1 while a graceful drain runs
-  uint64_t drain_forced_closes = 0;     // unflushed conns cut at the deadline
-  uint64_t drain_duration_ms = 0;       // wall time of the last drain
+#define AUD_STATS_MEMBER(name, type, ...) type name{};
+  AUD_SERVER_STATS_FIELDS(AUD_STATS_MEMBER)
+#undef AUD_STATS_MEMBER
 
   void Encode(ByteWriter* w) const;
   static ServerStatsReply Decode(ByteReader* r);

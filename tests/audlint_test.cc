@@ -150,23 +150,7 @@ std::string_view ErrorCodeName(ErrorCode code) {
   files["PROTOCOL.md"] += R"(
 Error codes: `BadResource(1)`, `Timeout(2)`. The payload is a code.
 )";
-  files["metrics.h"] = R"(
-struct ServerMetrics {
-  static constexpr size_t kOpcodes = 4;
-  obs::Counter requests[kOpcodes];
-  obs::Counter requests_total;
-  obs::LatencyHistogram dispatch_us;
-  uint64_t uptime_ms() const { return 0; }
-};
-)";
-  files["server_state.cc"] = R"(
-reply.requests_total = metrics_.requests_total.value();
-for (size_t i = 0; i < ServerMetrics::kOpcodes; ++i) row.count = metrics_.requests[i].value();
-)";
-  files["stats_render.cc"] = R"(
-RenderHistogram(out, "aud_dispatch_us", metrics.dispatch_us);
-)";
-  files["flight_recorder.cc"] = "";
+  files["server_stats_fields.h"] = "";
   files["audiond.cc"] = R"(
     if (arg == "--port") { port = Next(); }
     if (arg == "--verbose") { verbose = true; }
@@ -423,26 +407,61 @@ TEST(AudlintTest, MalformedLockLineFlagged) {
   EXPECT_TRUE(HasProblem(LintTree(files), "malformed line: PingReply"));
 }
 
-// Extends the clean tree with a locked ServerStatsReply (v1 -> v2) so the
-// stats doc-coverage check (check 8) has something to examine. doc_extra is
-// appended to PROTOCOL.md.
+// Extends the clean tree with a locked ServerStatsReply (v1 -> v2) whose
+// fields after stats_version are the rows of a stats table, so the schema
+// and doc checks (7 and 8) have a table to read. doc_extra is appended to
+// PROTOCOL.md.
 FileMap TreeWithStatsReply(const std::string& doc_extra) {
   FileMap files = CleanTree();
   files["messages.h"] += R"(
-inline constexpr uint32_t kServerStatsVersion = 2;
-
 struct ServerStatsReply {
-  uint32_t stats_version = 0;
-  uint64_t widgets = 0;
+  uint32_t stats_version = kServerStatsVersion;
+#define AUD_STATS_MEMBER(name, type, ...) type name{};
+  AUD_SERVER_STATS_FIELDS(AUD_STATS_MEMBER)
+#undef AUD_STATS_MEMBER
   std::vector<uint8_t> Encode() const;
   static StatusOr<ServerStatsReply> Decode(const std::vector<uint8_t>& payload);
 };
+)";
+  files["server_stats_fields.h"] = R"(
+inline constexpr uint32_t kServerStatsVersion = 2;
+
+#define AUD_SERVER_STATS_FIELDS(X)                                  \
+  /* v2 */                                                          \
+  X(widgets, uint64_t, kCounter, kMetric, 2, kAll, "", "", "",      \
+    "Widgets made")
 )";
   files["schema.lock"] +=
       "ServerStatsReply 1 stats_version\n"
       "ServerStatsReply 2 stats_version widgets\n";
   files["PROTOCOL.md"] += doc_extra;
   return files;
+}
+
+TEST(AudlintTest, ParseStatsTableReadsRowNamesInOrder) {
+  FileMap files = TreeWithStatsReply("");
+  files["server_stats_fields.h"] += R"(
+// A later macro is not part of the table:
+#define OTHER(X) X(gadgets, uint64_t)
+)";
+  EXPECT_EQ(ParseStatsTable(files["server_stats_fields.h"]),
+            std::vector<std::string>{"widgets"});
+}
+
+TEST(AudlintTest, StatsTableRowWithoutLockLineFlagged) {
+  // A row appended to the table is a new wire field: it needs a version
+  // bump and a lock line like any struct member.
+  FileMap files = TreeWithStatsReply(
+      "\nThe stats reply carries `stats_version`, `widgets` and `gizmos`.\n");
+  std::string& table = files["server_stats_fields.h"];
+  table.insert(table.rfind(")\n") + 1, R"x( \
+  X(gizmos, uint64_t, kCounter, kMetric, 3, kAll, "", "", "", "Gizmos")x");
+  EXPECT_TRUE(HasProblem(LintTree(files),
+                         "ServerStatsReply v2 field list does not match messages.h"));
+  files["schema.lock"] += "ServerStatsReply 3 stats_version widgets gizmos\n";
+  EXPECT_TRUE(HasProblem(LintTree(files), "messages.h declares kServerStatsVersion = 2"));
+  table.replace(table.find("= 2;"), 4, "= 3;");
+  EXPECT_TRUE(NoProblems(LintTree(files)));
 }
 
 TEST(AudlintTest, DocumentedStatsFieldsPass) {
@@ -656,48 +675,6 @@ TEST(AudlintTest, OpcodeNotationOutsideErrorParagraphIgnored) {
   // as an error code.
   FileMap files = CleanTree();
   files["PROTOCOL.md"] += "\nSee also the `NoOp(0)` opcode notation.\n";
-  EXPECT_TRUE(NoProblems(LintTree(files)));
-}
-
-// --- v2: metrics coverage (CheckMetricsCoverage) --------------------------
-
-TEST(AudlintTest, WriteOnlyMetricFlagged) {
-  FileMap files = CleanTree();
-  files["metrics.h"] = R"(
-struct ServerMetrics {
-  static constexpr size_t kOpcodes = 4;
-  obs::Counter requests[kOpcodes];
-  obs::Counter requests_total;
-  obs::Counter ghost_counter;
-  obs::LatencyHistogram dispatch_us;
-  uint64_t uptime_ms() const { return 0; }
-};
-)";
-  EXPECT_TRUE(HasProblem(LintTree(files),
-                         "ServerMetrics.ghost_counter is never rendered"));
-}
-
-TEST(AudlintTest, ArrayMetricFieldRequiresRenderingToo) {
-  FileMap files = CleanTree();
-  // Drop the per-opcode rendering: the array field must be flagged even
-  // though the field declaration carries an array extent.
-  files["server_state.cc"] = "reply.requests_total = metrics_.requests_total.value();\n";
-  EXPECT_TRUE(
-      HasProblem(LintTree(files), "ServerMetrics.requests is never rendered"));
-}
-
-TEST(AudlintTest, MetricRenderedByFlightRecorderCounts) {
-  FileMap files = CleanTree();
-  files["metrics.h"] = R"(
-struct ServerMetrics {
-  static constexpr size_t kOpcodes = 4;
-  obs::Counter requests[kOpcodes];
-  obs::Counter requests_total;
-  obs::Counter recorded_only;
-  obs::LatencyHistogram dispatch_us;
-};
-)";
-  files["flight_recorder.cc"] = "frame.recorded_only = metrics.recorded_only.value();\n";
   EXPECT_TRUE(NoProblems(LintTree(files)));
 }
 

@@ -135,6 +135,53 @@ TEST_F(RobustnessTest, DestroyLoudMidRecordingStopsEverything) {
   }
 }
 
+// Destroying the sound a recorder is writing ends the record aborted, and
+// the recorder never writes the destroyed sound again (under ASan a write
+// through a stale sound pointer is a use-after-free).
+TEST_F(RobustnessTest, SoundDestroyedMidRecordAbortsCleanly) {
+  auto chain = toolkit_->BuildRecordChain();
+  ResourceId sound = client_->CreateSound(kTelephoneFormat);
+  board_->microphones()[0]->set_source([](std::span<Sample> block) {
+    for (Sample& s : block) {
+      s = 5000;
+    }
+  });
+  client_->Enqueue(chain.loud,
+                   {RecordCommand(chain.recorder, sound, kTerminateOnStop, 60000, 1)});
+  client_->StartQueue(chain.loud);
+  Flush();
+  StepMs(200);
+  auto recorded = client_->QuerySound(sound);
+  ASSERT_TRUE(recorded.ok());
+  EXPECT_GT(recorded.value().samples, 0u);
+
+  client_->DestroySound(sound);
+  Flush();
+  // The recorder finds its sound gone on the next tick; the queue reports
+  // the aborted command on the one after.
+  StepMs(40);
+  Flush();
+  std::optional<CommandDoneArgs> done;
+  EventMessage event;
+  while (client_->PollEvent(&event)) {
+    if (event.type == EventType::kCommandDone) {
+      done = CommandDoneArgs::Decode(event.args);
+    }
+  }
+  ASSERT_TRUE(done.has_value()) << "no CommandDone within two periods of the destroy";
+  EXPECT_EQ(done->tag, 1u);
+  EXPECT_EQ(done->aborted, 1);
+  // Recording on into a fresh sound still works.
+  ResourceId next = client_->CreateSound(kTelephoneFormat);
+  client_->Enqueue(chain.loud,
+                   {RecordCommand(chain.recorder, next, kTerminateOnStop, 100, 2)});
+  EXPECT_TRUE(toolkit_->WaitCommandDone(2, 20000));
+  auto second = client_->QuerySound(next);
+  ASSERT_TRUE(second.ok());
+  EXPECT_GT(second.value().samples, 0u);
+  ExpectNoErrors();
+}
+
 TEST_F(RobustnessTest, DoubleMapAndDoubleUnmapAreIdempotent) {
   ResourceId loud = client_->CreateLoud(kNoResource, {});
   client_->CreateDevice(loud, DeviceClass::kOutput, {});

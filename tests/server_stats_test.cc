@@ -61,6 +61,15 @@ TEST_F(ServerStatsTest, StatsReflectPlayback) {
   EXPECT_FALSE(s.tick_us.empty());
   EXPECT_EQ(s.tick_us.count, s.ticks_run);
   EXPECT_GE(s.tick_us.Percentile(99), s.tick_us.Percentile(50));
+  // Each tick times each of its phases once, and the phases fit in it.
+  uint64_t phases_us = 0;
+  for (const obs::HistogramSnapshot* phase : {&s.tick_open_us, &s.tick_fanout_us,
+                                              &s.tick_flush_us, &s.tick_resolve_us,
+                                              &s.tick_advance_us}) {
+    EXPECT_EQ(phase->count, s.ticks_run);
+    phases_us += phase->sum;
+  }
+  EXPECT_LE(phases_us, s.tick_us.sum);
 
   // Transport accounting: both directions carried real bytes.
   EXPECT_EQ(s.connections_open, 1);

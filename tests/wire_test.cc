@@ -6,6 +6,7 @@
 #include "src/wire/attributes.h"
 #include "src/wire/messages.h"
 #include "src/wire/protocol.h"
+#include "tests/stats_fill.h"
 
 namespace aud {
 namespace {
@@ -496,6 +497,180 @@ TEST(StrictHeaderTest, NonRequestTypesSkipOpcodeCheck) {
   h.type = MessageType::kEvent;
   h.code = 0xFFFE;
   EXPECT_TRUE(ValidateRequestHeader(h).ok());
+}
+
+// -- ServerStatsReply: the stats table's wire form ----------------------------
+
+// The v1-v7 fields in the order stats v7's hand-written encoder wrote them,
+// before the encoder was generated from the stats table.
+#define AUD_V7_STATS_FIELDS(X)                                                         \
+  X(proto_major) X(proto_minor) X(uptime_ms) X(server_time) X(engine_threads)          \
+  X(engine_rate_hz) X(ticks_run) X(tick_overruns) X(tick_us) X(tick_jitter_us)         \
+  X(islands_per_tick) X(worker_imbalance) X(requests_total) X(request_errors_total)    \
+  X(dispatch_us) X(opcodes) X(connections_open) X(connections_total) X(bytes_in)       \
+  X(bytes_out) X(events_sent) X(objects) X(active_louds) X(commands_enqueued)          \
+  X(commands_done) X(commands_aborted) X(queue_events) X(decoded_cache_hits)           \
+  X(decoded_cache_misses) X(decoded_cache_bytes) X(decoded_cache_evictions)            \
+  X(events_dropped) X(egress_disconnects) X(egress_queued_bytes) X(accept_retries)     \
+  X(epoch_commits) X(dispatch_shard_contention) X(lock_wait_us) X(epoch_commit_us)     \
+  X(mouth_to_ear_us) X(trace_spans) X(trace_requests_sampled) X(trace_sample_every)    \
+  X(loops) X(fds_watched) X(epoll_waits) X(wakeups) X(readiness_spurious)              \
+  X(loop_dispatch_us) X(admission_rejects) X(rate_limited) X(rate_limit_disconnects)   \
+  X(quota_denials) X(draining) X(drain_forced_closes) X(drain_duration_ms)
+
+// How many of those fields each version 1..7 carried.
+constexpr size_t kFieldsAtVersion[] = {0, 27, 31, 35, 39, 43, 49, 56};
+
+// Stats v7 with its fields filled in the order above (stats_fill.h's values).
+ServerStatsReply GoldenReply(uint32_t version) {
+  ServerStatsReply reply;
+  reply.stats_version = version;
+  int i = 0;
+#define AUD_FILL(name) FillStat(i++, &reply.name);
+  AUD_V7_STATS_FIELDS(AUD_FILL)
+#undef AUD_FILL
+  return reply;
+}
+
+// What stats v7's hand-written encoder made of GoldenReply(7).
+constexpr const char* kGoldenV7Hex =
+    "07000000e903d207bb0b0000000003005cf0fffffffbffff8d130005761700065f1b0000"
+    "00000700481f0000000008000900000000000000a41f0000000000008403000000000000"
+    "84030000000000000b000000000000000000000000000000000000000000000000000000"
+    "000000000000000000000000000000000000000000000000000000000000000000000000"
+    "000000000000000000000000000000000000000009000000000000000a00000000000000"
+    "1027000000000000e803000000000000e8030000000000000b0000000000000000000000"
+    "000000000000000000000000000000000000000000000000000000000000000000000000"
+    "000000000000000000000000000000000000000000000000000000000000000000000000"
+    "0a000000000000000b00000000000000442f0000000000004c040000000000004c040000"
+    "000000000c00000000000000000000000000000000000000000000000000000000000000"
+    "000000000000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000b000000000000000c000000"
+    "000000004038000000000000b004000000000000b0040000000000000c00000000000000"
+    "000000000000000000000000000000000000000000000000000000000000000000000000"
+    "000000000000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000c00000000000000d532000000000d00be36000000000e00"
+    "0f00000000000000e457000000000000dc05000000000000dc050000000000000c000000"
+    "000000000000000000000000000000000000000000000000000000000000000000000000"
+    "000000000000000000000000000000000000000000000000000000000000000000000000"
+    "000000000000000000000000000000000f000000000000000200000001000b0000000000"
+    "000002000000000000004d010000000000002a0005000000000000000000000000000000"
+    "4d0000000000000087bdffffffeeffff62460000000012004b4a000000001300344e0000"
+    "000014001d5200000000150006560006ef590007d85d000000001800c161000000001900"
+    "aa65000000001a009369000000001b007c6d000000001c006571000000001d004e750000"
+    "00001e003779000000001f00207d00000000200009810000000021000e7bffffffddffff"
+    "db88000000002300c48c000000002400ad90000000002500260000000000000010340200"
+    "00000000d80e000000000000d80e0000000000000d000000000000000000000000000000"
+    "000000000000000000000000000000000000000000000000000000000000000000000000"
+    "000000000000000000000000000000000000000000000000000000000000000000000000"
+    "000000000000000000000000260000000000000027000000000000002452020000000000"
+    "3c0f0000000000003c0f0000000000000d00000000000000000000000000000000000000"
+    "000000000000000000000000000000000000000000000000000000000000000000000000"
+    "000000000000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000270000000000000028000000000000000071020000000000a00f0000"
+    "00000000a00f0000000000000d0000000000000000000000000000000000000000000000"
+    "000000000000000000000000000000000000000000000000000000000000000000000000"
+    "000000000000000000000000000000000000000000000000000000000000000000000000"
+    "00000000280000000000000051a00000000029003aa4000000002a0023a800030cac0004"
+    "0b50ffffffd2ffffdeb3000000002e00c7b7000000002f00b0bb00000000300031000000"
+    "00000000e4a9030000000000241300000000000024130000000000000e00000000000000"
+    "000000000000000000000000000000000000000000000000000000000000000000000000"
+    "000000000000000000000000000000000000000000000000000000000000000000000000"
+    "000000000000000000000000000000000000000000000000000000003100000000000000"
+    "82c30000000032006bc700000000330054cb0000000034003dcf00000000350026d30006"
+    "0fd7000000003700f8da000000003800";
+
+std::vector<uint8_t> FromHex(const std::string& hex) {
+  std::vector<uint8_t> bytes;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes.push_back(static_cast<uint8_t>(std::stoul(hex.substr(i, 2), nullptr, 16)));
+  }
+  return bytes;
+}
+
+std::string Show(const obs::HistogramSnapshot& h) {
+  std::string out = "{" + std::to_string(h.count) + " " + std::to_string(h.sum) + " " +
+                    std::to_string(h.min) + " " + std::to_string(h.max) + " [";
+  for (uint64_t b : h.buckets) {
+    out += std::to_string(b) + " ";
+  }
+  return out + "]}";
+}
+std::string Show(const std::vector<OpcodeStats>& ops) {
+  std::string out;
+  for (const OpcodeStats& op : ops) {
+    out += "(" + std::to_string(op.opcode) + " " + std::to_string(op.count) + " " +
+           std::to_string(op.errors) + " " + std::to_string(op.total_us) + ")";
+  }
+  return out;
+}
+template <typename T>
+std::string Show(const T& value) {
+  return std::to_string(value);
+}
+
+std::vector<std::string> V7Fields(const ServerStatsReply& s) {
+  std::vector<std::string> fields;
+#define AUD_SHOW(name) fields.push_back(#name "=" + Show(s.name));
+  AUD_V7_STATS_FIELDS(AUD_SHOW)
+#undef AUD_SHOW
+  return fields;
+}
+
+TEST(ServerStatsWire, V7EncodingMatchesGoldenBytes) {
+  ByteWriter w;
+  GoldenReply(7).Encode(&w);
+  EXPECT_EQ(w.bytes(), FromHex(kGoldenV7Hex));
+}
+
+// A v_k server sends the v7 bytes cut after version k's fields; a v8
+// client decodes exactly those fields and zero-fills the rest, as the v7
+// decoder did.
+TEST(ServerStatsWire, EveryOldVersionDecodesItsFieldsAndZeroFillsTheRest) {
+  const std::vector<uint8_t> golden = FromHex(kGoldenV7Hex);
+  const std::vector<std::string> full = V7Fields(GoldenReply(7));
+  const std::vector<std::string> empty = V7Fields(ServerStatsReply{});
+  for (uint32_t version = 1; version <= 7; ++version) {
+    ByteWriter w;
+    GoldenReply(version).Encode(&w);
+    std::vector<uint8_t> bytes = w.Take();
+    ASSERT_LE(bytes.size(), golden.size());
+    std::vector<uint8_t> prefix(golden.begin(), golden.begin() + bytes.size());
+    prefix[0] = static_cast<uint8_t>(version);
+    EXPECT_EQ(bytes, prefix) << "v" << version;
+
+    ByteReader r(bytes);
+    ServerStatsReply decoded = ServerStatsReply::Decode(&r);
+    EXPECT_TRUE(r.ok()) << "v" << version;
+    EXPECT_EQ(r.remaining(), 0u) << "v" << version;
+    EXPECT_EQ(decoded.stats_version, version);
+    std::vector<std::string> want = empty;
+    std::copy(full.begin(), full.begin() + kFieldsAtVersion[version], want.begin());
+    EXPECT_EQ(V7Fields(decoded), want) << "v" << version;
+  }
+}
+
+TEST(ServerStatsWire, EveryRowRoundTrips) {
+  const ServerStatsReply reply = DistinctStatsReply();
+  ByteWriter w;
+  reply.Encode(&w);
+  std::vector<uint8_t> bytes = w.Take();
+  ByteReader r(bytes);
+  ServerStatsReply decoded = ServerStatsReply::Decode(&r);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.remaining(), 0u);
+  std::vector<std::string> want;
+  std::vector<std::string> got;
+  ForEachStatField(reply, [&](const StatRow& row, const auto& v) {
+    want.push_back(std::string(row.name) + "=" + Show(v));
+  });
+  ForEachStatField(decoded, [&](const StatRow& row, const auto& v) {
+    got.push_back(std::string(row.name) + "=" + Show(v));
+  });
+  EXPECT_EQ(got, want);
+  ByteWriter again;
+  decoded.Encode(&again);
+  EXPECT_EQ(again.bytes(), bytes);
 }
 
 }  // namespace

@@ -30,6 +30,7 @@
 #include "src/common/wav.h"
 #include "src/dsp/encoding.h"
 #include "src/toolkit/toolkit.h"
+#include "src/wire/stats_render.h"
 
 namespace {
 
@@ -38,13 +39,7 @@ using namespace aud;
 int CmdInfo(AudioConnection& audio) {
   std::printf("server: %s\n", audio.server_name().c_str());
   if (auto stats = audio.GetServerStats(false); stats.ok()) {
-    const ServerStatsReply& s = stats.value();
-    std::printf("protocol: %u.%u (stats v%u)\n", s.proto_major, s.proto_minor,
-                s.stats_version);
-    std::printf("uptime: %llu.%03llu s  engine: %u Hz  ticks: %llu\n",
-                static_cast<unsigned long long>(s.uptime_ms / 1000),
-                static_cast<unsigned long long>(s.uptime_ms % 1000), s.engine_rate_hz,
-                static_cast<unsigned long long>(s.ticks_run));
+    std::printf("stats: %s\n", RenderStatsLine(stats.value()).c_str());
   }
   auto devices = audio.QueryDeviceLoud();
   if (!devices.ok()) {
@@ -193,205 +188,14 @@ int CmdDial(AudioConnection& audio, const std::string& number) {
   return state == CallState::kConnected ? 0 : 1;
 }
 
-void PrintHistogramLine(const char* name, const obs::HistogramSnapshot& h) {
-  if (h.empty()) {
-    std::printf("  %-18s (no samples)\n", name);
-    return;
-  }
-  std::printf("  %-18s n=%-8llu mean=%-8.1f p50=%-7.0f p95=%-7.0f p99=%-7.0f "
-              "min=%llu max=%llu\n",
-              name, static_cast<unsigned long long>(h.count), h.Mean(), h.Percentile(50),
-              h.Percentile(95), h.Percentile(99), static_cast<unsigned long long>(h.min),
-              static_cast<unsigned long long>(h.max));
-}
-
-void PrintHistogramJson(const char* name, const obs::HistogramSnapshot& h, bool last) {
-  std::printf("    \"%s\": {\"count\": %llu, \"sum\": %llu, \"min\": %llu, "
-              "\"max\": %llu, \"mean\": %.2f, \"p50\": %.1f, \"p95\": %.1f, "
-              "\"p99\": %.1f}%s\n",
-              name, static_cast<unsigned long long>(h.count),
-              static_cast<unsigned long long>(h.sum),
-              static_cast<unsigned long long>(h.min),
-              static_cast<unsigned long long>(h.max), h.Mean(),
-              h.empty() ? 0.0 : h.Percentile(50), h.empty() ? 0.0 : h.Percentile(95),
-              h.empty() ? 0.0 : h.Percentile(99), last ? "" : ",");
-}
-
 int CmdStats(AudioConnection& audio, bool json) {
   auto stats = audio.GetServerStats(true);
   if (!stats.ok()) {
     std::fprintf(stderr, "GetServerStats failed: %s\n", stats.status().ToString().c_str());
     return 1;
   }
-  const ServerStatsReply& s = stats.value();
-
-  if (json) {
-    std::printf("{\n");
-    std::printf("  \"stats_version\": %u,\n", s.stats_version);
-    std::printf("  \"protocol\": \"%u.%u\",\n", s.proto_major, s.proto_minor);
-    std::printf("  \"uptime_ms\": %llu,\n", static_cast<unsigned long long>(s.uptime_ms));
-    std::printf("  \"engine\": {\"rate_hz\": %u, \"ticks_run\": %llu, "
-                "\"tick_overruns\": %llu},\n",
-                s.engine_rate_hz, static_cast<unsigned long long>(s.ticks_run),
-                static_cast<unsigned long long>(s.tick_overruns));
-    std::printf("  \"histograms\": {\n");
-    PrintHistogramJson("tick_us", s.tick_us, false);
-    PrintHistogramJson("tick_jitter_us", s.tick_jitter_us, false);
-    PrintHistogramJson("dispatch_us", s.dispatch_us, false);
-    PrintHistogramJson("lock_wait_us", s.lock_wait_us, false);
-    PrintHistogramJson("epoch_commit_us", s.epoch_commit_us, false);
-    PrintHistogramJson("mouth_to_ear_us", s.mouth_to_ear_us, false);
-    PrintHistogramJson("loop_dispatch_us", s.loop_dispatch_us, true);
-    std::printf("  },\n");
-    std::printf("  \"requests\": {\"total\": %llu, \"errors\": %llu},\n",
-                static_cast<unsigned long long>(s.requests_total),
-                static_cast<unsigned long long>(s.request_errors_total));
-    std::printf("  \"opcodes\": [\n");
-    for (size_t i = 0; i < s.opcodes.size(); ++i) {
-      const OpcodeStats& op = s.opcodes[i];
-      std::printf("    {\"opcode\": \"%s\", \"count\": %llu, \"errors\": %llu, "
-                  "\"total_us\": %llu}%s\n",
-                  std::string(OpcodeName(static_cast<Opcode>(op.opcode))).c_str(),
-                  static_cast<unsigned long long>(op.count),
-                  static_cast<unsigned long long>(op.errors),
-                  static_cast<unsigned long long>(op.total_us),
-                  i + 1 < s.opcodes.size() ? "," : "");
-    }
-    std::printf("  ],\n");
-    std::printf("  \"connections\": {\"open\": %lld, \"total\": %llu, \"bytes_in\": %llu, "
-                "\"bytes_out\": %llu, \"events_sent\": %llu},\n",
-                static_cast<long long>(s.connections_open),
-                static_cast<unsigned long long>(s.connections_total),
-                static_cast<unsigned long long>(s.bytes_in),
-                static_cast<unsigned long long>(s.bytes_out),
-                static_cast<unsigned long long>(s.events_sent));
-    std::printf("  \"objects\": %u,\n", s.objects);
-    std::printf("  \"active_louds\": %u,\n", s.active_louds);
-    std::printf("  \"queues\": {\"enqueued\": %llu, \"done\": %llu, \"aborted\": %llu, "
-                "\"events\": %llu},\n",
-                static_cast<unsigned long long>(s.commands_enqueued),
-                static_cast<unsigned long long>(s.commands_done),
-                static_cast<unsigned long long>(s.commands_aborted),
-                static_cast<unsigned long long>(s.queue_events));
-    std::printf("  \"decoded_cache\": {\"hits\": %llu, \"misses\": %llu, "
-                "\"bytes\": %llu, \"evictions\": %llu},\n",
-                static_cast<unsigned long long>(s.decoded_cache_hits),
-                static_cast<unsigned long long>(s.decoded_cache_misses),
-                static_cast<unsigned long long>(s.decoded_cache_bytes),
-                static_cast<unsigned long long>(s.decoded_cache_evictions));
-    std::printf("  \"egress\": {\"events_dropped\": %llu, \"disconnects\": %llu, "
-                "\"queued_bytes\": %lld, \"accept_retries\": %llu},\n",
-                static_cast<unsigned long long>(s.events_dropped),
-                static_cast<unsigned long long>(s.egress_disconnects),
-                static_cast<long long>(s.egress_queued_bytes),
-                static_cast<unsigned long long>(s.accept_retries));
-    std::printf("  \"epoch\": {\"commits\": %llu, \"shard_contention\": %llu},\n",
-                static_cast<unsigned long long>(s.epoch_commits),
-                static_cast<unsigned long long>(s.dispatch_shard_contention));
-    std::printf("  \"tracing\": {\"spans\": %llu, \"requests_sampled\": %llu, "
-                "\"sample_every\": %u},\n",
-                static_cast<unsigned long long>(s.trace_spans),
-                static_cast<unsigned long long>(s.trace_requests_sampled),
-                s.trace_sample_every);
-    std::printf("  \"loops\": {\"count\": %u, \"fds_watched\": %lld, "
-                "\"epoll_waits\": %llu, \"wakeups\": %llu, "
-                "\"readiness_spurious\": %llu},\n",
-                s.loops, static_cast<long long>(s.fds_watched),
-                static_cast<unsigned long long>(s.epoll_waits),
-                static_cast<unsigned long long>(s.wakeups),
-                static_cast<unsigned long long>(s.readiness_spurious));
-    std::printf("  \"overload\": {\"admission_rejects\": %llu, "
-                "\"rate_limited\": %llu, \"rate_limit_disconnects\": %llu, "
-                "\"quota_denials\": %llu, \"draining\": %u, "
-                "\"drain_forced_closes\": %llu, \"drain_duration_ms\": %llu}\n",
-                static_cast<unsigned long long>(s.admission_rejects),
-                static_cast<unsigned long long>(s.rate_limited),
-                static_cast<unsigned long long>(s.rate_limit_disconnects),
-                static_cast<unsigned long long>(s.quota_denials), s.draining,
-                static_cast<unsigned long long>(s.drain_forced_closes),
-                static_cast<unsigned long long>(s.drain_duration_ms));
-    std::printf("}\n");
-    return 0;
-  }
-
-  std::printf("protocol %u.%u, stats v%u, uptime %llu.%03llu s\n", s.proto_major,
-              s.proto_minor, s.stats_version,
-              static_cast<unsigned long long>(s.uptime_ms / 1000),
-              static_cast<unsigned long long>(s.uptime_ms % 1000));
-  std::printf("engine: %u Hz, %llu ticks, %llu overruns\n", s.engine_rate_hz,
-              static_cast<unsigned long long>(s.ticks_run),
-              static_cast<unsigned long long>(s.tick_overruns));
-  PrintHistogramLine("tick us", s.tick_us);
-  PrintHistogramLine("tick jitter us", s.tick_jitter_us);
-  std::printf("requests: %llu total, %llu errors\n",
-              static_cast<unsigned long long>(s.requests_total),
-              static_cast<unsigned long long>(s.request_errors_total));
-  PrintHistogramLine("dispatch us", s.dispatch_us);
-  for (const OpcodeStats& op : s.opcodes) {
-    std::printf("  %-22s %8llu req %6llu err %10llu us\n",
-                std::string(OpcodeName(static_cast<Opcode>(op.opcode))).c_str(),
-                static_cast<unsigned long long>(op.count),
-                static_cast<unsigned long long>(op.errors),
-                static_cast<unsigned long long>(op.total_us));
-  }
-  std::printf("connections: %lld open, %llu total; bytes in %llu out %llu; "
-              "events sent %llu\n",
-              static_cast<long long>(s.connections_open),
-              static_cast<unsigned long long>(s.connections_total),
-              static_cast<unsigned long long>(s.bytes_in),
-              static_cast<unsigned long long>(s.bytes_out),
-              static_cast<unsigned long long>(s.events_sent));
-  std::printf("objects: %u (%u active LOUDs)\n", s.objects, s.active_louds);
-  std::printf("queues: %llu enqueued, %llu done, %llu aborted, %llu events\n",
-              static_cast<unsigned long long>(s.commands_enqueued),
-              static_cast<unsigned long long>(s.commands_done),
-              static_cast<unsigned long long>(s.commands_aborted),
-              static_cast<unsigned long long>(s.queue_events));
-  std::printf("decoded cache: %llu hits, %llu misses, %llu bytes resident, "
-              "%llu evictions\n",
-              static_cast<unsigned long long>(s.decoded_cache_hits),
-              static_cast<unsigned long long>(s.decoded_cache_misses),
-              static_cast<unsigned long long>(s.decoded_cache_bytes),
-              static_cast<unsigned long long>(s.decoded_cache_evictions));
-  std::printf("egress: %llu events dropped, %llu slow-client disconnects, "
-              "%lld bytes queued; accept retries %llu\n",
-              static_cast<unsigned long long>(s.events_dropped),
-              static_cast<unsigned long long>(s.egress_disconnects),
-              static_cast<long long>(s.egress_queued_bytes),
-              static_cast<unsigned long long>(s.accept_retries));
-  std::printf("epoch: %llu commits, %llu shard-lock contentions\n",
-              static_cast<unsigned long long>(s.epoch_commits),
-              static_cast<unsigned long long>(s.dispatch_shard_contention));
-  PrintHistogramLine("lock wait us", s.lock_wait_us);
-  PrintHistogramLine("epoch commit us", s.epoch_commit_us);
-  if (s.trace_sample_every > 0) {
-    std::printf("tracing: every %uth request; %llu requests sampled, %llu spans\n",
-                s.trace_sample_every,
-                static_cast<unsigned long long>(s.trace_requests_sampled),
-                static_cast<unsigned long long>(s.trace_spans));
-  } else {
-    std::printf("tracing: off (start audiond with --trace-sample N)\n");
-  }
-  PrintHistogramLine("mouth-to-ear us", s.mouth_to_ear_us);
-  std::printf("loops: %u event loop%s, %lld fds watched; %llu waits, "
-              "%llu wakeups, %llu spurious\n",
-              s.loops, s.loops == 1 ? "" : "s", static_cast<long long>(s.fds_watched),
-              static_cast<unsigned long long>(s.epoll_waits),
-              static_cast<unsigned long long>(s.wakeups),
-              static_cast<unsigned long long>(s.readiness_spurious));
-  PrintHistogramLine("loop dispatch us", s.loop_dispatch_us);
-  std::printf("overload: %llu admission rejects, %llu rate-limited, "
-              "%llu rate-limit disconnects, %llu quota denials\n",
-              static_cast<unsigned long long>(s.admission_rejects),
-              static_cast<unsigned long long>(s.rate_limited),
-              static_cast<unsigned long long>(s.rate_limit_disconnects),
-              static_cast<unsigned long long>(s.quota_denials));
-  if (s.draining != 0 || s.drain_duration_ms != 0 || s.drain_forced_closes != 0) {
-    std::printf("drain: %s, %llu forced closes, last drain %llu ms\n",
-                s.draining != 0 ? "in progress" : "done",
-                static_cast<unsigned long long>(s.drain_forced_closes),
-                static_cast<unsigned long long>(s.drain_duration_ms));
-  }
+  std::fputs((json ? RenderStatsJson(stats.value()) : RenderStatsText(stats.value())).c_str(),
+             stdout);
   return 0;
 }
 

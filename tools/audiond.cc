@@ -39,7 +39,7 @@
 #include "src/hw/board.h"
 #include "src/server/flight_recorder.h"
 #include "src/server/server.h"
-#include "src/server/stats_render.h"
+#include "src/wire/stats_render.h"
 
 namespace {
 
@@ -74,7 +74,7 @@ void ServeMetricsClient(aud::ByteStream* stream, aud::AudioServer* server) {
     ServerStatsReply stats;
     {
       MutexLock lock(&server->mutex());
-      stats = server->state().BuildServerStats(false);
+      stats = server->state().BuildServerStats(true);
     }
     body = RenderPrometheusText(stats);
   } else {
@@ -352,37 +352,7 @@ int main(int argc, char** argv) {
         MutexLock lock(&server.mutex());
         stats = server.state().BuildServerStats(false);
       }
-      char line[512];
-      std::snprintf(line, sizeof(line),
-                    "stats: ticks=%llu overruns=%llu tick_p99=%.0fus jitter_p99=%.0fus "
-                    "req=%llu err=%llu conns=%lld bytes_in=%llu bytes_out=%llu "
-                    "ev_dropped=%llu egress_cuts=%llu epochs=%llu shard_cont=%llu "
-                    "commit_p99=%.0fus lockwait_p99=%.0fus "
-                    "loops=%u fds=%lld loopdisp_p99=%.0fus "
-                    "adm_rej=%llu ratelim=%llu rl_cuts=%llu quota_den=%llu",
-                    static_cast<unsigned long long>(stats.ticks_run),
-                    static_cast<unsigned long long>(stats.tick_overruns),
-                    stats.tick_us.empty() ? 0.0 : stats.tick_us.Percentile(99),
-                    stats.tick_jitter_us.empty() ? 0.0 : stats.tick_jitter_us.Percentile(99),
-                    static_cast<unsigned long long>(stats.requests_total),
-                    static_cast<unsigned long long>(stats.request_errors_total),
-                    static_cast<long long>(stats.connections_open),
-                    static_cast<unsigned long long>(stats.bytes_in),
-                    static_cast<unsigned long long>(stats.bytes_out),
-                    static_cast<unsigned long long>(stats.events_dropped),
-                    static_cast<unsigned long long>(stats.egress_disconnects),
-                    static_cast<unsigned long long>(stats.epoch_commits),
-                    static_cast<unsigned long long>(stats.dispatch_shard_contention),
-                    stats.epoch_commit_us.empty() ? 0.0 : stats.epoch_commit_us.Percentile(99),
-                    stats.lock_wait_us.empty() ? 0.0 : stats.lock_wait_us.Percentile(99),
-                    stats.loops, static_cast<long long>(stats.fds_watched),
-                    stats.loop_dispatch_us.empty() ? 0.0
-                                                   : stats.loop_dispatch_us.Percentile(99),
-                    static_cast<unsigned long long>(stats.admission_rejects),
-                    static_cast<unsigned long long>(stats.rate_limited),
-                    static_cast<unsigned long long>(stats.rate_limit_disconnects),
-                    static_cast<unsigned long long>(stats.quota_denials));
-      LogMessage(LogLevel::kInfo, line);
+      LogMessage(LogLevel::kInfo, "stats: " + RenderStatsLine(stats));
     }
   }
 

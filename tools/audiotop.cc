@@ -15,6 +15,7 @@
 #include <thread>
 
 #include "src/alib/alib.h"
+#include "src/wire/stats_render.h"
 
 namespace {
 
@@ -27,7 +28,6 @@ void PrintFrame(AudioConnection& audio, bool clear) {
     std::fprintf(stderr, "audiotop: stats query failed (server gone?)\n");
     return;
   }
-  const ServerStatsReply& s = server.value();
   EntityStatsReply e = entities.value();
   std::sort(e.connections.begin(), e.connections.end(),
             [](const ConnectionStatsWire& a, const ConnectionStatsWire& b) {
@@ -37,21 +37,7 @@ void PrintFrame(AudioConnection& audio, bool clear) {
   if (clear) {
     std::printf("\033[H\033[2J");  // cursor home + clear screen
   }
-  std::printf("audiond %u.%u  up %llu.%03llu s  engine %u Hz  ticks %llu  "
-              "req %llu (%llu err)  conns %lld\n",
-              s.proto_major, s.proto_minor,
-              static_cast<unsigned long long>(s.uptime_ms / 1000),
-              static_cast<unsigned long long>(s.uptime_ms % 1000), s.engine_rate_hz,
-              static_cast<unsigned long long>(s.ticks_run),
-              static_cast<unsigned long long>(s.requests_total),
-              static_cast<unsigned long long>(s.request_errors_total),
-              static_cast<long long>(s.connections_open));
-  std::printf("tick p99 %.0fus  dispatch p99 %.0fus  mouth-to-ear p99 %.0fus  "
-              "tracing %s\n\n",
-              s.tick_us.empty() ? 0.0 : s.tick_us.Percentile(99),
-              s.dispatch_us.empty() ? 0.0 : s.dispatch_us.Percentile(99),
-              s.mouth_to_ear_us.empty() ? 0.0 : s.mouth_to_ear_us.Percentile(99),
-              s.trace_sample_every > 0 ? "on" : "off");
+  std::printf("%s\n\n", RenderStatsLine(server.value()).c_str());
 
   std::printf("%-4s %-16s %10s %6s %12s %12s %8s %8s %10s\n", "#", "client", "requests",
               "errors", "bytes_in", "bytes_out", "events", "dropped", "disp_p99");

@@ -33,6 +33,7 @@ int main(int argc, char** argv) {
       {"protocol.cc", "src/wire/protocol.cc"},
       {"messages.h", "src/wire/messages.h"},
       {"messages.cc", "src/wire/messages.cc"},
+      {"server_stats_fields.h", "src/wire/server_stats_fields.h"},
       {"alib.h", "src/alib/alib.h"},
       {"alib.cc", "src/alib/alib.cc"},
       {"requests.cc", "src/alib/requests.cc"},
@@ -43,10 +44,6 @@ int main(int argc, char** argv) {
       {"DESIGN.md", "DESIGN.md"},
       {"status.h", "src/common/status.h"},
       {"status.cc", "src/common/status.cc"},
-      {"metrics.h", "src/server/metrics.h"},
-      {"server_state.cc", "src/server/server_state.cc"},
-      {"stats_render.cc", "src/server/stats_render.cc"},
-      {"flight_recorder.cc", "src/server/flight_recorder.cc"},
       {"audiond.cc", "tools/audiond.cc"},
       {"audioctl.cc", "tools/audioctl.cc"},
       {"audioload.cc", "tools/audioload.cc"},

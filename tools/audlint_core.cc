@@ -160,12 +160,13 @@ std::vector<EnumEntry> ParseValuedEnum(const std::string& header,
   return entries;
 }
 
-std::vector<std::string> ParseStructFields(const std::string& header,
-                                           const std::string& name) {
-  std::vector<std::string> fields;
+namespace {
+
+// The text between the braces of `struct <name> { ... };`, empty if absent.
+std::string StructBody(const std::string& header, const std::string& name) {
   size_t start = header.find("struct " + name + " {");
   if (start == std::string::npos) {
-    return fields;
+    return "";
   }
   size_t open = header.find('{', start);
   int depth = 0;
@@ -180,8 +181,16 @@ std::vector<std::string> ParseStructFields(const std::string& header,
       }
     }
   }
+  return header.substr(open + 1, end - open - 1);
+}
+
+}  // namespace
+
+std::vector<std::string> ParseStructFields(const std::string& header,
+                                           const std::string& name) {
+  std::vector<std::string> fields;
   int line_depth = 1;
-  for (const std::string& raw : SplitLines(header.substr(open + 1, end - open - 1))) {
+  for (const std::string& raw : SplitLines(StructBody(header, name))) {
     std::string line = StripLine(raw);
     int depth_before = line_depth;
     for (char c : line) {
@@ -216,7 +225,40 @@ std::vector<std::string> ParseStructFields(const std::string& header,
   return fields;
 }
 
+std::vector<std::string> ParseStatsTable(const std::string& table) {
+  std::vector<std::string> names;
+  size_t start = table.find("#define " + std::string(kStatsTableMacro) + "(X)");
+  if (start == std::string::npos) {
+    return names;
+  }
+  // The macro body runs while lines end in a backslash.
+  for (const std::string& raw : SplitLines(table.substr(start))) {
+    std::string line = StripLine(raw);
+    if (line.rfind("X(", 0) == 0) {
+      names.push_back(StripLine(line.substr(2, line.find(',') - 2)));
+    }
+    if (line.empty() || line.back() != '\\') {
+      break;
+    }
+  }
+  return names;
+}
+
 namespace {
+
+// A reply's fields in wire order: its declared members, then the stats
+// table's rows where its body expands the table macro.
+std::vector<std::string> ReplyFields(const std::string& messages_h,
+                                     const std::string& stats_table,
+                                     const std::string& name) {
+  std::vector<std::string> fields = ParseStructFields(messages_h, name);
+  if (StructBody(messages_h, name).find(kStatsTableMacro) != std::string::npos) {
+    for (std::string& row : ParseStatsTable(stats_table)) {
+      fields.push_back(std::move(row));
+    }
+  }
+  return fields;
+}
 
 // Check 2: the kOpcodeNames table in protocol.cc matches the enum exactly,
 // in order.
@@ -386,12 +428,13 @@ void CheckProtocolDoc(const OpcodeEnum& opcodes, const std::string& doc,
 //   ServerStatsReply 1 stats_version proto_major ...
 //
 // Rules: the highest locked version of each struct must equal the struct's
-// k<Name>Version constant and match the current field list exactly; every
+// k<Name>Version constant and match the current field list (the stats
+// reply's: stats_version, then the stats table's rows) exactly; every
 // older locked version must be a strict prefix of the current fields.
 // Changing a reply therefore forces appending fields, bumping the version
 // constant, and adding (never editing) a lock line.
 void CheckSchemaLock(const std::string& lock, const std::string& messages_h,
-                     std::vector<std::string>* problems) {
+                     const std::string& stats_table, std::vector<std::string>* problems) {
   struct Locked {
     int version;
     std::vector<std::string> fields;
@@ -422,7 +465,7 @@ void CheckSchemaLock(const std::string& lock, const std::string& messages_h,
     return;
   }
   for (auto& [name, versions] : locked) {
-    std::vector<std::string> current = ParseStructFields(messages_h, name);
+    std::vector<std::string> current = ReplyFields(messages_h, stats_table, name);
     if (current.empty()) {
       problems->push_back("schema.lock: struct " + name + " not found in messages.h");
       continue;
@@ -436,12 +479,13 @@ void CheckSchemaLock(const std::string& lock, const std::string& messages_h,
     }
     std::string constant = "k" + base + "Version";
     int declared = -1;
-    size_t pos = messages_h.find(constant);
+    const std::string headers = messages_h + "\n" + stats_table;
+    size_t pos = headers.find(constant + " =");
     if (pos != std::string::npos) {
-      size_t eq = messages_h.find('=', pos);
+      size_t eq = headers.find('=', pos);
       if (eq != std::string::npos) {
         try {
-          declared = std::stoi(messages_h.substr(eq + 1));
+          declared = std::stoi(headers.substr(eq + 1));
         } catch (...) {
         }
       }
@@ -472,10 +516,11 @@ void CheckSchemaLock(const std::string& lock, const std::string& messages_h,
   }
 }
 
-// Check 8: versioned replies cannot drift from the docs. Every field of
-// the newest locked version of every struct in schema.lock must appear (as
-// a whole word) in PROTOCOL.md — appending a field to a locked reply
-// without documenting it fails the lint the same commit.
+// Check 8: versioned replies cannot drift from the docs. Every current
+// field of every struct in schema.lock (for the stats reply, every row of
+// the stats table) must appear as a whole word in PROTOCOL.md — appending
+// a field to a locked reply without documenting it fails the lint the
+// same commit.
 bool ContainsWord(const std::string& text, const std::string& word) {
   auto is_ident = [](char c) {
     return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
@@ -493,16 +538,13 @@ bool ContainsWord(const std::string& text, const std::string& word) {
   return false;
 }
 
-void CheckStatsDocCoverage(const std::string& lock, const std::string& protocol_md,
+void CheckStatsDocCoverage(const std::string& lock, const std::string& messages_h,
+                           const std::string& stats_table, const std::string& protocol_md,
                            std::vector<std::string>* problems) {
-  // Newest locked version of EVERY locked struct — whatever earns a
-  // schema.lock line is a versioned reply clients decode by prefix, and
-  // its current field list must be documented.
-  struct Newest {
-    int version = -1;
-    std::vector<std::string> fields;
-  };
-  std::map<std::string, Newest> newest;
+  // EVERY locked struct — whatever earns a schema.lock line is a versioned
+  // reply clients decode by prefix, and its current field list (the stats
+  // table's rows included) must be documented.
+  std::map<std::string, int> newest;
   for (const std::string& raw : SplitLines(lock)) {
     std::string line = StripLine(raw);
     if (line.empty() || line[0] == '#') {
@@ -512,23 +554,15 @@ void CheckStatsDocCoverage(const std::string& lock, const std::string& protocol_
     std::string name;
     int version = -1;
     in >> name >> version;
-    if (name.empty() || version <= newest[name].version) {
-      continue;
-    }
-    Newest& entry = newest[name];
-    entry.version = version;
-    entry.fields.clear();
-    std::string field;
-    while (in >> field) {
-      entry.fields.push_back(field);
+    if (!name.empty() && version > newest[name]) {
+      newest[name] = version;
     }
   }
-  for (const auto& [name, entry] : newest) {
-    for (const std::string& field : entry.fields) {
+  for (const auto& [name, version] : newest) {
+    for (const std::string& field : ReplyFields(messages_h, stats_table, name)) {
       if (!ContainsWord(protocol_md, field)) {
-        problems->push_back("PROTOCOL.md: " + name + " v" +
-                            std::to_string(entry.version) + " field " + field +
-                            " is not documented");
+        problems->push_back("PROTOCOL.md: " + name + " v" + std::to_string(version) +
+                            " field " + field + " is not documented");
       }
     }
   }
@@ -755,99 +789,6 @@ void CheckErrorCodes(const std::string& status_h, const std::string& status_cc,
   }
 }
 
-// Field names of `struct ServerMetrics`, including array fields
-// (`obs::Counter requests[kOpcodes];`), which ParseStructFields skips.
-std::vector<std::string> ParseMetricsFields(const std::string& metrics_h,
-                                            std::vector<std::string>* problems) {
-  std::vector<std::string> fields;
-  size_t start = metrics_h.find("struct ServerMetrics {");
-  if (start == std::string::npos) {
-    problems->push_back("metrics.h: struct ServerMetrics not found");
-    return fields;
-  }
-  size_t open = metrics_h.find('{', start);
-  int depth = 1;
-  size_t end = open + 1;
-  while (end < metrics_h.size() && depth > 0) {
-    if (metrics_h[end] == '{') {
-      ++depth;
-    } else if (metrics_h[end] == '}') {
-      --depth;
-    }
-    ++end;
-  }
-  int line_depth = 1;
-  for (const std::string& raw :
-       SplitLines(metrics_h.substr(open + 1, end - open - 2))) {
-    std::string line = StripLine(raw);
-    int depth_before = line_depth;
-    for (char c : line) {
-      if (c == '{') {
-        ++line_depth;
-      } else if (c == '}') {
-        --line_depth;
-      }
-    }
-    if (depth_before != 1 || line.empty() || line.back() != ';' ||
-        line.rfind("static ", 0) == 0 || line.rfind("using ", 0) == 0) {
-      continue;
-    }
-    // `Type name...;` — the field name is the identifier after the first
-    // whitespace run, up to `[`, `{`, `=` or `;`. Method declarations and
-    // definitions have `(` before any of those; skip them.
-    size_t space = line.find(' ');
-    if (space == std::string::npos) {
-      continue;
-    }
-    // Template types contain spaces inside <>; skip past balanced <>.
-    int angle = 0;
-    size_t i = 0;
-    for (; i < line.size(); ++i) {
-      if (line[i] == '<') {
-        ++angle;
-      } else if (line[i] == '>') {
-        --angle;
-      } else if (line[i] == ' ' && angle == 0) {
-        break;
-      }
-    }
-    size_t name_begin = line.find_first_not_of(' ', i);
-    if (name_begin == std::string::npos) {
-      continue;
-    }
-    size_t name_end = name_begin;
-    while (name_end < line.size() && IsIdentChar(line[name_end])) {
-      ++name_end;
-    }
-    if (name_end == name_begin || (name_end < line.size() && line[name_end] == '(')) {
-      continue;
-    }
-    fields.push_back(line.substr(name_begin, name_end - name_begin));
-  }
-  return fields;
-}
-
-// Check 11: no write-only metrics. Every ServerMetrics field must be
-// referenced by at least one of the paths that surface it to a client —
-// the ServerStatsReply builder (server_state.cc), the Prometheus text
-// renderer (stats_render.cc), the flight recorder, or a dispatch reply
-// (dispatcher.cc, e.g. the trace-id key of GetServerTrace) — otherwise the
-// counter is bumped forever and shown nowhere.
-void CheckMetricsCoverage(const std::string& metrics_h,
-                          const std::string& render_sources,
-                          std::vector<std::string>* problems) {
-  for (const std::string& field : ParseMetricsFields(metrics_h, problems)) {
-    if (field == "start_time") {
-      continue;  // surfaced via the uptime_ms() accessor, not by name
-    }
-    if (!ContainsToken(render_sources, field)) {
-      problems->push_back("metrics.h: ServerMetrics." + field +
-                          " is never rendered (server stats, Prometheus text, "
-                          "or flight recorder)");
-    }
-  }
-}
-
 // `--flag` string literals in a tool's source, deduplicated. The bare `--`
 // separator and template fragments are skipped.
 std::vector<std::string> ExtractCliFlags(const std::string& tool_cc) {
@@ -887,7 +828,7 @@ bool ContainsFlag(const std::string& doc, const std::string& flag) {
   return false;
 }
 
-// Check 12: CLI flag documentation. Every `--flag` literal in audiond.cc,
+// Check 11: CLI flag documentation. Every `--flag` literal in audiond.cc,
 // audioctl.cc, and audioload.cc must appear in README.md — a flag shipped
 // without a line of documentation fails the lint the same commit.
 void CheckCliDocCoverage(const std::string& tool, const std::string& tool_cc,
@@ -922,18 +863,14 @@ std::vector<std::string> LintTree(const std::map<std::string, std::string>& file
                   *Find(files, "requests.cc"),
               &problems);
   CheckProtocolDoc(opcodes, *Find(files, "PROTOCOL.md"), &problems);
-  CheckSchemaLock(*Find(files, "schema.lock"), *Find(files, "messages.h"), &problems);
-  CheckStatsDocCoverage(*Find(files, "schema.lock"), *Find(files, "PROTOCOL.md"),
+  CheckSchemaLock(*Find(files, "schema.lock"), *Find(files, "messages.h"),
+                  *Find(files, "server_stats_fields.h"), &problems);
+  CheckStatsDocCoverage(*Find(files, "schema.lock"), *Find(files, "messages.h"),
+                        *Find(files, "server_stats_fields.h"), *Find(files, "PROTOCOL.md"),
                         &problems);
   CheckLockRanks(*Find(files, "lock_rank.h"), *Find(files, "DESIGN.md"), &problems);
   CheckErrorCodes(*Find(files, "status.h"), *Find(files, "status.cc"),
                   *Find(files, "PROTOCOL.md"), &problems);
-  CheckMetricsCoverage(*Find(files, "metrics.h"),
-                       *Find(files, "server_state.cc") +
-                           *Find(files, "stats_render.cc") +
-                           *Find(files, "flight_recorder.cc") +
-                           *Find(files, "dispatcher.cc"),
-                       &problems);
   CheckCliDocCoverage("audiond", *Find(files, "audiond.cc"),
                       *Find(files, "README.md"), &problems);
   CheckCliDocCoverage("audioctl", *Find(files, "audioctl.cc"),

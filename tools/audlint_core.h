@@ -1,13 +1,13 @@
 // audlint: the whole-program invariant linter. Cross-references the five
 // places an opcode must be wired — the Opcode enum, the kOpcodeNames table,
 // the dispatcher switch, the Alib veneer, and the PROTOCOL.md opcode index —
-// and enforces the append-only reply rule against docs/schema.lock. v2 adds
-// whole-program drift checks beyond the protocol: lock ranks (LockRank enum
-// vs the DESIGN.md lock table), error codes (ErrorCode enum vs the name
-// switch vs PROTOCOL.md), metrics coverage (every ServerMetrics field must
-// be rendered somewhere), and CLI flag documentation (every audiond/audioctl
-// --flag must appear in README.md). Runs as a ctest (tools/audlint.cc) so
-// drift fails CI the same commit it happens.
+// and enforces the append-only reply rule against docs/schema.lock (the
+// stats reply's fields are the rows of src/wire/server_stats_fields.h). v2
+// adds whole-program drift checks beyond the protocol: lock ranks (LockRank
+// enum vs the DESIGN.md lock table), error codes (ErrorCode enum vs the name
+// switch vs PROTOCOL.md), and CLI flag documentation (every
+// audiond/audioctl/audioload --flag must appear in README.md). Runs as a
+// ctest (tools/audlint.cc) so drift fails CI the same commit it happens.
 //
 // The checker is a pure function over file contents so the unit test can
 // lint in-memory fixture trees (tests/audlint_test.cc) without touching
@@ -24,20 +24,21 @@ namespace aud {
 namespace audlint {
 
 // Canonical file keys the linter expects in the input map (basenames):
-//   protocol.h protocol.cc messages.h messages.cc alib.h alib.cc
-//   requests.cc dispatcher.cc PROTOCOL.md schema.lock
-//   lock_rank.h DESIGN.md status.h status.cc metrics.h server_state.cc
-//   stats_render.cc flight_recorder.cc audiond.cc audioctl.cc audioload.cc
-//   README.md
+//   protocol.h protocol.cc messages.h messages.cc server_stats_fields.h
+//   alib.h alib.cc requests.cc dispatcher.cc PROTOCOL.md schema.lock
+//   lock_rank.h DESIGN.md status.h status.cc audiond.cc audioctl.cc
+//   audioload.cc README.md
 // A missing key is itself reported as a problem.
 inline constexpr const char* kRequiredFiles[] = {
-    "protocol.h",      "protocol.cc",        "messages.h",  "messages.cc",
-    "alib.h",          "alib.cc",            "requests.cc", "dispatcher.cc",
-    "PROTOCOL.md",     "schema.lock",        "lock_rank.h", "DESIGN.md",
-    "status.h",        "status.cc",          "metrics.h",   "server_state.cc",
-    "stats_render.cc", "flight_recorder.cc", "audiond.cc",  "audioctl.cc",
-    "audioload.cc",    "README.md",
+    "protocol.h",    "protocol.cc",   "messages.h",  "messages.cc",
+    "server_stats_fields.h",          "alib.h",      "alib.cc",
+    "requests.cc",   "dispatcher.cc", "PROTOCOL.md", "schema.lock",
+    "lock_rank.h",   "DESIGN.md",     "status.h",    "status.cc",
+    "audiond.cc",    "audioctl.cc",   "audioload.cc", "README.md",
 };
+
+// The X-macro that lists the stats table's rows (server_stats_fields.h).
+inline constexpr const char* kStatsTableMacro = "AUD_SERVER_STATS_FIELDS";
 
 // One opcode as parsed from the enum in protocol.h.
 struct OpcodeEntry {
@@ -59,6 +60,10 @@ OpcodeEnum ParseOpcodeEnum(const std::string& protocol_h,
 // Ordered member field names of `struct <name> { ... };` in a header.
 std::vector<std::string> ParseStructFields(const std::string& header,
                                            const std::string& name);
+
+// Row names of the stats table, in order: the first argument of each
+// `X(...)` line of the `#define AUD_SERVER_STATS_FIELDS(X)` body.
+std::vector<std::string> ParseStatsTable(const std::string& table);
 
 // One enumerator of a `k`-prefixed enum with explicit values, e.g. LockRank
 // or ErrorCode. `name` drops the leading 'k' ("EngineRoot", "BadValue").
