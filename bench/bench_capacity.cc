@@ -1,4 +1,4 @@
-// E11 -- connection-plane capacity (the C10k experiment behind DESIGN.md
+// C10k -- connection-plane capacity (the experiment behind DESIGN.md
 // decision 14): how many concurrent clients can one server hold at its
 // latency SLOs on its fixed pool of event-loop threads?
 //
@@ -22,9 +22,11 @@
 //   * O(1) threads: on every passing step the process thread count is
 //     unchanged by accepting C clients (thread_delta == 0).
 //
-// Emitted via bench/bench_json.h for tools/benchdiff. Capacity counts are
-// named *_speedup so benchdiff treats higher as better; per-step latency
-// extras keep the default lower-is-better direction.
+// The run prints one line per step (tick/dispatch p99s, thread counts,
+// event fan-out) and a summary line `capacity: clients=C
+// loop_thread_delta=D cores=N`. Capacity is machine-dependent: a full run
+// on a 4-vCPU VM held 4096 clients (EXPERIMENTS.md records it with the core
+// count).
 //
 // --with-limits re-runs the ladder with overload protection armed (decision
 // 15) at thresholds a compliant client never trips; the pass criterion then
@@ -45,7 +47,7 @@
 #include <thread>
 #include <vector>
 
-#include "bench/bench_json.h"
+#include "bench/bench_util.h"
 #include "src/alib/alib.h"
 #include "src/hw/board.h"
 #include "src/server/server.h"
@@ -60,8 +62,7 @@ constexpr double kSloTickP99Us = 20000.0;      // one 20 ms engine period
 constexpr double kSloDispatchP99Us = 20000.0;  // end-to-end server dispatch
 
 // The capacity the 4-thread loop pool held when this gate was set (2048
-// clients on a 4-vCPU VM, bench/baselines/BENCH_capacity.json); the fixed
-// loop pool must keep it.
+// clients on a 4-vCPU VM); the fixed loop pool must keep it.
 constexpr int kAcceptCapacity = 2048;
 
 // Every kPlayerStride-th client actively plays; the rest hold mapped,
@@ -529,12 +530,8 @@ int main(int argc, char** argv) {
                                       : std::vector<int>{512, 1024, 2048, 4096, 8192};
   const unsigned cores = std::thread::hardware_concurrency();
 
-  aud::BenchJsonWriter json("capacity");
   int capacity = 0;
   int loop_thread_delta_max = 0;
-  // Limit-armed steps get their own names so benchdiff never compares a
-  // guarded run against an unguarded baseline.
-  const std::string step_prefix = with_limits ? "step_limits/" : "step/";
 
   for (int clients : ladder) {
     aud::StepResult r = aud::RunStep(clients, window_ms, with_limits);
@@ -554,17 +551,6 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(r.rate_limited),
         static_cast<unsigned long long>(r.quota_denials));
     std::fflush(stdout);
-    auto& entry = json.Add(step_prefix + std::to_string(clients),
-                           /*iterations=*/1, r.tick_p99_us * 1000.0);
-    entry.extra.emplace_back("tick_p99_us", r.tick_p99_us);
-    entry.extra.emplace_back("dispatch_p99_us", r.dispatch_p99_us);
-    entry.extra.emplace_back("loop_dispatch_p99_us", r.loop_dispatch_p99_us);
-    entry.extra.emplace_back("threads", r.threads_loaded);
-    entry.extra.emplace_back("thread_delta", thread_delta);
-    entry.extra.emplace_back("connected", r.connected);
-    entry.extra.emplace_back("players", r.players);
-    entry.extra.emplace_back("events_rx", static_cast<double>(r.events_received));
-    entry.extra.emplace_back("pass", r.pass ? 1.0 : 0.0);
     if (!r.pass) {
       break;  // the ladder is monotone; higher steps only burn time
     }
@@ -574,23 +560,6 @@ int main(int argc, char** argv) {
 
   std::printf("capacity%s: clients=%d loop_thread_delta=%d cores=%u\n",
               with_limits ? "+limits" : "", capacity, loop_thread_delta_max, cores);
-  // Quick runs use a toy ladder whose capacity says nothing about the full
-  // acceptance run; a distinct summary name keeps benchdiff from comparing
-  // the two (its per-step names never collide because the ladders differ).
-  // Limit-armed runs are a third population, named apart for the same reason.
-  std::string summary_name = flags.quick ? "capacity/summary_quick" : "capacity/summary";
-  if (with_limits) {
-    summary_name += "_limits";
-  }
-  auto& summary = json.Add(summary_name, 1, 1.0);
-  summary.extra.emplace_back("clients_speedup", capacity);
-  summary.extra.emplace_back("loop_thread_delta", loop_thread_delta_max);
-
-  if (!flags.json_out.empty() && !json.WriteTo(flags.json_out)) {
-    std::fprintf(stderr, "bench_capacity: failed to write %s\n",
-                 flags.json_out.c_str());
-    return 1;
-  }
 
   if (!flags.quick) {
     if (capacity < aud::kAcceptCapacity) {

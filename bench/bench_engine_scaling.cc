@@ -4,7 +4,7 @@
 // grows, and — with the epoch-snapshot tick (DESIGN.md decision 12) — must
 // keep request dispatch responsive while a tick storm runs.
 //
-// Two experiments, emitted via bench/bench_json.h for tools/benchdiff:
+// Two experiments:
 //   1. tick cost vs active playback chains;
 //   2. client-observed dispatch latency for an engine-plane request against
 //      an idle root, measured idle, under a load-matched control (a second
@@ -14,14 +14,22 @@
 //      without sharing any lock with the probe, so the ratio isolates lock
 //      interference, which is what "breaking the big lock" removes (the
 //      pre-epoch engine held the state lock across the whole fan-out).
+//
+// The full run exits non-zero when the storm ratio misses 1.25x; --quick
+// (the CI smoke) gates only on the tick beating its period. On a 4-vCPU VM
+// (RelWithDebInfo) the storm gate is not met reliably: full runs of the
+// serial engine have read 0.96x to 2.15x, so one build spreads from pass to
+// fail. The serial storm runs 227k-296k epochs in the window, taking the
+// state lock twice in each, and the probe's state-lock wait p99 is about
+// 30 us.
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <numeric>
 #include <thread>
 
-#include "bench/bench_json.h"
 #include "bench/bench_util.h"
 
 namespace aud {
@@ -88,7 +96,7 @@ TickResult RunChainTicks(int chains, int ticks) {
   return result;
 }
 
-void RunTickScaling(BenchJsonWriter* json, bool quick, bool* all_ok) {
+void RunTickScaling(bool quick, bool* all_ok) {
   const int ticks = quick ? 100 : 500;
   const std::vector<int> chain_counts = quick ? std::vector<int>{4, 16}
                                               : std::vector<int>{16, 64};
@@ -101,11 +109,6 @@ void RunTickScaling(BenchJsonWriter* json, bool quick, bool* all_ok) {
     // Real-time requirement: the tick must beat its 20 ms period by a wide
     // margin.
     *all_ok = *all_ok && result.wall_us_per_tick < 20000.0;
-
-    auto& entry = json->Add("tick/" + std::to_string(n) + "ch", ticks,
-                            result.wall_us_per_tick * 1000.0);
-    entry.extra.emplace_back("tick_p50_us", result.tick_p50_us);
-    entry.extra.emplace_back("tick_p99_us", result.tick_p99_us);
   }
 }
 
@@ -209,7 +212,7 @@ DispatchResult MeasureDispatch(DispatchLoad load, int requests) {
   return result;
 }
 
-bool RunDispatchStorm(BenchJsonWriter* json, bool quick) {
+bool RunDispatchStorm(bool quick) {
   const int requests = quick ? 2000 : 20000;
   std::printf("\nDispatch latency under a tick storm "
               "(%d QueryQueue round-trips on an idle root):\n", requests);
@@ -237,28 +240,6 @@ bool RunDispatchStorm(BenchJsonWriter* json, bool quick) {
               "storm/idle: %.2fx (informative)\n",
               ratio_vs_control, ratio_vs_idle);
 
-  if (json != nullptr) {
-    auto& e_idle = json->Add("dispatch/idle", requests, idle.mean_us * 1000.0);
-    e_idle.extra.emplace_back("p50_us", idle.p50_us);
-    e_idle.extra.emplace_back("p99_us", idle.p99_us);
-    auto& e_ctl = json->Add("dispatch/loaded_control", requests,
-                            control.mean_us * 1000.0);
-    e_ctl.extra.emplace_back("p50_us", control.p50_us);
-    e_ctl.extra.emplace_back("p99_us", control.p99_us);
-    auto& e_storm = json->Add("dispatch/storm", requests,
-                              under_storm.mean_us * 1000.0);
-    e_storm.extra.emplace_back("p50_us", under_storm.p50_us);
-    e_storm.extra.emplace_back("p99_us", under_storm.p99_us);
-    e_storm.extra.emplace_back("p99_vs_control", ratio_vs_control);
-    e_storm.extra.emplace_back("p99_vs_idle", ratio_vs_idle);
-    e_storm.extra.emplace_back("epoch_commits",
-                               static_cast<double>(under_storm.epoch_commits));
-    e_storm.extra.emplace_back("shard_contention",
-                               static_cast<double>(under_storm.shard_contention));
-    e_storm.extra.emplace_back("epoch_commit_p99_us", under_storm.commit_p99_us);
-    e_storm.extra.emplace_back("lock_wait_p99_us", under_storm.lock_wait_p99_us);
-  }
-
   // Quick (CI smoke) runs are too noisy to gate on the tail ratio; the full
   // run enforces the 1.25x acceptance bar.
   return quick || (ratio_vs_control > 0 && ratio_vs_control <= 1.25);
@@ -269,17 +250,11 @@ int Run(const BenchFlags& flags) {
               "multiple simultaneous audio data streams; request dispatch "
               "stays responsive while the engine ticks");
 
-  BenchJsonWriter json("engine_scaling");
   bool all_ok = true;
 
-  RunTickScaling(&json, flags.quick, &all_ok);
-  bool storm_ok = RunDispatchStorm(&json, flags.quick);
+  RunTickScaling(flags.quick, &all_ok);
+  bool storm_ok = RunDispatchStorm(flags.quick);
   all_ok = all_ok && storm_ok;
-
-  if (!flags.json_out.empty() && !json.WriteTo(flags.json_out)) {
-    std::fprintf(stderr, "failed to write %s\n", flags.json_out.c_str());
-    all_ok = false;
-  }
 
   std::printf("paper expectation (real-time capable, dispatch isolated from "
               "the tick): %s\n", all_ok ? "MET" : "MISSED");

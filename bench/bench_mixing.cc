@@ -9,7 +9,6 @@
 
 #include <chrono>
 
-#include "bench/bench_json.h"
 #include "bench/bench_util.h"
 #include "src/dsp/gain.h"
 #include "src/dsp/kernels.h"
@@ -37,7 +36,7 @@ double TimeKernel(int iters, Fn&& fn) {
 // DSP kernel microbenchmarks: the dispatched variant vs the scalar
 // reference on the same binary (both are bit-identical; this measures the
 // vectorization win in isolation).
-void RunKernelMicro(BenchJsonWriter* json, bool quick) {
+void RunKernelMicro(bool quick) {
   const int iters = quick ? 2000 : 50000;
   constexpr size_t kFrames = 160;
   std::vector<Sample> pcm(kFrames);
@@ -83,16 +82,81 @@ void RunKernelMicro(BenchJsonWriter* json, bool quick) {
     std::printf("  %-16s scalar %8.1f ns   dispatched %8.1f ns  (%.2fx)\n",
                 row.name, scalar_ns, dispatched_ns,
                 dispatched_ns > 0 ? scalar_ns / dispatched_ns : 0.0);
-    if (json != nullptr) {
-      json->Add(std::string("kernel_") + row.name + "/scalar", iters, scalar_ns);
-      json->Add(std::string("kernel_") + row.name + "/dispatched", iters, dispatched_ns);
-    }
   }
+}
+
+// Repeated catalogue play (the decoded-PCM cache's target workload): the
+// answering-machine pattern. Several lines play the same catalogued prompt
+// (4-bit ADPCM at 16 kHz, so each play costs an ADPCM decode plus a
+// 16k -> 8k resample unless the cache serves it) over and over. `clients`
+// players run concurrently, each playing the prompt `plays_each` times
+// back-to-back; virtual time advances until every queue drains.
+struct CatalogPlayResult {
+  bool ok = false;              // every play completed
+  double wall_ns_per_play = 0;  // wall ns per play (engine stepping)
+  double tick_p50_us = 0;       // server tick latency percentiles
+  double tick_p99_us = 0;
+  uint64_t cache_hits = 0;
+  uint64_t cache_misses = 0;
+};
+
+CatalogPlayResult RunCatalogPlayWorkload(size_t cache_bytes, int clients, int plays_each) {
+  ServerOptions options;
+  options.decoded_cache_bytes = cache_bytes;
+  BenchWorld world(BoardConfig{}, options);
+
+  struct PlayClient {
+    std::unique_ptr<AudioConnection> conn;
+    std::unique_ptr<AudioToolkit> toolkit;
+    AudioToolkit::PlaybackChain chain;
+  };
+  std::vector<PlayClient> players(static_cast<size_t>(clients));
+  const uint32_t last_tag = 1000;
+  for (int i = 0; i < clients; ++i) {
+    PlayClient& c = players[static_cast<size_t>(i)];
+    c.conn = world.Connect("catalog-play-" + std::to_string(i));
+    c.toolkit = std::make_unique<AudioToolkit>(c.conn.get());
+    c.toolkit->set_time_pump([&world] { world.server().StepFrames(160); });
+    c.chain = c.toolkit->BuildPlaybackChain();
+    ResourceId sound = c.conn->LoadCatalogueSound("prompt");
+    std::vector<CommandSpec> program;
+    for (int p = 0; p < plays_each; ++p) {
+      program.push_back(PlayCommand(c.chain.player, sound,
+                                    p + 1 == plays_each ? last_tag : 0));
+    }
+    c.conn->Enqueue(c.chain.loud, program);
+  }
+  for (auto& c : players) {
+    (void)c.conn->Sync();
+  }
+
+  CatalogPlayResult result;
+  auto t0 = std::chrono::steady_clock::now();
+  for (auto& c : players) {
+    c.conn->StartQueue(c.chain.loud);
+  }
+  result.ok = true;
+  for (auto& c : players) {
+    result.ok = c.toolkit->WaitCommandDone(last_tag, 120000) && result.ok;
+  }
+  auto t1 = std::chrono::steady_clock::now();
+  result.wall_ns_per_play =
+      std::chrono::duration<double, std::nano>(t1 - t0).count() / (clients * plays_each);
+
+  auto stats = players[0].conn->GetServerStats(false);
+  if (stats.ok()) {
+    const auto& tick = stats.value().tick_us;
+    result.tick_p50_us = tick.empty() ? 0.0 : tick.Percentile(50);
+    result.tick_p99_us = tick.empty() ? 0.0 : tick.Percentile(99);
+    result.cache_hits = stats.value().decoded_cache_hits;
+    result.cache_misses = stats.value().decoded_cache_misses;
+  }
+  return result;
 }
 
 // Repeated catalogue play with the decoded-PCM cache on vs off. Returns
 // false when the cache-on run fails to clear the required speedup.
-bool RunCatalogPlay(BenchJsonWriter* json, bool quick) {
+bool RunCatalogPlay(bool quick) {
   const int clients = quick ? 4 : 8;
   const int plays_each = quick ? 2 : 5;
   std::printf("\nRepeated catalogue play (%d players x %d plays of the ADPCM/16k "
@@ -110,20 +174,6 @@ bool RunCatalogPlay(BenchJsonWriter* json, bool quick) {
               static_cast<unsigned long long>(on.cache_hits),
               static_cast<unsigned long long>(on.cache_misses));
   std::printf("  speedup  : %.2fx (target >= 1.5x)\n", speedup);
-  if (json != nullptr) {
-    // The workload size is part of the name so benchdiff never compares a
-    // --quick run against a full-run baseline (per-play cost depends on
-    // the hit/miss mix, which depends on plays_each).
-    const std::string prefix = "catalog_play/" + std::to_string(clients) + "x" +
-                               std::to_string(plays_each) + "/";
-    auto& e_off = json->Add(prefix + "cache_off", off.plays, off.wall_ns_per_play);
-    e_off.extra.emplace_back("tick_p50_us", off.tick_p50_us);
-    e_off.extra.emplace_back("tick_p99_us", off.tick_p99_us);
-    auto& e_on = json->Add(prefix + "cache_on", on.plays, on.wall_ns_per_play);
-    e_on.extra.emplace_back("tick_p50_us", on.tick_p50_us);
-    e_on.extra.emplace_back("tick_p99_us", on.tick_p99_us);
-    e_on.extra.emplace_back("speedup_vs_cache_off", speedup);
-  }
   // Quick (CI smoke) runs are too small/noisy to gate on the ratio; the
   // full run enforces the 1.5x acceptance bar.
   return off.ok && on.ok && (quick || speedup >= 1.5);
@@ -133,8 +183,6 @@ int Run(const BenchFlags& flags) {
   PrintHeader("E4: multi-client mixing to one speaker",
               "multiple applications play simultaneously to a single speaker "
               "(server inserts mixers transparently)");
-
-  BenchJsonWriter json("mixing");
 
   std::printf("%-10s %-14s %-16s %-18s %-10s\n", "clients", "tick cost", "realtime",
               "mix correctness", "verdict");
@@ -186,18 +234,11 @@ int Run(const BenchFlags& flags) {
     std::printf("%-10d %10.1f us %13.0fx %11lld/16000 %-10s\n", n, tick_us,
                 realtime_factor, static_cast<long long>(plateau),
                 correct ? "ok" : "WRONG");
-    json.Add("mix_tick/" + std::to_string(n) + "_clients", kTicks,
-             tick_us * 1000.0);
   }
 
-  RunKernelMicro(&json, flags.quick);
-  bool cache_ok = RunCatalogPlay(&json, flags.quick);
+  RunKernelMicro(flags.quick);
+  bool cache_ok = RunCatalogPlay(flags.quick);
   all_ok = all_ok && cache_ok;
-
-  if (!flags.json_out.empty() && !json.WriteTo(flags.json_out)) {
-    std::fprintf(stderr, "failed to write %s\n", flags.json_out.c_str());
-    all_ok = false;
-  }
 
   std::printf("paper expectation (simultaneous mixed output, real-time capable): %s\n",
               all_ok ? "MET" : "MISSED");

@@ -15,15 +15,24 @@ namespace {
 
 using Opcodes = std::vector<OpcodeStats>;
 
+// Formats in place; a second pass only for output longer than 255 bytes
+// (a long client name in the entity table).
 __attribute__((format(printf, 2, 3))) void Appendf(std::string* out, const char* fmt, ...) {
-  char buf[256];
+  constexpr size_t kFirstPass = 256;
   va_list args;
   va_start(args, fmt);
-  const int n = std::vsnprintf(buf, sizeof(buf), fmt, args);
+  va_list again;
+  va_copy(again, args);
+  const size_t at = out->size();
+  out->resize(at + kFirstPass);
+  const int n = std::vsnprintf(out->data() + at, kFirstPass, fmt, args);
   va_end(args);
-  if (n > 0) {
-    out->append(buf, std::min(static_cast<size_t>(n), sizeof(buf) - 1));
+  if (n >= static_cast<int>(kFirstPass)) {
+    out->resize(at + static_cast<size_t>(n) + 1);
+    std::vsnprintf(out->data() + at, static_cast<size_t>(n) + 1, fmt, again);
   }
+  va_end(again);
+  out->resize(at + static_cast<size_t>(std::max(n, 0)));
 }
 
 // One row some surface shows, with its value: a formatted integer, a
@@ -292,6 +301,38 @@ std::string RenderFlightDumpText(const std::string& reason,
     out += "  " + line + "\n";
   }
   return out + "=== end of dump ===\n";
+}
+
+std::string RenderEntityStatsTable(EntityStatsReply stats) {
+  std::stable_sort(stats.connections.begin(), stats.connections.end(),
+                   [](const ConnectionStatsWire& a, const ConnectionStatsWire& b) {
+                     return a.bytes_in + a.bytes_out > b.bytes_in + b.bytes_out;
+                   });
+  std::string out;
+  Appendf(&out, "%-4s %-16s %10s %6s %12s %12s %8s %8s %10s\n", "#", "client", "requests",
+          "errors", "bytes_in", "bytes_out", "events", "dropped", "disp_p99");
+  for (const ConnectionStatsWire& c : stats.connections) {
+    Appendf(&out, "%-4u %-16s %10llu %6llu %12llu %12llu %8llu %8llu %9.0fus\n", c.index,
+            c.name.empty() ? "?" : c.name.c_str(), static_cast<unsigned long long>(c.requests),
+            static_cast<unsigned long long>(c.errors),
+            static_cast<unsigned long long>(c.bytes_in),
+            static_cast<unsigned long long>(c.bytes_out),
+            static_cast<unsigned long long>(c.events_sent),
+            static_cast<unsigned long long>(c.events_dropped),
+            c.dispatch_us.empty() ? 0.0 : c.dispatch_us.Percentile(99));
+  }
+  if (stats.devices.empty()) {
+    return out;
+  }
+  Appendf(&out, "\n%-10s %-10s %-8s %14s %14s\n", "root", "owner", "active", "frames_prod",
+          "frames_cons");
+  for (const DeviceStatsWire& d : stats.devices) {
+    const std::string owner = d.owner == 0xFFFFFFFFu ? "server" : "#" + std::to_string(d.owner);
+    Appendf(&out, "0x%-8x %-10s %-8s %14llu %14llu\n", d.root, owner.c_str(),
+            d.active != 0 ? "yes" : "no", static_cast<unsigned long long>(d.frames_produced),
+            static_cast<unsigned long long>(d.frames_consumed));
+  }
+  return out;
 }
 
 }  // namespace aud

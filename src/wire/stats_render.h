@@ -3,7 +3,8 @@
 // the text and JSON of `audioctl stats`, the one-line summary of the
 // audiond stats log and audiotop's header, and the flight-recorder dump.
 // All of them read one snapshot, so they always show the same numbers, and
-// a row's `show` column decides which of them render it.
+// a row's `show` column decides which of them render it. The per-entity
+// table of GetEntityStats renders here too.
 
 #ifndef SRC_WIRE_STATS_RENDER_H_
 #define SRC_WIRE_STATS_RENDER_H_
@@ -30,6 +31,11 @@ std::string RenderStatsJson(const ServerStatsReply& stats);
 
 // The kBrief rows on one line: `name=value`, histograms as `name_p99=value`.
 std::string RenderStatsLine(const ServerStatsReply& stats);
+
+// The GetEntityStats table of `audioctl top` and audiotop: one row per
+// connection, heaviest (bytes in + out) first, then one row per root's
+// device counters.
+std::string RenderEntityStatsTable(EntityStatsReply stats);
 
 // Human-oriented post-mortem dump: the stats text, the merged trace ring
 // (timestamp order) and the recent log tail. `reason` names what

@@ -689,10 +689,10 @@ TEST(AudlintTest, UndocumentedCliFlagFlagged) {
 
 TEST(AudlintTest, FlagPrefixOfLongerFlagDoesNotCount) {
   FileMap files = CleanTree();
-  // README documents only --json-out; the audioctl flag --json must still
+  // README documents only --json-lines; the audioctl flag --json must still
   // be flagged (prefix matches don't count).
   files["README.md"] = R"(
-Run `audiond --port 7800 --verbose`. Benchmarks accept `--json-out=PATH`.
+Run `audiond --port 7800 --verbose`. Logs accept `--json-lines=PATH`.
 )";
   EXPECT_TRUE(
       HasProblem(LintTree(files), "audioctl flag --json is undocumented"));

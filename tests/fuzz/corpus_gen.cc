@@ -143,13 +143,25 @@ int main(int argc, char** argv) {
     entries.push_back({"decode", "change_property", WithSelector(20, EncodeStruct(req))});
   }
   {
+    // A v5 reply, and a v8 one with a tick-phase histogram set.
     ServerStatsReply stats;
+    stats.stats_version = 5;
+    stats.proto_major = 1;
+    stats.proto_minor = 2;
     stats.requests_total = 100;
     OpcodeStats op;
     op.opcode = static_cast<uint16_t>(Opcode::kSync);
     op.count = 50;
     stats.opcodes.push_back(op);
     entries.push_back({"decode", "server_stats_reply", WithSelector(39, EncodeStruct(stats))});
+    stats.stats_version = 8;
+    stats.tick_fanout_us.count = 2;
+    stats.tick_fanout_us.sum = 300;
+    stats.tick_fanout_us.min = 100;
+    stats.tick_fanout_us.max = 200;
+    stats.tick_fanout_us.buckets = {0, 0, 0, 0, 0, 0, 0, 1, 1};
+    entries.push_back(
+        {"decode", "server_stats_reply_v8", WithSelector(39, EncodeStruct(stats))});
   }
   {
     ServerTraceReply trace;

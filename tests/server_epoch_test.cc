@@ -125,10 +125,10 @@ TEST(EpochAccountingTest, CommitsMatchTicksRun) {
 
 // Engine-plane requests against an idle root keep completing, promptly,
 // while a tick storm runs back-to-back epochs. The latency bound
-// is deliberately loose (shared CI runners); the committed bench baseline
-// (bench/baselines/BENCH_engine_scaling.json) carries the tight 1.25x
-// storm-vs-control acceptance. The probe root is unmapped, so its shard
-// lock is never taken by the fan-out.
+// is deliberately loose (shared CI runners); the tight 1.25x
+// storm-vs-control acceptance is bench_engine_scaling's full run, which
+// exits non-zero when it is missed. The probe root is unmapped, so its
+// shard lock is never taken by the fan-out.
 TEST(DispatchStormTest, RequestsStayResponsiveDuringTickStorm) {
   World world(BoardConfig{});
   BuildChains(world, 8, 5);  // 5 x 1 s per chain: outlives the storm

@@ -500,5 +500,52 @@ TEST(StatsSurfaceTest, ExistingSeriesAndJsonKeysShowTheirFields) {
   }
 }
 
+// -- The GetEntityStats table (audioctl top and audiotop) -----------------------
+
+TEST(StatsSurfaceTest, EntityTableListsHeaviestConnectionFirst) {
+  EntityStatsReply reply;
+  ConnectionStatsWire light;
+  light.index = 1;
+  light.name = "light";
+  light.requests = 3;
+  light.bytes_in = 10;
+  light.bytes_out = 20;
+  ConnectionStatsWire heavy;
+  heavy.index = 2;
+  heavy.requests = 40;
+  heavy.errors = 1;
+  heavy.bytes_in = 4000;
+  heavy.bytes_out = 5000;
+  heavy.events_sent = 7;
+  heavy.events_dropped = 2;
+  obs::LatencyHistogram dispatch;
+  dispatch.Record(50);
+  heavy.dispatch_us = dispatch.Snapshot();
+  reply.connections = {light, heavy};
+  reply.devices.push_back({.root = 0x10, .owner = 0xFFFFFFFFu, .active = 1,
+                           .frames_produced = 160, .frames_consumed = 320});
+  reply.devices.push_back({.root = 0x2001, .owner = 2, .active = 0,
+                           .frames_produced = 0, .frames_consumed = 0});
+
+  const std::string connections =
+      "#    client             requests errors     bytes_in    bytes_out   events  dropped   disp_p99\n"
+      "2    ?                        40      1         4000         5000        7        2        50us\n"
+      "1    light                     3      0           10           20        0        0         0us\n";
+  EXPECT_EQ(RenderEntityStatsTable(reply),
+            connections +
+                "\n"
+                "root       owner      active      frames_prod    frames_cons\n"
+                "0x10       server     yes                 160            320\n"
+                "0x2001     #2         no                    0              0\n");
+  // No device section without devices.
+  reply.devices.clear();
+  EXPECT_EQ(RenderEntityStatsTable(reply), connections);
+  // A client name longer than a line is printed whole.
+  const std::string long_name(300, 'n');
+  reply.connections[0].name = long_name;
+  EXPECT_NE(RenderEntityStatsTable(reply).find(long_name + std::string(10, ' ') + "3"),
+            std::string::npos);
+}
+
 }  // namespace
 }  // namespace aud

@@ -12,7 +12,7 @@
 namespace aud {
 namespace {
 
-TEST(PipeStreamTest, BytesFlowBothWays) {
+TEST(PipePairTest, BytesFlowBothWays) {
   auto [a, b] = CreatePipePair();
   std::vector<uint8_t> ping = {1, 2, 3};
   ASSERT_TRUE(a->Write(ping));
@@ -27,7 +27,7 @@ TEST(PipeStreamTest, BytesFlowBothWays) {
   EXPECT_EQ(buf, pong);
 }
 
-TEST(PipeStreamTest, CloseUnblocksReader) {
+TEST(PipePairTest, CloseUnblocksReader) {
   auto [a, b] = CreatePipePair();
   std::thread reader([&] {
     std::vector<uint8_t> buf(10);
@@ -37,7 +37,7 @@ TEST(PipeStreamTest, CloseUnblocksReader) {
   reader.join();
 }
 
-TEST(PipeStreamTest, DrainsBufferedDataAfterClose) {
+TEST(PipePairTest, DrainsBufferedDataAfterClose) {
   auto [a, b] = CreatePipePair();
   std::vector<uint8_t> data = {5, 6, 7};
   a->Write(data);
@@ -48,14 +48,14 @@ TEST(PipeStreamTest, DrainsBufferedDataAfterClose) {
   EXPECT_EQ(b->Read(buf), 0u);
 }
 
-TEST(PipeStreamTest, WriteAfterCloseFails) {
+TEST(PipePairTest, WriteAfterCloseFails) {
   auto [a, b] = CreatePipePair();
   b->Close();
   std::vector<uint8_t> data = {1};
   EXPECT_FALSE(a->Write(data));
 }
 
-TEST(PipeStreamTest, LargeTransferSurvivesChunking) {
+TEST(PipePairTest, LargeTransferSurvivesChunking) {
   auto [a, b] = CreatePipePair();
   std::vector<uint8_t> big(100000);
   for (size_t i = 0; i < big.size(); ++i) {

@@ -19,7 +19,6 @@
 // Every subcommand is an ordinary Alib client; reading this file is the
 // fastest tour of the client API.
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -270,40 +269,7 @@ int CmdTop(AudioConnection& audio) {
                  stats.status().ToString().c_str());
     return 1;
   }
-  EntityStatsReply reply = stats.value();
-  std::sort(reply.connections.begin(), reply.connections.end(),
-            [](const ConnectionStatsWire& a, const ConnectionStatsWire& b) {
-              return a.bytes_in + a.bytes_out > b.bytes_in + b.bytes_out;
-            });
-  std::printf("%-4s %-16s %10s %6s %12s %12s %8s %8s %10s\n", "#", "client", "requests",
-              "errors", "bytes_in", "bytes_out", "events", "dropped", "disp_p99");
-  for (const ConnectionStatsWire& c : reply.connections) {
-    std::printf("%-4u %-16s %10llu %6llu %12llu %12llu %8llu %8llu %9.0fus\n", c.index,
-                c.name.empty() ? "?" : c.name.c_str(),
-                static_cast<unsigned long long>(c.requests),
-                static_cast<unsigned long long>(c.errors),
-                static_cast<unsigned long long>(c.bytes_in),
-                static_cast<unsigned long long>(c.bytes_out),
-                static_cast<unsigned long long>(c.events_sent),
-                static_cast<unsigned long long>(c.events_dropped),
-                c.dispatch_us.empty() ? 0.0 : c.dispatch_us.Percentile(99));
-  }
-  if (!reply.devices.empty()) {
-    std::printf("\n%-10s %-10s %-8s %14s %14s\n", "root", "owner", "active",
-                "frames_prod", "frames_cons");
-    for (const DeviceStatsWire& d : reply.devices) {
-      char owner[16];
-      if (d.owner == 0xFFFFFFFFu) {
-        std::snprintf(owner, sizeof(owner), "server");
-      } else {
-        std::snprintf(owner, sizeof(owner), "#%u", d.owner);
-      }
-      std::printf("0x%-8x %-10s %-8s %14llu %14llu\n", d.root, owner,
-                  d.active != 0 ? "yes" : "no",
-                  static_cast<unsigned long long>(d.frames_produced),
-                  static_cast<unsigned long long>(d.frames_consumed));
-    }
-  }
+  std::fputs(RenderEntityStatsTable(stats.value()).c_str(), stdout);
   return 0;
 }
 

@@ -8,7 +8,6 @@
 // --once prints a single frame without clearing the screen (script-friendly;
 // CI uses it as a smoke test).
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -28,46 +27,12 @@ void PrintFrame(AudioConnection& audio, bool clear) {
     std::fprintf(stderr, "audiotop: stats query failed (server gone?)\n");
     return;
   }
-  EntityStatsReply e = entities.value();
-  std::sort(e.connections.begin(), e.connections.end(),
-            [](const ConnectionStatsWire& a, const ConnectionStatsWire& b) {
-              return a.bytes_in + a.bytes_out > b.bytes_in + b.bytes_out;
-            });
-
   if (clear) {
     std::printf("\033[H\033[2J");  // cursor home + clear screen
   }
   std::printf("%s\n\n", RenderStatsLine(server.value()).c_str());
 
-  std::printf("%-4s %-16s %10s %6s %12s %12s %8s %8s %10s\n", "#", "client", "requests",
-              "errors", "bytes_in", "bytes_out", "events", "dropped", "disp_p99");
-  for (const ConnectionStatsWire& c : e.connections) {
-    std::printf("%-4u %-16s %10llu %6llu %12llu %12llu %8llu %8llu %9.0fus\n", c.index,
-                c.name.empty() ? "?" : c.name.c_str(),
-                static_cast<unsigned long long>(c.requests),
-                static_cast<unsigned long long>(c.errors),
-                static_cast<unsigned long long>(c.bytes_in),
-                static_cast<unsigned long long>(c.bytes_out),
-                static_cast<unsigned long long>(c.events_sent),
-                static_cast<unsigned long long>(c.events_dropped),
-                c.dispatch_us.empty() ? 0.0 : c.dispatch_us.Percentile(99));
-  }
-  if (!e.devices.empty()) {
-    std::printf("\n%-10s %-10s %-8s %14s %14s\n", "root", "owner", "active",
-                "frames_prod", "frames_cons");
-    for (const DeviceStatsWire& d : e.devices) {
-      char owner[16];
-      if (d.owner == 0xFFFFFFFFu) {
-        std::snprintf(owner, sizeof(owner), "server");
-      } else {
-        std::snprintf(owner, sizeof(owner), "#%u", d.owner);
-      }
-      std::printf("0x%-8x %-10s %-8s %14llu %14llu\n", d.root, owner,
-                  d.active != 0 ? "yes" : "no",
-                  static_cast<unsigned long long>(d.frames_produced),
-                  static_cast<unsigned long long>(d.frames_consumed));
-    }
-  }
+  std::fputs(RenderEntityStatsTable(entities.value()).c_str(), stdout);
   std::fflush(stdout);
 }
 
