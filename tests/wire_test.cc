@@ -673,5 +673,280 @@ TEST(ServerStatsWire, EveryRowRoundTrips) {
   EXPECT_EQ(again.bytes(), bytes);
 }
 
+
+// -- Golden bytes: one encoding per message type -----------------------------
+//
+// Every field of every message holds a value no other field of it holds,
+// and each hex string is what the message's hand-written Encode made of it
+// before the codecs were generated from the field lists. A field left out
+// of a field list, or listed out of order, changes its message's bytes.
+
+std::string ToHex(std::span<const uint8_t> bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (uint8_t b : bytes) {
+    hex += kDigits[b >> 4];
+    hex += kDigits[b & 15];
+  }
+  return hex;
+}
+
+template <typename T>
+std::vector<uint8_t> EncodeAny(const T& m) {
+  if constexpr (requires(ByteWriter* w) { m.Encode(w); }) {
+    ByteWriter w;
+    m.Encode(&w);
+    return w.Take();
+  } else {
+    return m.Encode();
+  }
+}
+
+// Encodes `m`, compares with `hex`, and checks that decoding the bytes reads
+// every one of them and gives back a message that encodes to them again.
+template <typename T>
+void ExpectGolden(const char* name, const T& m, const std::string& hex) {
+  SCOPED_TRACE(name);
+  const std::vector<uint8_t> bytes = EncodeAny(m);
+  EXPECT_EQ(ToHex(bytes), hex);
+  ByteReader r(bytes);
+  T decoded = T::Decode(&r);
+  EXPECT_TRUE(r.ok());
+  EXPECT_EQ(r.remaining(), 0u);
+  EXPECT_EQ(ToHex(EncodeAny(decoded)), hex);
+}
+
+// Args payloads decode from their bytes, as the server and Alib call them.
+template <typename T>
+void ExpectGoldenArgs(const char* name, const T& m, const std::string& hex) {
+  SCOPED_TRACE(name);
+  const std::vector<uint8_t> bytes = m.Encode();
+  EXPECT_EQ(ToHex(bytes), hex);
+  EXPECT_EQ(ToHex(T::Decode(bytes).Encode()), hex);
+}
+
+AttrList GoldenAttrs() {
+  return AttrList{{AttrTag::kName, std::string("left")},
+                  {AttrTag::kSampleRate, uint32_t{44100}},
+                  {AttrTag::kVolume, int32_t{-7}}};
+}
+
+constexpr AudioFormat kGoldenFormat{Encoding::kPcm16, 16000};
+
+CommandSpec GoldenCommand(uint32_t n) {
+  CommandSpec c;
+  c.device = 0x1100 + n;
+  c.command = DeviceCommand::kSetVoice;
+  c.tag = 0x2200 + n;
+  c.args = {static_cast<uint8_t>(n), 0xab, 0xcd};
+  return c;
+}
+
+WireInfo GoldenWire(uint32_t n) {
+  WireInfo i;
+  i.id = 0x3100 + n;
+  i.src_device = 0x3200 + n;
+  i.src_port = static_cast<uint16_t>(3 + n);
+  i.dst_device = 0x3300 + n;
+  i.dst_port = static_cast<uint16_t>(5 + n);
+  i.format = kGoldenFormat;
+  return i;
+}
+
+TraceEventWire GoldenTraceEvent(uint32_t n) {
+  TraceEventWire e;
+  e.t_us = -1000 - n;
+  e.seq = 0x4100 + n;
+  e.tid = 0x4200 + n;
+  e.reason = static_cast<uint16_t>(0x43 + n);
+  e.arg0 = 0x4400 + n;
+  e.arg1 = 0x4500 + n;
+  e.trace = 0x4600000000ull + n;
+  e.parent = 0x4700 + n;
+  e.dur_us = 0x4800 + n;
+  return e;
+}
+
+obs::HistogramSnapshot GoldenHistogram() {
+  obs::HistogramSnapshot h;
+  h.count = 3;
+  h.sum = 0x5100;
+  h.min = 0x5200;
+  h.max = 0x5300;
+  h.buckets = {7, 0, 9};
+  return h;
+}
+
+TEST(GoldenBytesTest, HeaderAndSetup) {
+  MessageHeader h;
+  h.type = MessageType::kEvent;
+  h.code = 0x1234;
+  h.length = 0x56789;
+  h.sequence = 0xabcdef;
+  ExpectGolden("MessageHeader", h, "0300341289670500efcdab00");
+
+  SetupRequest q;
+  q.magic = 0x11223344;
+  q.major = 7;
+  q.minor = 9;
+  q.client_name = "golden";
+  ExpectGolden("SetupRequest", q, "443322110700090006000000676f6c64656e");
+
+  SetupReply p;
+  p.success = 1;
+  p.major = 3;
+  p.minor = 4;
+  p.id_base = 0x100000;
+  p.id_count = 0x2000;
+  p.device_loud = 0xF0000001;
+  p.server_name = "srv";
+  p.reason = "why";
+  ExpectGolden("SetupReply", p, "01030004000000100000200000010000f00300000073727603000000776879");
+}
+
+TEST(GoldenBytesTest, CommandArgs) {
+  ExpectGolden("CommandSpec", GoldenCommand(1), "011100001400012200000300000001abcd");
+  ExpectGoldenArgs("PlayArgs", PlayArgs{0x55, -3, 0x7000000000},
+                   "55000000fdffffffffffffff0000000070000000");
+  ExpectGoldenArgs("RecordArgs", RecordArgs{0x66, kTerminateOnHangup, 0x1234},
+                   "660000000234120000");
+  ExpectGoldenArgs("StringArg", StringArg{"555-1212"}, "080000003535352d31323132");
+  ExpectGoldenArgs("GainArgs", GainArgs{-500}, "0cfeffff");
+  ExpectGoldenArgs("InputGainArgs", InputGainArgs{3, -2500}, "03003cf6ffff");
+  ExpectGoldenArgs("DelayArgs", DelayArgs{5000}, "88130000");
+  ExpectGoldenArgs("TrainArgs", TrainArgs{"yes", 12}, "030000007965730c000000");
+  ExpectGoldenArgs("WordListArgs", WordListArgs{{"play", "stop"}},
+                   "0200000004000000706c61790400000073746f70");
+  ExpectGoldenArgs("ExceptionListArgs", ExceptionListArgs{{{"ab", "AE B"}, {"cd", "S IY D"}}},
+                   "02000000020000006162040000004145204202000000636406000000532049592044");
+  ExpectGoldenArgs("NoteArgs", NoteArgs{69, 120, 500}, "4578f4010000");
+  ExpectGoldenArgs("VoiceArgs", VoiceArgs{2, 5, 60, 8000, 300}, "0205003c00401f2c01");
+  ExpectGoldenArgs("CrossbarStateArgs", CrossbarStateArgs{{{1, 2, 0}, {3, 4, 5}}},
+                   "0200000001000200000300040005");
+  ExpectGoldenArgs("ValuesArgs", ValuesArgs{GoldenAttrs()},
+                   "0300040002040000006c65667402000044ac0000170001f9ffffff");
+}
+
+TEST(GoldenBytesTest, Requests) {
+  ExpectGolden("CreateLoudReq", CreateLoudReq{0x101, 0x102, GoldenAttrs()},
+               "01010000020100000300040002040000006c65667402000044ac0000170001f9ffffff");
+  ExpectGolden("ResourceReq", ResourceReq{0x103}, "03010000");
+  ExpectGolden("CreateVirtualDeviceReq",
+               CreateVirtualDeviceReq{0x104, 0x105, DeviceClass::kMixer, GoldenAttrs()},
+               "0401000005010000050300040002040000006c65667402000044ac0000170001f9ffffff");
+  ExpectGolden("AugmentVirtualDeviceReq", AugmentVirtualDeviceReq{0x106, GoldenAttrs()},
+               "060100000300040002040000006c65667402000044ac0000170001f9ffffff");
+  ExpectGolden("CreateWireReq", CreateWireReq{0x107, 0x108, 9, 0x10a, 11, 1, kGoldenFormat},
+               "070100000801000009000a0100000b000103803e0000");
+  ExpectGolden("MapLoudReq", MapLoudReq{0x10c, 1}, "0c01000001");
+  ExpectGolden("CreateSoundReq", CreateSoundReq{0x10d, kGoldenFormat}, "0d01000003803e0000");
+  ExpectGolden("WriteSoundDataReq", WriteSoundDataReq{0x10e, 0x10f0000000, {1, 2, 3}},
+               "0e010000000000f01000000003000000010203");
+  ExpectGolden("ReadSoundDataReq", ReadSoundDataReq{0x110, 0x1110000000, 0x112},
+               "10010000000000101100000012010000");
+  ExpectGolden("NamedSoundReq", NamedSoundReq{0x113, "beep"}, "130100000400000062656570");
+  ExpectGolden("EnqueueCommandsReq",
+               EnqueueCommandsReq{0x114, {GoldenCommand(2), GoldenCommand(3)}},
+               "1401000002000000021100001400022200000300000002abcd031100001400032200000300000003ab"
+               "cd");
+  ExpectGolden("ImmediateCommandReq", ImmediateCommandReq{0x115, GoldenCommand(4)},
+               "15010000041100001400042200000300000004abcd");
+  ExpectGolden("SelectEventsReq", SelectEventsReq{0x116, 0x117}, "1601000017010000");
+  ExpectGolden("SetSyncMarksReq", SetSyncMarksReq{0x118, 0x119}, "1801000019010000");
+  ExpectGolden("ChangePropertyReq", ChangePropertyReq{0x11a, "title", "STRING", {4, 5}},
+               "1a010000050000007469746c6506000000535452494e47020000000405");
+  ExpectGolden("NamedPropertyReq", NamedPropertyReq{0x11b, "owner"}, "1b010000050000006f776e6572");
+  ExpectGolden("SetRedirectReq", SetRedirectReq{0}, "00");
+  ExpectGolden("GetServerStatsReq", GetServerStatsReq{0}, "00");
+  ExpectGolden("GetServerTraceReq", GetServerTraceReq{0x11c}, "1c010000");
+  ExpectGolden("GetRequestTraceReq", GetRequestTraceReq{0x11d00000000, 0x11e},
+               "000000001d0100001e010000");
+  ExpectGolden("GetEntityStatsReq", GetEntityStatsReq{0}, "00");
+}
+
+TEST(GoldenBytesTest, Replies) {
+  ExpectGolden("VirtualDeviceReply",
+               VirtualDeviceReply{0x201, DeviceClass::kTelephone, 1, 2, 0x202, GoldenAttrs()},
+               "01020000040102020200000300040002040000006c65667402000044ac0000170001f9ffffff");
+  ExpectGolden("WireInfo", GoldenWire(1), "0131000001320000040001330000060003803e0000");
+  ExpectGolden("WiresReply", WiresReply{{GoldenWire(2), GoldenWire(3)}},
+               "020000000231000002320000050002330000070003803e000003310000033200000600033300000800"
+               "03803e0000");
+  ExpectGolden("SoundDataReply", SoundDataReply{0x203, 0x2040000000, {6, 7}},
+               "030200000000004020000000020000000607");
+  ExpectGolden("SoundInfoReply", SoundInfoReply{0x205, kGoldenFormat, 0x206, 0x207},
+               "0502000003803e000006020000000000000702000000000000");
+  ExpectGolden("CatalogueEntry", CatalogueEntry{"ring", kGoldenFormat, 0x208},
+               "0400000072696e6703803e00000802000000000000");
+  ExpectGolden("CatalogueReply",
+               CatalogueReply{{{"a", kGoldenFormat, 0x209},
+                               {"b", {Encoding::kAlaw8, 11025}, 0x20a}}},
+               "02000000010000006103803e00000902000000000000010000006201112b00000a02000000000000");
+  ExpectGolden("QueueStateReply", QueueStateReply{0x20b, QueueState::kServerPaused, 0x20c, 0x20d},
+               "0b020000030c0200000d020000");
+  ExpectGolden("PropertyReply", PropertyReply{0x20e, 1, "n", "t", {8, 9}},
+               "0e02000001010000006e0100000074020000000809");
+  ExpectGolden("PropertyListReply", PropertyListReply{{"x", "yz"}},
+               "02000000010000007802000000797a");
+  ExpectGolden("DeviceInfo", DeviceInfo{0x20f, 0x210, DeviceClass::kDsp, GoldenAttrs()},
+               "0f020000100200000a0300040002040000006c65667402000044ac0000170001f9ffffff");
+  ExpectGolden("DeviceLoudReply",
+               DeviceLoudReply{0x211,
+                               {DeviceInfo{0x212, 0x213, DeviceClass::kCrossbar, GoldenAttrs()}},
+                               {GoldenWire(4)}},
+               "11020000010000001202000013020000090300040002040000006c65667402000044ac0000170001f9"
+               "ffffff010000000431000004320000070004330000090003803e0000");
+  ExpectGolden("ActiveStackEntry", ActiveStackEntry{0x214, 1}, "1402000001");
+  ExpectGolden("ActiveStackReply", ActiveStackReply{{{0x215, 1}, {0x216, 2}}},
+               "0200000015020000011602000002");
+  ExpectGolden("ServerTimeReply", ServerTimeReply{-0x217}, "e9fdffffffffffff");
+  ExpectGolden("LoudStateReply", LoudStateReply{0x218, 0x219, 1, 2, 0x21a, 0x21b},
+               "180200001902000001021a0200001b020000");
+  ExpectGolden("OpcodeStats", OpcodeStats{0x21c, 0x21d, 0x21e, 0x21f},
+               "1c021d020000000000001e020000000000001f02000000000000");
+  ExpectGolden("TraceEventWire", GoldenTraceEvent(1),
+               "17fcffff00000000014100000000000001420000440001440000014500000100000046000000014700"
+               "000000000001480000");
+  ExpectGolden("ServerTraceReply", ServerTraceReply{{GoldenTraceEvent(2), GoldenTraceEvent(3)}},
+               "0200000016fcffff000000000241000000000000024200004500024400000245000002000000460000"
+               "0002470000000000000248000015fcffff000000000341000000000000034200004600034400000345"
+               "00000300000046000000034700000000000003480000");
+  ExpectGolden("RequestTraceReply", RequestTraceReply{2, 0x220, {GoldenTraceEvent(4)}},
+               "0200000020020000000000000100000014fcffff000000000441000000000000044200004700044400"
+               "00044500000400000046000000044700000000000004480000");
+  ConnectionStatsWire conn{0x221, "c", 0x222, 0x223, 0x224, 0x225, 0x226, 0x227,
+                           GoldenHistogram()};
+  ExpectGolden("ConnectionStatsWire", conn,
+               "2102000001000000632202000000000000230200000000000024020000000000002502000000000000"
+               "2602000000000000270200000000000003000000000000000051000000000000005200000000000000"
+               "5300000000000003000000070000000000000000000000000000000900000000000000");
+  DeviceStatsWire dev{0x228, 0x229, 1, 0x22a, 0x22b};
+  ExpectGolden("DeviceStatsWire", dev, "2802000029020000012a020000000000002b02000000000000");
+  ExpectGolden("EntityStatsReply", EntityStatsReply{3, {conn}, {dev, dev}},
+               "0300000001000000210200000100000063220200000000000023020000000000002402000000000000"
+               "2502000000000000260200000000000027020000000000000300000000000000005100000000000000"
+               "5200000000000000530000000000000300000007000000000000000000000000000000090000000000"
+               "0000020000002802000029020000012a020000000000002b020000000000002802000029020000012a"
+               "020000000000002b02000000000000");
+}
+
+TEST(GoldenBytesTest, EventsAndErrors) {
+  ExpectGolden("EventMessage", EventMessage{EventType::kRecognition, 0x301, -0x302, {1, 2, 3}},
+               "120001030000fefcffffffffffff03000000010203");
+  ExpectGoldenArgs("CommandDoneArgs", CommandDoneArgs{0x303, 0x304, 1}, "03030000040301");
+  ExpectGoldenArgs("QueuePausedArgs", QueuePausedArgs{1}, "01");
+  ExpectGoldenArgs("TelephoneRingArgs", TelephoneRingArgs{"555", 0x305}, "0300000035353505030000");
+  ExpectGoldenArgs("CallProgressArgs", CallProgressArgs{CallState::kBusy}, "04");
+  ExpectGoldenArgs("DtmfReceivedArgs", DtmfReceivedArgs{'#'}, "23");
+  ExpectGoldenArgs("RecorderStoppedArgs", RecorderStoppedArgs{2, 0x306}, "020603000000000000");
+  ExpectGoldenArgs("RecognitionArgs", RecognitionArgs{"yes", 0x307}, "0300000079657307030000");
+  ExpectGoldenArgs("SyncMarkArgs", SyncMarkArgs{0x308, -0x309, 0x30a},
+                   "0803000000000000f7fcffffffffffff0a03000000000000");
+  ExpectGoldenArgs("PropertyNotifyArgs", PropertyNotifyArgs{"p", 1}, "010000007001");
+  ExpectGoldenArgs("MapRequestArgs", MapRequestArgs{0x30b, 1}, "0b03000001");
+  ExpectGolden("ErrorMessage", ErrorMessage{ErrorCode::kBadMatch, 0x30c, 0x30d, "d"},
+               "030c0300000d030100000064");
+}
+
 }  // namespace
 }  // namespace aud
