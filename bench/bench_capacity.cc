@@ -61,8 +61,9 @@ namespace {
 constexpr double kSloTickP99Us = 20000.0;      // one 20 ms engine period
 constexpr double kSloDispatchP99Us = 20000.0;  // end-to-end server dispatch
 
-// The capacity the 4-thread loop pool held when this gate was set (2048
-// clients on a 4-vCPU VM); the fixed loop pool must keep it.
+// The capacity the connection plane held when this gate was set (2048
+// clients on a 4-vCPU VM); the fixed pool of kConnectionLoops event loops
+// must keep it.
 constexpr int kAcceptCapacity = 2048;
 
 // Every kPlayerStride-th client actively plays; the rest hold mapped,

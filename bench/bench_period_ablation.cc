@@ -20,7 +20,9 @@ int Run() {
               "worst-case start lat.");
   bool all_realtime = true;
   for (size_t period : {40u, 80u, 160u, 320u, 800u}) {
-    BenchWorld world(BoardConfig{}, ServerOptions{.name = "netaudio", .period_frames = period});
+    ServerOptions options;
+    options.period_frames = period;
+    BenchWorld world(BoardConfig{}, options);
     AudioToolkit& toolkit = world.toolkit();
     AudioConnection& client = world.client();
     toolkit.set_time_pump([&] { world.server().StepFrames(static_cast<int64_t>(period)); });

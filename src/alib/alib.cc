@@ -233,10 +233,7 @@ size_t AudioConnection::pending_errors() {
   return errors_.size();
 }
 
-Status AudioConnection::Sync() {
-  auto result = RoundTrip(Opcode::kSync, {});
-  return result.status();
-}
+Status AudioConnection::Sync() { return Call<Opcode::kSync>({}).status(); }
 
 void AudioConnection::Close() {
   if (closed_.exchange(true)) {

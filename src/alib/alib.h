@@ -18,6 +18,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "src/common/status.h"
@@ -105,6 +106,33 @@ class AudioConnection {
 
   // Round trip: send + wait, like the many small query wrappers below.
   Result<std::vector<uint8_t>> RoundTrip(Opcode opcode, std::span<const uint8_t> payload);
+
+  // -- Typed protocol, by the opcode table (AUD_OPCODES) ------------------------
+
+  // Encodes the opcode's request struct and sends it without waiting, for
+  // the opcodes without a reply; returns the request's sequence number.
+  template <Opcode op>
+    requires std::is_void_v<ReplyOf<op>>
+  uint32_t Send(const RequestOf<op>& req) {
+    return SendRequest(op, req.Encode());
+  }
+
+  // Sends the opcode's request and waits for its reply struct. A reply the
+  // struct's decoder overruns is a kConnection error.
+  template <Opcode op>
+    requires(!std::is_void_v<ReplyOf<op>>)
+  Result<ReplyOf<op>> Call(const RequestOf<op>& req) {
+    Result<std::vector<uint8_t>> raw = RoundTrip(op, req.Encode());
+    if (!raw.ok()) {
+      return raw.status();
+    }
+    ByteReader r(raw.value());
+    ReplyOf<op> reply = ReplyOf<op>::Decode(&r);
+    if (!r.ok()) {
+      return Status(ErrorCode::kConnection, "malformed reply");
+    }
+    return reply;
+  }
 
   // -- Events and errors -----------------------------------------------------------
 

@@ -5,176 +5,98 @@
 
 namespace aud {
 
-namespace {
-
-template <typename Req>
-std::vector<uint8_t> EncodeReq(const Req& req) {
-  ByteWriter w;
-  req.Encode(&w);
-  return w.Take();
-}
-
-// Decodes a reply payload with the given struct's Decode.
-template <typename Reply>
-Result<Reply> DecodeReply(Result<std::vector<uint8_t>> raw) {
-  if (!raw.ok()) {
-    return raw.status();
-  }
-  ByteReader r(raw.value());
-  Reply reply = Reply::Decode(&r);
-  if (!r.ok()) {
-    return Status(ErrorCode::kConnection, "malformed reply");
-  }
-  return reply;
-}
-
-}  // namespace
-
-void AudioConnection::NoOp() { SendRequest(Opcode::kNoOp, {}); }
+void AudioConnection::NoOp() { Send<Opcode::kNoOp>({}); }
 
 // -- LOUD tree ---------------------------------------------------------------
 
 ResourceId AudioConnection::CreateLoud(ResourceId parent, const AttrList& attrs) {
-  CreateLoudReq req;
-  req.id = AllocId();
-  req.parent = parent;
-  req.attrs = attrs;
-  SendRequest(Opcode::kCreateLoud, EncodeReq(req));
-  return req.id;
+  const ResourceId id = AllocId();
+  Send<Opcode::kCreateLoud>({id, parent, attrs});
+  return id;
 }
 
-void AudioConnection::DestroyLoud(ResourceId loud) {
-  SendRequest(Opcode::kDestroyLoud, EncodeReq(ResourceReq{loud}));
-}
+void AudioConnection::DestroyLoud(ResourceId loud) { Send<Opcode::kDestroyLoud>({loud}); }
 
 ResourceId AudioConnection::CreateDevice(ResourceId loud, DeviceClass device_class,
                                          const AttrList& attrs) {
-  CreateVirtualDeviceReq req;
-  req.id = AllocId();
-  req.loud = loud;
-  req.device_class = device_class;
-  req.attrs = attrs;
-  SendRequest(Opcode::kCreateVirtualDevice, EncodeReq(req));
-  return req.id;
+  const ResourceId id = AllocId();
+  Send<Opcode::kCreateVirtualDevice>({id, loud, device_class, attrs});
+  return id;
 }
 
 void AudioConnection::DestroyDevice(ResourceId device) {
-  SendRequest(Opcode::kDestroyVirtualDevice, EncodeReq(ResourceReq{device}));
+  Send<Opcode::kDestroyVirtualDevice>({device});
 }
 
 void AudioConnection::AugmentDevice(ResourceId device, const AttrList& attrs) {
-  AugmentVirtualDeviceReq req;
-  req.id = device;
-  req.attrs = attrs;
-  SendRequest(Opcode::kAugmentVirtualDevice, EncodeReq(req));
+  Send<Opcode::kAugmentVirtualDevice>({device, attrs});
 }
 
 Result<VirtualDeviceReply> AudioConnection::QueryDevice(ResourceId device) {
-  return DecodeReply<VirtualDeviceReply>(
-      RoundTrip(Opcode::kQueryVirtualDevice, EncodeReq(ResourceReq{device})));
+  return Call<Opcode::kQueryVirtualDevice>({device});
 }
 
 // -- Wires ----------------------------------------------------------------------
 
 ResourceId AudioConnection::CreateWire(ResourceId src_device, uint16_t src_port,
                                        ResourceId dst_device, uint16_t dst_port) {
-  CreateWireReq req;
-  req.id = AllocId();
-  req.src_device = src_device;
-  req.src_port = src_port;
-  req.dst_device = dst_device;
-  req.dst_port = dst_port;
-  req.has_format = 0;
-  SendRequest(Opcode::kCreateWire, EncodeReq(req));
-  return req.id;
+  const ResourceId id = AllocId();
+  Send<Opcode::kCreateWire>({id, src_device, src_port, dst_device, dst_port, 0, {}});
+  return id;
 }
 
 ResourceId AudioConnection::CreateTypedWire(ResourceId src_device, uint16_t src_port,
                                             ResourceId dst_device, uint16_t dst_port,
                                             AudioFormat format) {
-  CreateWireReq req;
-  req.id = AllocId();
-  req.src_device = src_device;
-  req.src_port = src_port;
-  req.dst_device = dst_device;
-  req.dst_port = dst_port;
-  req.has_format = 1;
-  req.format = format;
-  SendRequest(Opcode::kCreateWire, EncodeReq(req));
-  return req.id;
+  const ResourceId id = AllocId();
+  Send<Opcode::kCreateWire>({id, src_device, src_port, dst_device, dst_port, 1, format});
+  return id;
 }
 
-void AudioConnection::DestroyWire(ResourceId wire) {
-  SendRequest(Opcode::kDestroyWire, EncodeReq(ResourceReq{wire}));
-}
+void AudioConnection::DestroyWire(ResourceId wire) { Send<Opcode::kDestroyWire>({wire}); }
 
 Result<WiresReply> AudioConnection::QueryWires(ResourceId device) {
-  return DecodeReply<WiresReply>(
-      RoundTrip(Opcode::kQueryWires, EncodeReq(ResourceReq{device})));
+  return Call<Opcode::kQueryWires>({device});
 }
 
 // -- Mapping ------------------------------------------------------------------------
 
 void AudioConnection::MapLoud(ResourceId loud, bool override_redirect) {
-  MapLoudReq req;
-  req.loud = loud;
-  req.override_redirect = override_redirect ? 1 : 0;
-  SendRequest(Opcode::kMapLoud, EncodeReq(req));
+  Send<Opcode::kMapLoud>({loud, override_redirect ? uint8_t{1} : uint8_t{0}});
 }
 
-void AudioConnection::UnmapLoud(ResourceId loud) {
-  SendRequest(Opcode::kUnmapLoud, EncodeReq(ResourceReq{loud}));
-}
+void AudioConnection::UnmapLoud(ResourceId loud) { Send<Opcode::kUnmapLoud>({loud}); }
 
 void AudioConnection::RaiseLoud(ResourceId loud, bool override_redirect) {
-  MapLoudReq req;
-  req.loud = loud;
-  req.override_redirect = override_redirect ? 1 : 0;
-  SendRequest(Opcode::kRaiseLoud, EncodeReq(req));
+  Send<Opcode::kRaiseLoud>({loud, override_redirect ? uint8_t{1} : uint8_t{0}});
 }
 
 void AudioConnection::LowerLoud(ResourceId loud, bool override_redirect) {
-  MapLoudReq req;
-  req.loud = loud;
-  req.override_redirect = override_redirect ? 1 : 0;
-  SendRequest(Opcode::kLowerLoud, EncodeReq(req));
+  Send<Opcode::kLowerLoud>({loud, override_redirect ? uint8_t{1} : uint8_t{0}});
 }
 
 Result<LoudStateReply> AudioConnection::QueryLoud(ResourceId loud) {
-  return DecodeReply<LoudStateReply>(
-      RoundTrip(Opcode::kQueryLoud, EncodeReq(ResourceReq{loud})));
+  return Call<Opcode::kQueryLoud>({loud});
 }
 
 // -- Sounds --------------------------------------------------------------------------
 
 ResourceId AudioConnection::CreateSound(AudioFormat format) {
-  CreateSoundReq req;
-  req.id = AllocId();
-  req.format = format;
-  SendRequest(Opcode::kCreateSound, EncodeReq(req));
-  return req.id;
+  const ResourceId id = AllocId();
+  Send<Opcode::kCreateSound>({id, format});
+  return id;
 }
 
-void AudioConnection::DestroySound(ResourceId sound) {
-  SendRequest(Opcode::kDestroySound, EncodeReq(ResourceReq{sound}));
-}
+void AudioConnection::DestroySound(ResourceId sound) { Send<Opcode::kDestroySound>({sound}); }
 
 void AudioConnection::WriteSound(ResourceId sound, uint64_t offset,
                                  std::span<const uint8_t> data) {
-  WriteSoundDataReq req;
-  req.id = sound;
-  req.offset = offset;
-  req.data.assign(data.begin(), data.end());
-  SendRequest(Opcode::kWriteSoundData, EncodeReq(req));
+  Send<Opcode::kWriteSoundData>({sound, offset, {data.begin(), data.end()}});
 }
 
 Result<std::vector<uint8_t>> AudioConnection::ReadSound(ResourceId sound, uint64_t offset,
                                                         uint32_t length) {
-  ReadSoundDataReq req;
-  req.id = sound;
-  req.offset = offset;
-  req.length = length;
-  auto reply = DecodeReply<SoundDataReply>(RoundTrip(Opcode::kReadSoundData, EncodeReq(req)));
+  auto reply = Call<Opcode::kReadSoundData>({sound, offset, length});
   if (!reply.ok()) {
     return reply.status();
   }
@@ -182,133 +104,90 @@ Result<std::vector<uint8_t>> AudioConnection::ReadSound(ResourceId sound, uint64
 }
 
 Result<SoundInfoReply> AudioConnection::QuerySound(ResourceId sound) {
-  return DecodeReply<SoundInfoReply>(
-      RoundTrip(Opcode::kQuerySound, EncodeReq(ResourceReq{sound})));
+  return Call<Opcode::kQuerySound>({sound});
 }
 
 ResourceId AudioConnection::LoadCatalogueSound(const std::string& name) {
-  NamedSoundReq req;
-  req.id = AllocId();
-  req.name = name;
-  SendRequest(Opcode::kLoadCatalogueSound, EncodeReq(req));
-  return req.id;
+  const ResourceId id = AllocId();
+  Send<Opcode::kLoadCatalogueSound>({id, name});
+  return id;
 }
 
 void AudioConnection::SaveCatalogueSound(ResourceId sound, const std::string& name) {
-  NamedSoundReq req;
-  req.id = sound;
-  req.name = name;
-  SendRequest(Opcode::kSaveCatalogueSound, EncodeReq(req));
+  Send<Opcode::kSaveCatalogueSound>({sound, name});
 }
 
 Result<CatalogueReply> AudioConnection::ListCatalogue() {
-  return DecodeReply<CatalogueReply>(RoundTrip(Opcode::kListCatalogue, {}));
+  return Call<Opcode::kListCatalogue>({});
 }
 
 // -- Queues ------------------------------------------------------------------------------
 
 void AudioConnection::Enqueue(ResourceId loud, const std::vector<CommandSpec>& commands) {
-  EnqueueCommandsReq req;
-  req.loud = loud;
-  req.commands = commands;
-  SendRequest(Opcode::kEnqueueCommands, EncodeReq(req));
+  Send<Opcode::kEnqueueCommands>({loud, commands});
 }
 
 void AudioConnection::Immediate(ResourceId loud, const CommandSpec& command) {
-  ImmediateCommandReq req;
-  req.loud = loud;
-  req.command = command;
-  SendRequest(Opcode::kImmediateCommand, EncodeReq(req));
+  Send<Opcode::kImmediateCommand>({loud, command});
 }
 
-void AudioConnection::StartQueue(ResourceId loud) {
-  SendRequest(Opcode::kStartQueue, EncodeReq(ResourceReq{loud}));
-}
+void AudioConnection::StartQueue(ResourceId loud) { Send<Opcode::kStartQueue>({loud}); }
 
-void AudioConnection::StopQueue(ResourceId loud) {
-  SendRequest(Opcode::kStopQueue, EncodeReq(ResourceReq{loud}));
-}
+void AudioConnection::StopQueue(ResourceId loud) { Send<Opcode::kStopQueue>({loud}); }
 
-void AudioConnection::PauseQueue(ResourceId loud) {
-  SendRequest(Opcode::kPauseQueue, EncodeReq(ResourceReq{loud}));
-}
+void AudioConnection::PauseQueue(ResourceId loud) { Send<Opcode::kPauseQueue>({loud}); }
 
-void AudioConnection::ResumeQueue(ResourceId loud) {
-  SendRequest(Opcode::kResumeQueue, EncodeReq(ResourceReq{loud}));
-}
+void AudioConnection::ResumeQueue(ResourceId loud) { Send<Opcode::kResumeQueue>({loud}); }
 
-void AudioConnection::FlushQueue(ResourceId loud) {
-  SendRequest(Opcode::kFlushQueue, EncodeReq(ResourceReq{loud}));
-}
+void AudioConnection::FlushQueue(ResourceId loud) { Send<Opcode::kFlushQueue>({loud}); }
 
 Result<QueueStateReply> AudioConnection::QueryQueue(ResourceId loud) {
-  return DecodeReply<QueueStateReply>(
-      RoundTrip(Opcode::kQueryQueue, EncodeReq(ResourceReq{loud})));
+  return Call<Opcode::kQueryQueue>({loud});
 }
 
 // -- Events / properties / manager ---------------------------------------------------------
 
 void AudioConnection::SelectEvents(ResourceId resource, uint32_t mask) {
-  SelectEventsReq req;
-  req.resource = resource;
-  req.mask = mask;
-  SendRequest(Opcode::kSelectEvents, EncodeReq(req));
+  Send<Opcode::kSelectEvents>({resource, mask});
 }
 
 void AudioConnection::SetSyncMarks(ResourceId loud, uint32_t interval_ms) {
-  SetSyncMarksReq req;
-  req.loud = loud;
-  req.interval_ms = interval_ms;
-  SendRequest(Opcode::kSetSyncMarks, EncodeReq(req));
+  Send<Opcode::kSetSyncMarks>({loud, interval_ms});
 }
 
 void AudioConnection::ChangeProperty(ResourceId resource, const std::string& name,
                                      const std::string& type,
                                      std::span<const uint8_t> value) {
-  ChangePropertyReq req;
-  req.resource = resource;
-  req.name = name;
-  req.type = type;
-  req.value.assign(value.begin(), value.end());
-  SendRequest(Opcode::kChangeProperty, EncodeReq(req));
+  Send<Opcode::kChangeProperty>({resource, name, type, {value.begin(), value.end()}});
 }
 
 void AudioConnection::DeleteProperty(ResourceId resource, const std::string& name) {
-  NamedPropertyReq req;
-  req.resource = resource;
-  req.name = name;
-  SendRequest(Opcode::kDeleteProperty, EncodeReq(req));
+  Send<Opcode::kDeleteProperty>({resource, name});
 }
 
 Result<PropertyReply> AudioConnection::GetProperty(ResourceId resource,
                                                    const std::string& name) {
-  NamedPropertyReq req;
-  req.resource = resource;
-  req.name = name;
-  return DecodeReply<PropertyReply>(RoundTrip(Opcode::kGetProperty, EncodeReq(req)));
+  return Call<Opcode::kGetProperty>({resource, name});
 }
 
 Result<PropertyListReply> AudioConnection::ListProperties(ResourceId resource) {
-  return DecodeReply<PropertyListReply>(
-      RoundTrip(Opcode::kListProperties, EncodeReq(ResourceReq{resource})));
+  return Call<Opcode::kListProperties>({resource});
 }
 
 void AudioConnection::SetRedirect(bool enable) {
-  SetRedirectReq req;
-  req.enable = enable ? 1 : 0;
-  SendRequest(Opcode::kSetRedirect, EncodeReq(req));
+  Send<Opcode::kSetRedirect>({enable ? uint8_t{1} : uint8_t{0}});
 }
 
 Result<DeviceLoudReply> AudioConnection::QueryDeviceLoud() {
-  return DecodeReply<DeviceLoudReply>(RoundTrip(Opcode::kQueryDeviceLoud, {}));
+  return Call<Opcode::kQueryDeviceLoud>({});
 }
 
 Result<ActiveStackReply> AudioConnection::QueryActiveStack() {
-  return DecodeReply<ActiveStackReply>(RoundTrip(Opcode::kQueryActiveStack, {}));
+  return Call<Opcode::kQueryActiveStack>({});
 }
 
 Result<int64_t> AudioConnection::GetServerTime() {
-  auto reply = DecodeReply<ServerTimeReply>(RoundTrip(Opcode::kGetServerTime, {}));
+  auto reply = Call<Opcode::kGetServerTime>({});
   if (!reply.ok()) {
     return reply.status();
   }
@@ -316,31 +195,20 @@ Result<int64_t> AudioConnection::GetServerTime() {
 }
 
 Result<ServerStatsReply> AudioConnection::GetServerStats(bool include_opcodes) {
-  GetServerStatsReq req;
-  req.include_opcodes = include_opcodes ? 1 : 0;
-  return DecodeReply<ServerStatsReply>(RoundTrip(Opcode::kGetServerStats, EncodeReq(req)));
+  return Call<Opcode::kGetServerStats>({include_opcodes ? uint8_t{1} : uint8_t{0}});
 }
 
 Result<ServerTraceReply> AudioConnection::GetServerTrace(uint32_t max_events) {
-  GetServerTraceReq req;
-  req.max_events = max_events;
-  return DecodeReply<ServerTraceReply>(RoundTrip(Opcode::kGetServerTrace, EncodeReq(req)));
+  return Call<Opcode::kGetServerTrace>({max_events});
 }
 
 Result<RequestTraceReply> AudioConnection::GetRequestTrace(uint64_t trace_id,
                                                            uint32_t max_spans) {
-  GetRequestTraceReq req;
-  req.trace_id = trace_id;
-  req.max_spans = max_spans;
-  return DecodeReply<RequestTraceReply>(
-      RoundTrip(Opcode::kGetRequestTrace, EncodeReq(req)));
+  return Call<Opcode::kGetRequestTrace>({trace_id, max_spans});
 }
 
 Result<EntityStatsReply> AudioConnection::GetEntityStats(bool include_devices) {
-  GetEntityStatsReq req;
-  req.include_devices = include_devices ? 1 : 0;
-  return DecodeReply<EntityStatsReply>(
-      RoundTrip(Opcode::kGetEntityStats, EncodeReq(req)));
+  return Call<Opcode::kGetEntityStats>({include_devices ? uint8_t{1} : uint8_t{0}});
 }
 
 // -- Command builders ---------------------------------------------------------------------

@@ -67,6 +67,8 @@ struct HistogramSnapshot {
   uint64_t max = 0;
   std::vector<uint64_t> buckets;  // bucket b >= 1 covers [2^(b-1), 2^b - 1]
 
+  bool operator==(const HistogramSnapshot&) const = default;
+
   bool empty() const { return count == 0; }
   double Mean() const { return count == 0 ? 0.0 : static_cast<double>(sum) / count; }
 

@@ -3,20 +3,16 @@
 // errors (section 4.1's request/reply/error model). Runs with the server
 // state lock held.
 //
-// Epoch coexistence (DESIGN.md decision 12) — each opcode falls in one of
-// three classes with respect to a concurrently running engine fan-out:
-//   * drain: structural mutation (registry create/destroy, wiring, the
-//     active stack, sound data that a recorder may be writing). These call
-//     ServerState::WaitEngineIdle() FIRST — before any registry lookup,
-//     because the wait releases the state lock and a pointer resolved
-//     earlier could dangle by the time the wait returns.
-//   * shard: engine-plane requests against one root LOUD (queues, events,
-//     sync marks, properties). These take the root's engine shard lock via
-//     EngineShardGuard and never wait for the whole epoch.
-//   * state-lock only: pure reads of structure that the tick fan-out never
-//     mutates (queries, catalogue listing, stats, trace, redirect).
+// Each opcode's request and reply types and its dispatch class come from
+// its row of the opcode table (AUD_OPCODES, src/wire/protocol.h). The class
+// says how the request runs beside a concurrent engine fan-out (DESIGN.md
+// decision 12): drain-class requests wait for the engine to go idle before
+// the switch, so before any registry lookup; shard-class requests take
+// their root LOUD's engine shard lock (EngineShardGuard); state-class
+// requests need nothing beyond the state lock.
 
 #include <chrono>
+#include <type_traits>
 
 #include "src/server/server.h"
 
@@ -72,6 +68,10 @@ class EngineShardGuard {
  private:
   Mutex* locked_ = nullptr;
 };
+
+// True when every opcode of a shared case decodes the same request struct.
+template <Opcode first, Opcode... rest>
+constexpr bool kSameRequest = (std::is_same_v<RequestOf<first>, RequestOf<rest>> && ...);
 
 ErrorMessage MakeError(ErrorCode code, ResourceId resource, Opcode opcode,
                        std::string detail = {}) {
@@ -149,6 +149,10 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
     return;
   }
 
+  if (OpcodeDispatchClass(opcode) == DispatchClass::kDrain) {
+    state_.WaitEngineIdle();
+  }
+
   switch (opcode) {
     case Opcode::kNoOp:
       break;
@@ -156,8 +160,7 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
     // -- LOUD tree ---------------------------------------------------------------
 
     case Opcode::kCreateLoud: {
-      state_.WaitEngineIdle();
-      CreateLoudReq req = CreateLoudReq::Decode(&r);
+      auto req = RequestOf<Opcode::kCreateLoud>::Decode(&r);
       if (!r.ok() || !id_ok(req.id)) {
         send_error(ErrorCode::kBadIdChoice, req.id);
         break;
@@ -180,8 +183,7 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
     }
 
     case Opcode::kDestroyLoud: {
-      state_.WaitEngineIdle();
-      ResourceReq req = ResourceReq::Decode(&r);
+      auto req = RequestOf<Opcode::kDestroyLoud>::Decode(&r);
       Loud* loud = state_.FindLoud(req.id);
       if (loud == nullptr || loud->owner() != conn->index()) {
         send_error(ErrorCode::kBadResource, req.id);
@@ -195,8 +197,7 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
     }
 
     case Opcode::kCreateVirtualDevice: {
-      state_.WaitEngineIdle();
-      CreateVirtualDeviceReq req = CreateVirtualDeviceReq::Decode(&r);
+      auto req = RequestOf<Opcode::kCreateVirtualDevice>::Decode(&r);
       if (!r.ok() || !id_ok(req.id)) {
         send_error(ErrorCode::kBadIdChoice, req.id);
         break;
@@ -227,8 +228,7 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
     }
 
     case Opcode::kDestroyVirtualDevice: {
-      state_.WaitEngineIdle();
-      ResourceReq req = ResourceReq::Decode(&r);
+      auto req = RequestOf<Opcode::kDestroyVirtualDevice>::Decode(&r);
       VirtualDevice* device = state_.FindDevice(req.id);
       if (device == nullptr || device->owner() != conn->index()) {
         send_error(ErrorCode::kBadResource, req.id);
@@ -242,8 +242,7 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
     }
 
     case Opcode::kAugmentVirtualDevice: {
-      state_.WaitEngineIdle();
-      AugmentVirtualDeviceReq req = AugmentVirtualDeviceReq::Decode(&r);
+      auto req = RequestOf<Opcode::kAugmentVirtualDevice>::Decode(&r);
       VirtualDevice* device = state_.FindDevice(req.id);
       if (device == nullptr || device->owner() != conn->index()) {
         send_error(ErrorCode::kBadResource, req.id);
@@ -255,13 +254,13 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
     }
 
     case Opcode::kQueryVirtualDevice: {
-      ResourceReq req = ResourceReq::Decode(&r);
+      auto req = RequestOf<Opcode::kQueryVirtualDevice>::Decode(&r);
       VirtualDevice* device = state_.FindDevice(req.id);
       if (device == nullptr) {
         send_error(ErrorCode::kBadResource, req.id);
         break;
       }
-      VirtualDeviceReply reply;
+      ReplyOf<Opcode::kQueryVirtualDevice> reply;
       reply.id = device->id();
       reply.device_class = device->device_class();
       reply.mapped = device->loud()->Root()->mapped() ? 1 : 0;
@@ -280,8 +279,7 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
     // -- Wires ---------------------------------------------------------------------
 
     case Opcode::kCreateWire: {
-      state_.WaitEngineIdle();
-      CreateWireReq req = CreateWireReq::Decode(&r);
+      auto req = RequestOf<Opcode::kCreateWire>::Decode(&r);
       if (!r.ok() || !id_ok(req.id)) {
         send_error(ErrorCode::kBadIdChoice, req.id);
         break;
@@ -344,8 +342,7 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
     }
 
     case Opcode::kDestroyWire: {
-      state_.WaitEngineIdle();
-      ResourceReq req = ResourceReq::Decode(&r);
+      auto req = RequestOf<Opcode::kDestroyWire>::Decode(&r);
       WireObject* wire = state_.FindWire(req.id);
       if (wire == nullptr || wire->owner() != conn->index()) {
         send_error(ErrorCode::kBadResource, req.id);
@@ -359,13 +356,13 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
     }
 
     case Opcode::kQueryWires: {
-      ResourceReq req = ResourceReq::Decode(&r);
+      auto req = RequestOf<Opcode::kQueryWires>::Decode(&r);
       VirtualDevice* device = state_.FindDevice(req.id);
       if (device == nullptr) {
         send_error(ErrorCode::kBadResource, req.id);
         break;
       }
-      WiresReply reply;
+      ReplyOf<Opcode::kQueryWires> reply;
       for (WireObject* wire : device->source_wires()) {
         reply.wires.push_back(CompleteWireInfo(*wire));
       }
@@ -379,8 +376,7 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
     // -- Mapping and the active stack ----------------------------------------------
 
     case Opcode::kMapLoud: {
-      state_.WaitEngineIdle();
-      MapLoudReq req = MapLoudReq::Decode(&r);
+      auto req = RequestOf<Opcode::kMapLoud>::Decode(&r);
       Loud* loud = state_.FindLoud(req.loud);
       // The redirect-holding audio manager may map other clients' LOUDs on
       // their behalf (section 5.8).
@@ -406,8 +402,7 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
     }
 
     case Opcode::kUnmapLoud: {
-      state_.WaitEngineIdle();
-      ResourceReq req = ResourceReq::Decode(&r);
+      auto req = RequestOf<Opcode::kUnmapLoud>::Decode(&r);
       Loud* loud = state_.FindLoud(req.id);
       if (loud == nullptr || loud->owner() != conn->index()) {
         send_error(ErrorCode::kBadResource, req.id);
@@ -419,8 +414,8 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
 
     case Opcode::kRaiseLoud:
     case Opcode::kLowerLoud: {
-      state_.WaitEngineIdle();
-      MapLoudReq req = MapLoudReq::Decode(&r);
+      static_assert(kSameRequest<Opcode::kRaiseLoud, Opcode::kLowerLoud>);
+      auto req = RequestOf<Opcode::kRaiseLoud>::Decode(&r);
       Loud* loud = state_.FindLoud(req.loud);
       bool is_manager = state_.redirect_conn() == conn->index();
       if (loud == nullptr || (loud->owner() != conn->index() && !is_manager)) {
@@ -447,8 +442,7 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
     // -- Sounds --------------------------------------------------------------------
 
     case Opcode::kCreateSound: {
-      state_.WaitEngineIdle();
-      CreateSoundReq req = CreateSoundReq::Decode(&r);
+      auto req = RequestOf<Opcode::kCreateSound>::Decode(&r);
       if (!r.ok() || !id_ok(req.id)) {
         send_error(ErrorCode::kBadIdChoice, req.id);
         break;
@@ -464,8 +458,7 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
     }
 
     case Opcode::kDestroySound: {
-      state_.WaitEngineIdle();
-      ResourceReq req = ResourceReq::Decode(&r);
+      auto req = RequestOf<Opcode::kDestroySound>::Decode(&r);
       SoundObject* sound = state_.FindSound(req.id);
       if (sound == nullptr || sound->owner() != conn->index()) {
         send_error(ErrorCode::kBadResource, req.id);
@@ -479,8 +472,7 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
     }
 
     case Opcode::kWriteSoundData: {
-      state_.WaitEngineIdle();
-      WriteSoundDataReq req = WriteSoundDataReq::Decode(&r);
+      auto req = RequestOf<Opcode::kWriteSoundData>::Decode(&r);
       SoundObject* sound = state_.FindSound(req.id);
       if (sound == nullptr || !r.ok()) {
         send_error(ErrorCode::kBadResource, req.id);
@@ -504,16 +496,13 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
     }
 
     case Opcode::kReadSoundData: {
-      // Drain, not shard: an active recorder writes into the sound from the
-      // fan-out, and its LOUD need not be the one named here.
-      state_.WaitEngineIdle();
-      ReadSoundDataReq req = ReadSoundDataReq::Decode(&r);
+      auto req = RequestOf<Opcode::kReadSoundData>::Decode(&r);
       SoundObject* sound = state_.FindSound(req.id);
       if (sound == nullptr) {
         send_error(ErrorCode::kBadResource, req.id);
         break;
       }
-      SoundDataReply reply;
+      ReplyOf<Opcode::kReadSoundData> reply;
       reply.id = req.id;
       reply.offset = req.offset;
       reply.data = sound->Read(req.offset, req.length);
@@ -522,14 +511,13 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
     }
 
     case Opcode::kQuerySound: {
-      state_.WaitEngineIdle();
-      ResourceReq req = ResourceReq::Decode(&r);
+      auto req = RequestOf<Opcode::kQuerySound>::Decode(&r);
       SoundObject* sound = state_.FindSound(req.id);
       if (sound == nullptr) {
         send_error(ErrorCode::kBadResource, req.id);
         break;
       }
-      SoundInfoReply reply;
+      ReplyOf<Opcode::kQuerySound> reply;
       reply.id = req.id;
       reply.format = sound->format();
       reply.size_bytes = sound->size_bytes();
@@ -539,8 +527,7 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
     }
 
     case Opcode::kLoadCatalogueSound: {
-      state_.WaitEngineIdle();
-      NamedSoundReq req = NamedSoundReq::Decode(&r);
+      auto req = RequestOf<Opcode::kLoadCatalogueSound>::Decode(&r);
       if (!r.ok() || !id_ok(req.id)) {
         send_error(ErrorCode::kBadIdChoice, req.id);
         break;
@@ -564,8 +551,7 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
     }
 
     case Opcode::kSaveCatalogueSound: {
-      state_.WaitEngineIdle();
-      NamedSoundReq req = NamedSoundReq::Decode(&r);
+      auto req = RequestOf<Opcode::kSaveCatalogueSound>::Decode(&r);
       SoundObject* sound = state_.FindSound(req.id);
       if (sound == nullptr) {
         send_error(ErrorCode::kBadResource, req.id);
@@ -583,7 +569,7 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
     }
 
     case Opcode::kListCatalogue: {
-      CatalogueReply reply;
+      ReplyOf<Opcode::kListCatalogue> reply;
       for (const auto& [name, entry] : state_.catalogue()) {
         CatalogueEntry item;
         item.name = name;
@@ -598,7 +584,7 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
     // -- Command queues -------------------------------------------------------------
 
     case Opcode::kEnqueueCommands: {
-      EnqueueCommandsReq req = EnqueueCommandsReq::Decode(&r);
+      auto req = RequestOf<Opcode::kEnqueueCommands>::Decode(&r);
       Loud* loud = state_.FindLoud(req.loud);
       if (loud == nullptr || loud->owner() != conn->index() || !r.ok()) {
         send_error(ErrorCode::kBadResource, req.loud);
@@ -616,7 +602,7 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
     }
 
     case Opcode::kImmediateCommand: {
-      ImmediateCommandReq req = ImmediateCommandReq::Decode(&r);
+      auto req = RequestOf<Opcode::kImmediateCommand>::Decode(&r);
       Loud* loud = state_.FindLoud(req.loud);
       if (loud == nullptr || loud->owner() != conn->index() || !r.ok()) {
         send_error(ErrorCode::kBadResource, req.loud);
@@ -642,7 +628,9 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
     case Opcode::kPauseQueue:
     case Opcode::kResumeQueue:
     case Opcode::kFlushQueue: {
-      ResourceReq req = ResourceReq::Decode(&r);
+      static_assert(kSameRequest<Opcode::kStartQueue, Opcode::kStopQueue, Opcode::kPauseQueue,
+                                 Opcode::kResumeQueue, Opcode::kFlushQueue>);
+      auto req = RequestOf<Opcode::kStartQueue>::Decode(&r);
       Loud* loud = state_.FindLoud(req.id);
       if (loud == nullptr || loud->owner() != conn->index()) {
         send_error(ErrorCode::kBadResource, req.id);
@@ -689,14 +677,14 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
     }
 
     case Opcode::kQueryQueue: {
-      ResourceReq req = ResourceReq::Decode(&r);
+      auto req = RequestOf<Opcode::kQueryQueue>::Decode(&r);
       Loud* loud = state_.FindLoud(req.id);
       if (loud == nullptr) {
         send_error(ErrorCode::kBadResource, req.id);
         break;
       }
       EngineShardGuard shard(&state_, &metrics, loud);
-      QueueStateReply reply;
+      ReplyOf<Opcode::kQueryQueue> reply;
       reply.loud = loud->Root()->id();
       reply.state = loud->queue()->state();
       reply.depth = loud->queue()->Depth();
@@ -708,7 +696,7 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
     // -- Events ----------------------------------------------------------------------
 
     case Opcode::kSelectEvents: {
-      SelectEventsReq req = SelectEventsReq::Decode(&r);
+      auto req = RequestOf<Opcode::kSelectEvents>::Decode(&r);
       Loud* loud = state_.FindLoud(req.resource);
       if (loud == nullptr) {
         send_error(ErrorCode::kBadResource, req.resource);
@@ -720,7 +708,7 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
     }
 
     case Opcode::kSetSyncMarks: {
-      SetSyncMarksReq req = SetSyncMarksReq::Decode(&r);
+      auto req = RequestOf<Opcode::kSetSyncMarks>::Decode(&r);
       Loud* loud = state_.FindLoud(req.loud);
       if (loud == nullptr || loud->owner() != conn->index()) {
         send_error(ErrorCode::kBadResource, req.loud);
@@ -734,7 +722,7 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
     // -- Properties and redirection ---------------------------------------------------
 
     case Opcode::kChangeProperty: {
-      ChangePropertyReq req = ChangePropertyReq::Decode(&r);
+      auto req = RequestOf<Opcode::kChangeProperty>::Decode(&r);
       Loud* loud = state_.FindLoud(req.resource);
       if (loud == nullptr || !r.ok()) {
         send_error(ErrorCode::kBadResource, req.resource);
@@ -750,7 +738,7 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
     }
 
     case Opcode::kDeleteProperty: {
-      NamedPropertyReq req = NamedPropertyReq::Decode(&r);
+      auto req = RequestOf<Opcode::kDeleteProperty>::Decode(&r);
       Loud* loud = state_.FindLoud(req.resource);
       if (loud == nullptr) {
         send_error(ErrorCode::kBadResource, req.resource);
@@ -767,13 +755,13 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
     }
 
     case Opcode::kGetProperty: {
-      NamedPropertyReq req = NamedPropertyReq::Decode(&r);
+      auto req = RequestOf<Opcode::kGetProperty>::Decode(&r);
       Loud* loud = state_.FindLoud(req.resource);
       if (loud == nullptr) {
         send_error(ErrorCode::kBadResource, req.resource);
         break;
       }
-      PropertyReply reply;
+      ReplyOf<Opcode::kGetProperty> reply;
       reply.resource = req.resource;
       reply.name = req.name;
       auto it = loud->properties().find(req.name);
@@ -787,13 +775,13 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
     }
 
     case Opcode::kListProperties: {
-      ResourceReq req = ResourceReq::Decode(&r);
+      auto req = RequestOf<Opcode::kListProperties>::Decode(&r);
       Loud* loud = state_.FindLoud(req.id);
       if (loud == nullptr) {
         send_error(ErrorCode::kBadResource, req.id);
         break;
       }
-      PropertyListReply reply;
+      ReplyOf<Opcode::kListProperties> reply;
       for (const auto& [name, value] : loud->properties()) {
         reply.names.push_back(name);
       }
@@ -802,7 +790,7 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
     }
 
     case Opcode::kSetRedirect: {
-      SetRedirectReq req = SetRedirectReq::Decode(&r);
+      auto req = RequestOf<Opcode::kSetRedirect>::Decode(&r);
       if (req.enable != 0) {
         if (state_.redirect_conn().has_value() &&
             *state_.redirect_conn() != conn->index()) {
@@ -824,7 +812,7 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
       break;
 
     case Opcode::kQueryActiveStack: {
-      ActiveStackReply reply;
+      ReplyOf<Opcode::kQueryActiveStack> reply;
       for (Loud* loud : state_.active_stack()) {
         ActiveStackEntry entry;
         entry.loud = loud->id();
@@ -836,7 +824,7 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
     }
 
     case Opcode::kGetServerTime: {
-      ServerTimeReply reply;
+      ReplyOf<Opcode::kGetServerTime> reply;
       reply.server_time = state_.server_time();
       send_reply(reply);
       break;
@@ -844,26 +832,26 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
 
     case Opcode::kSync: {
       // Round-trip no-op: the reply is the synchronization point.
-      ServerTimeReply reply;
+      ReplyOf<Opcode::kSync> reply;
       reply.server_time = state_.server_time();
       send_reply(reply);
       break;
     }
 
     case Opcode::kGetServerStats: {
-      GetServerStatsReq req = GetServerStatsReq::Decode(&r);
+      auto req = RequestOf<Opcode::kGetServerStats>::Decode(&r);
       send_reply(state_.BuildServerStats(req.include_opcodes != 0));
       break;
     }
 
     case Opcode::kGetServerTrace: {
-      GetServerTraceReq req = GetServerTraceReq::Decode(&r);
+      auto req = RequestOf<Opcode::kGetServerTrace>::Decode(&r);
       // Each per-thread ring carries its own mutex (see obs.h), so this
       // snapshot is safe against the tick thread still tracing mid-fan-out —
       // the tick no longer runs under the state lock.
       size_t max_events =
           req.max_events == 0 ? obs::TraceRing::kDefaultSnapshotEvents : req.max_events;
-      ServerTraceReply reply;
+      ReplyOf<Opcode::kGetServerTrace> reply;
       for (const obs::TraceEvent& e :
            obs::TraceRegistry::Instance().Snapshot(max_events)) {
         TraceEventWire wire;
@@ -883,7 +871,7 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
     }
 
     case Opcode::kGetRequestTrace: {
-      GetRequestTraceReq req = GetRequestTraceReq::Decode(&r);
+      auto req = RequestOf<Opcode::kGetRequestTrace>::Decode(&r);
       // trace_id 0 asks for the most recently sampled request — the common
       // interactive path ("show me a trace") without guessing ids.
       const uint64_t want = req.trace_id != 0
@@ -891,7 +879,7 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
                                 : metrics.last_trace_id.load(std::memory_order_relaxed);
       const size_t max_spans =
           req.max_spans == 0 ? obs::TraceRing::kCapacity : req.max_spans;
-      RequestTraceReply reply;
+      ReplyOf<Opcode::kGetRequestTrace> reply;
       reply.trace_id = want;
       if (want != 0) {
         for (const obs::TraceEvent& e : obs::TraceRegistry::Instance().Snapshot(0, want)) {
@@ -916,8 +904,8 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
     }
 
     case Opcode::kGetEntityStats: {
-      GetEntityStatsReq req = GetEntityStatsReq::Decode(&r);
-      EntityStatsReply reply;
+      auto req = RequestOf<Opcode::kGetEntityStats>::Decode(&r);
+      ReplyOf<Opcode::kGetEntityStats> reply;
       // connections_ is guarded by the state lock, which dispatch holds;
       // the per-connection counters themselves are lock-free atomics, so
       // the loops serving other clients keep running.
@@ -945,13 +933,13 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
     }
 
     case Opcode::kQueryLoud: {
-      ResourceReq req = ResourceReq::Decode(&r);
+      auto req = RequestOf<Opcode::kQueryLoud>::Decode(&r);
       Loud* loud = state_.FindLoud(req.id);
       if (loud == nullptr) {
         send_error(ErrorCode::kBadResource, req.id);
         break;
       }
-      LoudStateReply reply;
+      ReplyOf<Opcode::kQueryLoud> reply;
       reply.loud = loud->id();
       reply.parent = loud->parent() != nullptr ? loud->parent()->id() : kNoResource;
       reply.mapped = loud->Root()->mapped() ? 1 : 0;

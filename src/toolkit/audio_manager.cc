@@ -33,19 +33,7 @@ int AudioManager::Pump() {
 }
 
 void AudioManager::HandleMapRequest(ResourceId loud) {
-  bool allow;
-  switch (policy_) {
-    case Policy::kAllowAll:
-    case Policy::kFocusFollowsMap:
-      allow = true;
-      break;
-    case Policy::kDenyAll:
-      allow = false;
-      break;
-  }
-  if (filter_) {
-    allow = filter_(loud);
-  }
+  const bool allow = filter_ ? filter_(loud) : policy_ != Policy::kDenyAll;
   if (!allow) {
     return;
   }

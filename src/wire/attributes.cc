@@ -4,13 +4,6 @@
 
 namespace aud {
 
-namespace {
-// Wire kinds for AttrValue alternatives.
-constexpr uint8_t kKindU32 = 0;
-constexpr uint8_t kKindI32 = 1;
-constexpr uint8_t kKindString = 2;
-}  // namespace
-
 void AttrList::Set(AttrTag tag, AttrValue value) {
   for (Attr& a : attrs_) {
     if (a.tag == tag) {
@@ -86,45 +79,29 @@ void AttrList::Merge(const AttrList& other) {
   }
 }
 
-void AttrList::Encode(ByteWriter* w) const {
-  w->WriteU16(static_cast<uint16_t>(attrs_.size()));
-  for (const Attr& a : attrs_) {
-    w->WriteU16(static_cast<uint16_t>(a.tag));
-    if (const auto* u = std::get_if<uint32_t>(&a.value)) {
-      w->WriteU8(kKindU32);
-      w->WriteU32(*u);
-    } else if (const auto* i = std::get_if<int32_t>(&a.value)) {
-      w->WriteU8(kKindI32);
-      w->WriteI32(*i);
-    } else {
-      w->WriteU8(kKindString);
-      w->WriteString(std::get<std::string>(a.value));
-    }
-  }
-}
-
 AttrList AttrList::Decode(ByteReader* r) {
   AttrList list;
   uint16_t count = r->ReadU16();
   for (uint16_t i = 0; i < count && r->ok(); ++i) {
     auto tag = static_cast<AttrTag>(r->ReadU16());
-    uint8_t kind = r->ReadU8();
-    switch (kind) {
+    AttrValue value;
+    switch (r->ReadU8()) {
       case kKindU32:
-        list.attrs_.push_back({tag, r->ReadU32()});
+        value = r->ReadU32();
         break;
       case kKindI32:
-        list.attrs_.push_back({tag, r->ReadI32()});
+        value = r->ReadI32();
         break;
       case kKindString:
-        list.attrs_.push_back({tag, r->ReadString()});
+        value = r->ReadString();
         break;
       default:
-        // Unknown kind: poison the reader by over-reading is wrong; instead
-        // stop parsing. The caller will see a short list and, for requests,
-        // the dispatcher validates reader.ok().
+        // Unknown kind: its value's length is unknown, so stop parsing here.
+        // The caller sees a short list and, for requests, the dispatcher
+        // validates reader.ok().
         return list;
     }
+    list.attrs_.push_back(Attr{tag, std::move(value)});
   }
   return list;
 }

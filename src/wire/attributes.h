@@ -111,13 +111,36 @@ class AttrList {
   // AugmentVirtualDevice, section 5.3).
   void Merge(const AttrList& other);
 
-  // Wire encoding.
-  void Encode(ByteWriter* w) const;
+  // Wire encoding, through any byte writer (ByteWriter, ByteCursor,
+  // ByteCounter).
+  template <typename Writer>
+  void Encode(Writer* w) const {
+    w->WriteU16(static_cast<uint16_t>(attrs_.size()));
+    for (const Attr& a : attrs_) {
+      w->WriteU16(static_cast<uint16_t>(a.tag));
+      if (const auto* u = std::get_if<uint32_t>(&a.value)) {
+        w->WriteU8(kKindU32);
+        w->WriteU32(*u);
+      } else if (const auto* i = std::get_if<int32_t>(&a.value)) {
+        w->WriteU8(kKindI32);
+        w->WriteU32(static_cast<uint32_t>(*i));
+      } else {
+        const std::string& s = std::get<std::string>(a.value);
+        w->WriteU8(kKindString);
+        w->WriteBlob({reinterpret_cast<const uint8_t*>(s.data()), s.size()});
+      }
+    }
+  }
   static AttrList Decode(ByteReader* r);
 
   bool operator==(const AttrList&) const = default;
 
  private:
+  // Wire kinds for AttrValue alternatives.
+  static constexpr uint8_t kKindU32 = 0;
+  static constexpr uint8_t kKindI32 = 1;
+  static constexpr uint8_t kKindString = 2;
+
   std::vector<Attr> attrs_;
 };
 

@@ -1,7 +1,9 @@
 // Typed protocol messages: the payloads carried behind the 12-byte header.
-// Each struct has Encode(ByteWriter*) and a static Decode(ByteReader*);
-// decoding never reads out of bounds (ByteReader saturates) and callers
-// validate reader.ok() after the fact.
+// Each struct lists its fields once with AUD_FIELDS (fields.h), which
+// generates its Encode, Decode and operator==. Decoding never reads out of
+// bounds (ByteReader saturates) and callers validate reader.ok() after the
+// fact. Coded by hand are only MessageHeader, the version-gated
+// ServerStatsReply and EventMessage's in-place static Encode.
 
 #ifndef SRC_WIRE_MESSAGES_H_
 #define SRC_WIRE_MESSAGES_H_
@@ -16,6 +18,7 @@
 #include "src/common/sample.h"
 #include "src/common/status.h"
 #include "src/wire/attributes.h"
+#include "src/wire/fields.h"
 #include "src/wire/protocol.h"
 #include "src/wire/server_stats_fields.h"
 
@@ -64,8 +67,7 @@ struct SetupRequest {
   uint16_t minor = kProtocolMinor;
   std::string client_name;
 
-  void Encode(ByteWriter* w) const;
-  static SetupRequest Decode(ByteReader* r);
+  AUD_FIELDS(SetupRequest, magic, major, minor, client_name);
 };
 
 struct SetupReply {
@@ -78,8 +80,8 @@ struct SetupReply {
   std::string server_name;
   std::string reason;          // On failure.
 
-  void Encode(ByteWriter* w) const;
-  static SetupReply Decode(ByteReader* r);
+  AUD_FIELDS(SetupReply, success, major, minor, id_base, id_count, device_loud, server_name,
+             reason);
 };
 
 // ---------------------------------------------------------------------------
@@ -94,8 +96,7 @@ struct CommandSpec {
   uint32_t tag = 0;
   std::vector<uint8_t> args;
 
-  void Encode(ByteWriter* w) const;
-  static CommandSpec Decode(ByteReader* r);
+  AUD_FIELDS(CommandSpec, device, command, tag, args);
 };
 
 // Typed command-argument payloads. Helpers build/parse CommandSpec::args.
@@ -105,8 +106,7 @@ struct PlayArgs {
   int64_t start_sample = 0;
   int64_t end_sample = -1;  // -1 = to end of sound
 
-  std::vector<uint8_t> Encode() const;
-  static PlayArgs Decode(std::span<const uint8_t> args);
+  AUD_FIELDS(PlayArgs, sound, start_sample, end_sample);
 };
 
 struct RecordArgs {
@@ -114,59 +114,51 @@ struct RecordArgs {
   uint8_t termination = kTerminateOnStop;  // RecordTermination flags
   uint32_t max_ms = 0;                     // 0 = unlimited
 
-  std::vector<uint8_t> Encode() const;
-  static RecordArgs Decode(std::span<const uint8_t> args);
+  AUD_FIELDS(RecordArgs, sound, termination, max_ms);
 };
 
 struct StringArg {  // Dial, SendDTMF, SpeakText, SetTextLanguage, SaveVocabulary
   std::string value;
 
-  std::vector<uint8_t> Encode() const;
-  static StringArg Decode(std::span<const uint8_t> args);
+  AUD_FIELDS(StringArg, value);
 };
 
 struct GainArgs {  // ChangeGain
   int32_t gain = 10000;
 
-  std::vector<uint8_t> Encode() const;
-  static GainArgs Decode(std::span<const uint8_t> args);
+  AUD_FIELDS(GainArgs, gain);
 };
 
 struct InputGainArgs {  // Mixer SetGain (per-input percentage, section 5.1)
   uint16_t input = 0;
   int32_t gain = 10000;
 
-  std::vector<uint8_t> Encode() const;
-  static InputGainArgs Decode(std::span<const uint8_t> args);
+  AUD_FIELDS(InputGainArgs, input, gain);
 };
 
 struct DelayArgs {  // Queue Delay pseudo-command
   uint32_t milliseconds = 0;
 
-  std::vector<uint8_t> Encode() const;
-  static DelayArgs Decode(std::span<const uint8_t> args);
+  AUD_FIELDS(DelayArgs, milliseconds);
 };
 
 struct TrainArgs {  // Recognizer Train: associate a word with template audio
   std::string word;
   ResourceId sound = kNoResource;
 
-  std::vector<uint8_t> Encode() const;
-  static TrainArgs Decode(std::span<const uint8_t> args);
+  AUD_FIELDS(TrainArgs, word, sound);
 };
 
 struct WordListArgs {  // SetVocabulary / AdjustContext
   std::vector<std::string> words;
 
-  std::vector<uint8_t> Encode() const;
-  static WordListArgs Decode(std::span<const uint8_t> args);
+  AUD_FIELDS(WordListArgs, words);
 };
 
 struct ExceptionListArgs {  // Synthesizer SetExceptionList
   std::vector<std::pair<std::string, std::string>> entries;  // word -> phonemes
 
-  std::vector<uint8_t> Encode() const;
-  static ExceptionListArgs Decode(std::span<const uint8_t> args);
+  AUD_FIELDS(ExceptionListArgs, entries);
 };
 
 struct NoteArgs {  // Music synthesizer Note
@@ -174,8 +166,7 @@ struct NoteArgs {  // Music synthesizer Note
   uint8_t velocity = 100;
   uint32_t duration_ms = 250;
 
-  std::vector<uint8_t> Encode() const;
-  static NoteArgs Decode(std::span<const uint8_t> args);
+  AUD_FIELDS(NoteArgs, midi_note, velocity, duration_ms);
 };
 
 struct VoiceArgs {  // Music synthesizer SetVoice
@@ -185,8 +176,7 @@ struct VoiceArgs {  // Music synthesizer SetVoice
   uint16_t sustain_centi = 7000;  // sustain level, centi-percent
   uint16_t release_ms = 100;
 
-  std::vector<uint8_t> Encode() const;
-  static VoiceArgs Decode(std::span<const uint8_t> args);
+  AUD_FIELDS(VoiceArgs, waveform, attack_ms, decay_ms, sustain_centi, release_ms);
 };
 
 struct CrossbarStateArgs {  // Crossbar SetState: routing matrix entries
@@ -194,18 +184,18 @@ struct CrossbarStateArgs {  // Crossbar SetState: routing matrix entries
     uint16_t input = 0;
     uint16_t output = 0;
     uint8_t enabled = 1;
+
+    AUD_FIELDS(Route, input, output, enabled);
   };
   std::vector<Route> routes;
 
-  std::vector<uint8_t> Encode() const;
-  static CrossbarStateArgs Decode(std::span<const uint8_t> args);
+  AUD_FIELDS(CrossbarStateArgs, routes);
 };
 
 struct ValuesArgs {  // Synthesizer SetValues: vocal-tract parameters
   AttrList values;
 
-  std::vector<uint8_t> Encode() const;
-  static ValuesArgs Decode(std::span<const uint8_t> args);
+  AUD_FIELDS(ValuesArgs, values);
 };
 
 // ---------------------------------------------------------------------------
@@ -217,15 +207,13 @@ struct CreateLoudReq {
   ResourceId parent = kNoResource;  // kNoResource = root LOUD
   AttrList attrs;
 
-  void Encode(ByteWriter* w) const;
-  static CreateLoudReq Decode(ByteReader* r);
+  AUD_FIELDS(CreateLoudReq, id, parent, attrs);
 };
 
 struct ResourceReq {  // Destroy*/Unmap/queue-control/etc: a single id.
   ResourceId id = kNoResource;
 
-  void Encode(ByteWriter* w) const;
-  static ResourceReq Decode(ByteReader* r);
+  AUD_FIELDS(ResourceReq, id);
 };
 
 struct CreateVirtualDeviceReq {
@@ -234,16 +222,14 @@ struct CreateVirtualDeviceReq {
   DeviceClass device_class = DeviceClass::kOutput;
   AttrList attrs;
 
-  void Encode(ByteWriter* w) const;
-  static CreateVirtualDeviceReq Decode(ByteReader* r);
+  AUD_FIELDS(CreateVirtualDeviceReq, id, loud, device_class, attrs);
 };
 
 struct AugmentVirtualDeviceReq {
   ResourceId id = kNoResource;
   AttrList attrs;
 
-  void Encode(ByteWriter* w) const;
-  static AugmentVirtualDeviceReq Decode(ByteReader* r);
+  AUD_FIELDS(AugmentVirtualDeviceReq, id, attrs);
 };
 
 struct CreateWireReq {
@@ -255,24 +241,21 @@ struct CreateWireReq {
   uint8_t has_format = 0;  // Constrain the wire type (section 5.2).
   AudioFormat format;
 
-  void Encode(ByteWriter* w) const;
-  static CreateWireReq Decode(ByteReader* r);
+  AUD_FIELDS(CreateWireReq, id, src_device, src_port, dst_device, dst_port, has_format, format);
 };
 
 struct MapLoudReq {
   ResourceId loud = kNoResource;
   uint8_t override_redirect = 0;  // Audio manager bypasses redirection.
 
-  void Encode(ByteWriter* w) const;
-  static MapLoudReq Decode(ByteReader* r);
+  AUD_FIELDS(MapLoudReq, loud, override_redirect);
 };
 
 struct CreateSoundReq {
   ResourceId id = kNoResource;
   AudioFormat format;
 
-  void Encode(ByteWriter* w) const;
-  static CreateSoundReq Decode(ByteReader* r);
+  AUD_FIELDS(CreateSoundReq, id, format);
 };
 
 struct WriteSoundDataReq {
@@ -280,8 +263,7 @@ struct WriteSoundDataReq {
   uint64_t offset = 0;  // byte offset
   std::vector<uint8_t> data;
 
-  void Encode(ByteWriter* w) const;
-  static WriteSoundDataReq Decode(ByteReader* r);
+  AUD_FIELDS(WriteSoundDataReq, id, offset, data);
 };
 
 struct ReadSoundDataReq {
@@ -289,48 +271,42 @@ struct ReadSoundDataReq {
   uint64_t offset = 0;
   uint32_t length = 0;
 
-  void Encode(ByteWriter* w) const;
-  static ReadSoundDataReq Decode(ByteReader* r);
+  AUD_FIELDS(ReadSoundDataReq, id, offset, length);
 };
 
 struct NamedSoundReq {  // LoadCatalogueSound / SaveCatalogueSound
   ResourceId id = kNoResource;
   std::string name;
 
-  void Encode(ByteWriter* w) const;
-  static NamedSoundReq Decode(ByteReader* r);
+  AUD_FIELDS(NamedSoundReq, id, name);
 };
 
 struct EnqueueCommandsReq {
   ResourceId loud = kNoResource;
   std::vector<CommandSpec> commands;
 
-  void Encode(ByteWriter* w) const;
-  static EnqueueCommandsReq Decode(ByteReader* r);
+  AUD_FIELDS(EnqueueCommandsReq, loud, commands);
 };
 
 struct ImmediateCommandReq {
   ResourceId loud = kNoResource;
   CommandSpec command;
 
-  void Encode(ByteWriter* w) const;
-  static ImmediateCommandReq Decode(ByteReader* r);
+  AUD_FIELDS(ImmediateCommandReq, loud, command);
 };
 
 struct SelectEventsReq {
   ResourceId resource = kNoResource;  // LOUD or device-LOUD entry to watch.
   uint32_t mask = 0;
 
-  void Encode(ByteWriter* w) const;
-  static SelectEventsReq Decode(ByteReader* r);
+  AUD_FIELDS(SelectEventsReq, resource, mask);
 };
 
 struct SetSyncMarksReq {
   ResourceId loud = kNoResource;
   uint32_t interval_ms = 0;  // 0 disables sync marks.
 
-  void Encode(ByteWriter* w) const;
-  static SetSyncMarksReq Decode(ByteReader* r);
+  AUD_FIELDS(SetSyncMarksReq, loud, interval_ms);
 };
 
 struct ChangePropertyReq {
@@ -339,23 +315,20 @@ struct ChangePropertyReq {
   std::string type;  // (name, value, type) triple, section 5.8.
   std::vector<uint8_t> value;
 
-  void Encode(ByteWriter* w) const;
-  static ChangePropertyReq Decode(ByteReader* r);
+  AUD_FIELDS(ChangePropertyReq, resource, name, type, value);
 };
 
 struct NamedPropertyReq {  // GetProperty / DeleteProperty
   ResourceId resource = kNoResource;
   std::string name;
 
-  void Encode(ByteWriter* w) const;
-  static NamedPropertyReq Decode(ByteReader* r);
+  AUD_FIELDS(NamedPropertyReq, resource, name);
 };
 
 struct SetRedirectReq {
   uint8_t enable = 1;
 
-  void Encode(ByteWriter* w) const;
-  static SetRedirectReq Decode(ByteReader* r);
+  AUD_FIELDS(SetRedirectReq, enable);
 };
 
 // ---------------------------------------------------------------------------
@@ -370,8 +343,7 @@ struct VirtualDeviceReply {
   ResourceId bound_device = kNoResource;  // Device-LOUD id once mapped (5.3).
   AttrList attrs;
 
-  void Encode(ByteWriter* w) const;
-  static VirtualDeviceReply Decode(ByteReader* r);
+  AUD_FIELDS(VirtualDeviceReply, id, device_class, mapped, active, bound_device, attrs);
 };
 
 struct WireInfo {
@@ -382,15 +354,13 @@ struct WireInfo {
   uint16_t dst_port = 0;
   AudioFormat format;
 
-  void Encode(ByteWriter* w) const;
-  static WireInfo Decode(ByteReader* r);
+  AUD_FIELDS(WireInfo, id, src_device, src_port, dst_device, dst_port, format);
 };
 
 struct WiresReply {
   std::vector<WireInfo> wires;
 
-  void Encode(ByteWriter* w) const;
-  static WiresReply Decode(ByteReader* r);
+  AUD_FIELDS(WiresReply, wires);
 };
 
 struct SoundDataReply {
@@ -398,8 +368,7 @@ struct SoundDataReply {
   uint64_t offset = 0;
   std::vector<uint8_t> data;
 
-  void Encode(ByteWriter* w) const;
-  static SoundDataReply Decode(ByteReader* r);
+  AUD_FIELDS(SoundDataReply, id, offset, data);
 };
 
 struct SoundInfoReply {
@@ -408,8 +377,7 @@ struct SoundInfoReply {
   uint64_t size_bytes = 0;
   uint64_t samples = 0;
 
-  void Encode(ByteWriter* w) const;
-  static SoundInfoReply Decode(ByteReader* r);
+  AUD_FIELDS(SoundInfoReply, id, format, size_bytes, samples);
 };
 
 struct CatalogueEntry {
@@ -417,15 +385,13 @@ struct CatalogueEntry {
   AudioFormat format;
   uint64_t size_bytes = 0;
 
-  void Encode(ByteWriter* w) const;
-  static CatalogueEntry Decode(ByteReader* r);
+  AUD_FIELDS(CatalogueEntry, name, format, size_bytes);
 };
 
 struct CatalogueReply {
   std::vector<CatalogueEntry> entries;
 
-  void Encode(ByteWriter* w) const;
-  static CatalogueReply Decode(ByteReader* r);
+  AUD_FIELDS(CatalogueReply, entries);
 };
 
 struct QueueStateReply {
@@ -434,8 +400,7 @@ struct QueueStateReply {
   uint32_t depth = 0;        // Commands waiting (including current).
   uint32_t current_tag = 0;  // Tag of the in-flight command, 0 if none.
 
-  void Encode(ByteWriter* w) const;
-  static QueueStateReply Decode(ByteReader* r);
+  AUD_FIELDS(QueueStateReply, loud, state, depth, current_tag);
 };
 
 struct PropertyReply {
@@ -445,15 +410,13 @@ struct PropertyReply {
   std::string type;
   std::vector<uint8_t> value;
 
-  void Encode(ByteWriter* w) const;
-  static PropertyReply Decode(ByteReader* r);
+  AUD_FIELDS(PropertyReply, resource, found, name, type, value);
 };
 
 struct PropertyListReply {
   std::vector<std::string> names;
 
-  void Encode(ByteWriter* w) const;
-  static PropertyListReply Decode(ByteReader* r);
+  AUD_FIELDS(PropertyListReply, names);
 };
 
 struct DeviceInfo {  // One entry in the device LOUD tree.
@@ -462,8 +425,7 @@ struct DeviceInfo {  // One entry in the device LOUD tree.
   DeviceClass device_class = DeviceClass::kOutput;
   AttrList attrs;
 
-  void Encode(ByteWriter* w) const;
-  static DeviceInfo Decode(ByteReader* r);
+  AUD_FIELDS(DeviceInfo, id, parent, device_class, attrs);
 };
 
 struct DeviceLoudReply {
@@ -471,30 +433,26 @@ struct DeviceLoudReply {
   std::vector<DeviceInfo> devices;
   std::vector<WireInfo> hard_wires;  // Permanent physical connections (5.2).
 
-  void Encode(ByteWriter* w) const;
-  static DeviceLoudReply Decode(ByteReader* r);
+  AUD_FIELDS(DeviceLoudReply, root, devices, hard_wires);
 };
 
 struct ActiveStackEntry {
   ResourceId loud = kNoResource;
   uint8_t active = 0;
 
-  void Encode(ByteWriter* w) const;
-  static ActiveStackEntry Decode(ByteReader* r);
+  AUD_FIELDS(ActiveStackEntry, loud, active);
 };
 
 struct ActiveStackReply {
   std::vector<ActiveStackEntry> entries;  // Top of stack first.
 
-  void Encode(ByteWriter* w) const;
-  static ActiveStackReply Decode(ByteReader* r);
+  AUD_FIELDS(ActiveStackReply, entries);
 };
 
 struct ServerTimeReply {
   int64_t server_time = 0;  // Ticks on the server clock.
 
-  void Encode(ByteWriter* w) const;
-  static ServerTimeReply Decode(ByteReader* r);
+  AUD_FIELDS(ServerTimeReply, server_time);
 };
 
 struct LoudStateReply {
@@ -505,8 +463,7 @@ struct LoudStateReply {
   uint32_t children = 0;
   uint32_t devices = 0;
 
-  void Encode(ByteWriter* w) const;
-  static LoudStateReply Decode(ByteReader* r);
+  AUD_FIELDS(LoudStateReply, loud, parent, mapped, active, children, devices);
 };
 
 // -- Server statistics (GetServerStats) --------------------------------------------
@@ -525,15 +482,13 @@ struct OpcodeStats {
   uint64_t errors = 0;    // asynchronous errors sent
   uint64_t total_us = 0;  // cumulative dispatch time
 
-  void Encode(ByteWriter* w) const;
-  static OpcodeStats Decode(ByteReader* r);
+  AUD_FIELDS(OpcodeStats, opcode, count, errors, total_us);
 };
 
 struct GetServerStatsReq {
   uint8_t include_opcodes = 1;  // 0 suppresses the per-opcode table.
 
-  void Encode(ByteWriter* w) const;
-  static GetServerStatsReq Decode(ByteReader* r);
+  AUD_FIELDS(GetServerStatsReq, include_opcodes);
 };
 
 struct ServerStatsReply {
@@ -544,6 +499,7 @@ struct ServerStatsReply {
 
   void Encode(ByteWriter* w) const;
   static ServerStatsReply Decode(ByteReader* r);
+  bool operator==(const ServerStatsReply&) const = default;
 };
 
 // -- Server trace (GetServerTrace) --------------------------------------------------
@@ -551,8 +507,7 @@ struct ServerStatsReply {
 struct GetServerTraceReq {
   uint32_t max_events = 0;  // 0 = server default (one TraceRing's capacity)
 
-  void Encode(ByteWriter* w) const;
-  static GetServerTraceReq Decode(ByteReader* r);
+  AUD_FIELDS(GetServerTraceReq, max_events);
 };
 
 struct TraceEventWire {
@@ -567,15 +522,13 @@ struct TraceEventWire {
   uint64_t parent = 0;  // seq of the parent span, 0 = root
   uint32_t dur_us = 0;  // span duration
 
-  void Encode(ByteWriter* w) const;
-  static TraceEventWire Decode(ByteReader* r);
+  AUD_FIELDS(TraceEventWire, t_us, seq, tid, reason, arg0, arg1, trace, parent, dur_us);
 };
 
 struct ServerTraceReply {
   std::vector<TraceEventWire> events;  // oldest first
 
-  void Encode(ByteWriter* w) const;
-  static ServerTraceReply Decode(ByteReader* r);
+  AUD_FIELDS(ServerTraceReply, events);
 };
 
 // -- Request trace (GetRequestTrace, protocol minor 2) ------------------------------
@@ -586,8 +539,7 @@ struct GetRequestTraceReq {
   uint64_t trace_id = 0;   // 0 = most recently sampled request
   uint32_t max_spans = 0;  // 0 = server default
 
-  void Encode(ByteWriter* w) const;
-  static GetRequestTraceReq Decode(ByteReader* r);
+  AUD_FIELDS(GetRequestTraceReq, trace_id, max_spans);
 };
 
 struct RequestTraceReply {
@@ -595,8 +547,7 @@ struct RequestTraceReply {
   uint64_t trace_id = 0;                // resolved id (useful when asked for 0)
   std::vector<TraceEventWire> spans;    // timestamp order, root first on ties
 
-  void Encode(ByteWriter* w) const;
-  static RequestTraceReply Decode(ByteReader* r);
+  AUD_FIELDS(RequestTraceReply, trace_version, trace_id, spans);
 };
 
 // -- Per-entity statistics (GetEntityStats, protocol minor 2) -----------------------
@@ -606,8 +557,7 @@ inline constexpr uint32_t kEntityStatsVersion = 1;
 struct GetEntityStatsReq {
   uint8_t include_devices = 1;  // 0 suppresses the per-root device table
 
-  void Encode(ByteWriter* w) const;
-  static GetEntityStatsReq Decode(ByteReader* r);
+  AUD_FIELDS(GetEntityStatsReq, include_devices);
 };
 
 struct ConnectionStatsWire {
@@ -621,8 +571,8 @@ struct ConnectionStatsWire {
   uint64_t events_dropped = 0;
   obs::HistogramSnapshot dispatch_us;
 
-  void Encode(ByteWriter* w) const;
-  static ConnectionStatsWire Decode(ByteReader* r);
+  AUD_FIELDS(ConnectionStatsWire, index, name, requests, errors, bytes_in, bytes_out, events_sent,
+             events_dropped, dispatch_us);
 };
 
 struct DeviceStatsWire {
@@ -632,8 +582,7 @@ struct DeviceStatsWire {
   uint64_t frames_produced = 0;   // device frames fed into the mix
   uint64_t frames_consumed = 0;   // device frames drained from the mix
 
-  void Encode(ByteWriter* w) const;
-  static DeviceStatsWire Decode(ByteReader* r);
+  AUD_FIELDS(DeviceStatsWire, root, owner, active, frames_produced, frames_consumed);
 };
 
 struct EntityStatsReply {
@@ -641,8 +590,7 @@ struct EntityStatsReply {
   std::vector<ConnectionStatsWire> connections;
   std::vector<DeviceStatsWire> devices;
 
-  void Encode(ByteWriter* w) const;
-  static EntityStatsReply Decode(ByteReader* r);
+  AUD_FIELDS(EntityStatsReply, entity_version, connections, devices);
 };
 
 // ---------------------------------------------------------------------------
@@ -661,7 +609,8 @@ struct EventMessage {
   int64_t server_time = 0;
   std::vector<uint8_t> args;
 
-  void Encode(ByteWriter* w) const;
+  AUD_FIELDS(EventMessage, type, resource, server_time, args);
+
   // The same wire form from the fields, for encoders that hold no
   // EventMessage (the server's per-connection event batches). `args` is
   // either encoded bytes or a WriterEncodable struct, which is then
@@ -681,7 +630,6 @@ struct EventMessage {
       w->WriteBlob(std::span<const uint8_t>(args));
     }
   }
-  static EventMessage Decode(ByteReader* r);
 };
 
 // Typed event-argument payloads.
@@ -691,59 +639,46 @@ struct CommandDoneArgs {
   uint16_t command = 0;  // DeviceCommand
   uint8_t aborted = 0;
 
-  std::vector<uint8_t> Encode() const;
-  template <typename Writer>
-  void Encode(Writer* w) const {
-    w->WriteU32(tag);
-    w->WriteU16(command);
-    w->WriteU8(aborted);
-  }
-  static CommandDoneArgs Decode(std::span<const uint8_t> args);
+  AUD_FIELDS(CommandDoneArgs, tag, command, aborted);
 };
 
 struct QueuePausedArgs {
   uint8_t server_paused = 0;  // 1 = server-paused (deactivation), 0 = client.
 
-  std::vector<uint8_t> Encode() const;
-  static QueuePausedArgs Decode(std::span<const uint8_t> args);
+  AUD_FIELDS(QueuePausedArgs, server_paused);
 };
 
 struct TelephoneRingArgs {
   std::string caller_id;  // Empty when unavailable (attribute-dependent).
   uint32_t line = 0;
 
-  std::vector<uint8_t> Encode() const;
-  static TelephoneRingArgs Decode(std::span<const uint8_t> args);
+  AUD_FIELDS(TelephoneRingArgs, caller_id, line);
 };
 
 struct CallProgressArgs {
   CallState state = CallState::kIdle;
 
-  std::vector<uint8_t> Encode() const;
-  static CallProgressArgs Decode(std::span<const uint8_t> args);
+  AUD_FIELDS(CallProgressArgs, state);
 };
 
 struct DtmfReceivedArgs {
   char digit = '0';
 
-  std::vector<uint8_t> Encode() const;
-  static DtmfReceivedArgs Decode(std::span<const uint8_t> args);
+  AUD_FIELDS(DtmfReceivedArgs, digit);
 };
 
 struct RecorderStoppedArgs {
   uint8_t reason = 0;  // RecordStopReason
   uint64_t samples = 0;
 
-  std::vector<uint8_t> Encode() const;
-  static RecorderStoppedArgs Decode(std::span<const uint8_t> args);
+  AUD_FIELDS(RecorderStoppedArgs, reason, samples);
 };
 
 struct RecognitionArgs {
   std::string word;
   uint32_t score = 0;  // 0..10000, larger is more confident.
 
-  std::vector<uint8_t> Encode() const;
-  static RecognitionArgs Decode(std::span<const uint8_t> args);
+  AUD_FIELDS(RecognitionArgs, word, score);
 };
 
 struct SyncMarkArgs {
@@ -751,30 +686,21 @@ struct SyncMarkArgs {
   int64_t device_time = 0;  // Time on the *device* clock (footnote 8).
   uint64_t total_samples = 0;
 
-  std::vector<uint8_t> Encode() const;
-  template <typename Writer>
-  void Encode(Writer* w) const {
-    w->WriteU64(position_samples);
-    w->WriteI64(device_time);
-    w->WriteU64(total_samples);
-  }
-  static SyncMarkArgs Decode(std::span<const uint8_t> args);
+  AUD_FIELDS(SyncMarkArgs, position_samples, device_time, total_samples);
 };
 
 struct PropertyNotifyArgs {
   std::string name;
   uint8_t deleted = 0;
 
-  std::vector<uint8_t> Encode() const;
-  static PropertyNotifyArgs Decode(std::span<const uint8_t> args);
+  AUD_FIELDS(PropertyNotifyArgs, name, deleted);
 };
 
 struct MapRequestArgs {  // Redirected map/restack (section 5.8).
   ResourceId loud = kNoResource;
   uint8_t raise = 0;  // For RestackRequest: 1 = raise, 0 = lower.
 
-  std::vector<uint8_t> Encode() const;
-  static MapRequestArgs Decode(std::span<const uint8_t> args);
+  AUD_FIELDS(MapRequestArgs, loud, raise);
 };
 
 // ---------------------------------------------------------------------------
@@ -787,17 +713,40 @@ struct ErrorMessage {
   uint16_t opcode = 0;  // The failing request's opcode.
   std::string detail;
 
-  void Encode(ByteWriter* w) const;
-  static ErrorMessage Decode(ByteReader* r);
+  AUD_FIELDS(ErrorMessage, code, resource, opcode, detail);
 };
 
 // ---------------------------------------------------------------------------
-// Helpers
+// The opcode table's types
 // ---------------------------------------------------------------------------
 
-// Encodes AudioFormat as (u8 encoding, u32 rate).
-void EncodeFormat(ByteWriter* w, const AudioFormat& f);
-AudioFormat DecodeFormat(ByteReader* r);
+// The request payload of the opcodes that carry none.
+struct NoPayload {
+  AUD_FIELDS(NoPayload);
+};
+
+// One opcode's row of AUD_OPCODES (protocol.h): its request and reply
+// types. Reply is void for requests the server answers only on error.
+template <Opcode op>
+struct OpcodeRow;
+
+#define AUD_OPCODE_ROW(name, value, request, reply, dispatch) \
+  template <>                                                  \
+  struct OpcodeRow<Opcode::k##name> {                          \
+    using Request = request;                                   \
+    using Reply = reply;                                       \
+  };
+AUD_OPCODES(AUD_OPCODE_ROW)
+#undef AUD_OPCODE_ROW
+
+template <Opcode op>
+using RequestOf = typename OpcodeRow<op>::Request;
+template <Opcode op>
+using ReplyOf = typename OpcodeRow<op>::Reply;
+
+// ---------------------------------------------------------------------------
+// Framing
+// ---------------------------------------------------------------------------
 
 // Builds a complete framed message: header + payload.
 std::vector<uint8_t> FrameMessage(MessageType type, uint16_t code, uint32_t sequence,

@@ -32,72 +32,17 @@ std::string_view DeviceClassName(DeviceClass cls) {
   return "unknown";
 }
 
-namespace {
-
-// Indexed by opcode value. Adding an Opcode without extending this table is
-// a compile error (the static_assert below), not a silent "unknown".
-constexpr std::string_view kOpcodeNames[] = {
-    "NoOp",                   // 0
-    "CreateLoud",             // 1
-    "DestroyLoud",            // 2
-    "CreateVirtualDevice",    // 3
-    "DestroyVirtualDevice",   // 4
-    "AugmentVirtualDevice",   // 5
-    "QueryVirtualDevice",     // 6
-    "CreateWire",             // 7
-    "DestroyWire",            // 8
-    "QueryWires",             // 9
-    "MapLoud",                // 10
-    "UnmapLoud",              // 11
-    "RaiseLoud",              // 12
-    "LowerLoud",              // 13
-    "CreateSound",            // 14
-    "DestroySound",           // 15
-    "WriteSoundData",         // 16
-    "ReadSoundData",          // 17
-    "QuerySound",             // 18
-    "LoadCatalogueSound",     // 19
-    "ListCatalogue",          // 20
-    "SaveCatalogueSound",     // 21
-    "EnqueueCommands",        // 22
-    "ImmediateCommand",       // 23
-    "StartQueue",             // 24
-    "StopQueue",              // 25
-    "PauseQueue",             // 26
-    "ResumeQueue",            // 27
-    "FlushQueue",             // 28
-    "QueryQueue",             // 29
-    "SelectEvents",           // 30
-    "SetSyncMarks",           // 31
-    "ChangeProperty",         // 32
-    "DeleteProperty",         // 33
-    "GetProperty",            // 34
-    "ListProperties",         // 35
-    "SetRedirect",            // 36
-    "QueryDeviceLoud",        // 37
-    "QueryActiveStack",       // 38
-    "GetServerTime",          // 39
-    "Sync",                   // 40
-    "QueryLoud",              // 41
-    "GetServerStats",         // 42
-    "GetServerTrace",         // 43
-    "GetRequestTrace",        // 44
-    "GetEntityStats",         // 45
-};
-
-static_assert(std::size(kOpcodeNames) ==
-                  static_cast<size_t>(Opcode::kOpcodeCount),
-              "kOpcodeNames must have exactly one entry per Opcode; "
-              "update the table when adding an opcode");
-
-}  // namespace
-
 std::string_view OpcodeName(Opcode opcode) {
+  static constexpr std::string_view kNames[] = {
+#define AUD_OPCODE_NAME(name, ...) #name,
+      AUD_OPCODES(AUD_OPCODE_NAME)
+#undef AUD_OPCODE_NAME
+  };
   auto index = static_cast<size_t>(opcode);
-  if (index >= std::size(kOpcodeNames)) {
+  if (index >= std::size(kNames)) {
     return "unknown";
   }
-  return kOpcodeNames[index];
+  return kNames[index];
 }
 
 std::string_view DeviceCommandName(DeviceCommand cmd) {

@@ -56,82 +56,131 @@ inline constexpr uint32_t kMaxPayload = 16u << 20;
 // each direction (SetupRequest / SetupReply payloads).
 inline constexpr uint16_t kSetupOpcode = 0xFFFF;
 
+// The opcode table: every request opcode, declared once. The Opcode enum,
+// OpcodeName, each opcode's dispatch class, the request and reply types the
+// dispatcher and Alib's Send/Call use (OpcodeRow in messages.h) and the
+// fuzzers' request routing are all generated from its rows; audlint checks
+// the PROTOCOL.md opcode index against them.
+//
+// Rows are in value order and values are dense from 0 (static_assert
+// below). Columns of X(name, value, request, reply, dispatch):
+//   name      the enumerator without its `k`, and OpcodeName's text.
+//   value     the wire opcode.
+//   request   the payload struct (messages.h); NoPayload when empty.
+//   reply     the reply struct, or void when the request has none.
+//   dispatch  how the request runs beside the engine's tick fan-out (DESIGN.md
+//             decision 12), with the state lock held in every class:
+//     kDrain  structural mutation (registry create/destroy, wiring, the active
+//             stack, sound data a recorder may be writing). The dispatcher
+//             waits for the engine to go idle before the request's first
+//             registry lookup: the wait releases the state lock, so a pointer
+//             resolved earlier could dangle by the time it returns.
+//     kShard  engine-plane requests against one root LOUD (queues, events,
+//             sync marks, properties): they take that root's engine shard
+//             lock and never wait for the whole epoch.
+//     kState  pure reads of structure the fan-out never mutates (queries,
+//             catalogue listing, stats, trace, redirect).
+// clang-format off
+#define AUD_OPCODES(X)                                                                 \
+  X(NoOp, 0, NoPayload, void, kState)                                                  \
+  /* LOUD tree construction (section 5.1). */                                          \
+  X(CreateLoud, 1, CreateLoudReq, void, kDrain)                                        \
+  X(DestroyLoud, 2, ResourceReq, void, kDrain)                                         \
+  X(CreateVirtualDevice, 3, CreateVirtualDeviceReq, void, kDrain)                      \
+  X(DestroyVirtualDevice, 4, ResourceReq, void, kDrain)                                \
+  /* Tighten attributes post-map (section 5.3). */                                     \
+  X(AugmentVirtualDevice, 5, AugmentVirtualDeviceReq, void, kDrain)                    \
+  X(QueryVirtualDevice, 6, ResourceReq, VirtualDeviceReply, kState)                    \
+  /* Wires (section 5.2). */                                                           \
+  X(CreateWire, 7, CreateWireReq, void, kDrain)                                        \
+  X(DestroyWire, 8, ResourceReq, void, kDrain)                                         \
+  X(QueryWires, 9, ResourceReq, WiresReply, kState)                                    \
+  /* Mapping and the active stack (sections 5.3, 5.4). */                              \
+  X(MapLoud, 10, MapLoudReq, void, kDrain)                                             \
+  X(UnmapLoud, 11, ResourceReq, void, kDrain)                                          \
+  X(RaiseLoud, 12, MapLoudReq, void, kDrain)                                           \
+  X(LowerLoud, 13, MapLoudReq, void, kDrain)                                           \
+  /* Sounds (section 5.6). ReadSoundData drains rather than taking a shard: */         \
+  /* an active recorder writes into the sound from the fan-out, and its LOUD */        \
+  /* need not be the one the request names. */                                         \
+  X(CreateSound, 14, CreateSoundReq, void, kDrain)                                     \
+  X(DestroySound, 15, ResourceReq, void, kDrain)                                       \
+  X(WriteSoundData, 16, WriteSoundDataReq, void, kDrain)                               \
+  X(ReadSoundData, 17, ReadSoundDataReq, SoundDataReply, kDrain)                       \
+  X(QuerySound, 18, ResourceReq, SoundInfoReply, kDrain)                               \
+  /* Bind a server-side catalogue entry to an id. */                                   \
+  X(LoadCatalogueSound, 19, NamedSoundReq, void, kDrain)                               \
+  X(ListCatalogue, 20, NoPayload, CatalogueReply, kState)                              \
+  /* Store a sound into the server catalogue. */                                       \
+  X(SaveCatalogueSound, 21, NamedSoundReq, void, kDrain)                               \
+  /* Command queues (section 5.5); PauseQueue is the client-paused state. */           \
+  X(EnqueueCommands, 22, EnqueueCommandsReq, void, kShard)                             \
+  X(ImmediateCommand, 23, ImmediateCommandReq, void, kShard)                           \
+  X(StartQueue, 24, ResourceReq, void, kShard)                                         \
+  X(StopQueue, 25, ResourceReq, void, kShard)                                          \
+  X(PauseQueue, 26, ResourceReq, void, kShard)                                         \
+  X(ResumeQueue, 27, ResourceReq, void, kShard)                                        \
+  X(FlushQueue, 28, ResourceReq, void, kShard)                                         \
+  X(QueryQueue, 29, ResourceReq, QueueStateReply, kShard)                              \
+  /* Events (section 5.7); SetSyncMarks asks for periodic sync events. */              \
+  X(SelectEvents, 30, SelectEventsReq, void, kShard)                                   \
+  X(SetSyncMarks, 31, SetSyncMarksReq, void, kShard)                                   \
+  /* Properties and audio-manager support (section 5.8). */                            \
+  X(ChangeProperty, 32, ChangePropertyReq, void, kShard)                               \
+  X(DeleteProperty, 33, NamedPropertyReq, void, kShard)                                \
+  X(GetProperty, 34, NamedPropertyReq, PropertyReply, kState)                          \
+  X(ListProperties, 35, ResourceReq, PropertyListReply, kState)                        \
+  /* The audio manager claims map/restack redirection. */                              \
+  X(SetRedirect, 36, SetRedirectReq, void, kState)                                     \
+  /* Introspection; Sync is a round-trip no-op. */                                     \
+  X(QueryDeviceLoud, 37, NoPayload, DeviceLoudReply, kState)                           \
+  X(QueryActiveStack, 38, NoPayload, ActiveStackReply, kState)                         \
+  X(GetServerTime, 39, NoPayload, ServerTimeReply, kState)                             \
+  X(Sync, 40, NoPayload, ServerTimeReply, kState)                                      \
+  X(QueryLoud, 41, ResourceReq, LoudStateReply, kState)                                \
+  /* Observability: the server is "just another client" of its own */                  \
+  /* statistics, the way X exposes server internals in-protocol. */                    \
+  X(GetServerStats, 42, GetServerStatsReq, ServerStatsReply, kState)                   \
+  X(GetServerTrace, 43, GetServerTraceReq, ServerTraceReply, kState)                   \
+  /* Request tracing and per-entity statistics (protocol minor 2). */                  \
+  X(GetRequestTrace, 44, GetRequestTraceReq, RequestTraceReply, kState)                \
+  X(GetEntityStats, 45, GetEntityStatsReq, EntityStatsReply, kState)
+// clang-format on
+
 // Request opcodes.
 enum class Opcode : uint16_t {
-  kNoOp = 0,
-
-  // LOUD tree construction (section 5.1).
-  kCreateLoud = 1,
-  kDestroyLoud = 2,
-  kCreateVirtualDevice = 3,
-  kDestroyVirtualDevice = 4,
-  kAugmentVirtualDevice = 5,   // Tighten attributes post-map (section 5.3).
-  kQueryVirtualDevice = 6,     // -> VirtualDeviceReply
-
-  // Wires (section 5.2).
-  kCreateWire = 7,
-  kDestroyWire = 8,
-  kQueryWires = 9,             // -> WiresReply
-
-  // Mapping and the active stack (sections 5.3, 5.4).
-  kMapLoud = 10,
-  kUnmapLoud = 11,
-  kRaiseLoud = 12,
-  kLowerLoud = 13,
-
-  // Sounds (section 5.6).
-  kCreateSound = 14,
-  kDestroySound = 15,
-  kWriteSoundData = 16,
-  kReadSoundData = 17,         // -> SoundDataReply
-  kQuerySound = 18,            // -> SoundInfoReply
-  kLoadCatalogueSound = 19,    // Bind a server-side catalogue entry to an id.
-  kListCatalogue = 20,         // -> CatalogueReply
-  kSaveCatalogueSound = 21,    // Store a sound into the server catalogue.
-
-  // Command queues (section 5.5).
-  kEnqueueCommands = 22,
-  kImmediateCommand = 23,
-  kStartQueue = 24,
-  kStopQueue = 25,
-  kPauseQueue = 26,            // client-paused state
-  kResumeQueue = 27,
-  kFlushQueue = 28,
-  kQueryQueue = 29,            // -> QueueStateReply
-
-  // Events (section 5.7).
-  kSelectEvents = 30,
-  kSetSyncMarks = 31,          // Periodic sync events during playback.
-
-  // Properties and audio-manager support (section 5.8).
-  kChangeProperty = 32,
-  kDeleteProperty = 33,
-  kGetProperty = 34,           // -> PropertyReply
-  kListProperties = 35,        // -> PropertyListReply
-  kSetRedirect = 36,           // Audio manager claims map/restack redirection.
-
-  // Introspection.
-  kQueryDeviceLoud = 37,       // -> DeviceLoudReply (the device LOUD tree).
-  kQueryActiveStack = 38,      // -> ActiveStackReply
-  kGetServerTime = 39,         // -> ServerTimeReply
-  kSync = 40,                  // Round-trip no-op -> ServerTimeReply.
-  kQueryLoud = 41,             // -> LoudStateReply
-
-  // Observability (the server is "just another client" of its own
-  // statistics, the way X exposes server internals in-protocol).
-  kGetServerStats = 42,        // -> ServerStatsReply
-  kGetServerTrace = 43,        // -> ServerTraceReply
-
-  // Request tracing and per-entity statistics (protocol minor 2).
-  kGetRequestTrace = 44,       // -> RequestTraceReply (spans of one trace id)
-  kGetEntityStats = 45,        // -> EntityStatsReply (per-conn / per-root)
-
-  kOpcodeCount = 46,
+#define AUD_OPCODE_ENUMERATOR(name, value, ...) k##name = value,
+  AUD_OPCODES(AUD_OPCODE_ENUMERATOR)
+#undef AUD_OPCODE_ENUMERATOR
+  kOpcodeCount,
 };
+
+// The per-opcode tables below index by value.
+inline constexpr bool OpcodeValuesAreDense() {
+  uint16_t next = 0;
+#define AUD_OPCODE_CHECK_DENSE(name, ...) \
+  if (static_cast<uint16_t>(Opcode::k##name) != next++) return false;
+  AUD_OPCODES(AUD_OPCODE_CHECK_DENSE)
+#undef AUD_OPCODE_CHECK_DENSE
+  return next == static_cast<uint16_t>(Opcode::kOpcodeCount);
+}
+static_assert(OpcodeValuesAreDense(), "AUD_OPCODES values must be 0, 1, 2, ... in row order");
 
 // Human-readable opcode name ("CreateLoud", "GetServerStats", ...), for
 // stats output and logs.
 std::string_view OpcodeName(Opcode opcode);
+
+// How a request runs beside the tick fan-out: the table's dispatch column.
+enum class DispatchClass : uint8_t { kDrain, kShard, kState };
+
+inline constexpr DispatchClass OpcodeDispatchClass(Opcode opcode) {
+  constexpr DispatchClass kClasses[] = {
+#define AUD_OPCODE_CLASS(name, value, request, reply, dispatch) DispatchClass::dispatch,
+      AUD_OPCODES(AUD_OPCODE_CLASS)
+#undef AUD_OPCODE_CLASS
+  };
+  return kClasses[static_cast<size_t>(opcode)];
+}
 
 // Virtual-device classes (section 5.1).
 enum class DeviceClass : uint8_t {

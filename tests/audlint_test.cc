@@ -4,7 +4,8 @@
 // opcodes wired end to end — and then mutates one layer to prove the linter
 // catches exactly that class of drift. The real tree is linted by the
 // `audlint` ctest (tools/audlint.cc); these tests prove the checker would
-// actually fail if someone added opcode 44 without its counterparts.
+// actually fail if someone added an opcode row without its Alib entry point
+// or its PROTOCOL.md row.
 
 #include "tools/audlint_core.h"
 
@@ -55,53 +56,35 @@ testing::AssertionResult NoProblems(const std::vector<std::string>& problems) {
 FileMap CleanTree() {
   FileMap files;
   files["protocol.h"] = R"(
-enum class Opcode : uint16_t {
-  kNoOp = 0,
-  kPing = 1,
-  kOpcodeCount = 2,
-};
-)";
-  files["protocol.cc"] = R"(
-constexpr std::string_view kOpcodeNames[] = {
-    "NoOp",  // 0
-    "Ping",  // 1
-};
+#define AUD_OPCODES(X)                        \
+  X(NoOp, 0, NoPayload, void, kState)         \
+  /* A round trip. */                         \
+  X(Ping, 1, NoPayload, PingReply, kState)
 )";
   files["messages.h"] = R"(
 inline constexpr uint32_t kPingVersion = 1;
 
 struct PingReply {
   uint32_t value = 0;
-  std::vector<uint8_t> Encode() const;
-  static StatusOr<PingReply> Decode(const std::vector<uint8_t>& payload);
+
+  AUD_FIELDS(PingReply, value);
 };
 )";
-  files["messages.cc"] = "";
   files["alib.h"] = R"(
 void NoOp();
 uint32_t Ping();
 )";
   files["alib.cc"] = "";
   files["requests.cc"] = R"(
-void AudioConnection::NoOp() { SendRequest(Opcode::kNoOp, {}); }
-uint32_t AudioConnection::Ping() { return SendRequest(Opcode::kPing, {}); }
-)";
-  files["dispatcher.cc"] = R"(
-switch (static_cast<Opcode>(message.header.code)) {
-  case Opcode::kNoOp:
-    break;
-  case Opcode::kPing:
-    break;
-  case Opcode::kOpcodeCount:
-    break;
-}
+void AudioConnection::NoOp() { Send<Opcode::kNoOp>({}); }
+uint32_t AudioConnection::Ping() { return Call<Opcode::kPing>({}).value().value; }
 )";
   files["PROTOCOL.md"] = R"(
 ### Opcode index
 
 | opcode | name | reply |
 | ------ | ---- | ----- |
-| 0      | NoOp | none  |
+| 0      | NoOp | —     |
 | 1      | Ping | PingReply |
 
 PingReply carries a single `value` counter.
@@ -174,103 +157,59 @@ TEST(AudlintTest, CleanTreePasses) {
 
 TEST(AudlintTest, MissingInputFileReported) {
   FileMap files = CleanTree();
-  files.erase("dispatcher.cc");
-  EXPECT_TRUE(HasProblem(LintTree(files), "missing input file: dispatcher.cc"));
+  files.erase("requests.cc");
+  EXPECT_TRUE(HasProblem(LintTree(files), "missing input file: requests.cc"));
 }
 
-TEST(AudlintTest, ParseOpcodeEnumReadsNamesAndCount) {
+TEST(AudlintTest, ParseOpcodeTableReadsRows) {
   std::vector<std::string> problems;
-  OpcodeEnum parsed = ParseOpcodeEnum(CleanTree()["protocol.h"], &problems);
+  std::vector<OpcodeTableRow> rows = ParseOpcodeTable(CleanTree()["protocol.h"], &problems);
   EXPECT_TRUE(NoProblems(problems));
-  ASSERT_EQ(parsed.entries.size(), 2u);
-  EXPECT_EQ(parsed.entries[0].name, "NoOp");
-  EXPECT_EQ(parsed.entries[1].name, "Ping");
-  EXPECT_EQ(parsed.entries[1].value, 1);
-  EXPECT_EQ(parsed.count, 2);
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0].name, "NoOp");
+  EXPECT_EQ(rows[0].reply, "void");
+  EXPECT_EQ(rows[1].name, "Ping");
+  EXPECT_EQ(rows[1].value, 1);
+  EXPECT_EQ(rows[1].request, "NoPayload");
+  EXPECT_EQ(rows[1].reply, "PingReply");
+  EXPECT_EQ(rows[1].dispatch, "kState");
 }
 
-TEST(AudlintTest, NonDenseOpcodeValuesFlagged) {
+TEST(AudlintTest, MalformedOpcodeRowFlagged) {
   FileMap files = CleanTree();
   files["protocol.h"] = R"(
-enum class Opcode : uint16_t {
-  kNoOp = 0,
-  kPing = 5,
-  kOpcodeCount = 2,
-};
+#define AUD_OPCODES(X)                        \
+  X(NoOp, 0, NoPayload, void, kState)         \
+  X(Ping, one, NoPayload, PingReply, kState)
 )";
-  EXPECT_TRUE(
-      HasProblem(LintTree(files), "kPing has value 5, expected dense value 1"));
+  EXPECT_TRUE(HasProblem(LintTree(files), "malformed opcode table row X(Ping, ...)"));
 }
 
-TEST(AudlintTest, StaleOpcodeCountFlagged) {
-  FileMap files = CleanTree();
-  // Opcode added but kOpcodeCount not bumped.
-  files["protocol.h"] = R"(
-enum class Opcode : uint16_t {
-  kNoOp = 0,
-  kPing = 1,
-  kShout = 2,
-  kOpcodeCount = 2,
-};
-)";
-  EXPECT_TRUE(HasProblem(LintTree(files),
-                         "kOpcodeCount is 2 but the enum lists 3 opcodes"));
-}
-
-// The headline scenario: a new opcode lands in the enum but nowhere else.
-// Every unwired layer must produce its own complaint.
+// The headline scenario: a new opcode lands in the table but nowhere else.
+// The compiler generates its enumerator, name and dispatch class, and fails
+// the dispatcher's switch; each layer outside the code must produce its own
+// complaint.
 TEST(AudlintTest, NewOpcodeWithoutCounterpartsFailsEveryLayer) {
   FileMap files = CleanTree();
   files["protocol.h"] = R"(
-enum class Opcode : uint16_t {
-  kNoOp = 0,
-  kPing = 1,
-  kShout = 2,
-  kOpcodeCount = 3,
-};
+#define AUD_OPCODES(X)                        \
+  X(NoOp, 0, NoPayload, void, kState)         \
+  X(Ping, 1, NoPayload, PingReply, kState)    \
+  X(Shout, 2, NoPayload, void, kState)
 )";
   std::vector<std::string> problems = LintTree(files);
-  EXPECT_TRUE(HasProblem(problems, "kOpcodeNames has 2 entries"));
-  EXPECT_TRUE(HasProblem(problems, "no `case Opcode::kShout` handler"));
   EXPECT_TRUE(HasProblem(problems, "no wrapper references Opcode::kShout"));
   EXPECT_TRUE(HasProblem(problems, "opcode index has no row for Shout"));
 }
 
-TEST(AudlintTest, NameTableOrderMismatchFlagged) {
-  FileMap files = CleanTree();
-  files["protocol.cc"] = R"(
-constexpr std::string_view kOpcodeNames[] = {
-    "Ping",
-    "NoOp",
-};
-)";
-  EXPECT_TRUE(HasProblem(LintTree(files),
-                         "kOpcodeNames[0] is \"Ping\", enum says \"NoOp\""));
-}
-
 TEST(AudlintTest, SubstringOpcodeReferenceDoesNotCount) {
   FileMap files = CleanTree();
-  // `Opcode::kPingExtended` must not satisfy the kPing wiring check.
-  files["dispatcher.cc"] = R"(
-case Opcode::kNoOp: break;
-case Opcode::kPingExtended: break;
-case Opcode::kOpcodeCount: break;
+  // `Opcode::kPingExtended` must not satisfy the kPing coverage check.
+  files["requests.cc"] = R"(
+void AudioConnection::NoOp() { Send<Opcode::kNoOp>({}); }
+void AudioConnection::Ping() { Send<Opcode::kPingExtended>({}); }
 )";
-  EXPECT_TRUE(HasProblem(LintTree(files), "no `case Opcode::kPing` handler"));
-}
-
-TEST(AudlintTest, EncodeWithoutDecodeFlagged) {
-  FileMap files = CleanTree();
-  files["messages.h"] = R"(
-inline constexpr uint32_t kPingVersion = 1;
-
-struct PingReply {
-  uint32_t value = 0;
-  std::vector<uint8_t> Encode() const;
-};
-)";
-  EXPECT_TRUE(
-      HasProblem(LintTree(files), "struct PingReply has Encode but no Decode"));
+  EXPECT_TRUE(HasProblem(LintTree(files), "no wrapper references Opcode::kPing"));
 }
 
 TEST(AudlintTest, DocOpcodeNumberMismatchFlagged) {
@@ -280,16 +219,30 @@ TEST(AudlintTest, DocOpcodeNumberMismatchFlagged) {
 
 | opcode | name | reply |
 | ------ | ---- | ----- |
-| 0      | NoOp | none  |
+| 0      | NoOp | —     |
 | 2      | Ping | PingReply |
 )";
   EXPECT_TRUE(HasProblem(LintTree(files),
                          "opcode index says Ping = 2, protocol.h says 1"));
 }
 
+TEST(AudlintTest, DocReplyMismatchFlagged) {
+  FileMap files = CleanTree();
+  files["PROTOCOL.md"] = R"(
+### Opcode index
+
+| opcode | name | reply |
+| ------ | ---- | ----- |
+| 0      | NoOp | —     |
+| 1      | Ping | —     |
+)";
+  EXPECT_TRUE(HasProblem(LintTree(files),
+                         "opcode index says Ping replies —, protocol.h says PingReply"));
+}
+
 TEST(AudlintTest, DocUnknownOpcodeFlagged) {
   FileMap files = CleanTree();
-  files["PROTOCOL.md"] += "| 7 | Whisper | none |\n";
+  files["PROTOCOL.md"] += "| 7 | Whisper | — |\n";
   EXPECT_TRUE(HasProblem(LintTree(files), "lists unknown opcode Whisper = 7"));
 }
 
@@ -306,18 +259,29 @@ TEST(AudlintTest, NumericTablesOutsideOpcodeIndexIgnored) {
   EXPECT_TRUE(NoProblems(LintTree(files)));
 }
 
-TEST(AudlintTest, ParseStructFieldsSkipsMethodsAndStatics) {
+TEST(AudlintTest, ParseFieldListReadsOnlyItsOwnList) {
   std::string header = R"(
+struct PingReplyV2 {
+  uint32_t other = 0;
+
+  AUD_FIELDS(PingReplyV2, other);
+};
+
 struct PingReply {
-  static constexpr int kMagic = 7;
+  struct Part {
+    uint32_t inner = 0;
+
+    AUD_FIELDS(Part, inner);
+  };
   uint32_t value = 0;
-  std::string label;
-  std::vector<uint8_t> Encode() const;
-  static StatusOr<PingReply> Decode(const std::vector<uint8_t>& payload);
+  std::vector<Part> parts;
+
+  AUD_FIELDS(PingReply, value,
+             parts);
 };
 )";
-  EXPECT_EQ(ParseStructFields(header, "PingReply"),
-            (std::vector<std::string>{"value", "label"}));
+  EXPECT_EQ(ParseFieldList(header, "PingReply"), (std::vector<std::string>{"value", "parts"}));
+  EXPECT_TRUE(ParseFieldList(header, "GhostReply").empty());
 }
 
 TEST(AudlintTest, SchemaDriftWithoutLockUpdateFlagged) {
@@ -329,8 +293,8 @@ inline constexpr uint32_t kPingVersion = 1;
 struct PingReply {
   uint32_t value = 0;
   uint32_t extra = 0;
-  std::vector<uint8_t> Encode() const;
-  static StatusOr<PingReply> Decode(const std::vector<uint8_t>& payload);
+
+  AUD_FIELDS(PingReply, value, extra);
 };
 )";
   EXPECT_TRUE(HasProblem(LintTree(files),
@@ -345,8 +309,8 @@ inline constexpr uint32_t kPingVersion = 2;
 struct PingReply {
   uint32_t value = 0;
   uint32_t extra = 0;
-  std::vector<uint8_t> Encode() const;
-  static StatusOr<PingReply> Decode(const std::vector<uint8_t>& payload);
+
+  AUD_FIELDS(PingReply, value, extra);
 };
 )";
   files["schema.lock"] = "PingReply 1 value\nPingReply 2 value extra\n";
@@ -363,8 +327,8 @@ inline constexpr uint32_t kPingVersion = 2;
 struct PingReply {
   uint32_t extra = 0;
   uint32_t value = 0;
-  std::vector<uint8_t> Encode() const;
-  static StatusOr<PingReply> Decode(const std::vector<uint8_t>& payload);
+
+  AUD_FIELDS(PingReply, extra, value);
 };
 )";
   files["schema.lock"] = "PingReply 1 value\nPingReply 2 extra value\n";
@@ -379,8 +343,8 @@ inline constexpr uint32_t kPingVersion = 2;
 
 struct PingReply {
   uint32_t value = 0;
-  std::vector<uint8_t> Encode() const;
-  static StatusOr<PingReply> Decode(const std::vector<uint8_t>& payload);
+
+  AUD_FIELDS(PingReply, value);
 };
 )";
   EXPECT_TRUE(HasProblem(
@@ -419,8 +383,8 @@ struct ServerStatsReply {
 #define AUD_STATS_MEMBER(name, type, ...) type name{};
   AUD_SERVER_STATS_FIELDS(AUD_STATS_MEMBER)
 #undef AUD_STATS_MEMBER
-  std::vector<uint8_t> Encode() const;
-  static StatusOr<ServerStatsReply> Decode(const std::vector<uint8_t>& payload);
+  void Encode(ByteWriter* w) const;
+  static ServerStatsReply Decode(ByteReader* r);
 };
 )";
   files["server_stats_fields.h"] = R"(
@@ -509,8 +473,8 @@ inline constexpr uint32_t kToneVersion = 1;
 
 struct ToneReply {
   uint32_t pitch = 0;
-  std::vector<uint8_t> Encode() const;
-  static StatusOr<ToneReply> Decode(const std::vector<uint8_t>& payload);
+
+  AUD_FIELDS(ToneReply, pitch);
 };
 )";
   files["schema.lock"] += "ToneReply 1 pitch\n";

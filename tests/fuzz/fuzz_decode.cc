@@ -43,102 +43,16 @@ void DecodeStrictHeader(std::span<const uint8_t> bytes) {
   g_sink = g_sink + (header.ok() ? header.value().length : 0);
 }
 
-// Decodes a request payload exactly as the dispatcher does (the opcode ->
-// struct mapping in src/server/dispatcher.cc). No default: a new opcode
-// that is not wired up here fails the build, same as the dispatcher.
+// Decodes a request payload as the dispatcher does: with the request
+// struct of the opcode's table row. The caller has checked the opcode.
 void DecodeRequestPayload(Opcode opcode, std::span<const uint8_t> payload) {
-  switch (opcode) {
-    case Opcode::kNoOp:
-    case Opcode::kListCatalogue:
-    case Opcode::kQueryDeviceLoud:
-    case Opcode::kQueryActiveStack:
-    case Opcode::kGetServerTime:
-    case Opcode::kSync:
-    case Opcode::kOpcodeCount:
-      break;
-    case Opcode::kCreateLoud:
-      DecodeStruct<CreateLoudReq>(payload);
-      break;
-    case Opcode::kDestroyLoud:
-    case Opcode::kDestroyVirtualDevice:
-    case Opcode::kQueryVirtualDevice:
-    case Opcode::kDestroyWire:
-    case Opcode::kQueryWires:
-    case Opcode::kUnmapLoud:
-    case Opcode::kDestroySound:
-    case Opcode::kQuerySound:
-    case Opcode::kStartQueue:
-    case Opcode::kStopQueue:
-    case Opcode::kPauseQueue:
-    case Opcode::kResumeQueue:
-    case Opcode::kFlushQueue:
-    case Opcode::kQueryQueue:
-    case Opcode::kListProperties:
-    case Opcode::kQueryLoud:
-      DecodeStruct<ResourceReq>(payload);
-      break;
-    case Opcode::kCreateVirtualDevice:
-      DecodeStruct<CreateVirtualDeviceReq>(payload);
-      break;
-    case Opcode::kAugmentVirtualDevice:
-      DecodeStruct<AugmentVirtualDeviceReq>(payload);
-      break;
-    case Opcode::kCreateWire:
-      DecodeStruct<CreateWireReq>(payload);
-      break;
-    case Opcode::kMapLoud:
-    case Opcode::kRaiseLoud:
-    case Opcode::kLowerLoud:
-      DecodeStruct<MapLoudReq>(payload);
-      break;
-    case Opcode::kCreateSound:
-      DecodeStruct<CreateSoundReq>(payload);
-      break;
-    case Opcode::kWriteSoundData:
-      DecodeStruct<WriteSoundDataReq>(payload);
-      break;
-    case Opcode::kReadSoundData:
-      DecodeStruct<ReadSoundDataReq>(payload);
-      break;
-    case Opcode::kLoadCatalogueSound:
-    case Opcode::kSaveCatalogueSound:
-      DecodeStruct<NamedSoundReq>(payload);
-      break;
-    case Opcode::kEnqueueCommands:
-      DecodeStruct<EnqueueCommandsReq>(payload);
-      break;
-    case Opcode::kImmediateCommand:
-      DecodeStruct<ImmediateCommandReq>(payload);
-      break;
-    case Opcode::kSelectEvents:
-      DecodeStruct<SelectEventsReq>(payload);
-      break;
-    case Opcode::kSetSyncMarks:
-      DecodeStruct<SetSyncMarksReq>(payload);
-      break;
-    case Opcode::kChangeProperty:
-      DecodeStruct<ChangePropertyReq>(payload);
-      break;
-    case Opcode::kDeleteProperty:
-    case Opcode::kGetProperty:
-      DecodeStruct<NamedPropertyReq>(payload);
-      break;
-    case Opcode::kSetRedirect:
-      DecodeStruct<SetRedirectReq>(payload);
-      break;
-    case Opcode::kGetServerStats:
-      DecodeStruct<GetServerStatsReq>(payload);
-      break;
-    case Opcode::kGetServerTrace:
-      DecodeStruct<GetServerTraceReq>(payload);
-      break;
-    case Opcode::kGetRequestTrace:
-      DecodeStruct<GetRequestTraceReq>(payload);
-      break;
-    case Opcode::kGetEntityStats:
-      DecodeStruct<GetEntityStatsReq>(payload);
-      break;
-  }
+  using Decoder = void (*)(std::span<const uint8_t>);
+  static constexpr Decoder kRequestDecoders[] = {
+#define AUD_FUZZ_REQUEST(name, value, request, ...) DecodeStruct<request>,
+      AUD_OPCODES(AUD_FUZZ_REQUEST)
+#undef AUD_FUZZ_REQUEST
+  };
+  kRequestDecoders[static_cast<size_t>(opcode)](payload);
 }
 
 // Decodes event args the way Alib's event demux does: EventMessage first,

@@ -1,18 +1,21 @@
 // Encode/decode round-trip property harness. Instead of throwing bytes at
 // the decoders (fuzz_decode's job), this derives *valid* messages from the
-// fuzz input, encodes them, decodes the result, re-encodes, and aborts on
-// any difference:
+// fuzz input, encodes them, decodes the result, and aborts on any
+// difference:
 //
-//   Encode(Decode(Encode(m))) == Encode(m)   and   Decode consumed every byte
+//   Decode(Encode(m)) == m   and   Decode consumed every byte
 //
 // A violation means an encoder and its decoder disagree about the wire
 // format — exactly the asymmetric-drift bug class that schema checks can't
-// see (both sides compile; they just don't agree).
+// see (both sides compile; they just don't agree). Every request and reply
+// struct of the opcode table, and every command-args and event-args
+// struct, is filled through its field list by one visitor (Fill), so a
+// message added to the table is fuzzed without a line here.
 //
 // Field values come from a saturating ByteReader over the fuzz input, so
 // every input maps deterministically to one message and the fuzzer's
 // mutations explore field-value space (zero, max, sign bits, empty/large
-// strings and vectors).
+// strings and vectors). Each message reads the input from its start.
 
 #include <cstddef>
 #include <cstdint>
@@ -35,12 +38,123 @@ namespace {
   std::abort();
 }
 
-// Round-trips a ByteWriter/ByteReader message struct.
+// -- Fill: one value of each field type from the input ------------------------
+
+// The containers' and structs' overloads call each other in any order.
+template <typename A, typename B>
+void Fill(ByteReader* in, std::pair<A, B>* p);
 template <typename T>
-void RoundTripStruct(const T& value, const char* type_name) {
+void Fill(ByteReader* in, std::vector<T>* items);
+template <FieldListed T>
+void Fill(ByteReader* in, T* m);
+
+void Fill(ByteReader* in, uint8_t* v) { *v = in->ReadU8(); }
+void Fill(ByteReader* in, char* v) { *v = static_cast<char>(in->ReadU8()); }
+void Fill(ByteReader* in, uint16_t* v) { *v = in->ReadU16(); }
+void Fill(ByteReader* in, uint32_t* v) { *v = in->ReadU32(); }
+void Fill(ByteReader* in, int32_t* v) { *v = in->ReadI32(); }
+void Fill(ByteReader* in, uint64_t* v) { *v = in->ReadU64(); }
+void Fill(ByteReader* in, int64_t* v) { *v = in->ReadI64(); }
+
+template <typename Enum>
+  requires std::is_enum_v<Enum>
+void Fill(ByteReader* in, Enum* v) {
+  std::underlying_type_t<Enum> raw{};
+  Fill(in, &raw);
+  *v = static_cast<Enum>(raw);
+}
+
+// Bounded string / blob derivation: length from one byte, content from the
+// reader (saturates to empty at end of input, which is itself a useful
+// boundary case).
+void Fill(ByteReader* in, std::string* s) {
+  std::span<const uint8_t> raw = in->ReadBytes(in->ReadU8() % 24);
+  s->assign(reinterpret_cast<const char*>(raw.data()), raw.size());
+}
+
+void Fill(ByteReader* in, std::vector<uint8_t>* blob) {
+  std::span<const uint8_t> raw = in->ReadBytes(in->ReadU8() % 64);
+  blob->assign(raw.begin(), raw.end());
+}
+
+void Fill(ByteReader* in, AttrList* attrs) {
+  for (size_t n = in->ReadU8() % 4; n > 0; --n) {
+    auto tag = static_cast<AttrTag>(in->ReadU16());
+    switch (in->ReadU8() % 3) {
+      case 0:
+        attrs->Set(tag, in->ReadU32());
+        break;
+      case 1:
+        attrs->Set(tag, in->ReadI32());
+        break;
+      default: {
+        std::string s;
+        Fill(in, &s);
+        attrs->Set(tag, std::move(s));
+      }
+    }
+  }
+}
+
+template <typename A, typename B>
+void Fill(ByteReader* in, std::pair<A, B>* p) {
+  Fill(in, &p->first);
+  Fill(in, &p->second);
+}
+
+template <typename T>
+void Fill(ByteReader* in, std::vector<T>* items) {
+  items->resize(in->ReadU8() % 4);
+  for (T& item : *items) {
+    Fill(in, &item);
+  }
+}
+
+template <FieldListed T>
+void Fill(ByteReader* in, T* m) {
+  std::apply([in](auto&... field) { (Fill(in, &field), ...); }, FieldsOf(*m));
+}
+
+// A stats reply at a version in 1..kServerStatsVersion with the rows of
+// that version filled: Encode and Decode both skip the newer rows, so a row
+// gated differently on the two sides shows as an over-read, trailing bytes
+// or a difference.
+void Fill(ByteReader* in, ServerStatsReply* m) {
+  m->stats_version = 1 + in->ReadU8() % kServerStatsVersion;
+  ForEachStatField(*m, [&](const StatRow& row, auto& value) {
+    if (row.version <= m->stats_version) {
+      Fill(in, &value);
+    }
+  });
+}
+
+// -- Properties ------------------------------------------------------------------
+
+// Round-trips one T filled from the start of the input. The three writers
+// must agree too: ByteCounter sizes exactly what ByteWriter writes, and a
+// ByteCursor over that many bytes writes the same bytes.
+template <typename T>
+void RoundTrip(std::span<const uint8_t> input, const char* type_name) {
+  ByteReader in(input);
+  T m{};
+  Fill(&in, &m);
+
   ByteWriter w;
-  value.Encode(&w);
-  std::vector<uint8_t> wire = w.Take();
+  m.Encode(&w);
+  const std::vector<uint8_t>& wire = w.bytes();
+  if constexpr (requires(ByteCounter* counter) { m.Encode(counter); }) {
+    ByteCounter counter;
+    m.Encode(&counter);
+    if (counter.size() != wire.size()) {
+      Fail("ByteCounter size differs from the encoding", type_name);
+    }
+    std::vector<uint8_t> placed(wire.size());
+    ByteCursor cursor(placed.data());
+    m.Encode(&cursor);
+    if (placed != wire) {
+      Fail("ByteCursor encoding differs from ByteWriter's", type_name);
+    }
+  }
 
   ByteReader r(wire);
   T decoded = T::Decode(&r);
@@ -50,56 +164,29 @@ void RoundTripStruct(const T& value, const char* type_name) {
   if (r.remaining() != 0) {
     Fail("decoder left trailing bytes unconsumed", type_name);
   }
-
-  ByteWriter w2;
-  decoded.Encode(&w2);
-  if (w2.bytes() != wire) {
-    Fail("re-encode differs from original encode", type_name);
+  if (!(decoded == m)) {
+    Fail("decoded message differs from the encoded one", type_name);
   }
 }
 
-// Round-trips a vector-returning args payload (CommandSpec / event args).
-template <typename T>
-void RoundTripArgs(const T& value, const char* type_name) {
-  std::vector<uint8_t> wire = value.Encode();
-  T decoded = T::Decode(wire);
-  std::vector<uint8_t> wire2 = decoded.Encode();
-  if (wire2 != wire) {
-    Fail("re-encode differs from original encode", type_name);
+// One opcode row's request and reply structs.
+template <typename Request, typename Reply>
+void RoundTripRow(std::span<const uint8_t> input, const char* request, const char* reply) {
+  RoundTrip<Request>(input, request);
+  if constexpr (!std::is_void_v<Reply>) {
+    RoundTrip<Reply>(input, reply);
   }
-}
-
-// Bounded string / blob derivation: length from one byte, content from the
-// reader (saturates to empty at end of input, which is itself a useful
-// boundary case).
-std::string TakeString(ByteReader* r) {
-  size_t len = r->ReadU8() % 24;
-  std::span<const uint8_t> raw = r->ReadBytes(len);
-  return std::string(reinterpret_cast<const char*>(raw.data()), raw.size());
-}
-
-std::vector<uint8_t> TakeBlob(ByteReader* r) {
-  size_t len = r->ReadU8() % 64;
-  std::span<const uint8_t> raw = r->ReadBytes(len);
-  return std::vector<uint8_t>(raw.begin(), raw.end());
-}
-
-CommandSpec TakeCommandSpec(ByteReader* r) {
-  CommandSpec spec;
-  spec.device = r->ReadU32();
-  spec.command = static_cast<DeviceCommand>(r->ReadU16());
-  spec.tag = r->ReadU32();
-  spec.args = TakeBlob(r);
-  return spec;
 }
 
 // Header framing property: a frame built by FrameMessage with a valid type
 // and in-range length must pass DecodeHeaderStrict and reproduce its fields.
-void RoundTripFrame(ByteReader* r) {
-  MessageType type = static_cast<MessageType>(1 + r->ReadU8() % 4);
-  uint16_t code = r->ReadU16();
-  uint32_t sequence = r->ReadU32();
-  std::vector<uint8_t> payload = TakeBlob(r);
+void RoundTripFrame(std::span<const uint8_t> input) {
+  ByteReader r(input);
+  MessageType type = static_cast<MessageType>(1 + r.ReadU8() % 4);
+  uint16_t code = r.ReadU16();
+  uint32_t sequence = r.ReadU32();
+  std::vector<uint8_t> payload;
+  Fill(&r, &payload);
 
   std::vector<uint8_t> frame = FrameMessage(type, code, sequence, payload);
   Result<MessageHeader> header = DecodeHeaderStrict(frame);
@@ -113,37 +200,25 @@ void RoundTripFrame(ByteReader* r) {
   }
 }
 
-// A stats reply at a version in 1..kServerStatsVersion, every row filled:
-// Encode and Decode both skip the rows newer than the version, so a row
-// gated differently on the two sides shows as an over-read, trailing bytes
-// or a re-encode difference.
-void RoundTripServerStats(ByteReader* r) {
-  ServerStatsReply m;
-  m.stats_version = 1 + r->ReadU8() % kServerStatsVersion;
-  ForEachStatField(m, [&](const StatRow&, auto& value) {
-    using T = std::decay_t<decltype(value)>;
-    if constexpr (std::is_integral_v<T>) {
-      value = static_cast<T>(r->ReadU64());
-    } else if constexpr (std::is_same_v<T, Histogram>) {
-      value.count = r->ReadU64();
-      value.sum = r->ReadU64();
-      value.min = r->ReadU64();
-      value.max = r->ReadU64();
-      value.buckets.resize(r->ReadU8() % 8);
-      for (uint64_t& bucket : value.buckets) {
-        bucket = r->ReadU64();
-      }
-    } else {
-      value.resize(r->ReadU8() % 4);
-      for (OpcodeStats& op : value) {
-        op.opcode = r->ReadU16();
-        op.count = r->ReadU64();
-        op.errors = r->ReadU64();
-        op.total_us = r->ReadU64();
-      }
-    }
-  });
-  RoundTripStruct(m, "ServerStatsReply");
+// The fan-out writes event args straight into its batch with
+// EventMessage's static Encode; that must equal the EventMessage holding
+// the args' bytes.
+template <typename Args>
+void RoundTripInPlaceEvent(std::span<const uint8_t> input, const char* type_name) {
+  ByteReader in(input);
+  EventMessage event;
+  Fill(&in, &event.type);
+  Fill(&in, &event.resource);
+  Fill(&in, &event.server_time);
+  Args args{};
+  Fill(&in, &args);
+  event.args = args.Encode();
+
+  ByteWriter in_place;
+  EventMessage::Encode(&in_place, event.type, event.resource, event.server_time, args);
+  if (in_place.bytes() != event.Encode()) {
+    Fail("in-place event encoding differs from EventMessage's", type_name);
+  }
 }
 
 }  // namespace
@@ -151,194 +226,46 @@ void RoundTripServerStats(ByteReader* r) {
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   using namespace aud;
-  ByteReader in(std::span<const uint8_t>(data, size));
+  const std::span<const uint8_t> input(data, size);
 
-  RoundTripFrame(&in);
+  RoundTripFrame(input);
 
-  {
-    SetupRequest m;
-    m.magic = in.ReadU32();
-    m.major = in.ReadU16();
-    m.minor = in.ReadU16();
-    m.client_name = TakeString(&in);
-    RoundTripStruct(m, "SetupRequest");
-  }
-  {
-    SetupReply m;
-    m.success = in.ReadU8();
-    m.major = in.ReadU16();
-    m.minor = in.ReadU16();
-    m.id_base = in.ReadU32();
-    m.id_count = in.ReadU32();
-    m.device_loud = in.ReadU32();
-    m.server_name = TakeString(&in);
-    m.reason = TakeString(&in);
-    RoundTripStruct(m, "SetupReply");
-  }
-  {
-    CommandSpec m = TakeCommandSpec(&in);
-    RoundTripStruct(m, "CommandSpec");
-  }
-  {
-    EnqueueCommandsReq m;
-    m.loud = in.ReadU32();
-    size_t n = in.ReadU8() % 5;
-    for (size_t i = 0; i < n; ++i) {
-      m.commands.push_back(TakeCommandSpec(&in));
-    }
-    RoundTripStruct(m, "EnqueueCommandsReq");
-  }
-  {
-    ImmediateCommandReq m;
-    m.loud = in.ReadU32();
-    m.command = TakeCommandSpec(&in);
-    RoundTripStruct(m, "ImmediateCommandReq");
-  }
-  {
-    ResourceReq m;
-    m.id = in.ReadU32();
-    RoundTripStruct(m, "ResourceReq");
-  }
-  {
-    CreateWireReq m;
-    m.id = in.ReadU32();
-    m.src_device = in.ReadU32();
-    m.src_port = in.ReadU16();
-    m.dst_device = in.ReadU32();
-    m.dst_port = in.ReadU16();
-    m.has_format = in.ReadU8();
-    m.format.encoding = static_cast<Encoding>(in.ReadU8());
-    m.format.sample_rate_hz = in.ReadU32();
-    RoundTripStruct(m, "CreateWireReq");
-  }
-  {
-    WriteSoundDataReq m;
-    m.id = in.ReadU32();
-    m.offset = in.ReadU64();
-    m.data = TakeBlob(&in);
-    RoundTripStruct(m, "WriteSoundDataReq");
-  }
-  {
-    ChangePropertyReq m;
-    m.resource = in.ReadU32();
-    m.name = TakeString(&in);
-    m.type = TakeString(&in);
-    m.value = TakeBlob(&in);
-    RoundTripStruct(m, "ChangePropertyReq");
-  }
-  {
-    QueueStateReply m;
-    m.loud = in.ReadU32();
-    m.state = static_cast<QueueState>(in.ReadU8());
-    m.depth = in.ReadU32();
-    m.current_tag = in.ReadU32();
-    RoundTripStruct(m, "QueueStateReply");
-  }
-  {
-    ServerTimeReply m;
-    m.server_time = in.ReadI64();
-    RoundTripStruct(m, "ServerTimeReply");
-  }
-  {
-    EventMessage m;
-    m.type = static_cast<EventType>(in.ReadU16());
-    m.resource = in.ReadU32();
-    m.server_time = in.ReadI64();
-    m.args = TakeBlob(&in);
-    RoundTripStruct(m, "EventMessage");
-  }
-  {
-    ErrorMessage m;
-    m.code = static_cast<ErrorCode>(in.ReadU8());
-    m.resource = in.ReadU32();
-    m.opcode = in.ReadU16();
-    m.detail = TakeString(&in);
-    RoundTripStruct(m, "ErrorMessage");
-  }
-  {
-    TraceEventWire m;
-    m.t_us = in.ReadI64();
-    m.seq = in.ReadU64();
-    m.tid = in.ReadU32();
-    m.reason = in.ReadU16();
-    m.arg0 = in.ReadU32();
-    m.arg1 = in.ReadU32();
-    m.trace = in.ReadU64();
-    m.parent = in.ReadU64();
-    m.dur_us = in.ReadU32();
-    RoundTripStruct(m, "TraceEventWire");
-  }
+#define AUD_FUZZ_ROW(name, value, request, reply, dispatch) \
+  RoundTripRow<request, reply>(input, #request, #reply);
+  AUD_OPCODES(AUD_FUZZ_ROW)
+#undef AUD_FUZZ_ROW
 
-  // Typed args payloads.
-  {
-    PlayArgs a;
-    a.sound = in.ReadU32();
-    a.start_sample = in.ReadI64();
-    a.end_sample = in.ReadI64();
-    RoundTripArgs(a, "PlayArgs");
-  }
-  {
-    TrainArgs a;
-    a.word = TakeString(&in);
-    a.sound = in.ReadU32();
-    RoundTripArgs(a, "TrainArgs");
-  }
-  {
-    WordListArgs a;
-    size_t n = in.ReadU8() % 6;
-    for (size_t i = 0; i < n; ++i) {
-      a.words.push_back(TakeString(&in));
-    }
-    RoundTripArgs(a, "WordListArgs");
-  }
-  {
-    ExceptionListArgs a;
-    size_t n = in.ReadU8() % 4;
-    for (size_t i = 0; i < n; ++i) {
-      std::string word = TakeString(&in);
-      std::string phonemes = TakeString(&in);
-      a.entries.emplace_back(std::move(word), std::move(phonemes));
-    }
-    RoundTripArgs(a, "ExceptionListArgs");
-  }
-  {
-    VoiceArgs a;
-    a.waveform = in.ReadU8();
-    a.attack_ms = in.ReadU16();
-    a.decay_ms = in.ReadU16();
-    a.sustain_centi = in.ReadU16();
-    a.release_ms = in.ReadU16();
-    RoundTripArgs(a, "VoiceArgs");
-  }
-  {
-    CrossbarStateArgs a;
-    size_t n = in.ReadU8() % 6;
-    for (size_t i = 0; i < n; ++i) {
-      CrossbarStateArgs::Route route;
-      route.input = in.ReadU16();
-      route.output = in.ReadU16();
-      route.enabled = in.ReadU8();
-      a.routes.push_back(route);
-    }
-    RoundTripArgs(a, "CrossbarStateArgs");
-  }
-  {
-    SyncMarkArgs a;
-    a.position_samples = in.ReadU64();
-    a.device_time = in.ReadI64();
-    a.total_samples = in.ReadU64();
-    RoundTripArgs(a, "SyncMarkArgs");
-  }
-  {
-    RecognitionArgs a;
-    a.word = TakeString(&in);
-    a.score = in.ReadU32();
-    RoundTripArgs(a, "RecognitionArgs");
-  }
+  RoundTrip<SetupRequest>(input, "SetupRequest");
+  RoundTrip<SetupReply>(input, "SetupReply");
+  RoundTrip<EventMessage>(input, "EventMessage");
+  RoundTrip<ErrorMessage>(input, "ErrorMessage");
 
-  // The stats reply reads the input from its start, so the cases above
-  // keep their bytes and the first byte picks the version.
-  ByteReader stats_in(std::span<const uint8_t>(data, size));
-  RoundTripServerStats(&stats_in);
+  // Command args (CommandSpec::args) and event args (EventMessage::args).
+  RoundTrip<PlayArgs>(input, "PlayArgs");
+  RoundTrip<RecordArgs>(input, "RecordArgs");
+  RoundTrip<StringArg>(input, "StringArg");
+  RoundTrip<GainArgs>(input, "GainArgs");
+  RoundTrip<InputGainArgs>(input, "InputGainArgs");
+  RoundTrip<DelayArgs>(input, "DelayArgs");
+  RoundTrip<TrainArgs>(input, "TrainArgs");
+  RoundTrip<WordListArgs>(input, "WordListArgs");
+  RoundTrip<ExceptionListArgs>(input, "ExceptionListArgs");
+  RoundTrip<NoteArgs>(input, "NoteArgs");
+  RoundTrip<VoiceArgs>(input, "VoiceArgs");
+  RoundTrip<CrossbarStateArgs>(input, "CrossbarStateArgs");
+  RoundTrip<ValuesArgs>(input, "ValuesArgs");
+  RoundTrip<CommandDoneArgs>(input, "CommandDoneArgs");
+  RoundTrip<QueuePausedArgs>(input, "QueuePausedArgs");
+  RoundTrip<TelephoneRingArgs>(input, "TelephoneRingArgs");
+  RoundTrip<CallProgressArgs>(input, "CallProgressArgs");
+  RoundTrip<DtmfReceivedArgs>(input, "DtmfReceivedArgs");
+  RoundTrip<RecorderStoppedArgs>(input, "RecorderStoppedArgs");
+  RoundTrip<RecognitionArgs>(input, "RecognitionArgs");
+  RoundTrip<SyncMarkArgs>(input, "SyncMarkArgs");
+  RoundTrip<PropertyNotifyArgs>(input, "PropertyNotifyArgs");
+  RoundTrip<MapRequestArgs>(input, "MapRequestArgs");
+
+  RoundTripInPlaceEvent<CommandDoneArgs>(input, "CommandDoneArgs");
+  RoundTripInPlaceEvent<SyncMarkArgs>(input, "SyncMarkArgs");
   return 0;
 }

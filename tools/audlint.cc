@@ -30,14 +30,11 @@ int main(int argc, char** argv) {
   std::string root = argc > 1 ? argv[1] : ".";
   const std::pair<const char*, const char*> sources[] = {
       {"protocol.h", "src/wire/protocol.h"},
-      {"protocol.cc", "src/wire/protocol.cc"},
       {"messages.h", "src/wire/messages.h"},
-      {"messages.cc", "src/wire/messages.cc"},
       {"server_stats_fields.h", "src/wire/server_stats_fields.h"},
       {"alib.h", "src/alib/alib.h"},
       {"alib.cc", "src/alib/alib.cc"},
       {"requests.cc", "src/alib/requests.cc"},
-      {"dispatcher.cc", "src/server/dispatcher.cc"},
       {"PROTOCOL.md", "docs/PROTOCOL.md"},
       {"schema.lock", "docs/schema.lock"},
       {"lock_rank.h", "src/common/lock_rank.h"},

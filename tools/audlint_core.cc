@@ -37,19 +37,22 @@ bool IsIdentChar(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
 }
 
-// True if `text` contains `token` not embedded in a longer identifier.
-bool ContainsToken(const std::string& text, const std::string& token) {
-  size_t pos = 0;
-  while ((pos = text.find(token, pos)) != std::string::npos) {
+// Where `text` holds `token` not embedded in a longer identifier, or npos.
+size_t FindToken(const std::string& text, const std::string& token) {
+  for (size_t pos = 0; (pos = text.find(token, pos)) != std::string::npos;
+       pos += token.size()) {
     bool left_ok = pos == 0 || !IsIdentChar(text[pos - 1]);
     size_t after = pos + token.size();
     bool right_ok = after >= text.size() || !IsIdentChar(text[after]);
     if (left_ok && right_ok) {
-      return true;
+      return pos;
     }
-    pos = after;
   }
-  return false;
+  return std::string::npos;
+}
+
+bool ContainsToken(const std::string& text, const std::string& token) {
+  return FindToken(text, token) != std::string::npos;
 }
 
 const std::string* Find(const std::map<std::string, std::string>& files,
@@ -58,63 +61,114 @@ const std::string* Find(const std::map<std::string, std::string>& files,
   return it == files.end() ? nullptr : &it->second;
 }
 
+// The text between the braces of `struct <name> { ... };`, empty if absent.
+std::string StructBody(const std::string& header, const std::string& name) {
+  size_t start = header.find("struct " + name + " {");
+  if (start == std::string::npos) {
+    return "";
+  }
+  size_t open = header.find('{', start);
+  int depth = 0;
+  size_t end = open;
+  for (size_t i = open; i < header.size(); ++i) {
+    if (header[i] == '{') {
+      ++depth;
+    } else if (header[i] == '}') {
+      if (--depth == 0) {
+        end = i;
+        break;
+      }
+    }
+  }
+  return header.substr(open + 1, end - open - 1);
+}
+
+
+// The rows of `#define <macro>(X)` in `text`, in order: the comma-separated
+// arguments, trimmed, on each line that opens with `X(`. The macro body runs
+// while lines end in a backslash. A row continued on the next line (a stats
+// row's help text) yields the arguments of its first line only.
+std::vector<std::vector<std::string>> MacroRows(const std::string& text,
+                                                const std::string& macro) {
+  std::vector<std::vector<std::string>> rows;
+  size_t start = text.find("#define " + macro + "(X)");
+  if (start == std::string::npos) {
+    return rows;
+  }
+  for (const std::string& raw : SplitLines(text.substr(start))) {
+    std::string line = StripLine(raw);
+    const bool continues = !line.empty() && line.back() == '\\';
+    if (line.rfind("X(", 0) == 0) {
+      std::string args = line.substr(2, line.find(')') - 2);
+      if (!args.empty() && args.back() == '\\') {
+        args.pop_back();
+      }
+      std::vector<std::string> cells;
+      std::istringstream in(args);
+      for (std::string cell; std::getline(in, cell, ',');) {
+        cells.push_back(StripLine(cell));
+      }
+      if (!cells.empty() && cells.back().empty()) {
+        cells.pop_back();  // the comma before a continuation line
+      }
+      rows.push_back(std::move(cells));
+    }
+    if (!continues) {
+      break;
+    }
+  }
+  return rows;
+}
+
 }  // namespace
 
-OpcodeEnum ParseOpcodeEnum(const std::string& protocol_h,
-                           std::vector<std::string>* problems) {
-  OpcodeEnum result;
-  size_t start = protocol_h.find("enum class Opcode");
-  if (start == std::string::npos) {
-    problems->push_back("protocol.h: `enum class Opcode` not found");
-    return result;
+std::vector<OpcodeTableRow> ParseOpcodeTable(const std::string& protocol_h,
+                                             std::vector<std::string>* problems) {
+  std::vector<OpcodeTableRow> table;
+  std::vector<std::vector<std::string>> rows = MacroRows(protocol_h, kOpcodeTableMacro);
+  if (rows.empty()) {
+    problems->push_back(std::string("protocol.h: opcode table ") + kOpcodeTableMacro +
+                        " not found");
   }
-  size_t open = protocol_h.find('{', start);
-  size_t close = protocol_h.find("};", open);
-  if (open == std::string::npos || close == std::string::npos) {
-    problems->push_back("protocol.h: Opcode enum body not found");
-    return result;
-  }
-  for (const std::string& raw :
-       SplitLines(protocol_h.substr(open + 1, close - open - 1))) {
-    std::string line = StripLine(raw);
-    if (line.empty() || line[0] != 'k') {
-      continue;
-    }
-    size_t eq = line.find('=');
-    if (eq == std::string::npos) {
-      continue;
-    }
-    std::string name = StripLine(line.substr(0, eq));
-    int value = -1;
-    try {
-      value = std::stoi(StripLine(line.substr(eq + 1)));
-    } catch (...) {
-      problems->push_back("protocol.h: unparseable opcode value in: " + line);
-      continue;
-    }
-    if (name == "kOpcodeCount") {
-      result.count = value;
+  for (const std::vector<std::string>& cells : rows) {
+    if (cells.size() == 5 && !cells[1].empty() &&
+        cells[1].find_first_not_of("0123456789") == std::string::npos) {
+      table.push_back({cells[0], std::stoi(cells[1]), cells[2], cells[3], cells[4]});
     } else {
-      result.entries.push_back({name.substr(1), value});
+      problems->push_back("protocol.h: malformed opcode table row X(" +
+                          (cells.empty() ? std::string() : cells[0]) + ", ...)");
     }
   }
-  if (result.count < 0) {
-    problems->push_back("protocol.h: kOpcodeCount not found in Opcode enum");
-  } else if (static_cast<int>(result.entries.size()) != result.count) {
-    problems->push_back("protocol.h: kOpcodeCount is " +
-                        std::to_string(result.count) + " but the enum lists " +
-                        std::to_string(result.entries.size()) + " opcodes");
-  }
-  // Values must be dense 0..N-1 in declaration order: the name table and
-  // the per-opcode metrics arrays index by value.
-  for (size_t i = 0; i < result.entries.size(); ++i) {
-    if (result.entries[i].value != static_cast<int>(i)) {
-      problems->push_back("protocol.h: opcode k" + result.entries[i].name +
-                          " has value " + std::to_string(result.entries[i].value) +
-                          ", expected dense value " + std::to_string(i));
+  return table;
+}
+
+std::vector<std::string> ParseStatsTable(const std::string& table) {
+  std::vector<std::string> names;
+  for (const std::vector<std::string>& cells : MacroRows(table, kStatsTableMacro)) {
+    if (!cells.empty()) {
+      names.push_back(cells.front());
     }
   }
-  return result;
+  return names;
+}
+
+std::vector<std::string> ParseFieldList(const std::string& header, const std::string& name) {
+  std::vector<std::string> fields;
+  const std::string call = "AUD_FIELDS(" + name;
+  size_t pos = FindToken(header, call);
+  if (pos == std::string::npos) {
+    return fields;
+  }
+  std::string list = header.substr(pos + call.size());
+  list = list.substr(0, list.find(')'));
+  std::replace(list.begin(), list.end(), '\n', ' ');
+  std::istringstream in(list);
+  for (std::string field; std::getline(in, field, ',');) {
+    if (field = StripLine(field); !field.empty()) {
+      fields.push_back(field);
+    }
+  }
+  return fields;
 }
 
 std::vector<EnumEntry> ParseValuedEnum(const std::string& header,
@@ -162,97 +216,16 @@ std::vector<EnumEntry> ParseValuedEnum(const std::string& header,
 
 namespace {
 
-// The text between the braces of `struct <name> { ... };`, empty if absent.
-std::string StructBody(const std::string& header, const std::string& name) {
-  size_t start = header.find("struct " + name + " {");
-  if (start == std::string::npos) {
-    return "";
-  }
-  size_t open = header.find('{', start);
-  int depth = 0;
-  size_t end = open;
-  for (size_t i = open; i < header.size(); ++i) {
-    if (header[i] == '{') {
-      ++depth;
-    } else if (header[i] == '}') {
-      if (--depth == 0) {
-        end = i;
-        break;
-      }
-    }
-  }
-  return header.substr(open + 1, end - open - 1);
-}
-
-}  // namespace
-
-std::vector<std::string> ParseStructFields(const std::string& header,
-                                           const std::string& name) {
-  std::vector<std::string> fields;
-  int line_depth = 1;
-  for (const std::string& raw : SplitLines(StructBody(header, name))) {
-    std::string line = StripLine(raw);
-    int depth_before = line_depth;
-    for (char c : line) {
-      if (c == '{') {
-        ++line_depth;
-      } else if (c == '}') {
-        --line_depth;
-      }
-    }
-    // Field declarations live at depth 1 (skip nested struct bodies),
-    // end with ';' and carry no parentheses (skip method declarations).
-    if (depth_before != 1 || line_depth != 1 || line.empty() || line.back() != ';' ||
-        line.find('(') != std::string::npos || line.rfind("using ", 0) == 0 ||
-        line.rfind("struct ", 0) == 0 || line.rfind("static ", 0) == 0) {
-      continue;
-    }
-    std::string decl = line.substr(0, line.size() - 1);
-    size_t eq = decl.find('=');
-    if (eq != std::string::npos) {
-      decl = decl.substr(0, eq);
-    }
-    decl = StripLine(decl);
-    // Field name = trailing identifier of the declarator.
-    size_t tail = decl.size();
-    while (tail > 0 && IsIdentChar(decl[tail - 1])) {
-      --tail;
-    }
-    if (tail < decl.size()) {
-      fields.push_back(decl.substr(tail));
-    }
-  }
-  return fields;
-}
-
-std::vector<std::string> ParseStatsTable(const std::string& table) {
-  std::vector<std::string> names;
-  size_t start = table.find("#define " + std::string(kStatsTableMacro) + "(X)");
-  if (start == std::string::npos) {
-    return names;
-  }
-  // The macro body runs while lines end in a backslash.
-  for (const std::string& raw : SplitLines(table.substr(start))) {
-    std::string line = StripLine(raw);
-    if (line.rfind("X(", 0) == 0) {
-      names.push_back(StripLine(line.substr(2, line.find(',') - 2)));
-    }
-    if (line.empty() || line.back() != '\\') {
-      break;
-    }
-  }
-  return names;
-}
-
-namespace {
-
-// A reply's fields in wire order: its declared members, then the stats
-// table's rows where its body expands the table macro.
+// A reply's fields in wire order: its AUD_FIELDS list, or for the stats
+// reply (whose body expands the stats table) the envelope and the table's
+// rows.
 std::vector<std::string> ReplyFields(const std::string& messages_h,
                                      const std::string& stats_table,
                                      const std::string& name) {
-  std::vector<std::string> fields = ParseStructFields(messages_h, name);
-  if (StructBody(messages_h, name).find(kStatsTableMacro) != std::string::npos) {
+  std::vector<std::string> fields = ParseFieldList(messages_h, name);
+  if (fields.empty() &&
+      StructBody(messages_h, name).find(kStatsTableMacro) != std::string::npos) {
+    fields.push_back(kStatsEnvelope);
     for (std::string& row : ParseStatsTable(stats_table)) {
       fields.push_back(std::move(row));
     }
@@ -260,103 +233,11 @@ std::vector<std::string> ReplyFields(const std::string& messages_h,
   return fields;
 }
 
-// Check 2: the kOpcodeNames table in protocol.cc matches the enum exactly,
-// in order.
-void CheckNameTable(const std::string& protocol_cc, const OpcodeEnum& opcodes,
-                    std::vector<std::string>* problems) {
-  size_t start = protocol_cc.find("kOpcodeNames[]");
-  if (start == std::string::npos) {
-    problems->push_back("protocol.cc: kOpcodeNames table not found");
-    return;
-  }
-  size_t open = protocol_cc.find('{', start);
-  size_t close = protocol_cc.find("};", open);
-  std::vector<std::string> names;
-  size_t pos = open;
-  while (pos < close) {
-    size_t q1 = protocol_cc.find('"', pos);
-    if (q1 == std::string::npos || q1 >= close) {
-      break;
-    }
-    size_t q2 = protocol_cc.find('"', q1 + 1);
-    names.push_back(protocol_cc.substr(q1 + 1, q2 - q1 - 1));
-    pos = q2 + 1;
-  }
-  if (names.size() != opcodes.entries.size()) {
-    problems->push_back("protocol.cc: kOpcodeNames has " +
-                        std::to_string(names.size()) + " entries, enum has " +
-                        std::to_string(opcodes.entries.size()));
-  }
-  for (size_t i = 0; i < std::min(names.size(), opcodes.entries.size()); ++i) {
-    if (names[i] != opcodes.entries[i].name) {
-      problems->push_back("protocol.cc: kOpcodeNames[" + std::to_string(i) +
-                          "] is \"" + names[i] + "\", enum says \"" +
-                          opcodes.entries[i].name + "\"");
-    }
-  }
-}
-
-// Check 3: every struct in messages.h declaring Encode also declares
-// Decode, and vice versa.
-void CheckEncodeDecodePairs(const std::string& messages_h,
-                            std::vector<std::string>* problems) {
-  std::vector<std::string> lines = SplitLines(messages_h);
-  std::string current;
-  bool has_encode = false;
-  bool has_decode = false;
-  int depth = 0;
-  auto flush = [&] {
-    if (current.empty()) {
-      return;
-    }
-    if (has_encode && !has_decode) {
-      problems->push_back("messages.h: struct " + current +
-                          " has Encode but no Decode");
-    }
-    if (has_decode && !has_encode) {
-      problems->push_back("messages.h: struct " + current +
-                          " has Decode but no Encode");
-    }
-    current.clear();
-  };
-  for (const std::string& raw : lines) {
-    std::string line = StripLine(raw);
-    if (depth == 0 && line.rfind("struct ", 0) == 0 &&
-        line.find('{') != std::string::npos) {
-      flush();
-      current = line.substr(7, line.find(' ', 7) - 7);
-      has_encode = has_decode = false;
-    }
-    if (!current.empty() && depth >= 1) {
-      if (line.find("Encode(") != std::string::npos) {
-        has_encode = true;
-      }
-      if (line.find("Decode(") != std::string::npos) {
-        has_decode = true;
-      }
-    }
-    for (char c : line) {
-      if (c == '{') {
-        ++depth;
-      } else if (c == '}') {
-        --depth;
-      }
-    }
-    if (depth == 0 && !current.empty() && line.find("};") != std::string::npos) {
-      flush();
-    }
-  }
-  flush();
-}
-
-// Checks 4 & 5: every opcode has a dispatcher case and an Alib reference.
-void CheckWiring(const OpcodeEnum& opcodes, const std::string& dispatcher_cc,
-                 const std::string& alib_all, std::vector<std::string>* problems) {
-  for (const OpcodeEntry& op : opcodes.entries) {
-    if (!ContainsToken(dispatcher_cc, "Opcode::k" + op.name)) {
-      problems->push_back("dispatcher.cc: no `case Opcode::k" + op.name +
-                          "` handler for opcode " + std::to_string(op.value));
-    }
+// Every opcode has an Alib entry point: some Alib source names
+// `Opcode::k<Name>` as a whole token.
+void CheckAlibCoverage(const std::vector<OpcodeTableRow>& opcodes, const std::string& alib_all,
+                       std::vector<std::string>* problems) {
+  for (const OpcodeTableRow& op : opcodes) {
     if (!ContainsToken(alib_all, "Opcode::k" + op.name)) {
       problems->push_back("alib: no wrapper references Opcode::k" + op.name +
                           " (opcode " + std::to_string(op.value) + ")");
@@ -364,13 +245,17 @@ void CheckWiring(const OpcodeEnum& opcodes, const std::string& dispatcher_cc,
   }
 }
 
-// Check 6: the PROTOCOL.md opcode index table lists every opcode with its
-// number, and lists nothing that is not in the enum. Only the table under
-// the "Opcode index" heading counts — the doc has other numeric tables
-// (event codes, error codes) that are not opcode rows.
-void CheckProtocolDoc(const OpcodeEnum& opcodes, const std::string& doc,
+// The PROTOCOL.md opcode index lists every opcode with its number and its
+// reply type ("—" for none), and lists nothing that is not in the table.
+// Only the table under the "Opcode index" heading counts — the doc has
+// other numeric tables (event codes, error codes) that are not opcode rows.
+void CheckProtocolDoc(const std::vector<OpcodeTableRow>& opcodes, const std::string& doc,
                       std::vector<std::string>* problems) {
-  std::map<std::string, int> rows;  // name -> opcode number
+  struct DocRow {
+    int value;
+    std::string reply;
+  };
+  std::map<std::string, DocRow> rows;  // name -> (opcode number, reply)
   bool in_section = false;
   for (const std::string& raw : SplitLines(doc)) {
     std::string line = StripLine(raw);
@@ -384,7 +269,7 @@ void CheckProtocolDoc(const OpcodeEnum& opcodes, const std::string& doc,
     if (!in_section || line.empty() || line[0] != '|') {
       continue;
     }
-    // Split "| 1 | CreateLoud | ... |" into cells.
+    // Split "| 1 | CreateLoud | — | ... |" into cells.
     std::vector<std::string> cells;
     size_t pos = 1;
     while (pos < line.size()) {
@@ -395,34 +280,41 @@ void CheckProtocolDoc(const OpcodeEnum& opcodes, const std::string& doc,
       cells.push_back(StripLine(line.substr(pos, next - pos)));
       pos = next + 1;
     }
-    if (cells.size() < 2 || cells[0].empty() ||
+    if (cells.size() < 3 || cells[0].empty() ||
         cells[0].find_first_not_of("0123456789") != std::string::npos) {
       continue;
     }
-    rows[cells[1]] = std::stoi(cells[0]);
+    rows[cells[1]] = {std::stoi(cells[0]), cells[2]};
   }
-  for (const OpcodeEntry& op : opcodes.entries) {
+  for (const OpcodeTableRow& op : opcodes) {
     auto it = rows.find(op.name);
     if (it == rows.end()) {
       problems->push_back("PROTOCOL.md: opcode index has no row for " + op.name +
                           " (opcode " + std::to_string(op.value) + ")");
-    } else if (it->second != op.value) {
+      continue;
+    }
+    if (it->second.value != op.value) {
       problems->push_back("PROTOCOL.md: opcode index says " + op.name + " = " +
-                          std::to_string(it->second) + ", protocol.h says " +
+                          std::to_string(it->second.value) + ", protocol.h says " +
                           std::to_string(op.value));
     }
+    const std::string want = op.reply == "void" ? "—" : op.reply;
+    if (it->second.reply != want) {
+      problems->push_back("PROTOCOL.md: opcode index says " + op.name + " replies " +
+                          it->second.reply + ", protocol.h says " + want);
+    }
   }
-  for (const auto& [name, value] : rows) {
-    bool known = std::any_of(opcodes.entries.begin(), opcodes.entries.end(),
-                             [&](const OpcodeEntry& op) { return op.name == name; });
+  for (const auto& [name, row] : rows) {
+    bool known = std::any_of(opcodes.begin(), opcodes.end(),
+                             [&](const OpcodeTableRow& op) { return op.name == name; });
     if (!known) {
       problems->push_back("PROTOCOL.md: opcode index lists unknown opcode " + name +
-                          " = " + std::to_string(value));
+                          " = " + std::to_string(row.value));
     }
   }
 }
 
-// Check 7: append-only reply schemas. schema.lock holds one line per
+// Append-only reply schemas. schema.lock holds one line per
 // (struct, version) with the field order as shipped at that version:
 //
 //   ServerStatsReply 1 stats_version proto_major ...
@@ -516,28 +408,11 @@ void CheckSchemaLock(const std::string& lock, const std::string& messages_h,
   }
 }
 
-// Check 8: versioned replies cannot drift from the docs. Every current
+// Versioned replies cannot drift from the docs. Every current
 // field of every struct in schema.lock (for the stats reply, every row of
 // the stats table) must appear as a whole word in PROTOCOL.md — appending
 // a field to a locked reply without documenting it fails the lint the
 // same commit.
-bool ContainsWord(const std::string& text, const std::string& word) {
-  auto is_ident = [](char c) {
-    return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
-  };
-  size_t pos = 0;
-  while ((pos = text.find(word, pos)) != std::string::npos) {
-    const bool left_ok = pos == 0 || !is_ident(text[pos - 1]);
-    const size_t end = pos + word.size();
-    const bool right_ok = end >= text.size() || !is_ident(text[end]);
-    if (left_ok && right_ok) {
-      return true;
-    }
-    pos = end;
-  }
-  return false;
-}
-
 void CheckStatsDocCoverage(const std::string& lock, const std::string& messages_h,
                            const std::string& stats_table, const std::string& protocol_md,
                            std::vector<std::string>* problems) {
@@ -560,7 +435,7 @@ void CheckStatsDocCoverage(const std::string& lock, const std::string& messages_
   }
   for (const auto& [name, version] : newest) {
     for (const std::string& field : ReplyFields(messages_h, stats_table, name)) {
-      if (!ContainsWord(protocol_md, field)) {
+      if (!ContainsToken(protocol_md, field)) {
         problems->push_back("PROTOCOL.md: " + name + " v" + std::to_string(version) +
                             " field " + field + " is not documented");
       }
@@ -568,7 +443,7 @@ void CheckStatsDocCoverage(const std::string& lock, const std::string& messages_
   }
 }
 
-// Check 9: the LockRank enum (src/common/lock_rank.h) and the DESIGN.md
+// The LockRank enum (src/common/lock_rank.h) and the DESIGN.md
 // lock table must agree — same enumerators, same numeric ranks, no extras
 // on either side. The table is the row set under the header
 // `| Lock | Guards | LockRank | Rank |`; the LockRank cell carries the
@@ -666,7 +541,7 @@ void CheckLockRanks(const std::string& lock_rank_h, const std::string& design_md
   }
 }
 
-// Check 10: error-code drift. The ErrorCode enum (status.h), the
+// Error-code drift. The ErrorCode enum (status.h), the
 // ErrorCodeName switch (status.cc) and the PROTOCOL.md "Error codes"
 // paragraph (`Name(N)` list) must describe the same code set: every
 // enumerator has a name-table case returning exactly its enumerator name,
@@ -828,7 +703,7 @@ bool ContainsFlag(const std::string& doc, const std::string& flag) {
   return false;
 }
 
-// Check 11: CLI flag documentation. Every `--flag` literal in audiond.cc,
+// CLI flag documentation. Every `--flag` literal in audiond.cc,
 // audioctl.cc, and audioload.cc must appear in README.md — a flag shipped
 // without a line of documentation fails the lint the same commit.
 void CheckCliDocCoverage(const std::string& tool, const std::string& tool_cc,
@@ -855,13 +730,11 @@ std::vector<std::string> LintTree(const std::map<std::string, std::string>& file
     return problems;
   }
 
-  OpcodeEnum opcodes = ParseOpcodeEnum(*Find(files, "protocol.h"), &problems);
-  CheckNameTable(*Find(files, "protocol.cc"), opcodes, &problems);
-  CheckEncodeDecodePairs(*Find(files, "messages.h"), &problems);
-  CheckWiring(opcodes, *Find(files, "dispatcher.cc"),
-              *Find(files, "alib.h") + *Find(files, "alib.cc") +
-                  *Find(files, "requests.cc"),
-              &problems);
+  std::vector<OpcodeTableRow> opcodes = ParseOpcodeTable(*Find(files, "protocol.h"), &problems);
+  CheckAlibCoverage(opcodes,
+                    *Find(files, "alib.h") + *Find(files, "alib.cc") +
+                        *Find(files, "requests.cc"),
+                    &problems);
   CheckProtocolDoc(opcodes, *Find(files, "PROTOCOL.md"), &problems);
   CheckSchemaLock(*Find(files, "schema.lock"), *Find(files, "messages.h"),
                   *Find(files, "server_stats_fields.h"), &problems);
