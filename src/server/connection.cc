@@ -10,6 +10,18 @@ void ClientConnection::set_metrics(ServerMetrics* metrics) {
                                              : nullptr);
 }
 
+FrameStatus ClientConnection::TryReadFrame(FramedMessage* out) {
+  const FrameStatus status = framer_.TryReadMessage(stream_.get(), out);
+  if (status == FrameStatus::kMessage) {
+    const size_t bytes = kHeaderSize + out->payload.size();
+    stats_.bytes_in.Increment(bytes);
+    if (metrics_ != nullptr) {
+      metrics_->bytes_in.Increment(bytes);
+    }
+  }
+  return status;
+}
+
 void ClientConnection::FillBatch() {
   EgressFrame frame;
   while (out_.size() < kFlushBytes && egress_.TryPop(&frame)) {

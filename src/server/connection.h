@@ -160,11 +160,11 @@ class ClientConnection {
   bool ClaimWriteArm() { return !write_arm_pending_.exchange(true); }
   void ReleaseWriteArm() { write_arm_pending_.exchange(false); }
 
-  // Incremental frame reassembly (loop thread only): resumes the partial
-  // frame across readiness events, returning kWouldBlock mid-frame.
-  FrameStatus TryReadFrame(FramedMessage* out) {
-    return framer_.TryReadMessage(stream_.get(), out);
-  }
+  // Batched frame reassembly (loop thread only): one read per round into
+  // the framer's input buffer, then every frame it completed, then
+  // kWouldBlock; a partial frame resumes across readiness events. Counts
+  // each frame's bytes in.
+  FrameStatus TryReadFrame(FramedMessage* out);
 
   // Non-blocking egress drain (loop thread only): encodes queued frames
   // into one output buffer (up to kFlushBytes) and sends it with one write
@@ -212,8 +212,8 @@ class ClientConnection {
   TokenBucket rps_bucket_;
   TokenBucket bps_bucket_;
   EgressQueue egress_;
-  // Loop-thread I/O state: the resumable framer, and the encoded batch with
-  // its write offset carried across EPOLLOUT rounds.
+  // Loop-thread I/O state: the framer with its input buffer, and the
+  // encoded batch with its write offset carried across EPOLLOUT rounds.
   Framer framer_;
   std::vector<uint8_t> out_;
   size_t out_off_ = 0;

@@ -12,6 +12,7 @@
 // requests need nothing beyond the state lock.
 
 #include <chrono>
+#include <ranges>
 #include <type_traits>
 
 #include "src/server/server.h"
@@ -25,14 +26,15 @@ constexpr uint64_t kMaxSoundBytes = 64ull << 20;
 
 // Serializes one engine-plane request against the tick fan-out by holding
 // the target root LOUD's engine shard lock for the scope (taken after the
-// state lock; see the rank order in server.h). The device LOUD is special:
-// its root is never ticked, but the fan-out reads its per-connection event
-// masks when emitting device-LOUD events, so requests
-// against it drain the epoch instead of taking a shard lock. The analysis
-// opt-outs cover the conditional acquisition.
+// state lock; see the rank order in server.h). A contended acquire adds its
+// wait to `*wait_us`. The device LOUD is special: its root is never ticked,
+// but the fan-out reads its per-connection event masks when emitting
+// device-LOUD events, so requests against it drain the epoch instead of
+// taking a shard lock. The analysis opt-outs cover the conditional
+// acquisition.
 class EngineShardGuard {
  public:
-  EngineShardGuard(ServerState* state, ServerMetrics* metrics, Loud* loud)
+  EngineShardGuard(ServerState* state, ServerMetrics* metrics, Loud* loud, uint64_t* wait_us)
       AUD_NO_THREAD_SAFETY_ANALYSIS {
     Loud* root = loud->Root();
     if (root->owner() == kServerOwner) {
@@ -49,10 +51,10 @@ class EngineShardGuard {
     metrics->dispatch_shard_contention.Increment();
     const auto wait_t0 = std::chrono::steady_clock::now();
     mu->Lock();
-    metrics->lock_wait_us.Record(static_cast<uint64_t>(
+    *wait_us += static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - wait_t0)
-            .count()));
+            .count());
     locked_ = mu;
   }
 
@@ -590,7 +592,7 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
         send_error(ErrorCode::kBadResource, req.loud);
         break;
       }
-      EngineShardGuard shard(&state_, &metrics, loud);
+      EngineShardGuard shard(&state_, &metrics, loud, &shard_wait_us_);
       const bool already_started = loud->queue()->state() == QueueState::kStarted;
       if (send_status(loud->queue()->Enqueue(req.commands), req.loud) &&
           already_started && trace.trace_id != 0) {
@@ -613,7 +615,7 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
                    "command is queued-mode only (section 5.1)");
         break;
       }
-      EngineShardGuard shard(&state_, &metrics, loud);
+      EngineShardGuard shard(&state_, &metrics, loud, &shard_wait_us_);
       VirtualDevice* device = state_.FindDevice(req.command.device);
       if (device == nullptr || device->loud()->Root() != loud->Root()) {
         send_error(ErrorCode::kBadResource, req.command.device);
@@ -636,7 +638,7 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
         send_error(ErrorCode::kBadResource, req.id);
         break;
       }
-      EngineShardGuard shard(&state_, &metrics, loud);
+      EngineShardGuard shard(&state_, &metrics, loud, &shard_wait_us_);
       CommandQueue* queue = loud->queue();
       // Concurrent-play quota: only a Start that actually brings a stopped
       // queue to life consumes a slot (re-starting a started queue is an
@@ -683,7 +685,7 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
         send_error(ErrorCode::kBadResource, req.id);
         break;
       }
-      EngineShardGuard shard(&state_, &metrics, loud);
+      EngineShardGuard shard(&state_, &metrics, loud, &shard_wait_us_);
       ReplyOf<Opcode::kQueryQueue> reply;
       reply.loud = loud->Root()->id();
       reply.state = loud->queue()->state();
@@ -702,7 +704,7 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
         send_error(ErrorCode::kBadResource, req.resource);
         break;
       }
-      EngineShardGuard shard(&state_, &metrics, loud);
+      EngineShardGuard shard(&state_, &metrics, loud, &shard_wait_us_);
       loud->SetEventMask(conn->index(), req.mask);
       break;
     }
@@ -714,7 +716,7 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
         send_error(ErrorCode::kBadResource, req.loud);
         break;
       }
-      EngineShardGuard shard(&state_, &metrics, loud);
+      EngineShardGuard shard(&state_, &metrics, loud, &shard_wait_us_);
       loud->set_sync_interval_ms(req.interval_ms);
       break;
     }
@@ -728,7 +730,7 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
         send_error(ErrorCode::kBadResource, req.resource);
         break;
       }
-      EngineShardGuard shard(&state_, &metrics, loud);
+      EngineShardGuard shard(&state_, &metrics, loud, &shard_wait_us_);
       loud->properties()[req.name] = Property{req.type, req.value};
       PropertyNotifyArgs args;
       args.name = req.name;
@@ -744,7 +746,7 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
         send_error(ErrorCode::kBadResource, req.resource);
         break;
       }
-      EngineShardGuard shard(&state_, &metrics, loud);
+      EngineShardGuard shard(&state_, &metrics, loud, &shard_wait_us_);
       if (loud->properties().erase(req.name) > 0) {
         PropertyNotifyArgs args;
         args.name = req.name;
@@ -813,7 +815,7 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
 
     case Opcode::kQueryActiveStack: {
       ReplyOf<Opcode::kQueryActiveStack> reply;
-      for (Loud* loud : state_.active_stack()) {
+      for (Loud* loud : std::views::reverse(state_.active_stack())) {
         ActiveStackEntry entry;
         entry.loud = loud->id();
         entry.active = loud->active() ? 1 : 0;

@@ -180,39 +180,42 @@ void AudioServer::AcceptLoop() {
   }
 }
 
-void AudioServer::DispatchRequest(ClientConnection* conn, const FramedMessage& message) {
-  ServerMetrics& metrics = *metrics_;
-  auto& tracer = obs::TraceRegistry::Instance();
-  const uint32_t sample_every = options_.trace_sample_every;
+AudioServer::Arrival AudioServer::Arrive(ClientConnection* conn,
+                                        const FramedMessage& message) {
   // Sampling decision (dispatching-thread-local counter, so no atomics).
   // The root span's seq is reserved up front: children recorded during
   // dispatch parent on it, and the root itself is written last with its
   // start backdated to arrival so the sort-by-time merge nests correctly.
-  TraceContext ctx;
-  int64_t arrival_us = 0;
-  if (sample_every != 0 &&
-      (conn->trace_sample_counter()++ % sample_every) == 0) {
-    ctx.trace_id = (static_cast<uint64_t>(ClientIdBaseFor(conn->index())) << 32) |
-                   message.header.sequence;
-    ctx.root_seq = tracer.ReserveSeq();
-    arrival_us = tracer.NowUs();
+  Arrival arrival;
+  const uint32_t sample_every = options_.trace_sample_every;
+  if (sample_every != 0 && (conn->trace_sample_counter()++ % sample_every) == 0) {
+    auto& tracer = obs::TraceRegistry::Instance();
+    arrival.trace.trace_id = (static_cast<uint64_t>(ClientIdBaseFor(conn->index())) << 32) |
+                             message.header.sequence;
+    arrival.trace.root_seq = tracer.ReserveSeq();
+    arrival.trace_t0_us = tracer.NowUs();
   }
-  const auto wait_t0 = std::chrono::steady_clock::now();
-  MutexLock lock(&mu_);
-  metrics.lock_wait_us.Record(static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - wait_t0)
-          .count()));
+  arrival.at = std::chrono::steady_clock::now();
+  return arrival;
+}
+
+void AudioServer::DispatchRequest(ClientConnection* conn, const FramedMessage& message,
+                                  const Arrival& arrival, uint64_t lock_wait_us) {
   conn->set_last_sequence(message.header.sequence);
-  HandleRequest(conn, message, wait_t0, ctx);
-  if (ctx.trace_id != 0) {
-    tracer.SpanWithSeq(ctx.root_seq, obs::TraceReason::kSpanRequest, ctx.trace_id,
-                       0, arrival_us,
-                       static_cast<uint32_t>(tracer.NowUs() - arrival_us),
+  shard_wait_us_ = 0;
+  HandleRequest(conn, message, arrival.at, arrival.trace);
+  // One sample per request, like dispatch_us: the state-lock wait it
+  // carried plus any shard-lock wait its handler met.
+  metrics_->lock_wait_us.Record(lock_wait_us + shard_wait_us_);
+  if (arrival.trace.trace_id != 0) {
+    auto& tracer = obs::TraceRegistry::Instance();
+    tracer.SpanWithSeq(arrival.trace.root_seq, obs::TraceReason::kSpanRequest,
+                       arrival.trace.trace_id, 0, arrival.trace_t0_us,
+                       static_cast<uint32_t>(tracer.NowUs() - arrival.trace_t0_us),
                        message.header.code);
-    metrics.trace_spans.Increment();
-    metrics.trace_requests_sampled.Increment();
-    metrics.last_trace_id.store(ctx.trace_id, std::memory_order_relaxed);
+    metrics_->trace_spans.Increment();
+    metrics_->trace_requests_sampled.Increment();
+    metrics_->last_trace_id.store(arrival.trace.trace_id, std::memory_order_relaxed);
   }
 }
 
@@ -297,34 +300,28 @@ void AudioServer::LoopHandleReady(ClientConnection* conn, uint32_t events) {
 
 bool AudioServer::LoopReadAndDispatch(ClientConnection* conn) {
   auto& ls = conn->loop_state();
-  // Level-triggered readiness re-reports leftover input, so cap one round
-  // to keep a flooding client from starving its loop siblings.
-  int budget = 256;
-  bool progressed = false;
-  while (!conn->closed() && !shutting_down_.load() && budget-- > 0) {
-    FramedMessage message;
-    FrameStatus status = conn->TryReadFrame(&message);
-    if (status == FrameStatus::kWouldBlock) {
-      if (!progressed) {
-        // Woken readable but not even one byte to show for it.
-        metrics_->readiness_spurious.Increment();
-      }
+  // One read round: the framer reads once and this loop serves every frame
+  // that read completed. Stopping short would strand complete frames in
+  // user space, where level-triggered readiness never reports them, so the
+  // round's bound is the framer's input buffer, not a frame count.
+  FramedMessage message;  // reused by every frame of the round
+  FrameStatus status = conn->TryReadFrame(&message);
+  if (status == FrameStatus::kWouldBlock) {
+    // Woken readable but not even one byte to show for it.
+    metrics_->readiness_spurious.Increment();
+    return true;
+  }
+  while (status == FrameStatus::kMessage) {
+    if (conn->closed() || shutting_down_.load()) {
       return true;
     }
-    if (status != FrameStatus::kMessage) {
-      // kEof (peer died, possibly mid-frame) or kMalformed (poisoned
-      // framing): stop reading, flush what the client is still owed.
-      return LoopBeginDrain(conn);
-    }
-    progressed = true;
-    metrics_->bytes_in.Increment(kHeaderSize + message.payload.size());
-    conn->stats().bytes_in.Increment(kHeaderSize + message.payload.size());
     if (ls.awaiting_setup) {
       ls.awaiting_setup = false;
       if (!HandleSetup(conn, message)) {
         // The refusal reply still flushes through the drain.
         return LoopBeginDrain(conn);
       }
+      status = conn->TryReadFrame(&message);
       continue;
     }
     switch (CheckRateLimit(conn, message)) {
@@ -333,13 +330,57 @@ bool AudioServer::LoopReadAndDispatch(ClientConnection* conn) {
         // replies before the teardown reclaims the connection.
         return LoopBeginDrain(conn);
       case RateGate::kThrottled:
+        status = conn->TryReadFrame(&message);
         continue;
       case RateGate::kDispatch:
         break;
     }
-    DispatchRequest(conn, message);
+    if (!DispatchHold(conn, &message, &status)) {
+      return LoopBeginDrain(conn);  // a later frame of the hold was cut
+    }
+    if (status == FrameStatus::kMessage && hold_released_for_test_) {
+      hold_released_for_test_();
+    }
   }
-  return true;
+  if (status == FrameStatus::kWouldBlock) {
+    return true;
+  }
+  // kEof (peer died, possibly mid-frame) or kMalformed (poisoned framing):
+  // stop reading, flush what the client is still owed.
+  return LoopBeginDrain(conn);
+}
+
+bool AudioServer::DispatchHold(ClientConnection* conn, FramedMessage* message,
+                               FrameStatus* status) {
+  Arrival arrival = Arrive(conn, *message);
+  MutexLock lock(&mu_);
+  // The first request of the hold carries the wait; the rest found the
+  // lock already held.
+  uint64_t lock_wait_us = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - arrival.at)
+          .count());
+  RateGate gate = RateGate::kDispatch;
+  for (uint32_t held = 1;; ++held) {
+    if (gate == RateGate::kDispatch) {
+      DispatchRequest(conn, *message, arrival, lock_wait_us);
+      lock_wait_us = 0;
+    }
+    // Frames already buffered only: the round's one read happened before
+    // the hold, so nothing here blocks or enters the kernel.
+    *status = conn->TryReadFrame(message);
+    if (*status != FrameStatus::kMessage || held == kHoldFrames || conn->closed() ||
+        shutting_down_.load()) {
+      return true;
+    }
+    gate = CheckRateLimit(conn, *message);
+    if (gate == RateGate::kCut) {
+      return false;
+    }
+    if (gate == RateGate::kDispatch) {
+      arrival = Arrive(conn, *message);
+    }
+  }
 }
 
 bool AudioServer::LoopFlush(ClientConnection* conn) {

@@ -10,10 +10,11 @@
 //   * the engine thread (realtime mode) pumps the board every period and
 //     runs the whole tick on that one thread.
 // All protocol *mutation* is serialized by one state lock; the loops take
-// it per message. The engine tick does NOT hold it across the fan-out
-// (DESIGN.md decision 12): Tick() takes the lock only for the short epoch
-// open (runnable-root snapshot) and epoch commit (event batches, codec
-// resolve, board advance) critical sections. During the fan-out the tick
+// it once per batch of up to kHoldFrames buffered requests. The engine
+// tick does NOT hold it across the fan-out (DESIGN.md decision 12): Tick()
+// takes the lock only for the short epoch open (runnable-root snapshot)
+// and epoch commit (event batches, codec resolve, board advance) critical
+// sections. During the fan-out the tick
 // holds one root LOUD's engine shard lock (Loud::engine_mutex()) at a
 // time, while it ticks that root, which is what serializes it against
 // engine-plane requests on the same root; structural requests
@@ -29,6 +30,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -44,6 +46,12 @@
 #include "src/transport/stream.h"
 
 namespace aud {
+
+// Most frames one hold of the state lock dispatches (DESIGN.md decision
+// 14): long enough to amortise the acquire over a pipelined burst, short
+// enough that an epoch open or commit queued behind it waits for a few
+// dozen requests at most.
+inline constexpr uint32_t kHoldFrames = 64;
 
 // Event-loop threads serving all connections, sharded by connection index.
 // Fixed: on a 4-vCPU host two loops matched or beat one on every perfbench
@@ -183,14 +191,40 @@ class AudioServer {
   // The loop that serves connection index `i`'s shard (tests).
   EventLoop& loop_for_test(uint32_t i) { return *loops_[i % loops_.size()]; }
 
+  // Runs on a loop thread each time a hold ends at kHoldFrames with more
+  // frames buffered, after the state lock is released (tests). Set before
+  // any client connects.
+  void set_hold_released_for_test(std::function<void()> hook) {
+    hold_released_for_test_ = std::move(hook);
+  }
+
  private:
   void AcceptLoop();
   void EngineLoop();
 
-  // Shared per-message dispatch body: byte accounting aside, everything a
-  // request goes through between framing and its reply — trace sampling,
-  // the state-lock acquire, HandleRequest, and the root span.
-  void DispatchRequest(ClientConnection* conn, const FramedMessage& message);
+  // What a request carries into dispatch: when it started waiting (for
+  // the state lock, if it opens a hold) and its trace sampling decision.
+  struct Arrival {
+    std::chrono::steady_clock::time_point at;
+    TraceContext trace;
+    int64_t trace_t0_us = 0;  // root-span start, when sampled
+  };
+  Arrival Arrive(ClientConnection* conn, const FramedMessage& message);
+
+  // Everything a request goes through between framing and its reply, under
+  // the caller's hold of the state lock: HandleRequest, its one
+  // lock_wait_us sample, and the root span.
+  void DispatchRequest(ClientConnection* conn, const FramedMessage& message,
+                       const Arrival& arrival, uint64_t lock_wait_us) AUD_REQUIRES(mu_);
+
+  // Dispatches `*message`, which passed the rate gate, and the frames
+  // buffered behind it under one hold of the state lock: at most
+  // kHoldFrames, ending early at the round's last frame or once the
+  // connection closes. Leaves in `*status` the read that ended the hold;
+  // kMessage means `*message` is the next frame, not yet gated. False when
+  // the hard rate policy cut the client off.
+  bool DispatchHold(ClientConnection* conn, FramedMessage* message, FrameStatus* status)
+      AUD_EXCLUDES(mu_);
 
   // Token-bucket rate gate, checked by the owning loop thread after
   // byte accounting and before dispatch (DESIGN.md decision 15).
@@ -229,7 +263,8 @@ class AudioServer {
   ServerState& tick_state() AUD_NO_THREAD_SAFETY_ANALYSIS { return state_; }
 
   // Dispatcher (dispatcher.cc). `received_at` is taken by the loop thread
-  // before it queues for the state lock, so dispatch_us covers state-lock
+  // before it queues for the state lock (for the first request of a hold;
+  // the rest as their dispatch starts), so dispatch_us covers state-lock
   // wait + handling — the end-to-end server-side dispatch latency that the
   // epoch-snapshot tick is designed to bound (DESIGN.md decision 12).
   void HandleRequest(ClientConnection* conn, const FramedMessage& message,
@@ -254,6 +289,11 @@ class AudioServer {
   // state_.metrics() is all relaxed atomics; this unguarded alias lets the
   // loop/engine hot paths count bytes and jitter without taking mu_.
   ServerMetrics* metrics_ = nullptr;
+
+  // Shard-lock wait the request being dispatched has met so far; folded
+  // into its lock_wait_us sample.
+  uint64_t shard_wait_us_ AUD_GUARDED_BY(mu_) = 0;
+  std::function<void()> hold_released_for_test_;
 
   // Sorted by index (DeliverEvents binary-searches it); AddConnection prunes
   // entries whose loop has finished teardown (destroying them outside mu_).

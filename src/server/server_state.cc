@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <ranges>
 
 #include "src/common/logging.h"
 #include "src/dsp/encoding.h"
@@ -196,7 +197,7 @@ void ServerState::DestroyConnectionObjects(uint32_t conn) {
   }
   // Every root the connection mapped leaves the stack in one pass; the
   // single activation pass at the end covers them all.
-  for (Loud* loud : active_stack_) {
+  for (Loud* loud : std::views::reverse(active_stack_)) {
     if (loud->owner() == conn) {
       Withdraw(loud);
     }
@@ -312,7 +313,7 @@ Status ServerState::MapLoud(Loud* loud) {
     return Status::Ok();
   }
   loud->set_mapped(true);
-  active_stack_.insert(active_stack_.begin(), loud);  // mapped on top
+  active_stack_.push_back(loud);  // mapped on top
   EmitEvent(loud, EventType::kMapNotify, loud->id(), {});
   ActivationChanged(loud);
   return Status::Ok();
@@ -343,7 +344,7 @@ Status ServerState::RaiseLoud(Loud* loud) {
     return Status(ErrorCode::kBadState, "raise: LOUD not mapped");
   }
   active_stack_.erase(it);
-  active_stack_.insert(active_stack_.begin(), loud);
+  active_stack_.push_back(loud);
   ActivationChanged(loud);
   return Status::Ok();
 }
@@ -354,7 +355,7 @@ Status ServerState::LowerLoud(Loud* loud) {
     return Status(ErrorCode::kBadState, "lower: LOUD not mapped");
   }
   active_stack_.erase(it);
-  active_stack_.push_back(loud);
+  active_stack_.insert(active_stack_.begin(), loud);
   ActivationChanged(loud);
   return Status::Ok();
 }
@@ -461,13 +462,13 @@ void ServerState::Claims::Add(const Bindings& bindings) {
 }
 
 bool ServerState::MayClaim(Loud* root) {
-  std::vector<VirtualDevice*> devices;
-  root->CollectDevices(&devices);
-  return std::any_of(devices.begin(), devices.end(), [](const VirtualDevice* vdev) {
-    return vdev->device_class() == DeviceClass::kTelephone ||
-           vdev->attrs().GetBool(AttrTag::kExclusiveInput) ||
-           vdev->attrs().GetBool(AttrTag::kExclusiveOutput);
+  bool may_claim = false;
+  root->ForEachDevice([&may_claim](const VirtualDevice* vdev) {
+    may_claim = may_claim || vdev->device_class() == DeviceClass::kTelephone ||
+                vdev->attrs().GetBool(AttrTag::kExclusiveInput) ||
+                vdev->attrs().GetBool(AttrTag::kExclusiveOutput);
   });
+  return may_claim;
 }
 
 void ServerState::Activate(Loud* loud, const Bindings& bindings) {
@@ -538,7 +539,7 @@ std::vector<ServerState::RootActivation> ServerState::PlanActivation(bool dry_ru
   Claims claims;
   for (size_t i = 0; i < active_stack_.size(); ++i) {
     RootActivation& outcome = plan[i];
-    outcome.root = active_stack_[i];
+    outcome.root = active_stack_[active_stack_.size() - 1 - i];
     outcome.active = TryActivate(outcome.root, claims, dry_run, &outcome.bindings);
     if (outcome.active) {
       claims.Add(outcome.bindings);
@@ -576,7 +577,7 @@ void ServerState::ActivationChanged(Loud* root) {
   // `root`, so walking just those reproduces the whole walk's claims at
   // its position.
   Claims claims;
-  for (Loud* above : active_stack_) {
+  for (Loud* above : std::views::reverse(active_stack_)) {
     if (above == root) {
       break;
     }
@@ -653,7 +654,7 @@ void ServerState::EpochOpen(size_t frames) {
   // (inactive, or a stopped queue and only queue-driven devices) costs the
   // epoch nothing past this check.
   tick_louds_.clear();
-  for (Loud* loud : active_stack_) {
+  for (Loud* loud : std::views::reverse(active_stack_)) {
     if (loud->runnable()) {
       tick_louds_.push_back(loud);
     }

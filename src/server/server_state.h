@@ -134,6 +134,9 @@ class ServerState {
 
   // -- Active stack (section 5.4) ------------------------------------------------
 
+  // Bottom to top: mapping or raising a root appends it. Walks that need
+  // stack order (activation, the epoch's runnable roots, the
+  // QueryActiveStack reply) iterate it in reverse.
   const std::vector<Loud*>& active_stack() const { return active_stack_; }
 
   Status MapLoud(Loud* loud);
@@ -390,7 +393,7 @@ class ServerState {
   ResourceId next_server_id_ = kServerIdBase;
   uint64_t sound_destroys_ = 0;
 
-  std::vector<Loud*> active_stack_;  // index 0 = top
+  std::vector<Loud*> active_stack_;  // back() = top
   // Set when a root holding claims leaves the stack; the next
   // ActivationChanged then runs the whole walk.
   bool claims_released_ = false;

@@ -84,6 +84,7 @@ void EventLoop::Submit(Op op) {
     // ride along (one eventfd write per batch, not per op).
     wake = pending_.empty();
     pending_.push_back(std::move(op));
+    has_pending_.store(true, std::memory_order_release);
   }
   if (wake) {
     Wakeup();
@@ -91,14 +92,18 @@ void EventLoop::Submit(Op op) {
 }
 
 void EventLoop::ApplyPending() {
-  std::vector<Op> ops;
+  if (!has_pending_.load(std::memory_order_acquire)) {
+    return;
+  }
   {
     MutexLock lock(&mu_);
-    ops.swap(pending_);
+    applying_.swap(pending_);
+    has_pending_.store(false, std::memory_order_relaxed);
   }
-  for (Op& op : ops) {
+  for (Op& op : applying_) {
     ApplyOp(std::move(op));
   }
+  applying_.clear();
 }
 
 void EventLoop::ApplyOp(Op op) {

@@ -135,6 +135,13 @@ class EventLoop {
 
   Mutex mu_{LockRank::kEventLoop, "EventLoop::mu_"};
   std::vector<Op> pending_ AUD_GUARDED_BY(mu_);
+  // Mirrors !pending_.empty(), so a wake with nothing queued skips mu_.
+  // Set under mu_ before the submitter's eventfd write, so the loop's next
+  // round sees it.
+  std::atomic<bool> has_pending_{false};
+  // The loop thread's swap partner for pending_: the two vectors trade
+  // storage, so the queue keeps its capacity across rounds.
+  std::vector<Op> applying_;
 
   // Owned by the loop thread; cross-thread mutation goes through pending_.
   std::unordered_map<int, Watch> watches_;

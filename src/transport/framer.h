@@ -5,7 +5,6 @@
 #ifndef SRC_TRANSPORT_FRAMER_H_
 #define SRC_TRANSPORT_FRAMER_H_
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -32,33 +31,57 @@ bool WriteMessage(ByteStream* stream, MessageType type, uint16_t code, uint32_t 
 // Outcome of one TryReadMessage attempt.
 enum class FrameStatus : uint8_t {
   kMessage,     // `*out` holds a complete message
-  kWouldBlock,  // mid-frame; call again when the stream is readable
+  kWouldBlock,  // no complete frame buffered; call again when the stream is readable
   kEof,         // orderly end-of-stream at a frame boundary or mid-frame
   kMalformed,   // header failed strict decode; the stream is unusable
 };
 
-// Resumable frame reassembly for non-blocking streams: accumulates header
-// and payload bytes across ReadSome calls, surfacing kWouldBlock cleanly on
-// partial frames where the blocking ReadMessage would stall the thread.
-// One instance per connection direction; not thread-safe.
+// Batched frame reassembly for non-blocking streams. Each instance keeps a
+// per-connection input buffer: TryReadMessage serves complete frames out of
+// it and calls ReadSome only when no complete frame is left, so a burst of
+// pipelined requests costs one read, not two per frame plus an EAGAIN.
+//
+// A read round is the calls between two kWouldBlock answers, and it reads
+// at most once: once the round has read, the next point with no complete
+// frame buffered answers kWouldBlock without reading, and the call after
+// that reads again. Every frame the read completed comes out first, so a
+// caller that serves frames until kWouldBlock never leaves a complete frame
+// in user space, where a level-triggered poller would not report it; bytes
+// still in the kernel are re-reported. A round therefore handles at most
+// one buffer of input (kInputBytes, or one larger frame).
+//
+// The buffer grows to hold a frame larger than kInputBytes and is released
+// once it is idle again. One instance per connection direction; not
+// thread-safe.
 class Framer {
  public:
-  // Attempts to complete the in-progress message. kMessage fills `*out`
-  // and resets for the next frame; kWouldBlock preserves partial state.
-  // After kEof or kMalformed the framer is sticky-dead.
+  // Input read per round when no larger frame is pending.
+  static constexpr size_t kInputBytes = 16 * 1024;
+
+  // Serves the next complete frame into `*out`, reusing its payload's
+  // storage. kMessage fills `*out`; kWouldBlock keeps any partial frame.
+  // Frames buffered before an EOF or a malformed header come out first;
+  // after kEof or kMalformed the framer is sticky-dead.
   FrameStatus TryReadMessage(ByteStream* stream, FramedMessage* out);
 
-  // True while a frame is partially assembled (useful for distinguishing a
+  // True while bytes of an unfinished frame are buffered (distinguishes a
   // clean EOF from a mid-frame cut).
-  bool mid_frame() const { return state_ == State::kPayload || filled_ > 0; }
+  bool mid_frame() const { return begin_ < end_; }
+
+  // Bytes the input buffer currently holds allocated (tests).
+  size_t input_capacity() const { return buf_.capacity(); }
 
  private:
-  enum class State : uint8_t { kHeader, kPayload, kDead };
+  // Bytes of the frame starting at begin_, once its header is buffered;
+  // 0 while fewer than kHeaderSize bytes are. Sets `*malformed` on a header
+  // that fails strict decode.
+  size_t BufferedFrameBytes(MessageHeader* header, bool* malformed) const;
 
-  State state_ = State::kHeader;
-  size_t filled_ = 0;  // bytes of the current section accumulated so far
-  std::array<uint8_t, kHeaderSize> header_bytes_{};
-  FramedMessage partial_;
+  std::vector<uint8_t> buf_;
+  size_t begin_ = 0;  // first unserved byte
+  size_t end_ = 0;    // one past the last byte read
+  bool read_this_round_ = false;
+  bool dead_ = false;
 };
 
 }  // namespace aud

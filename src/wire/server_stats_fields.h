@@ -127,7 +127,7 @@ inline constexpr uint32_t kServerStatsVersion = 8;
   X(dispatch_shard_contention, uint64_t, kCounter, kMetric, 4, kBrief,                        \
     "epoch.shard_contention", "", "", "Dispatch waits on a root the tick was holding")        \
   X(lock_wait_us, Histogram, kHistogram, kMetric, 4, kBrief, "histograms", "",                \
-    "microseconds", "State and shard lock waits")                                             \
+    "microseconds", "State- plus shard-lock wait, one sample per request")                    \
   X(epoch_commit_us, Histogram, kHistogram, kMetric, 4, kBrief, "histograms", "",             \
     "microseconds", "Epoch commit critical section")                                          \
   /* v5: request tracing. */                                                                  \

@@ -245,6 +245,39 @@ int main(int argc, char** argv) {
     stream.insert(stream.end(), frame.begin(), frame.end());
     entries.push_back({"framer", "event_byte_at_a_time", stream});
   }
+  {
+    // A pipelined burst read in 32 KiB chunks: 96 coalesced requests, one
+    // frame larger than the framer's 16 KiB input buffer, then more
+    // requests behind it.
+    std::vector<uint8_t> stream;
+    stream.push_back(1);
+    stream.push_back(0x40 | 0x3F);  // 32 KiB chunks
+    auto append = [&stream](const std::vector<uint8_t>& frame) {
+      stream.insert(stream.end(), frame.begin(), frame.end());
+    };
+    std::vector<uint8_t> start = EncodeStruct([] {
+      ResourceReq req;
+      req.id = 0x1000;
+      return req;
+    }());
+    uint32_t seq = 1;
+    for (int i = 0; i < 96; ++i, ++seq) {
+      append(i % 2 == 0 ? FrameMessage(MessageType::kRequest,
+                                       static_cast<uint16_t>(Opcode::kSync), seq, {})
+                        : FrameMessage(MessageType::kRequest,
+                                       static_cast<uint16_t>(Opcode::kStartQueue), seq, start));
+    }
+    WriteSoundDataReq big;
+    big.id = 0x1000;
+    big.offset = 0;
+    big.data.assign(20 * 1024, 0x3C);
+    append(FrameMessage(MessageType::kRequest, static_cast<uint16_t>(Opcode::kWriteSoundData),
+                        seq++, EncodeStruct(big)));
+    for (int i = 0; i < 8; ++i, ++seq) {
+      append(FrameMessage(MessageType::kRequest, static_cast<uint16_t>(Opcode::kSync), seq, {}));
+    }
+    entries.push_back({"framer", "coalesced_burst_and_oversize", stream});
+  }
 
   // -- roundtrip corpus ------------------------------------------------------
 

@@ -5,12 +5,15 @@
 // re-framed with WriteMessage and re-read; the result must be byte-identical
 // — a framer that loses or duplicates bytes aborts here rather than
 // corrupting a live connection. The same content is then parsed a second
-// time through the resumable Framer::TryReadMessage with scripted
+// time through the batched Framer::TryReadMessage with scripted
 // would-block injections (the event-loop plane's read path); the message
 // sequence must be identical to the blocking parse.
 //
 // Input shape: byte 0 = chunk-pattern length k (0 = whole-buffer reads),
 // bytes 1..k = the repeating chunk-size pattern, the rest is stream content.
+// A pattern byte with bit 6 set asks for a multi-frame chunk of 512 B to
+// 32 KiB, up to and past the framer's input buffer; otherwise the chunk is
+// 1-16 bytes. Bit 7 injects a would-block on the non-blocking pass.
 
 #include <algorithm>
 #include <cstddef>
@@ -25,6 +28,14 @@
 
 namespace aud {
 namespace {
+
+// Bytes one scripted read may deliver.
+size_t ChunkBytes(uint8_t script) {
+  if ((script & 0x40) != 0) {
+    return (static_cast<size_t>(script & 0x3F) + 1) * 512;
+  }
+  return static_cast<size_t>(script % 16) + 1;
+}
 
 // In-memory ByteStream that serves a fixed buffer in scripted chunk sizes.
 // Single-threaded by construction, so "blocking" degenerates to immediate
@@ -46,8 +57,8 @@ class ScriptedStream : public ByteStream {
     }
     size_t want = out.size();
     if (!chunks_.empty()) {
-      // Chunk sizes 1..16, repeating the scripted pattern.
-      want = std::min(want, static_cast<size_t>(chunks_[next_chunk_ % chunks_.size()] % 16) + 1);
+      // Repeating the scripted pattern of chunk sizes.
+      want = std::min(want, ChunkBytes(chunks_[next_chunk_ % chunks_.size()]));
       ++next_chunk_;
     }
     size_t n = std::min(want, remaining);
@@ -105,7 +116,7 @@ class ScriptedNonBlockingStream : public ByteStream {
     }
     size_t want = out.size();
     if (!chunks_.empty()) {
-      want = std::min(want, static_cast<size_t>(script % 16) + 1);
+      want = std::min(want, ChunkBytes(script));
     }
     size_t n = std::min(want, remaining);
     std::copy_n(data_.begin() + static_cast<ptrdiff_t>(pos_), n, out.begin());
@@ -182,8 +193,9 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   aud::Framer framer;
   std::vector<aud::FramedMessage> incremental_messages;
   bool dead = false;
-  // Every iteration either delivers a message, consumes bytes, or flips the
-  // one-shot would-block latch; the cap covers the worst interleaving.
+  // Every iteration either delivers a message, consumes bytes, ends a read
+  // round, or flips the one-shot would-block latch; the cap covers the
+  // worst interleaving.
   for (int i = 0; i < (1 << 20) && !dead; ++i) {
     aud::FramedMessage msg;
     switch (framer.TryReadMessage(&nb, &msg)) {

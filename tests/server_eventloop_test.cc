@@ -6,6 +6,7 @@
 // plus a thread count that does not grow with the client count.
 
 #include <gtest/gtest.h>
+#include <poll.h>
 #include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -16,6 +17,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <thread>
@@ -44,21 +46,28 @@ constexpr uint64_t kSeed = 20260808;  // fixed: failures replay exactly
 
 // -- Raw protocol helpers (hostile clients do not get the comfort of Alib) --
 
-ResourceId RawSetup(ByteStream* stream, const std::string& name) {
+// The server's setup reply; success == 0 when the stream failed or the
+// server refused.
+SetupReply FullSetup(ByteStream* stream, const std::string& name) {
   SetupRequest request;
   request.client_name = name;
   ByteWriter w;
   request.Encode(&w);
   if (!WriteMessage(stream, MessageType::kRequest, kSetupOpcode, 0, w.bytes())) {
-    return kNoResource;
+    return {};
   }
   std::optional<FramedMessage> reply = ReadMessage(stream);
   if (!reply) {
-    return kNoResource;
+    return {};
   }
   ByteReader r(reply->payload);
   SetupReply setup = SetupReply::Decode(&r);
-  return (r.ok() && setup.success != 0) ? setup.id_base : kNoResource;
+  return r.ok() ? setup : SetupReply{};
+}
+
+ResourceId RawSetup(ByteStream* stream, const std::string& name) {
+  const SetupReply setup = FullSetup(stream, name);
+  return setup.success != 0 ? setup.id_base : kNoResource;
 }
 
 void SendReq(ByteStream* stream, Opcode opcode, uint32_t seq,
@@ -686,6 +695,140 @@ TEST(EventLoopPlane, SerialAndParallelEnginesStayBitIdentical) {
   ASSERT_EQ(captures[0].size(), captures[1].size());
   EXPECT_TRUE(captures[0] == captures[1]) << "hostile load changed engine output";
   EXPECT_EQ(CaptureHash(captures[0]), 0xcb4fb3e56e166bf7ull) << "engine output changed";
+}
+
+// ---------------------------------------------------------------------------
+// Batched ingress: one read per readiness round, one state-lock hold per
+// batch of up to kHoldFrames buffered requests.
+
+// Reads one frame, failing instead of hanging when none arrives in time.
+std::optional<FramedMessage> ReadFrameWithin(ByteStream* stream, int timeout_ms) {
+  pollfd pfd{stream->pollable_fd(), POLLIN, 0};
+  if (::poll(&pfd, 1, timeout_ms) <= 0) {
+    return std::nullopt;
+  }
+  return ReadMessage(stream);
+}
+
+// Writes `count` pipelined requests in one write: Syncs alternating with
+// GetProperty on the device LOUD, sequences 1..count.
+void WriteBurst(ByteStream* stream, ResourceId device_loud, uint32_t count) {
+  NamedPropertyReq get;
+  get.resource = device_loud;
+  get.name = "absent";
+  ByteWriter gw;
+  get.Encode(&gw);
+  std::vector<uint8_t> burst;
+  for (uint32_t seq = 1; seq <= count; ++seq) {
+    const bool sync = seq % 2 == 1;
+    std::vector<uint8_t> frame =
+        FrameMessage(MessageType::kRequest,
+                     static_cast<uint16_t>(sync ? Opcode::kSync : Opcode::kGetProperty), seq,
+                     sync ? std::span<const uint8_t>() : gw.bytes());
+    burst.insert(burst.end(), frame.begin(), frame.end());
+  }
+  ASSERT_TRUE(stream->Write(burst));
+}
+
+// Every request of the burst is answered, in order: a complete frame left
+// in the server's input buffer at the end of a round would never be
+// reported readable again, and its reply would never come.
+void ExpectBurstAnswered(ByteStream* stream, uint32_t count) {
+  for (uint32_t seq = 1; seq <= count; ++seq) {
+    std::optional<FramedMessage> reply = ReadFrameWithin(stream, 10000);
+    ASSERT_TRUE(reply.has_value()) << "no reply to request " << seq << " of " << count;
+    EXPECT_EQ(reply->header.type, MessageType::kReply) << "request " << seq;
+    ASSERT_EQ(reply->header.sequence, seq);
+  }
+}
+
+class PipelinedBurst : public ::testing::TestWithParam<bool> {};
+
+TEST_P(PipelinedBurst, EveryRequestOfOneWriteIsAnswered) {
+  constexpr uint32_t kRequests = 1000;
+  ServerOptions options;
+  if (GetParam()) {
+    // Half the server's reads deliver one byte: rounds end mid-frame and
+    // mid-header, and the rest must still be re-reported.
+    options.fault.enabled = true;
+    options.fault.seed = kSeed;
+    options.fault.short_read = 0.5;
+  }
+  Board board{BoardConfig{}};
+  AudioServer server(&board, options);
+  ASSERT_TRUE(server.ListenTcp(0));
+  auto stream = ConnectTcp("127.0.0.1", server.tcp_port());
+  ASSERT_NE(stream, nullptr);
+  const SetupReply setup = FullSetup(stream.get(), "burst");
+  ASSERT_EQ(setup.success, 1);
+
+  WriteBurst(stream.get(), setup.device_loud, kRequests);
+  ExpectBurstAnswered(stream.get(), kRequests);
+  stream->Close();
+  server.Shutdown();
+}
+
+INSTANTIATE_TEST_SUITE_P(Transports, PipelinedBurst, ::testing::Values(false, true),
+                         [](const ::testing::TestParamInfo<bool>& param) {
+                           return std::string(param.param ? "FaultShortRead" : "Tcp");
+                         });
+
+TEST(EventLoopPlane, EpochCommitsBetweenHoldsOfOneBurst) {
+  // Manual time: the only epochs are the ones the hook below runs, on the
+  // loop thread, in the gap the loop leaves between two holds.
+  constexpr uint32_t kRequests = 4000;
+  Board board{BoardConfig{}};
+  AudioServer server(&board);
+  std::atomic<int> holds_released{0};
+  std::atomic<uint64_t> dispatched_at_commit{0};
+  std::atomic<uint64_t> commits_before{0};
+  std::atomic<uint64_t> commits_after{0};
+  server.set_hold_released_for_test([&] {
+    if (holds_released.fetch_add(1) != 0) {
+      return;
+    }
+    commits_before = StatsOf(&server).epoch_commits;
+    server.StepFrames(static_cast<int64_t>(server.options().period_frames));
+    const ServerStatsReply stats = StatsOf(&server);
+    commits_after = stats.epoch_commits;
+    dispatched_at_commit = stats.requests_total;
+  });
+  auto [client_end, server_end] = CreatePipePair();
+  server.AddConnection(std::move(server_end));
+  const SetupReply setup = FullSetup(client_end.get(), "burst");
+  ASSERT_EQ(setup.success, 1);
+
+  WriteBurst(client_end.get(), setup.device_loud, kRequests);
+  ExpectBurstAnswered(client_end.get(), kRequests);
+
+  ASSERT_GT(holds_released.load(), 0) << "the burst ran in one hold";
+  EXPECT_EQ(commits_after.load(), commits_before.load() + 1);
+  EXPECT_GE(dispatched_at_commit.load(), kHoldFrames);
+  EXPECT_LT(dispatched_at_commit.load(), kRequests) << "the epoch waited out the whole burst";
+  client_end->Close();
+  server.Shutdown();
+}
+
+TEST(EventLoopPlane, LockWaitRecordsOneSamplePerRequest) {
+  // The first request of a hold carries the hold's wait and the rest record
+  // zero, so lock_wait_us keeps one sample per dispatched request.
+  constexpr uint32_t kRequests = 3000;
+  Board board{BoardConfig{}};
+  AudioServer server(&board);
+  auto [client_end, server_end] = CreatePipePair();
+  server.AddConnection(std::move(server_end));
+  const SetupReply setup = FullSetup(client_end.get(), "burst");
+  ASSERT_EQ(setup.success, 1);
+
+  WriteBurst(client_end.get(), setup.device_loud, kRequests);
+  ExpectBurstAnswered(client_end.get(), kRequests);
+
+  const ServerStatsReply stats = StatsOf(&server);
+  EXPECT_EQ(stats.requests_total, kRequests);
+  EXPECT_EQ(stats.lock_wait_us.count, stats.requests_total);
+  EXPECT_EQ(stats.dispatch_us.count, stats.requests_total);
+  client_end->Close();
+  server.Shutdown();
 }
 
 }  // namespace

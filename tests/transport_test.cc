@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 
@@ -214,6 +215,211 @@ TEST(FramerTest, EofMidMessageReturnsNothing) {
   a->Write(w.bytes());
   a->Close();
   EXPECT_FALSE(ReadMessage(b.get()).has_value());
+}
+
+// ---------------------------------------------------------------------------
+// Framer::TryReadMessage: the batched non-blocking read path.
+
+// A non-blocking stream fed by the test: each Deliver() queues bytes that
+// become readable, ReadSome hands out what is queued (kWouldBlock when
+// nothing is) and counts its calls, and Hangup() turns the drained stream
+// into EOF.
+class ScriptedStream : public ByteStream {
+ public:
+  void Deliver(std::span<const uint8_t> bytes) {
+    pending_.insert(pending_.end(), bytes.begin(), bytes.end());
+  }
+  void Hangup() { hungup_ = true; }
+  int reads() const { return reads_; }
+
+  bool Write(std::span<const uint8_t>) override { return true; }
+  size_t Read(std::span<uint8_t>) override { return 0; }
+  void Close() override { hungup_ = true; }
+  IoResult ReadSome(std::span<uint8_t> out) override {
+    ++reads_;
+    if (pending_.empty()) {
+      return {hungup_ ? IoStatus::kEof : IoStatus::kWouldBlock, 0};
+    }
+    const size_t n = std::min(out.size(), pending_.size());
+    std::copy_n(pending_.begin(), n, out.begin());
+    pending_.erase(pending_.begin(), pending_.begin() + static_cast<ptrdiff_t>(n));
+    return {IoStatus::kOk, n};
+  }
+
+ private:
+  std::vector<uint8_t> pending_;
+  bool hungup_ = false;
+  int reads_ = 0;
+};
+
+// Frame i: a request with code i, sequence 1000 + i and i payload bytes.
+std::vector<uint8_t> TestFrame(uint32_t i, size_t payload_bytes) {
+  return FrameMessage(MessageType::kRequest, static_cast<uint16_t>(i), 1000 + i,
+                      std::vector<uint8_t>(payload_bytes, static_cast<uint8_t>(i)));
+}
+
+std::vector<uint8_t> TestFrames(uint32_t count) {
+  std::vector<uint8_t> bytes;
+  for (uint32_t i = 0; i < count; ++i) {
+    std::vector<uint8_t> frame = TestFrame(i, i % 7);
+    bytes.insert(bytes.end(), frame.begin(), frame.end());
+  }
+  return bytes;
+}
+
+// Serves frames until the framer stops answering kMessage.
+FrameStatus Drain(Framer* framer, ScriptedStream* stream, std::vector<FramedMessage>* out) {
+  while (true) {
+    FramedMessage msg;
+    const FrameStatus status = framer->TryReadMessage(stream, &msg);
+    if (status != FrameStatus::kMessage) {
+      return status;
+    }
+    out->push_back(std::move(msg));
+  }
+}
+
+void ExpectTestFrames(const std::vector<FramedMessage>& got, uint32_t count) {
+  ASSERT_EQ(got.size(), count);
+  for (uint32_t i = 0; i < count; ++i) {
+    EXPECT_EQ(got[i].header.code, i);
+    EXPECT_EQ(got[i].header.sequence, 1000 + i);
+    EXPECT_EQ(got[i].payload, std::vector<uint8_t>(i % 7, static_cast<uint8_t>(i)));
+  }
+}
+
+TEST(FramerBatchTest, CoalescedFramesComeFromOneRead) {
+  ScriptedStream stream;
+  stream.Deliver(TestFrames(100));
+  Framer framer;
+  std::vector<FramedMessage> got;
+  EXPECT_EQ(Drain(&framer, &stream, &got), FrameStatus::kWouldBlock);
+  ExpectTestFrames(got, 100);
+  EXPECT_EQ(stream.reads(), 1);
+  EXPECT_FALSE(framer.mid_frame());
+}
+
+TEST(FramerBatchTest, ShortReadEndsTheRoundWithoutASecondRead) {
+  ScriptedStream stream;
+  Framer framer;
+  std::vector<FramedMessage> got;
+  // Half a frame: the short read ends the round at once.
+  const std::vector<uint8_t> frames = TestFrames(2);
+  const size_t first = TestFrame(0, 0).size();
+  stream.Deliver(std::span<const uint8_t>(frames).first(first / 2));
+  EXPECT_EQ(Drain(&framer, &stream, &got), FrameStatus::kWouldBlock);
+  EXPECT_EQ(stream.reads(), 1);
+  EXPECT_TRUE(framer.mid_frame());
+  // The next round reads again and finishes both frames with that read.
+  stream.Deliver(std::span<const uint8_t>(frames).subspan(first / 2));
+  EXPECT_EQ(Drain(&framer, &stream, &got), FrameStatus::kWouldBlock);
+  EXPECT_EQ(stream.reads(), 2);
+  ExpectTestFrames(got, 2);
+  // A round that finds nothing costs one read and answers kWouldBlock.
+  EXPECT_EQ(Drain(&framer, &stream, &got), FrameStatus::kWouldBlock);
+  EXPECT_EQ(stream.reads(), 3);
+}
+
+TEST(FramerBatchTest, RoundReadsAtMostOneBuffer) {
+  // More input than the buffer holds: each round serves one buffer's worth
+  // and leaves the rest to the next round, which reads again.
+  ScriptedStream stream;
+  const std::vector<uint8_t> frames = TestFrames(4000);
+  ASSERT_GT(frames.size(), 2 * Framer::kInputBytes);
+  stream.Deliver(frames);
+  Framer framer;
+  std::vector<FramedMessage> got;
+  int rounds = 0;
+  while (got.size() < 4000 && rounds < 100) {
+    const size_t before = got.size();
+    EXPECT_EQ(Drain(&framer, &stream, &got), FrameStatus::kWouldBlock);
+    ++rounds;
+    EXPECT_EQ(stream.reads(), rounds);
+    EXPECT_LE(got.size() - before, Framer::kInputBytes / kHeaderSize);
+  }
+  ExpectTestFrames(got, 4000);
+  EXPECT_GE(rounds, 3);
+}
+
+TEST(FramerBatchTest, FrameSplitAtEveryOffset) {
+  const std::vector<uint8_t> frames = TestFrames(3);
+  for (size_t cut = 0; cut <= frames.size(); ++cut) {
+    ScriptedStream stream;
+    Framer framer;
+    std::vector<FramedMessage> got;
+    stream.Deliver(std::span<const uint8_t>(frames).first(cut));
+    EXPECT_EQ(Drain(&framer, &stream, &got), FrameStatus::kWouldBlock) << "cut " << cut;
+    stream.Deliver(std::span<const uint8_t>(frames).subspan(cut));
+    EXPECT_EQ(Drain(&framer, &stream, &got), FrameStatus::kWouldBlock) << "cut " << cut;
+    ExpectTestFrames(got, 3);
+    EXPECT_FALSE(framer.mid_frame()) << "cut " << cut;
+  }
+}
+
+TEST(FramerBatchTest, OversizeFrameGrowsTheBufferThenReleasesIt) {
+  constexpr size_t kBig = 1 << 20;
+  ASSERT_GT(kBig, Framer::kInputBytes);
+  const std::vector<uint8_t> big = TestFrame(1, kBig);
+  ScriptedStream stream;
+  Framer framer;
+  std::vector<FramedMessage> got;
+  // Arrives in 64 KiB pieces. Once the header is in, the buffer grows to
+  // hold the whole frame.
+  size_t grown = 0;
+  for (size_t off = 0; off < big.size(); off += 64 * 1024) {
+    const size_t n = std::min<size_t>(64 * 1024, big.size() - off);
+    stream.Deliver(std::span<const uint8_t>(big).subspan(off, n));
+    EXPECT_EQ(Drain(&framer, &stream, &got), FrameStatus::kWouldBlock);
+    if (got.empty()) {
+      grown = std::max(grown, framer.input_capacity());
+    }
+  }
+  EXPECT_GE(grown, big.size());
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].payload, std::vector<uint8_t>(kBig, 1));
+  // Idle again: the oversize buffer is not pinned.
+  EXPECT_LE(framer.input_capacity(), Framer::kInputBytes);
+  // And ordinary frames still flow.
+  stream.Deliver(TestFrames(5));
+  got.clear();
+  EXPECT_EQ(Drain(&framer, &stream, &got), FrameStatus::kWouldBlock);
+  ExpectTestFrames(got, 5);
+  EXPECT_LE(framer.input_capacity(), Framer::kInputBytes);
+}
+
+TEST(FramerBatchTest, GoodFramesComeOutBeforeEofMidFrame) {
+  ScriptedStream stream;
+  std::vector<uint8_t> bytes = TestFrames(4);
+  const std::vector<uint8_t> cut = TestFrame(9, 40);
+  bytes.insert(bytes.end(), cut.begin(), cut.begin() + 20);
+  stream.Deliver(bytes);
+  stream.Hangup();
+  Framer framer;
+  std::vector<FramedMessage> got;
+  FrameStatus status;
+  while ((status = Drain(&framer, &stream, &got)) == FrameStatus::kWouldBlock) {
+  }
+  EXPECT_EQ(status, FrameStatus::kEof);
+  ExpectTestFrames(got, 4);
+  FramedMessage msg;
+  EXPECT_EQ(framer.TryReadMessage(&stream, &msg), FrameStatus::kEof);  // sticky
+}
+
+TEST(FramerBatchTest, GoodFramesComeOutBeforeAMalformedHeader) {
+  ScriptedStream stream;
+  std::vector<uint8_t> bytes = TestFrames(4);
+  std::vector<uint8_t> bad = TestFrame(9, 0);
+  bad[1] = 0x5A;  // nonzero reserved byte
+  bytes.insert(bytes.end(), bad.begin(), bad.end());
+  const std::vector<uint8_t> after = TestFrames(2);
+  bytes.insert(bytes.end(), after.begin(), after.end());
+  stream.Deliver(bytes);
+  Framer framer;
+  std::vector<FramedMessage> got;
+  EXPECT_EQ(Drain(&framer, &stream, &got), FrameStatus::kMalformed);
+  ExpectTestFrames(got, 4);
+  FramedMessage msg;
+  EXPECT_EQ(framer.TryReadMessage(&stream, &msg), FrameStatus::kEof);  // sticky
 }
 
 }  // namespace
