@@ -42,6 +42,26 @@ HistogramSnapshot LatencyHistogram::Snapshot() const {
   return snap;
 }
 
+HistogramSnapshot WindowDelta(const HistogramSnapshot& later,
+                              const HistogramSnapshot& earlier) {
+  HistogramSnapshot d;
+  d.sum = later.sum > earlier.sum ? later.sum - earlier.sum : 0;
+  d.buckets.assign(later.buckets.size(), 0);
+  for (size_t b = 0; b < later.buckets.size(); ++b) {
+    const uint64_t e = b < earlier.buckets.size() ? earlier.buckets[b] : 0;
+    if (later.buckets[b] <= e) {
+      continue;
+    }
+    if (d.count == 0) {
+      d.min = LatencyHistogram::BucketLow(b);
+    }
+    d.buckets[b] = later.buckets[b] - e;
+    d.count += d.buckets[b];
+    d.max = LatencyHistogram::BucketHigh(b);
+  }
+  return d;
+}
+
 double HistogramSnapshot::Percentile(double p) const {
   if (count == 0) {
     return 0.0;

@@ -77,6 +77,12 @@ struct HistogramSnapshot {
   double Percentile(double p) const;
 };
 
+// The window between two snapshots of one histogram: `later`'s samples
+// beyond `earlier`'s. Buckets subtract one by one, clamped at 0; count is
+// the bucket sum, min/max the bounds of the outermost nonempty buckets.
+HistogramSnapshot WindowDelta(const HistogramSnapshot& later,
+                              const HistogramSnapshot& earlier);
+
 // Fixed-bucket log-scale histogram. Value v lands in bucket bit_width(v)
 // (0 stays in bucket 0), so bucket 1 holds {1}, bucket 2 holds {2,3},
 // bucket 3 holds {4..7}, ... Recording is a handful of relaxed atomic

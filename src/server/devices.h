@@ -41,6 +41,7 @@ class InputDevice : public VirtualDevice {
 
  private:
   std::vector<Sample> scratch_;
+  std::vector<Sample> gain_scratch_;
 };
 
 class OutputDevice : public VirtualDevice {
@@ -97,7 +98,8 @@ class PlayerDevice : public VirtualDevice {
   int64_t position_ = 0;   // next sample index to decode
   int64_t end_sample_ = -1;
   int64_t total_ = 0;
-  int64_t skip_samples_ = 0;  // start-offset samples still to discard
+  int64_t start_sample_ = 0;  // first sound sample the play covers
+  int64_t skip_samples_ = 0;  // engine-rate samples still to discard
   std::unique_ptr<StreamDecoder> decoder_;
   std::unique_ptr<Resampler> resampler_;
   int64_t decode_byte_pos_ = 0;

@@ -45,8 +45,7 @@ size_t InputDevice::Produce(EngineTick* tick, size_t frames) {
   }
   scratch_.assign(frames, 0);
   mic->codec().ReadCapture(scratch_);  // short reads leave trailing silence
-  std::vector<Sample> gain_scratch;
-  PushToWires(source_wires(), scratch_, gain(), &gain_scratch, tick->start_frame, 0);
+  PushToWires(source_wires(), scratch_, gain(), &gain_scratch_, tick->start_frame, 0);
   return frames;
 }
 
@@ -115,13 +114,14 @@ Status PlayerDevice::StartCommand(const CommandSpec& spec, EngineTick* tick) {
   total_ = sound->sample_count();
   // A nonzero start plays from mid-sound; stateful codecs (ADPCM) must
   // decode from the beginning, so we decode-and-discard up to the start.
-  skip_samples_ = args.start_sample > 0 ? args.start_sample : 0;
+  start_sample_ = std::max<int64_t>(args.start_sample, 0);
+  skip_samples_ = 0;
   cached_.reset();
   cache_pos_ = 0;
   // Fast path: a whole-sound play (no start offset, no end bound) serves
   // straight from the decoded-PCM cache. Bounded plays keep the incremental
   // decoder so the end-sample trim stays in sound-sample space.
-  const bool whole_sound = skip_samples_ == 0 && (end_sample_ < 0 || end_sample_ >= total_);
+  const bool whole_sound = start_sample_ == 0 && (end_sample_ < 0 || end_sample_ >= total_);
   if (whole_sound && tick->server->decoded_cache().enabled()) {
     cache_generation_ = sound->generation();
     cached_ = tick->server->GetDecodedSound(sound);
@@ -222,17 +222,21 @@ size_t PlayerDevice::Produce(EngineTick* tick, size_t frames) {
                          static_cast<size_t>(decode_byte_pos_), chunk_bytes),
                      &linear);
     decode_byte_pos_ += static_cast<int64_t>(chunk_bytes);
-    // Honor the end-sample bound in sound-sample space.
+    // Honor the start and end bounds in sound-sample space, before the
+    // resampler turns sound samples into engine-rate ones.
     int64_t sound_samples = static_cast<int64_t>(linear.size());
     if (end_sample_ >= 0 && position_ + sound_samples > end_sample_) {
       sound_samples = end_sample_ - position_;
-      linear.resize(static_cast<size_t>(std::max<int64_t>(sound_samples, 0)));
     }
+    const int64_t first = std::clamp<int64_t>(start_sample_ - position_, 0, sound_samples);
     position_ += sound_samples;
-    resampler_->Process(linear, &decoded_);
+    resampler_->Process(std::span<const Sample>(linear).subspan(
+                            static_cast<size_t>(first),
+                            static_cast<size_t>(sound_samples - first)),
+                        &decoded_);
   }
 
-  // Discard start-offset samples.
+  // Discard engine-rate samples a cached play already served.
   if (skip_samples_ > 0) {
     size_t drop = std::min<size_t>(static_cast<size_t>(skip_samples_), decoded_.size());
     decoded_.erase(decoded_.begin(), decoded_.begin() + static_cast<ptrdiff_t>(drop));

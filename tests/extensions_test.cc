@@ -152,31 +152,40 @@ TEST_F(ExtensionsTest, PauseCompressionShrinksRecording) {
 
 TEST_F(ExtensionsTest, PartialPlayHonorsStartAndEnd) {
   board_->speakers()[0]->set_capture_output(true);
-  // A staircase sound: 4 segments of 1000 samples with values 1..4.
-  std::vector<Sample> pcm;
-  for (Sample v = 1; v <= 4; ++v) {
-    pcm.insert(pcm.end(), 1000, static_cast<Sample>(v * 1000));
-  }
-  ResourceId sound = toolkit_->UploadSound(pcm, {Encoding::kPcm16, 8000});
-  auto chain = toolkit_->BuildPlaybackChain();
-
-  // Play only samples [1000, 3000): segments 2 and 3.
-  client_->Enqueue(chain.loud, {PlayCommand(chain.player, sound, 1, 1000, 3000)});
-  client_->StartQueue(chain.loud);
-  Flush();
-  ASSERT_TRUE(toolkit_->WaitCommandDone(1));
-  StepMs(600);
-
-  int counts[5] = {0, 0, 0, 0, 0};
-  for (Sample s : board_->speakers()[0]->played()) {
-    if (s % 1000 == 0 && s >= 1000 && s <= 4000) {
-      ++counts[s / 1000];
+  // At the engine rate and at twice it, where start and end count sound
+  // samples, not engine-rate ones.
+  uint32_t tag = 0;
+  for (uint32_t rate : {8000u, 16000u}) {
+    SCOPED_TRACE(rate);
+    // A staircase sound: 4 segments of 1000 engine-rate samples with
+    // values 1..4.
+    const int64_t step = rate / 8;
+    std::vector<Sample> pcm;
+    for (Sample v = 1; v <= 4; ++v) {
+      pcm.insert(pcm.end(), static_cast<size_t>(step), static_cast<Sample>(v * 1000));
     }
+    ResourceId sound = toolkit_->UploadSound(pcm, {Encoding::kPcm16, rate});
+    auto chain = toolkit_->BuildPlaybackChain();
+    board_->speakers()[0]->clear_played();
+
+    // Play only sound samples [step, 3 * step): segments 2 and 3.
+    client_->Enqueue(chain.loud, {PlayCommand(chain.player, sound, ++tag, step, 3 * step)});
+    client_->StartQueue(chain.loud);
+    Flush();
+    ASSERT_TRUE(toolkit_->WaitCommandDone(tag));
+    StepMs(600);
+
+    int counts[5] = {0, 0, 0, 0, 0};
+    for (Sample s : board_->speakers()[0]->played()) {
+      if (s % 1000 == 0 && s >= 1000 && s <= 4000) {
+        ++counts[s / 1000];
+      }
+    }
+    EXPECT_EQ(counts[1], 0);
+    EXPECT_EQ(counts[2], 1000);
+    EXPECT_EQ(counts[3], 1000);
+    EXPECT_EQ(counts[4], 0);
   }
-  EXPECT_EQ(counts[1], 0);
-  EXPECT_EQ(counts[2], 1000);
-  EXPECT_EQ(counts[3], 1000);
-  EXPECT_EQ(counts[4], 0);
 }
 
 TEST_F(ExtensionsTest, PartialPlayOfMulawUsesStatefulSkip) {

@@ -221,10 +221,9 @@ int main(int argc, char** argv) {
     std::vector<uint8_t> frame = FrameMessage(
         MessageType::kRequest, static_cast<uint16_t>(Opcode::kWriteSoundData), 3,
         EncodeStruct(req));
-    frame.resize(frame.size() - 16);
     std::vector<uint8_t> stream;
     stream.push_back(0);
-    stream.insert(stream.end(), frame.begin(), frame.end());
+    stream.insert(stream.end(), frame.begin(), frame.end() - 16);
     entries.push_back({"framer", "truncated_payload", stream});
   }
   {

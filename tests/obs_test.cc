@@ -116,6 +116,36 @@ TEST(LatencyHistogram, PercentilesOrderedAndClamped) {
   EXPECT_DOUBLE_EQ(s1.Percentile(99), 42.0);
 }
 
+TEST(LatencyHistogram, WindowDeltaKeepsOnlyTheWindow) {
+  LatencyHistogram h;
+  for (int i = 0; i < 1000; ++i) {
+    h.Record(5000);  // a slow start the window must not see
+  }
+  const HistogramSnapshot before = h.Snapshot();
+  for (int i = 0; i < 100; ++i) {
+    h.Record(10);
+  }
+  const HistogramSnapshot after = h.Snapshot();
+  EXPECT_GT(after.Percentile(99), 4000.0);
+
+  const HistogramSnapshot window = WindowDelta(after, before);
+  EXPECT_EQ(window.count, 100u);
+  EXPECT_EQ(window.sum, 1000u);
+  EXPECT_EQ(window.buckets[4], 100u);  // {8..15}
+  EXPECT_EQ(window.min, 8u);
+  EXPECT_EQ(window.max, 15u);
+  EXPECT_LE(window.Percentile(99), 15.0);
+
+  // From an empty snapshot the window is the whole histogram, and the
+  // count is the bucket sum.
+  EXPECT_EQ(WindowDelta(after, HistogramSnapshot{}).count, 1100u);
+  // Buckets clamp at 0 when `earlier` holds more (a restarted server).
+  const HistogramSnapshot backwards = WindowDelta(before, after);
+  EXPECT_TRUE(backwards.empty());
+  EXPECT_EQ(backwards.sum, 0u);
+  EXPECT_EQ(backwards.buckets[4], 0u);
+}
+
 TEST(LatencyHistogram, SnapshotUnderConcurrentRecording) {
   LatencyHistogram h;
   std::atomic<bool> stop{false};

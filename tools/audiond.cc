@@ -94,6 +94,9 @@ void ServeMetricsClient(aud::ByteStream* stream, aud::AudioServer* server) {
 
 int main(int argc, char** argv) {
   using namespace aud;
+  // Line-buffered even into a pipe or file: a driver reads the banner
+  // (with the port that --port 0 picked) while the daemon runs.
+  std::setvbuf(stdout, nullptr, _IOLBF, 0);
 
   uint16_t port = 7800;
   uint16_t metrics_port = 0;
@@ -340,7 +343,6 @@ int main(int argc, char** argv) {
         if (recorder.WriteDump()) {
           std::printf("audiond: flight dump written to %s\n",
                       recorder.dump_path().c_str());
-          std::fflush(stdout);
         }
       }
     }
@@ -360,7 +362,6 @@ int main(int argc, char** argv) {
     // SIGTERM: graceful drain — stop accepting, answer in-flight requests,
     // flush egress under the deadline, hang up any off-hook lines.
     std::printf("\naudiond: draining (deadline %d ms)\n", drain_ms);
-    std::fflush(stdout);
     const bool flushed = server.Drain(std::chrono::milliseconds(drain_ms));
     std::printf("audiond: drain %s\n",
                 flushed ? "complete" : "deadline expired (forced closes)");
