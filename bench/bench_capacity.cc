@@ -18,10 +18,10 @@
 // received), and the thread count in /proc/<audiond pid>/status. The
 // refusal and cut counters are read at the window's end, so they cover the
 // whole step on its fresh server, ramp included. A step passes when every
-// client connected and survived (no egress-overflow disconnects), the
-// engine held its period (tick p99 <= one 20 ms period), dispatch p99
-// stayed under a period, and the per-tick sync-mark fan-out actually
-// reached the players. Capacity = the highest passing step; the ladder
+// client connected and survived (no egress-overflow disconnects), no
+// request drew an error, the engine held its period (tick p99 <= one 20 ms
+// period), dispatch p99 stayed under a period, and the per-tick sync-mark
+// fan-out actually reached the players. Capacity = the highest passing step; the ladder
 // stops at the first failure.
 //
 // Full-run acceptance (exit 1 otherwise), absolute so it does not flip
@@ -220,6 +220,7 @@ struct StepResult {
   uint64_t egress_disconnects = 0;
   uint64_t events_sent = 0;
   uint64_t events_received = 0;
+  uint64_t errors = 0;
   uint64_t rate_limited = 0;
   uint64_t quota_denials = 0;
   bool pass = false;
@@ -246,10 +247,7 @@ void Measure(uint16_t port, pid_t audiond, Child* load, int window_ms,
   result->connected = static_cast<int>(JsonInt(*json, "connected"));
   result->died = static_cast<int>(JsonInt(*json, "died"));
   result->events_received = static_cast<uint64_t>(JsonInt(*json, "events_seen"));
-  if (const long long errors = JsonInt(*json, "errors_seen"); errors > 0) {
-    std::fprintf(stderr, "bench_capacity: %d clients: audioload saw %lld request errors\n",
-                 result->clients, errors);
-  }
+  result->errors = static_cast<uint64_t>(JsonInt(*json, "errors_seen"));
   result->tick_p99_us = WindowP99(stats.tick_us, before.value().tick_us);
   result->dispatch_p99_us = WindowP99(stats.dispatch_us, before.value().dispatch_us);
   result->loop_dispatch_p99_us =
@@ -260,7 +258,7 @@ void Measure(uint16_t port, pid_t audiond, Child* load, int window_ms,
   result->rate_limited = stats.rate_limited;
   result->quota_denials = stats.quota_denials;
   result->pass = result->connected == result->clients && result->died == 0 &&
-                 result->egress_disconnects == 0 &&
+                 result->egress_disconnects == 0 && result->errors == 0 &&
                  result->tick_p99_us <= kSloTickP99Us &&
                  result->dispatch_p99_us <= kSloDispatchP99Us &&
                  result->players > 0 &&
@@ -353,13 +351,14 @@ int main(int argc, char** argv) {
     std::printf(
         "capacity%s/%d: %s connected=%d players=%d died=%d tick_p99=%.0fus "
         "dispatch_p99=%.0fus loop_dispatch_p99=%.0fus threads=%d (+%d) "
-        "fds=%lld events rx=%llu tx=%llu cuts=%llu ratelim=%llu quota=%llu\n",
+        "fds=%lld events rx=%llu tx=%llu cuts=%llu errors=%llu ratelim=%llu quota=%llu\n",
         with_limits ? "+limits" : "", clients, r.pass ? "PASS" : "fail", r.connected,
         r.players, r.died, r.tick_p99_us, r.dispatch_p99_us, r.loop_dispatch_p99_us,
         r.threads_loaded, thread_delta, static_cast<long long>(r.fds_watched),
         static_cast<unsigned long long>(r.events_received),
         static_cast<unsigned long long>(r.events_sent),
         static_cast<unsigned long long>(r.egress_disconnects),
+        static_cast<unsigned long long>(r.errors),
         static_cast<unsigned long long>(r.rate_limited),
         static_cast<unsigned long long>(r.quota_denials));
     std::fflush(stdout);

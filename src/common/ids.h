@@ -22,12 +22,18 @@ inline constexpr ResourceId kNoResource = 0;
 inline constexpr ResourceId kServerIdBase = 0xF0000000u;
 
 // Each client connection is granted a contiguous id block of this size.
-inline constexpr uint32_t kClientIdBlockSize = 1u << 20;
+inline constexpr uint32_t kClientIdBlockSize = 1u << 18;
 
-// First block handed to client connection #0.
+// First block, handed to connection slot 0.
 inline constexpr ResourceId kClientIdBase = 0x00100000u;
 
-// Returns the id base for the Nth accepted connection.
+// Connection slots whose id blocks fit below the server range: the most
+// clients one server holds at once. A closed connection's slot, and with it
+// its block, is reused.
+inline constexpr uint32_t kMaxClientConnections =
+    (kServerIdBase - kClientIdBase) / kClientIdBlockSize;
+
+// Returns the id base for connection slot `connection_index`.
 inline constexpr ResourceId ClientIdBaseFor(uint32_t connection_index) {
   return kClientIdBase + connection_index * kClientIdBlockSize;
 }

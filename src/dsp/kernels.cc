@@ -1,8 +1,5 @@
 #include "src/dsp/kernels.h"
 
-#include <cstdlib>
-#include <string_view>
-
 #include "src/dsp/alaw.h"
 #include "src/dsp/gain.h"
 #include "src/dsp/mulaw.h"
@@ -216,13 +213,12 @@ constexpr KernelOps kNeonOps = {
 
 #endif  // __ARM_NEON
 
-const KernelOps* DetectSimd() {
+}  // namespace
+
+const KernelOps& ScalarKernels() { return kScalarOps; }
+
+const KernelOps* SimdKernels() {
 #if defined(__SSE2__)
-#if defined(__GNUC__) || defined(__clang__)
-  if (!__builtin_cpu_supports("sse2")) {
-    return nullptr;
-  }
-#endif
   return &kSse2Ops;
 #elif defined(__ARM_NEON)
   return &kNeonOps;
@@ -231,34 +227,9 @@ const KernelOps* DetectSimd() {
 #endif
 }
 
-const KernelOps& Choose() {
-  const KernelOps* simd = SimdKernels();
-  const char* force = std::getenv("AUD_KERNELS");
-  if (force != nullptr) {
-    std::string_view want(force);
-    if (want == "scalar") {
-      return ScalarKernels();
-    }
-    if (simd != nullptr && want == simd->name) {
-      return *simd;
-    }
-    return ScalarKernels();
-  }
-  return simd != nullptr ? *simd : ScalarKernels();
-}
-
-}  // namespace
-
-const KernelOps& ScalarKernels() { return kScalarOps; }
-
-const KernelOps* SimdKernels() {
-  static const KernelOps* simd = DetectSimd();
-  return simd;
-}
-
 const KernelOps& Kernels() {
-  static const KernelOps& chosen = Choose();
-  return chosen;
+  const KernelOps* simd = SimdKernels();
+  return simd != nullptr ? *simd : ScalarKernels();
 }
 
 }  // namespace aud

@@ -1,12 +1,13 @@
-// Runtime-dispatched DSP kernels: the hot inner loops of the data plane
-// (mix accumulate/resolve, gain, G.711 companding) behind one table
-// of function pointers. The scalar implementations are table-driven and
-// written so the compiler can auto-vectorize them; on x86-64 an SSE2
-// variant of the mix kernels is selected at first use, and on ARM a NEON
-// variant. Every variant is bit-identical to the scalar reference — the
-// golden tests in tests/dsp_kernels_test.cc prove it exhaustively for the
-// companding tables and over randomized blocks for the mix kernels, so
-// engine output does not depend on the variant.
+// DSP kernels: the hot inner loops of the data plane (mix
+// accumulate/resolve, gain, G.711 companding) behind one table of function
+// pointers. The scalar implementations are table-driven and written so the
+// compiler can auto-vectorize them. The kernel set is chosen at compile
+// time: the SSE2 variant of the mix kernels on x86-64 and the NEON variant
+// on ARM, both part of their architecture's baseline. Every variant is
+// bit-identical to the scalar reference — the golden tests in
+// tests/dsp_kernels_test.cc prove it exhaustively for the companding tables
+// and over randomized blocks for the mix kernels, so engine output does not
+// depend on the variant.
 
 #ifndef SRC_DSP_KERNELS_H_
 #define SRC_DSP_KERNELS_H_
@@ -49,10 +50,9 @@ const KernelOps& ScalarKernels();
 // The SIMD set compiled for this target, or nullptr when none is.
 const KernelOps* SimdKernels();
 
-// The preferred set for this process: the SIMD set when the CPU supports
-// it, otherwise scalar. Selected once at first call; the environment
-// variable AUD_KERNELS=scalar|sse2|neon forces a variant (benchmarks use
-// this to measure the scalar baseline on the same binary).
+// The set the engine uses: the SIMD set when this target has one,
+// otherwise scalar. Benchmarks and tests compare the two sets directly
+// through ScalarKernels() and SimdKernels().
 const KernelOps& Kernels();
 
 }  // namespace aud

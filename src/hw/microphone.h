@@ -39,6 +39,7 @@ class MicrophoneUnit : public PhysicalDevice {
 
   void Advance(size_t frames) override;
   int64_t device_frames() const override { return frames_elapsed_; }
+  Codec& engine_codec() override { return codec_; }
 
  private:
   Codec codec_;

@@ -47,6 +47,7 @@ class PhoneLineUnit : public PhysicalDevice {
 
   void Advance(size_t frames) override;
   int64_t device_frames() const override { return tx_codec_.device_frames(); }
+  Codec& engine_codec() override { return tx_codec_; }
 
  private:
   ExchangeLine* line_;

@@ -23,6 +23,8 @@ namespace aud {
 inline constexpr uint32_t kDesktopDomain = 1;
 inline constexpr uint32_t kPhoneDomainBase = 100;
 
+class Codec;
+
 class PhysicalDevice {
  public:
   PhysicalDevice(DeviceClass device_class, std::string name, uint32_t rate,
@@ -47,6 +49,11 @@ class PhysicalDevice {
 
   // Device-clock frame count (see Codec::device_frames).
   virtual int64_t device_frames() const = 0;
+
+  // The codec the engine exchanges this unit's audio through: a speaker's
+  // and a phone line's transmit side take the resolved mix, a microphone's
+  // is read for capture.
+  virtual Codec& engine_codec() = 0;
 
  private:
   DeviceClass class_;

@@ -37,6 +37,7 @@ class SpeakerUnit : public PhysicalDevice {
 
   void Advance(size_t frames) override;
   int64_t device_frames() const override { return codec_.device_frames(); }
+  Codec& engine_codec() override { return codec_; }
 
  private:
   Codec codec_;

@@ -88,12 +88,6 @@ class ClientConnection {
   // server shutdown.
   void HardClose();
 
-  // True once the owning loop has finished the connection's teardown — it
-  // can be destroyed without touching server state. Set by the loop as the
-  // teardown's last action.
-  bool finished() const { return finished_.load(std::memory_order_acquire); }
-  void MarkFinished() { finished_.store(true, std::memory_order_release); }
-
   // Enqueues one framed message; never blocks on transport I/O. Returns
   // false once the connection is closed or the client was disconnected by
   // the overflow policy. Event frames may be shed under pressure (counted
@@ -179,7 +173,6 @@ class ClientConnection {
   struct LoopState {
     bool awaiting_setup = true;
     bool draining = false;
-    bool torn_down = false;
     std::chrono::steady_clock::time_point drain_deadline{};
   };
   LoopState& loop_state() { return loop_state_; }
@@ -224,7 +217,6 @@ class ClientConnection {
   std::function<void()> arm_write_;
   std::atomic<bool> write_arm_pending_{false};
   std::atomic<bool> closed_{false};
-  std::atomic<bool> finished_{false};
   std::atomic<uint32_t> last_sequence_{0};
 };
 

@@ -39,12 +39,13 @@ InputDevice::InputDevice(ResourceId id, uint32_t owner, Loud* loud, AttrList att
     : VirtualDevice(id, owner, DeviceClass::kInput, loud, std::move(attrs)) {}
 
 size_t InputDevice::Produce(EngineTick* tick, size_t frames) {
-  auto* mic = dynamic_cast<MicrophoneUnit*>(bound_device());
+  // An input device binds only to an input unit (a microphone).
+  PhysicalDevice* mic = bound_device();
   if (mic == nullptr || source_wires().empty()) {
     return 0;
   }
   scratch_.assign(frames, 0);
-  mic->codec().ReadCapture(scratch_);  // short reads leave trailing silence
+  mic->engine_codec().ReadCapture(scratch_);  // short reads leave trailing silence
   PushToWires(source_wires(), scratch_, gain(), &gain_scratch_, tick->start_frame, 0);
   return frames;
 }

@@ -912,7 +912,7 @@ void AudioServer::HandleRequest(ClientConnection* conn, const FramedMessage& mes
       // the per-connection counters themselves are lock-free atomics, so
       // the loops serving other clients keep running.
       for (const auto& c : connections_) {
-        if (c->finished()) {
+        if (c == nullptr) {
           continue;
         }
         ConnectionStatsWire wire;

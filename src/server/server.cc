@@ -55,54 +55,44 @@ void AudioServer::StartLoops() {
 }
 
 // Called with mu_ held (from dispatch or epoch commit) — see the declaration
-// for why the analysis is opted out here. connections_ is sorted by index
-// (indices are handed out in increasing order and pruning keeps the order),
-// so the target is one binary search away.
+// for why the analysis is opted out here.
 void AudioServer::DeliverEvents(uint32_t conn_index, std::vector<uint8_t> frames,
                                 uint32_t events) {
-  auto it = std::lower_bound(
-      connections_.begin(), connections_.end(), conn_index,
-      [](const std::unique_ptr<ClientConnection>& conn, uint32_t index) {
-        return conn->index() < index;
-      });
-  if (it != connections_.end() && (*it)->index() == conn_index && !(*it)->closed()) {
-    (*it)->SendEvents(std::move(frames), events);
+  ClientConnection* conn =
+      conn_index < connections_.size() ? connections_[conn_index].get() : nullptr;
+  if (conn != nullptr && !conn->closed()) {
+    conn->SendEvents(std::move(frames), events);
   }
 }
 
 AudioServer::~AudioServer() { Shutdown(); }
 
 void AudioServer::AddConnection(std::unique_ptr<ByteStream> stream) {
-  // Declared before the lock so the pruned connections are destroyed after
-  // it is released.
-  std::vector<std::unique_ptr<ClientConnection>> finished;
   MutexLock lock(&mu_);
-  // Prune connections whose loop completed teardown: each accepted
-  // stream pays the (tiny) cleanup cost for its predecessors, so a
-  // long-lived server does not accumulate dead connection objects.
-  for (auto it = connections_.begin(); it != connections_.end();) {
-    if ((*it)->finished()) {
-      finished.push_back(std::move(*it));
-      it = connections_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  // Admission control (decision 15): over capacity — or draining toward
-  // shutdown — the connection is politely closed before it gets an fd
-  // registration, and the accept loop keeps running. connections_ holds
-  // only live connections here (the finished were just pruned). A stream
-  // no loop can watch is refused the same way.
-  if ((options_.max_connections != 0 &&
-       connections_.size() >= options_.max_connections) ||
-      draining_.load() || loops_.empty() || stream->pollable_fd() < 0) {
+  // Admission control (decision 15): over capacity — the operator's cap or
+  // the slot table's — or draining toward shutdown, the connection is
+  // politely closed before it gets an fd registration, and the accept loop
+  // keeps running. A stream no loop can watch is refused the same way.
+  const size_t live = connections_.size() - free_slots_.size();
+  if ((options_.max_connections != 0 && live >= options_.max_connections) ||
+      live >= kMaxClientConnections || draining_.load() || loops_.empty() ||
+      stream->pollable_fd() < 0) {
     metrics_->admission_rejects.Increment();
     stream->Close();
     return;
   }
-  const uint32_t index = next_connection_index_++;
+  uint32_t index = static_cast<uint32_t>(connections_.size());
+  if (free_slots_.empty()) {
+    connections_.emplace_back();
+  } else {
+    index = free_slots_.back();
+    free_slots_.pop_back();
+  }
   if (fault_options_.enabled) {
-    stream = MaybeWrapFault(std::move(stream), fault_options_.ForInstance(index));
+    // Seeded per accepted connection, not per slot, so a reconnecting
+    // client meets a fresh fault schedule.
+    stream = MaybeWrapFault(std::move(stream),
+                            fault_options_.ForInstance(metrics_->connections_total.value()));
   }
   auto conn = std::make_unique<ClientConnection>(
       index, std::move(stream), options_.egress_buffer_bytes, options_.egress_overflow);
@@ -138,7 +128,7 @@ void AudioServer::AddConnection(std::unique_ptr<ByteStream> stream) {
   // The fd is registered after the connection is published (still under
   // mu_, so the first readiness dispatch — which takes mu_ — cannot
   // overtake us).
-  connections_.push_back(std::move(conn));
+  connections_[index] = std::move(conn);
   loop->Add(fd, [this, raw](uint32_t events) { LoopHandleReady(raw, events); });
 }
 
@@ -152,13 +142,9 @@ bool AudioServer::ListenTcp(uint16_t port) {
 
 size_t AudioServer::connection_count() {
   MutexLock lock(&mu_);
-  size_t n = 0;
-  for (const auto& conn : connections_) {
-    if (!conn->closed()) {
-      ++n;
-    }
-  }
-  return n;
+  return static_cast<size_t>(std::ranges::count_if(connections_, [](const auto& conn) {
+    return conn != nullptr && !conn->closed();
+  }));
 }
 
 void AudioServer::AcceptLoop() {
@@ -259,14 +245,11 @@ AudioServer::RateGate AudioServer::CheckRateLimit(ClientConnection* conn,
 // before finishing), so the per-connection LoopState needs no lock.
 
 void AudioServer::LoopHandleReady(ClientConnection* conn, uint32_t events) {
-  // Once LoopTeardown runs it ends in MarkFinished, after which the pruner
-  // (AddConnection) or Shutdown may destroy the object — so every helper
-  // below returns false the moment the connection was torn down, and no
-  // code path touches `conn` after a false return.
+  // LoopTeardown destroys the connection and removes its fd, so this
+  // handler never runs for it again. Every helper below returns false the
+  // moment the connection was torn down, and no code path touches `conn`
+  // after a false return.
   auto& ls = conn->loop_state();
-  if (ls.torn_down) {
-    return;
-  }
   // Frames queued for `conn` during this call are flushed at its end, so
   // its Sends skip arming write interest; see AddConnection.
   struct Dispatching {
@@ -385,9 +368,6 @@ bool AudioServer::DispatchHold(ClientConnection* conn, FramedMessage* message,
 
 bool AudioServer::LoopFlush(ClientConnection* conn) {
   auto& ls = conn->loop_state();
-  if (ls.torn_down) {
-    return false;
-  }
   const int fd = conn->pollable_fd();
   switch (conn->DrainEgress()) {
     case ClientConnection::DrainStatus::kBlocked:
@@ -411,9 +391,6 @@ bool AudioServer::LoopFlush(ClientConnection* conn) {
 
 bool AudioServer::LoopBeginDrain(ClientConnection* conn) {
   auto& ls = conn->loop_state();
-  if (ls.torn_down) {
-    return false;
-  }
   if (ls.draining) {
     return true;
   }
@@ -426,27 +403,30 @@ bool AudioServer::LoopBeginDrain(ClientConnection* conn) {
 }
 
 void AudioServer::LoopTeardown(ClientConnection* conn) {
-  auto& ls = conn->loop_state();
-  if (ls.torn_down) {
-    return;
-  }
-  ls.torn_down = true;
+  // On the loop thread the removal applies at once: no readiness round
+  // dispatches to this handler again.
   loops_[conn->loop_index()]->Remove(conn->pollable_fd());
   conn->HardClose();
   ReclaimConnection(conn);
-  // Last action: the connection may now be pruned by AddConnection or
-  // destroyed by Shutdown.
-  conn->MarkFinished();
 }
 
 void AudioServer::ReclaimConnection(ClientConnection* conn) {
+  // Declared before the lock so the connection is destroyed after it is
+  // released.
+  std::unique_ptr<ClientConnection> dead;
   MutexLock lock(&mu_);
   // Structural teardown: wait out any in-flight epoch so the tick fan-out
   // holds no pointers into the objects about to be destroyed.
   state_.WaitEngineIdle();
-  state_.DestroyConnectionObjects(conn->index());
+  const uint32_t index = conn->index();
+  // Nothing keyed by the slot survives this hold: the client's objects,
+  // its event selections, its batch slot and any redirect it held go with
+  // DestroyConnectionObjects, so the slot's next client starts clean.
+  state_.DestroyConnectionObjects(index);
   metrics_->connections_open.Sub(1);
-  obs::Trace(obs::TraceReason::kConnectionClose, conn->index());
+  obs::Trace(obs::TraceReason::kConnectionClose, index);
+  dead = std::move(connections_[index]);
+  free_slots_.push_back(index);
 }
 
 void AudioServer::LoopSweep(uint32_t loop_index) {
@@ -460,11 +440,11 @@ void AudioServer::LoopSweep(uint32_t loop_index) {
   {
     MutexLock lock(&mu_);
     for (auto& conn : connections_) {
-      if (conn->loop_index() != loop_index || conn->finished()) {
+      if (conn == nullptr || conn->loop_index() != loop_index) {
         continue;
       }
       auto& ls = conn->loop_state();
-      if (ls.draining && !ls.torn_down && now >= ls.drain_deadline) {
+      if (ls.draining && now >= ls.drain_deadline) {
         expired.push_back(conn.get());
       }
     }
@@ -531,17 +511,10 @@ void AudioServer::EngineLoop() {
   Ticks period =
       SamplesToTicks(static_cast<int64_t>(options_.period_frames), board_->sample_rate_hz());
   Ticks next = clock.Now() + period;
-  // Reap finished connections about once a second of engine time.
-  const uint64_t reap_every = std::max<uint64_t>(
-      1, board_->sample_rate_hz() / std::max<size_t>(1, options_.period_frames));
-  uint64_t periods = 0;
   while (engine_running_.load() && !shutting_down_.load()) {
     // Tick manages the state lock itself; the fan-out runs without it, so
     // dispatch on untouched roots overlaps the engine freely.
     tick_state().Tick(options_.period_frames);
-    if (++periods % reap_every == 0) {
-      ReapFinishedConnections();
-    }
     clock.SleepUntil(next);
     // Wakeup lateness: how far past the deadline the engine resumed
     // (Ticks are microseconds). 0 when the tick finished inside the period.
@@ -579,7 +552,7 @@ bool AudioServer::Drain(std::chrono::milliseconds deadline) {
     // Connections the deadline is about to force closed with unflushed
     // egress — the price of a slow client meeting a finite drain window.
     for (auto& conn : connections_) {
-      if (!conn->finished() && conn->egress_queued_bytes() != 0) {
+      if (conn != nullptr && conn->egress_queued_bytes() != 0) {
         metrics_->drain_forced_closes.Increment();
         flushed = false;
       }
@@ -598,26 +571,9 @@ bool AudioServer::Drain(std::chrono::milliseconds deadline) {
   return flushed;
 }
 
-void AudioServer::ReapFinishedConnections() {
-  // Same discipline as the AddConnection prune: collect under the lock,
-  // destroy outside it.
-  std::vector<std::unique_ptr<ClientConnection>> finished;
-  {
-    MutexLock lock(&mu_);
-    for (auto it = connections_.begin(); it != connections_.end();) {
-      if ((*it)->finished()) {
-        finished.push_back(std::move(*it));
-        it = connections_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-}
-
 size_t AudioServer::connection_objects_for_test() {
   MutexLock lock(&mu_);
-  return connections_.size();
+  return connections_.size() - free_slots_.size();
 }
 
 void AudioServer::Shutdown() {
@@ -635,27 +591,28 @@ void AudioServer::Shutdown() {
   {
     MutexLock lock(&mu_);
     for (auto& conn : connections_) {
-      conn->HardClose();
+      if (conn != nullptr) {
+        conn->HardClose();
+      }
     }
   }
   for (auto& loop : loops_) {
     loop->Stop();
   }
-  // Swap the connections out under the lock, then reclaim and destroy
-  // outside it. No new connections can appear: the accept thread has
-  // already been joined above.
-  std::vector<std::unique_ptr<ClientConnection>> conns;
+  // Connections whose teardown never ran (their loop stopped first) get
+  // the same reclamation, so gauges and the registry end balanced. With
+  // the loops and the accept thread stopped, nothing else empties a slot.
+  std::vector<ClientConnection*> stranded;
   {
     MutexLock lock(&mu_);
-    conns.swap(connections_);
-  }
-  // Connections whose teardown never ran (their loop stopped first) get
-  // the same reclamation, so gauges and the registry end balanced.
-  for (auto& conn : conns) {
-    if (!conn->finished()) {
-      ReclaimConnection(conn.get());
-      conn->MarkFinished();
+    for (auto& conn : connections_) {
+      if (conn != nullptr) {
+        stranded.push_back(conn.get());
+      }
     }
+  }
+  for (ClientConnection* conn : stranded) {
+    ReclaimConnection(conn);
   }
 }
 

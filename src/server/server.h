@@ -89,8 +89,9 @@ struct ServerOptions {
   uint32_t trace_sample_every = 0;
   // -- Overload protection (DESIGN.md decision 15). Zero disables each
   // limit; all limits are per connection except max_connections.
-  // Admission control: connections beyond this are politely closed at
-  // accept time (and counted).
+  // Admission control: connections beyond this, and always beyond
+  // kMaxClientConnections, are politely closed at accept time (and
+  // counted).
   size_t max_connections = 0;
   // Token-bucket rate limits checked by the owning loop before dispatch:
   // requests per second and ingress bytes per second, each with a burst
@@ -176,13 +177,8 @@ class AudioServer {
   bool Drain(std::chrono::milliseconds deadline);
   bool draining() const { return draining_.load(); }
 
-  // Destroys connections whose loop finished teardown. AddConnection
-  // already prunes on every accept; this is the timed sweep for an
-  // otherwise idle server (called ~1/s by the realtime engine thread), so
-  // a dead client's memory and fds never linger until the next accept.
-  void ReapFinishedConnections();
-
-  // Connection objects still held (live + finished-but-unreaped).
+  // Occupied connection slots: every connection whose teardown has not
+  // yet run (tests).
   size_t connection_objects_for_test();
 
   // Number of event-loop threads actually running (kConnectionLoops unless
@@ -240,8 +236,8 @@ class AudioServer {
   // connection therefore never races itself.
   void StartLoops();
   // The bool-returning loop helpers report liveness: false means the
-  // connection was torn down (MarkFinished ran — it may be destroyed by the
-  // pruner at any moment) and the caller must not touch it again.
+  // connection was torn down and destroyed, and the caller must not touch
+  // it again.
   void LoopHandleReady(ClientConnection* conn, uint32_t events);
   bool LoopReadAndDispatch(ClientConnection* conn);
   bool LoopFlush(ClientConnection* conn);
@@ -251,9 +247,11 @@ class AudioServer {
 
   // Frees every resource a departed client owned (the paper's
   // per-connection container teardown): waits out any in-flight epoch,
-  // destroys the client's objects with one activation pass, and closes the
-  // connection's gauge and trace. The one reclamation path of the loop
-  // teardown and Shutdown; the caller then MarkFinished()s.
+  // destroys the client's objects with one activation pass, closes the
+  // connection's gauge and trace, and empties its slot onto the free list,
+  // all in one hold of the state lock; then destroys `conn` once the lock
+  // is released. The one destroy point of a connection, reached from the
+  // loop teardown and, for connections whose loop stopped first, Shutdown.
   void ReclaimConnection(ClientConnection* conn) AUD_EXCLUDES(mu_);
 
   // Tick-driver access to the state. Tick() manages the state lock itself
@@ -295,10 +293,13 @@ class AudioServer {
   uint64_t shard_wait_us_ AUD_GUARDED_BY(mu_) = 0;
   std::function<void()> hold_released_for_test_;
 
-  // Sorted by index (DeliverEvents binary-searches it); AddConnection prunes
-  // entries whose loop has finished teardown (destroying them outside mu_).
+  // The connection slot table: a connection's index is its slot (and names
+  // its id block), so DeliverEvents is one lookup. ReclaimConnection empties
+  // a slot and pushes it on free_slots_; AddConnection takes the most
+  // recently freed slot before it grows the table, which never exceeds
+  // kMaxClientConnections.
   std::vector<std::unique_ptr<ClientConnection>> connections_ AUD_GUARDED_BY(mu_);
-  uint32_t next_connection_index_ AUD_GUARDED_BY(mu_) = 0;
+  std::vector<uint32_t> free_slots_ AUD_GUARDED_BY(mu_);
   // Resolved once at construction: options_.fault, else the AUD_FAULT env.
   FaultOptions fault_options_;
 

@@ -228,7 +228,7 @@ void ServerState::DestroyConnectionObjects(uint32_t conn) {
       static_cast<Loud*>(obj.get())->SetEventMask(conn, 0);
     }
   }
-  batch_slots_.erase(conn);
+  batch_slots_[conn] = BatchSlot{};
   if (redirect_conn_ == conn) {
     redirect_conn_.reset();
   }
@@ -780,11 +780,7 @@ void ServerState::EpochCommit(size_t frames, obs::PhaseClock* clock) {
   resolved_.resize(frames);
   for (auto& [device, acc] : output_acc_) {
     acc.Resolve(resolved_);
-    if (auto* speaker = dynamic_cast<SpeakerUnit*>(device)) {
-      speaker->codec().WritePlayback(resolved_);
-    } else if (auto* phone = dynamic_cast<PhoneLineUnit*>(device)) {
-      phone->tx_codec().WritePlayback(resolved_);
-    }
+    device->engine_codec().WritePlayback(resolved_);
   }
   clock->Lap(&metrics_.tick_resolve_us);
 
@@ -919,8 +915,7 @@ ServerState::EventBatch& ServerState::BatchFor(uint32_t conn) {
 }
 
 size_t ServerState::batch_size_hint(uint32_t conn) const {
-  auto it = batch_slots_.find(conn);
-  return it == batch_slots_.end() ? 0 : it->second.size_hint;
+  return batch_slots_[conn].size_hint;
 }
 
 void ServerState::EmitDeviceLoudEvent(ResourceId device_loud_id, EventType type,

@@ -425,16 +425,16 @@ class ServerState {
     std::vector<uint8_t> frames;
   };
   std::vector<EventBatch> tick_batches_;
-  // Per connection that has had a batch: its tick_batches_ index this
-  // epoch (kNoBatch when none is open), and the size its last batch
-  // reached, so the next one is reserved once instead of regrown from
-  // empty. DestroyConnectionObjects drops the entry.
+  // Per connection slot, sized once for every slot: its tick_batches_
+  // index this epoch (kNoBatch when none is open), and the size its last
+  // batch reached, so the next one is reserved once instead of regrown
+  // from empty. DestroyConnectionObjects resets the slot.
   struct BatchSlot {
     static constexpr size_t kNoBatch = ~size_t{0};
     size_t index = kNoBatch;
     size_t size_hint = 0;
   };
-  std::unordered_map<uint32_t, BatchSlot> batch_slots_;
+  std::vector<BatchSlot> batch_slots_ = std::vector<BatchSlot>(kMaxClientConnections);
   std::vector<Sample> resolved_;
 
   // Traced plays awaiting their first possible mix (NotePlayAccepted).

@@ -50,11 +50,18 @@ TEST(ResultTest, TakeMovesValue) {
   EXPECT_EQ(v, "hello");
 }
 
+// Every slot a server can hand out gets a block of its own below the
+// server range: consecutive, never wrapping, and roomy enough for the
+// C10k ladder's 8,192 clients.
 TEST(IdsTest, ClientBlocksDontOverlapServerRange) {
-  for (uint32_t i = 0; i < 100; ++i) {
-    ResourceId base = ClientIdBaseFor(i);
-    EXPECT_FALSE(IsServerId(base));
-    EXPECT_FALSE(IsServerId(base + kClientIdBlockSize - 1));
+  EXPECT_GE(kMaxClientConnections, 8192u);
+  ResourceId next = kClientIdBase;
+  for (uint32_t i = 0; i < kMaxClientConnections; ++i) {
+    const ResourceId base = ClientIdBaseFor(i);
+    ASSERT_EQ(base, next) << "slot " << i;
+    ASSERT_FALSE(IsServerId(base)) << "slot " << i;
+    ASSERT_FALSE(IsServerId(base + kClientIdBlockSize - 1)) << "slot " << i;
+    next = base + kClientIdBlockSize;
   }
   EXPECT_TRUE(IsServerId(kServerIdBase));
 }

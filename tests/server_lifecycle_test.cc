@@ -5,13 +5,14 @@
 // client must never take the server — or the phone line — down with it.
 // The overload-protection suite (DESIGN.md decision 15) exercises
 // admission control, token-bucket rate limiting, per-client quotas,
-// connection reaping, and the SIGTERM graceful drain.
+// connection teardown, and the SIGTERM graceful drain.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <set>
 #include <thread>
 
 #include "src/server/connection.h"
@@ -489,6 +490,61 @@ TEST_F(LifecycleTest, ClientDeathHangsUpOwnedTelephone) {
   EXPECT_EQ(line_state(), LineState::kOnHook);
 }
 
+// 4,096 clients come and go one after another beside the live fixture
+// client: more than the 3,839 blocks of 2^20 ids that fit below the server
+// range, and past the point where a 32-bit base computed from an index that
+// only grew would wrap. Each closed client's slot, and its id block, goes to the next:
+// no block reaches the server range, the live client's block is never
+// handed out again, and the successor in a recycled slot starts clean —
+// it gets none of the device-LOUD events its predecessor selected.
+TEST_F(LifecycleTest, RecycledSlotsReuseIdBlocksAndStartClean) {
+  constexpr int kCycles = 4096;
+  const ResourceId device_loud = client_->device_loud();
+  const ResourceId live_base = client_->id_base();
+  // The fixture client watches the device LOUD too: its notify proves each
+  // probe event was emitted.
+  client_->SelectEvents(device_loud, kPropertyEvents);
+  ASSERT_TRUE(client_->Sync().ok());
+
+  std::set<ResourceId> bases;
+  for (int cycle = 0; cycle < kCycles; ++cycle) {
+    SCOPED_TRACE(testing::Message() << "cycle " << cycle);
+    auto conn = Connect("cycler");
+    ASSERT_NE(conn, nullptr);
+    const ResourceId base = conn->id_base();
+    ASSERT_FALSE(IsServerId(base + kClientIdBlockSize - 1));
+    ASSERT_NE(base, live_base);
+    bases.insert(base);
+
+    // A probe event on the device LOUD reaches the watcher, not the
+    // newcomer, whatever its slot's last client selected.
+    const uint8_t value[] = {static_cast<uint8_t>(cycle)};
+    client_->ChangeProperty(device_loud, "probe", "INTEGER", value);
+    ASSERT_TRUE(client_->Sync().ok());
+    EventMessage event;
+    ASSERT_TRUE(client_->PollEvent(&event));
+    ASSERT_EQ(event.type, EventType::kPropertyNotify);
+    ASSERT_FALSE(client_->PollEvent(&event));
+    ASSERT_TRUE(conn->Sync().ok());
+    ASSERT_FALSE(conn->PollEvent(&event)) << "inherited a dead client's selection";
+
+    // Select everything on the device LOUD, then leave.
+    conn->SelectEvents(device_loud, kAllEvents);
+    ASSERT_TRUE(conn->Sync().ok());
+    conn->Close();
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (server_->connection_objects_for_test() != 1) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "teardown never ran";
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+    MutexLock lock(&server_->mutex());
+    ASSERT_EQ(server_->state().FindLoud(device_loud)->event_masks().size(), 1u);
+  }
+  // Every cycler found the slot its predecessor left.
+  EXPECT_EQ(bases.size(), 1u);
+  EXPECT_TRUE(client_->Sync().ok());
+}
+
 TEST_F(LifecycleTest, RpcDeadlineSurfacesTimeout) {
   client_->set_rpc_deadline_ms(50);
   Result<ServerStatsReply> result = [&] {
@@ -664,19 +720,17 @@ TEST_F(OverloadTest, PlayQuotaBoundsConcurrentlyRunningQueues) {
   EXPECT_GE(Stats().quota_denials, 1u);
 }
 
-TEST_F(OverloadTest, ReapDestroysFinishedConnections) {
+TEST_F(OverloadTest, TeardownDestroysTheConnection) {
   auto ephemeral = Connect("ephemeral");
   ASSERT_NE(ephemeral, nullptr);
   ASSERT_TRUE(ephemeral->Sync().ok());
   EXPECT_EQ(server_->connection_objects_for_test(), 2u);
   ephemeral->Close();
-  // The reader notices EOF and finishes teardown asynchronously; the reap
-  // (called ~1/s from the engine loop in a realtime server) then destroys
-  // the carcass and joins its threads.
+  // The owning loop sees EOF and tears the connection down: the teardown
+  // itself empties the slot and destroys the object, with no later sweep.
   size_t remaining = 2;
   for (int i = 0; i < 500 && remaining != 1; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    server_->ReapFinishedConnections();
     remaining = server_->connection_objects_for_test();
   }
   EXPECT_EQ(remaining, 1u);

@@ -329,7 +329,8 @@ TEST_F(ObjectsTest, GetServerTimeAdvancesWithEngine) {
 // while the root emits sync marks from the tick. After every step the
 // root's flat mask list equals a std::map model (same entries, ascending
 // by connection), every connection's events arrive in emission order, and
-// a reclaimed connection keeps no batch-size hint.
+// a reclaimed connection's slot keeps no batch-size hint for the newcomer
+// that takes it.
 TEST_F(ObjectsTest, EventMasksFollowAMapModelThroughSelectionsAndDeaths) {
   constexpr int kSlots = 4;
   constexpr int kSteps = 300;
@@ -350,13 +351,15 @@ TEST_F(ObjectsTest, EventMasksFollowAMapModelThroughSelectionsAndDeaths) {
   std::vector<Slot> slots(kSlots);
   // The owner's own selection (BuildPlaybackChain) is connection 0's.
   std::map<uint32_t, uint32_t> model = {{0, kQueueEvents | kLifecycleEvents | kSyncEvents}};
-  uint32_t next_index = 1;
-  for (Slot& slot : slots) {
+  // A connection's index is its slot, which its id block names.
+  auto connect = [&](Slot& slot) {
     slot.conn = Connect("selector");
     ASSERT_NE(slot.conn, nullptr);
-    slot.index = next_index++;
+    slot.index = (slot.conn->id_base() - kClientIdBase) / kClientIdBlockSize;
+  };
+  for (Slot& slot : slots) {
+    connect(slot);
   }
-  std::vector<uint32_t> dead;
 
   // Drains a slot's events: each arrives after the one before it.
   auto drain = [&](Slot& slot) {
@@ -401,12 +404,9 @@ TEST_F(ObjectsTest, EventMasksFollowAMapModelThroughSelectionsAndDeaths) {
         marks_seen += slot.marks;
         slot.conn->Close();
         model.erase(slot.index);
-        dead.push_back(slot.index);
-        slot = Slot{};
-        slot.conn = Connect("selector");
-        ASSERT_NE(slot.conn, nullptr);
-        slot.index = next_index++;
-        // Wait for the server to reclaim the dead connection.
+        const uint32_t dead = slot.index;
+        // Wait for the server to reclaim the dead connection; the newcomer
+        // then takes the slot it left.
         const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
         for (;;) {
           int64_t open = 0;
@@ -414,12 +414,17 @@ TEST_F(ObjectsTest, EventMasksFollowAMapModelThroughSelectionsAndDeaths) {
             MutexLock lock(&server_->mutex());
             open = server_->state().metrics().connections_open.value();
           }
-          if (open == kSlots + 1) {
+          if (open == kSlots) {
             break;
           }
           ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "death not reclaimed";
           std::this_thread::sleep_for(std::chrono::milliseconds(1));
         }
+        slot = Slot{};
+        connect(slot);
+        ASSERT_EQ(slot.index, dead) << "the freed slot was not reused";
+        MutexLock lock(&server_->mutex());
+        ASSERT_EQ(server_->state().batch_size_hint(dead), 0u) << "connection " << dead;
         break;
       }
       default:  // ticks: sync marks fan out to the selected connections
@@ -439,9 +444,6 @@ TEST_F(ObjectsTest, EventMasksFollowAMapModelThroughSelectionsAndDeaths) {
     }
     const std::vector<std::pair<uint32_t, uint32_t>> want(model.begin(), model.end());
     ASSERT_EQ(flat, want);
-    for (uint32_t index : dead) {
-      ASSERT_EQ(server_->state().batch_size_hint(index), 0u) << "connection " << index;
-    }
   }
   for (const Slot& s : slots) {
     marks_seen += s.marks;
