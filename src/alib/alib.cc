@@ -5,7 +5,6 @@
 #include <thread>
 
 #include "src/common/logging.h"
-#include "src/transport/fault_stream.h"
 #include "src/transport/socket_stream.h"
 
 namespace aud {
@@ -50,11 +49,6 @@ std::unique_ptr<AudioConnection> AudioConnection::OpenTcp(const std::string& hos
   std::unique_ptr<ByteStream> stream = ConnectTcp(host, port);
   if (stream == nullptr) {
     return nullptr;
-  }
-  // Client-side chaos hook: zero cost when the env spec is unset.
-  static const FaultOptions fault = FaultOptionsFromEnv("AUD_ALIB_FAULT");
-  if (fault.enabled) {
-    stream = MaybeWrapFault(std::move(stream), fault);
   }
   return Open(std::move(stream), client_name);
 }

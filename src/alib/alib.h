@@ -58,9 +58,7 @@ class AudioConnection {
   static std::unique_ptr<AudioConnection> Open(std::unique_ptr<ByteStream> stream,
                                                const std::string& client_name);
 
-  // Connects to host:port over TCP and performs setup. The AUD_ALIB_FAULT
-  // env spec (see fault_stream.h) wraps the client side of the transport
-  // for chaos tests.
+  // Connects to host:port over TCP and performs setup.
   static std::unique_ptr<AudioConnection> OpenTcp(const std::string& host, uint16_t port,
                                                   const std::string& client_name);
 

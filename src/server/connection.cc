@@ -4,20 +4,12 @@
 
 namespace aud {
 
-void ClientConnection::set_metrics(ServerMetrics* metrics) {
-  metrics_ = metrics;
-  egress_.set_bytes_gauge(metrics != nullptr ? &metrics->egress_queued_bytes
-                                             : nullptr);
-}
-
 FrameStatus ClientConnection::TryReadFrame(FramedMessage* out) {
   const FrameStatus status = framer_.TryReadMessage(stream_.get(), out);
   if (status == FrameStatus::kMessage) {
     const size_t bytes = kHeaderSize + out->payload.size();
     stats_.bytes_in.Increment(bytes);
-    if (metrics_ != nullptr) {
-      metrics_->bytes_in.Increment(bytes);
-    }
+    metrics_.bytes_in.Increment(bytes);
   }
   return status;
 }
@@ -73,17 +65,13 @@ ClientConnection::DrainStatus ClientConnection::DrainEgress() {
     }
     out_off_ += r.bytes;
     stats_.bytes_out.Increment(r.bytes);
-    if (metrics_ != nullptr) {
-      metrics_->bytes_out.Increment(r.bytes);
-    }
+    metrics_.bytes_out.Increment(r.bytes);
     if (out_off_ == out_.size() && !out_traced_.empty()) {
       const auto dur = static_cast<uint32_t>(tracer.NowUs() - out_t0_);
       for (const TracedWrite& t : out_traced_) {
         tracer.Span(obs::TraceReason::kSpanWrite, t.trace, t.parent, out_t0_, dur, t.bytes);
       }
-      if (metrics_ != nullptr) {
-        metrics_->trace_spans.Increment(out_traced_.size());
-      }
+      metrics_.trace_spans.Increment(out_traced_.size());
     }
   }
 }
@@ -108,17 +96,15 @@ bool ClientConnection::Send(MessageType type, uint16_t code, uint32_t sequence,
     frame.trace = trace;
     frame.parent = tracer.Span(obs::TraceReason::kSpanEgress, trace, parent,
                                tracer.NowUs(), 0, code);
-    if (metrics_ != nullptr) {
-      metrics_->trace_spans.Increment();
-    }
+    metrics_.trace_spans.Increment();
   }
   return Enqueue(std::move(frame));
 }
 
 bool ClientConnection::Enqueue(EgressFrame frame) {
   EgressPushResult result = egress_.Push(std::move(frame));
-  if (result.dropped_events > 0 && metrics_ != nullptr) {
-    metrics_->events_dropped.Increment(result.dropped_events);
+  if (result.dropped_events > 0) {
+    metrics_.events_dropped.Increment(result.dropped_events);
   }
   switch (result.status) {
     case EgressPushStatus::kQueued:
@@ -134,9 +120,7 @@ bool ClientConnection::Enqueue(EgressFrame frame) {
       LogLine(LogLevel::kWarning)
           << "egress overflow, disconnecting slow client #" << index_
           << (client_name_.empty() ? "" : " (" + client_name_ + ")");
-      if (metrics_ != nullptr) {
-        metrics_->egress_disconnects.Increment();
-      }
+      metrics_.egress_disconnects.Increment();
       HardClose();
       return false;
   }
@@ -173,9 +157,7 @@ bool ClientConnection::SendEvents(std::vector<uint8_t> frames, uint32_t events) 
     return false;
   }
   stats_.events_sent.Increment(events);
-  if (metrics_ != nullptr) {
-    metrics_->events_sent.Increment(events);
-  }
+  metrics_.events_sent.Increment(events);
   return true;
 }
 

@@ -30,7 +30,7 @@
 namespace aud {
 
 // Default per-connection egress budget. Generous enough that only a client
-// that has genuinely stopped reading ever hits the overflow policy.
+// that has genuinely stopped reading ever overflows it.
 inline constexpr size_t kDefaultEgressBudgetBytes = 1u << 20;  // 1 MiB
 
 // Per-connection statistics (GetEntityStats). Same contract as the global
@@ -49,20 +49,17 @@ struct ConnectionStats {
 
 class ClientConnection {
  public:
-  ClientConnection(uint32_t index, std::unique_ptr<ByteStream> stream,
-                   size_t egress_budget_bytes = kDefaultEgressBudgetBytes,
-                   EgressOverflowPolicy overflow_policy =
-                       EgressOverflowPolicy::kDropEvents)
+  // `metrics` is the byte/event accounting sink (the server's metrics
+  // aggregate; counters are atomic, so writes need no lock) and must
+  // outlive the connection.
+  ClientConnection(uint32_t index, std::unique_ptr<ByteStream> stream, ServerMetrics& metrics,
+                   size_t egress_budget_bytes = kDefaultEgressBudgetBytes)
       : index_(index),
         stream_(std::move(stream)),
-        egress_(egress_budget_bytes, overflow_policy) {}
+        metrics_(metrics),
+        egress_(egress_budget_bytes, &metrics.egress_queued_bytes) {}
 
   uint32_t index() const { return index_; }
-
-  // Optional byte/event accounting sink (the server's metrics aggregate;
-  // counters are atomic, so writes need no lock). Set before the first Send.
-  void set_metrics(ServerMetrics* metrics);
-  ServerMetrics* metrics() { return metrics_; }
 
   const std::string& client_name() const { return client_name_; }
   void set_client_name(std::string name) { client_name_ = std::move(name); }
@@ -89,12 +86,12 @@ class ClientConnection {
   void HardClose();
 
   // Enqueues one framed message; never blocks on transport I/O. Returns
-  // false once the connection is closed or the client was disconnected by
-  // the overflow policy. Event frames may be shed under pressure (counted
-  // in events_dropped) without failing the call. A nonzero `trace` marks
-  // the frame request-scoped: enqueue records a kSpanEgress span parented
-  // on `parent`, and the drain records a kSpanWrite span for the socket
-  // write itself.
+  // false once the connection is closed or the client was disconnected for
+  // a reply backlog past the egress budget. Event frames may be shed under
+  // pressure (counted in events_dropped) without failing the call. A
+  // nonzero `trace` marks the frame request-scoped: enqueue records a
+  // kSpanEgress span parented on `parent`, and the drain records a
+  // kSpanWrite span for the socket write itself.
   bool Send(MessageType type, uint16_t code, uint32_t sequence,
             std::span<const uint8_t> payload, uint64_t trace = 0, uint64_t parent = 0);
 
@@ -198,7 +195,7 @@ class ClientConnection {
 
   uint32_t index_;
   std::unique_ptr<ByteStream> stream_;
-  ServerMetrics* metrics_ = nullptr;
+  ServerMetrics& metrics_;
   std::string client_name_;
   ConnectionStats stats_;
   uint64_t trace_sample_counter_ = 0;

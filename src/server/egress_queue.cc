@@ -73,9 +73,6 @@ EgressPushResult EgressQueue::Push(EgressFrame frame) {
     return {EgressPushStatus::kClosed, 0};
   }
   if (queued_bytes_ + bytes > budget_bytes_) {
-    if (policy_ == EgressOverflowPolicy::kDisconnect) {
-      return {EgressPushStatus::kOverflow, 0};
-    }
     result.dropped_events = ShedQueuedEvents(bytes);
     if (queued_bytes_ + bytes > budget_bytes_) {
       // Undroppable backlog still over budget. Incoming events are

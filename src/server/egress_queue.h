@@ -9,13 +9,12 @@
 // for the connection, already encoded (one lock and one write arm per
 // connection per tick). A single frame — a reply, an error — is one entry.
 //
-// On overflow the queue applies an X-server-style policy: drop the oldest
-// events, one event at a time even inside a batch (replies and errors are
+// On overflow the queue does what an X server does: it drops the oldest
+// events, one event at a time even inside a batch. Replies and errors are
 // never dropped — the protocol is request/response and clients wait on
-// them), or report overflow so the caller can disconnect the slow client.
-// If the non-droppable backlog alone exceeds the budget the client is not
-// reading replies at all, and the queue reports overflow regardless of
-// policy.
+// them. If the non-droppable backlog alone exceeds the budget the client is
+// not reading replies at all, and the queue reports overflow so the caller
+// can disconnect it.
 //
 // Lock rank: EgressQueue::mu_ is a leaf (rank 2 in DESIGN.md's inventory,
 // below the big lock and the per-root engine locks). TryPop moves one entry
@@ -36,11 +35,6 @@
 #include "src/wire/messages.h"
 
 namespace aud {
-
-enum class EgressOverflowPolicy : uint8_t {
-  kDropEvents,  // shed oldest events first; disconnect only on reply backlog
-  kDisconnect,  // any overflow disconnects the slow client
-};
 
 // One queue entry, owned: a framed message, or a batch of encoded events.
 // Its size in bytes is kHeaderSize + payload for a frame, and the payload
@@ -107,16 +101,14 @@ struct EgressPushResult {
 
 class EgressQueue {
  public:
-  EgressQueue(size_t budget_bytes, EgressOverflowPolicy policy)
-      : budget_bytes_(budget_bytes), policy_(policy) {}
+  // `bytes_gauge`, when set, is a server-wide gauge mirroring this queue's
+  // backlog; it is adjusted on every enqueue/dequeue/shed.
+  explicit EgressQueue(size_t budget_bytes, obs::Gauge* bytes_gauge = nullptr)
+      : budget_bytes_(budget_bytes), bytes_gauge_(bytes_gauge) {}
 
-  // Optional server-wide gauge mirroring this queue's backlog; adjusted on
-  // every enqueue/dequeue/shed. Set before the first Push.
-  void set_bytes_gauge(obs::Gauge* gauge) { bytes_gauge_ = gauge; }
-
-  // Never blocks. Applies the overflow policy when the entry would push
-  // the backlog past the byte budget; an incoming batch may itself lose
-  // its oldest events.
+  // Never blocks. Sheds the oldest events when the entry would push the
+  // backlog past the byte budget; an incoming batch may itself lose its
+  // oldest events.
   EgressPushResult Push(EgressFrame frame);
 
   // Takes the next entry if one is queued; returns false immediately
@@ -146,8 +138,7 @@ class EgressQueue {
   void Account(int64_t delta_bytes) AUD_REQUIRES(mu_);
 
   size_t budget_bytes_;
-  EgressOverflowPolicy policy_;
-  obs::Gauge* bytes_gauge_ = nullptr;
+  obs::Gauge* bytes_gauge_;
 
   mutable Mutex mu_{LockRank::kEgressQueue, "EgressQueue::mu_"};
   std::deque<EgressFrame> frames_ AUD_GUARDED_BY(mu_);

@@ -17,8 +17,7 @@ thread_local ClientConnection* t_dispatching = nullptr;
 AudioServer::AudioServer(Board* board) : AudioServer(board, ServerOptions{}) {}
 
 AudioServer::AudioServer(Board* board, ServerOptions options)
-    : board_(board), options_(options), state_(board, options.name) {
-  state_.AttachStateLock(&mu_);
+    : board_(board), options_(options), state_(board, options.name, mu_) {
   state_.ConfigureDecodedCache(options.decoded_cache_bytes);
   state_.set_trace_sample_every(options.trace_sample_every);
   metrics_ = &state_.metrics();
@@ -26,10 +25,6 @@ AudioServer::AudioServer(Board* board, ServerOptions options)
       [this](uint32_t conn_index, std::vector<uint8_t> frames, uint32_t events) {
         DeliverEvents(conn_index, std::move(frames), events);
       });
-  fault_options_ = options_.fault;
-  if (!fault_options_.enabled) {
-    fault_options_ = FaultOptionsFromEnv("AUD_FAULT");
-  }
   StartLoops();
   state_.set_connection_loops(static_cast<uint32_t>(loops_.size()));
 }
@@ -88,16 +83,13 @@ void AudioServer::AddConnection(std::unique_ptr<ByteStream> stream) {
     index = free_slots_.back();
     free_slots_.pop_back();
   }
-  if (fault_options_.enabled) {
-    // Seeded per accepted connection, not per slot, so a reconnecting
-    // client meets a fresh fault schedule.
-    stream = MaybeWrapFault(std::move(stream),
-                            fault_options_.ForInstance(metrics_->connections_total.value()));
-  }
-  auto conn = std::make_unique<ClientConnection>(
-      index, std::move(stream), options_.egress_buffer_bytes, options_.egress_overflow);
+  // Fault injection is seeded per accepted connection, not per slot, so a
+  // reconnecting client meets a fresh fault schedule.
+  stream = MaybeWrapFault(std::move(stream),
+                          options_.fault.ForInstance(metrics_->connections_total.value()));
+  auto conn = std::make_unique<ClientConnection>(index, std::move(stream), *metrics_,
+                                                 options_.egress_buffer_bytes);
   ClientConnection* raw = conn.get();
-  raw->set_metrics(metrics_);
   // Burst defaults to one second's worth of the rate (decision 15).
   raw->ConfigureRateLimits(
       static_cast<double>(options_.limit_rps),
@@ -205,12 +197,11 @@ void AudioServer::DispatchRequest(ClientConnection* conn, const FramedMessage& m
   }
 }
 
-AudioServer::RateGate AudioServer::CheckRateLimit(ClientConnection* conn,
-                                                  const FramedMessage& message) {
+bool AudioServer::CheckRateLimit(ClientConnection* conn, const FramedMessage& message) {
   TokenBucket& rps = conn->rps_bucket();
   TokenBucket& bps = conn->bps_bucket();
   if (!rps.enabled() && !bps.enabled()) {
-    return RateGate::kDispatch;
+    return true;
   }
   const auto now = std::chrono::steady_clock::now();
   // Both buckets are charged even when one refuses, so a client that is
@@ -219,23 +210,19 @@ AudioServer::RateGate AudioServer::CheckRateLimit(ClientConnection* conn,
   const bool bps_ok = bps.TryAcquire(
       static_cast<double>(kHeaderSize + message.payload.size()), now);
   if (rps_ok && bps_ok) {
-    return RateGate::kDispatch;
+    return true;
   }
   metrics_->rate_limited.Increment();
-  if (options_.limit_policy == RateLimitPolicy::kHard) {
-    metrics_->rate_limit_disconnects.Increment();
-    return RateGate::kCut;
-  }
-  // Soft policy: the request is dropped without dispatch and answered with
-  // kRateLimited on its own sequence. Not counted in requests_total — the
-  // dispatcher never saw it.
+  // The request is dropped without dispatch and answered with kRateLimited
+  // on its own sequence; the connection stays. Not counted in
+  // requests_total — the dispatcher never saw it.
   ErrorMessage error;
   error.code = ErrorCode::kRateLimited;
   error.resource = kNoResource;
   error.opcode = message.header.code;
   error.detail = rps_ok ? "ingress byte rate exceeded" : "request rate exceeded";
   conn->SendError(message.header.sequence, error);
-  return RateGate::kThrottled;
+  return false;
 }
 
 // ---- Event-loop connection plane (DESIGN.md decision 14) -------------------
@@ -307,20 +294,11 @@ bool AudioServer::LoopReadAndDispatch(ClientConnection* conn) {
       status = conn->TryReadFrame(&message);
       continue;
     }
-    switch (CheckRateLimit(conn, message)) {
-      case RateGate::kCut:
-        // Hard policy: stop reading; the drain still flushes queued
-        // replies before the teardown reclaims the connection.
-        return LoopBeginDrain(conn);
-      case RateGate::kThrottled:
-        status = conn->TryReadFrame(&message);
-        continue;
-      case RateGate::kDispatch:
-        break;
+    if (!CheckRateLimit(conn, message)) {
+      status = conn->TryReadFrame(&message);
+      continue;
     }
-    if (!DispatchHold(conn, &message, &status)) {
-      return LoopBeginDrain(conn);  // a later frame of the hold was cut
-    }
+    DispatchHold(conn, &message, &status);
     if (status == FrameStatus::kMessage && hold_released_for_test_) {
       hold_released_for_test_();
     }
@@ -333,7 +311,7 @@ bool AudioServer::LoopReadAndDispatch(ClientConnection* conn) {
   return LoopBeginDrain(conn);
 }
 
-bool AudioServer::DispatchHold(ClientConnection* conn, FramedMessage* message,
+void AudioServer::DispatchHold(ClientConnection* conn, FramedMessage* message,
                                FrameStatus* status) {
   Arrival arrival = Arrive(conn, *message);
   MutexLock lock(&mu_);
@@ -343,9 +321,9 @@ bool AudioServer::DispatchHold(ClientConnection* conn, FramedMessage* message,
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - arrival.at)
           .count());
-  RateGate gate = RateGate::kDispatch;
+  bool dispatch = true;
   for (uint32_t held = 1;; ++held) {
-    if (gate == RateGate::kDispatch) {
+    if (dispatch) {
       DispatchRequest(conn, *message, arrival, lock_wait_us);
       lock_wait_us = 0;
     }
@@ -354,13 +332,10 @@ bool AudioServer::DispatchHold(ClientConnection* conn, FramedMessage* message,
     *status = conn->TryReadFrame(message);
     if (*status != FrameStatus::kMessage || held == kHoldFrames || conn->closed() ||
         shutting_down_.load()) {
-      return true;
+      return;
     }
-    gate = CheckRateLimit(conn, *message);
-    if (gate == RateGate::kCut) {
-      return false;
-    }
-    if (gate == RateGate::kDispatch) {
+    dispatch = CheckRateLimit(conn, *message);
+    if (dispatch) {
       arrival = Arrive(conn, *message);
     }
   }

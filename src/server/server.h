@@ -58,11 +58,6 @@ inline constexpr uint32_t kHoldFrames = 64;
 // workload and held the bench_capacity ladder (DESIGN.md decision 14).
 inline constexpr uint32_t kConnectionLoops = 2;
 
-// What to do with a request that exceeds the connection's token-bucket
-// rate (DESIGN.md decision 15). Soft answers `kRateLimited` and keeps the
-// connection; hard disconnects the flooder outright.
-enum class RateLimitPolicy : uint8_t { kSoft, kHard };
-
 struct ServerOptions {
   std::string name = "netaudio";
   // Engine period in frames at the board rate (160 = 20 ms at 8 kHz).
@@ -72,15 +67,14 @@ struct ServerOptions {
   // every Play decodes incrementally. 8 MiB holds ~8.7 minutes of 8 kHz
   // audio — plenty for a prompt catalogue.
   size_t decoded_cache_bytes = 8 * 1024 * 1024;
-  // Per-connection outbound byte budget and what to do when a slow client
-  // fills it (DESIGN.md decision 11). Replies/errors are never dropped;
-  // kDropEvents sheds oldest events first and disconnects only when the
-  // reply backlog alone exceeds the budget.
+  // Per-connection outbound byte budget (DESIGN.md decision 11). A slow
+  // client that fills it loses its oldest events first; replies and errors
+  // are never dropped, and a reply backlog alone past the budget
+  // disconnects the client.
   size_t egress_buffer_bytes = kDefaultEgressBudgetBytes;
-  EgressOverflowPolicy egress_overflow = EgressOverflowPolicy::kDropEvents;
   // Server-side transport fault injection for chaos tests: every accepted
   // stream is wrapped in a per-connection seeded FaultStream. Disabled by
-  // default; the AUD_FAULT env spec applies when this is not set.
+  // default.
   FaultOptions fault;
   // Request-trace sampling period: every Nth request per connection gets a
   // root span and request-scoped child spans down the audio path (DESIGN.md
@@ -95,12 +89,12 @@ struct ServerOptions {
   size_t max_connections = 0;
   // Token-bucket rate limits checked by the owning loop before dispatch:
   // requests per second and ingress bytes per second, each with a burst
-  // capacity (0 = one second's worth of the rate).
+  // capacity (0 = one second's worth of the rate). An over-rate request is
+  // answered with kRateLimited and the connection is kept.
   uint32_t limit_rps = 0;
   uint32_t limit_rps_burst = 0;
   uint64_t limit_bps = 0;
   uint64_t limit_bps_burst = 0;
-  RateLimitPolicy limit_policy = RateLimitPolicy::kSoft;
   // Per-client resource quotas enforced in the dispatcher with
   // kQuotaExceeded: live virtual devices, stored sound bytes, and
   // concurrent plays/records (started command queues) per connection.
@@ -217,19 +211,15 @@ class AudioServer {
   // buffered behind it under one hold of the state lock: at most
   // kHoldFrames, ending early at the round's last frame or once the
   // connection closes. Leaves in `*status` the read that ended the hold;
-  // kMessage means `*message` is the next frame, not yet gated. False when
-  // the hard rate policy cut the client off.
-  bool DispatchHold(ClientConnection* conn, FramedMessage* message, FrameStatus* status)
+  // kMessage means `*message` is the next frame, not yet gated.
+  void DispatchHold(ClientConnection* conn, FramedMessage* message, FrameStatus* status)
       AUD_EXCLUDES(mu_);
 
   // Token-bucket rate gate, checked by the owning loop thread after
-  // byte accounting and before dispatch (DESIGN.md decision 15).
-  enum class RateGate {
-    kDispatch,   // within budget: dispatch normally
-    kThrottled,  // soft policy: kRateLimited was sent, skip dispatch
-    kCut,        // hard policy: stop reading and tear the connection down
-  };
-  RateGate CheckRateLimit(ClientConnection* conn, const FramedMessage& message);
+  // byte accounting and before dispatch (DESIGN.md decision 15). True:
+  // within budget, dispatch. False: the request was answered with
+  // kRateLimited and must not be dispatched.
+  bool CheckRateLimit(ClientConnection* conn, const FramedMessage& message);
 
   // Event-loop connection plane (DESIGN.md decision 14). All of these run
   // on the loop thread that owns the connection's fd; teardown for a
@@ -255,9 +245,9 @@ class AudioServer {
   void ReclaimConnection(ClientConnection* conn) AUD_EXCLUDES(mu_);
 
   // Tick-driver access to the state. Tick() manages the state lock itself
-  // (epoch open/commit take it; the fan-out runs without it — the lock was
-  // attached at construction via AttachStateLock), so the callers must NOT
-  // hold mu_; the annotation opt-out reflects that inverted ownership.
+  // (epoch open/commit take it; the fan-out runs without it — the state
+  // was constructed with the lock), so the callers must NOT hold mu_; the
+  // annotation opt-out reflects that inverted ownership.
   ServerState& tick_state() AUD_NO_THREAD_SAFETY_ANALYSIS { return state_; }
 
   // Dispatcher (dispatcher.cc). `received_at` is taken by the loop thread
@@ -300,8 +290,6 @@ class AudioServer {
   // kMaxClientConnections.
   std::vector<std::unique_ptr<ClientConnection>> connections_ AUD_GUARDED_BY(mu_);
   std::vector<uint32_t> free_slots_ AUD_GUARDED_BY(mu_);
-  // Resolved once at construction: options_.fault, else the AUD_FAULT env.
-  FaultOptions fault_options_;
 
   SocketListener listener_;
   std::thread accept_thread_;

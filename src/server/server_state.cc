@@ -39,8 +39,8 @@ void WarnIfError(const Status& status, const char* what) {
 
 }  // namespace
 
-ServerState::ServerState(Board* board, std::string server_name)
-    : board_(board), server_name_(std::move(server_name)) {
+ServerState::ServerState(Board* board, std::string server_name, Mutex& state_mu)
+    : board_(board), server_name_(std::move(server_name)), state_mu_(state_mu) {
   BuildDeviceLoud();
   SeedCatalogue();
   // Route every phone line's events into the server.
@@ -614,12 +614,12 @@ void ServerState::PrepareOutputAccumulator(PhysicalDevice* device, size_t frames
 }
 
 void ServerState::WaitEngineIdle() {
-  if (state_mu_ == nullptr || !epoch_in_flight_) {
+  if (!epoch_in_flight_) {
     return;
   }
   ++drain_waiters_;
   while (epoch_in_flight_) {
-    epoch_cv_.Wait(*state_mu_);
+    epoch_cv_.Wait(state_mu_);
   }
   --drain_waiters_;
   if (drain_waiters_ == 0) {
@@ -628,15 +628,13 @@ void ServerState::WaitEngineIdle() {
 }
 
 void ServerState::EpochOpen(size_t frames) {
-  if (state_mu_ != nullptr) {
-    state_mu_->Lock();
-    // Two rules keep the boundary fair and exclusive: a second tick driver
-    // waits out the in-flight epoch (epochs never overlap), and structural
-    // mutators already queued behind the previous epoch go first — a
-    // back-to-back tick storm must not starve create/destroy/activation.
-    while (epoch_in_flight_ || drain_waiters_ > 0) {
-      epoch_cv_.Wait(*state_mu_);
-    }
+  MutexLock lock(&state_mu_);
+  // Two rules keep the boundary fair and exclusive: a second tick driver
+  // waits out the in-flight epoch (epochs never overlap), and structural
+  // mutators already queued behind the previous epoch go first — a
+  // back-to-back tick storm must not starve create/destroy/activation.
+  while (epoch_in_flight_ || drain_waiters_ > 0) {
+    epoch_cv_.Wait(state_mu_);
   }
   current_tick_frames_ = frames;
   obs::Trace(obs::TraceReason::kTickStart, static_cast<uint32_t>(frames));
@@ -660,9 +658,6 @@ void ServerState::EpochOpen(size_t frames) {
     }
   }
   epoch_in_flight_ = true;
-  if (state_mu_ != nullptr) {
-    state_mu_->Unlock();
-  }
 }
 
 void ServerState::EpochFanOut(EngineTick* tick, size_t frames) {
@@ -754,9 +749,7 @@ void ServerState::TickRoot(Loud* root, EngineTick* tick, size_t frames) {
 
 void ServerState::EpochCommit(size_t frames, obs::PhaseClock* clock) {
   const auto commit_t0 = clock->last();
-  if (state_mu_ != nullptr) {
-    state_mu_->Lock();
-  }
+  MutexLock lock(&state_mu_);
 
   // Hand each connection the batch the fan-out encoded for it: one egress
   // entry per connection, its events in emission order.
@@ -822,9 +815,6 @@ void ServerState::EpochCommit(size_t frames, obs::PhaseClock* clock) {
   epoch_cv_.NotifyAll();
   metrics_.epoch_commits.Increment();
   metrics_.epoch_commit_us.Record(obs::PhaseClock::UsSince(commit_t0));
-  if (state_mu_ != nullptr) {
-    state_mu_->Unlock();
-  }
 }
 
 void ServerState::Tick(size_t frames) {

@@ -67,8 +67,11 @@ class ServerState {
   using EventSender =
       std::function<void(uint32_t conn, std::vector<uint8_t> frames, uint32_t events)>;
 
-  // `board` must outlive the state.
-  ServerState(Board* board, std::string server_name);
+  // `board` must outlive the state. `state_mu` is the server's state lock:
+  // Tick() takes it for the epoch open and commit critical sections (and
+  // runs its fan-out without it); WaitEngineIdle() releases it while
+  // waiting.
+  ServerState(Board* board, std::string server_name, Mutex& state_mu);
   ~ServerState();
 
   Board* board() { return board_; }
@@ -81,18 +84,13 @@ class ServerState {
 
   void set_event_sender(EventSender sender) { event_sender_ = std::move(sender); }
 
-  // Attaches the server's state lock. Tick() takes it for the epoch open
-  // and commit critical sections (and runs its fan-out without it);
-  // WaitEngineIdle() releases it while waiting. A detached state (unit
-  // tests driving a bare ServerState single-threaded) skips all locking.
-  void AttachStateLock(Mutex* mu) { state_mu_ = mu; }
-
   // Blocks until no epoch fan-out is in flight. Callers must hold the
-  // attached state lock (the wait releases and reacquires it); on return
-  // the engine is quiescent and cannot start a new epoch until the caller
-  // drops the lock, so structural mutation (registry, wiring, activation,
-  // sound data) is safe. Invisible to the analysis because the lock is an
-  // attached pointer, not a member the annotations can name.
+  // state lock (the wait releases and reacquires it); on return the engine
+  // is quiescent and cannot start a new epoch until the caller drops the
+  // lock, so structural mutation (registry, wiring, activation, sound
+  // data) is safe. Invisible to the analysis because the lock is the
+  // server's, reached through a reference the annotations cannot tie to
+  // the server's member.
   void WaitEngineIdle() AUD_NO_THREAD_SAFETY_ANALYSIS;
 
   // -- Registry ---------------------------------------------------------------
@@ -410,7 +408,7 @@ class ServerState {
   // epoch_in_flight_ is true exactly while a fan-out runs without it.
   // Structural mutators queue on epoch_cv_ (WaitEngineIdle) and the next
   // epoch open defers to them so a tick storm cannot starve mutation.
-  Mutex* state_mu_ = nullptr;
+  Mutex& state_mu_;
   CondVar epoch_cv_;
   bool epoch_in_flight_ = false;
   int drain_waiters_ = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <sstream>
 #include <thread>
 
@@ -66,14 +65,6 @@ FaultOptions ParseFaultSpec(const std::string& spec) {
     }
   }
   return options;
-}
-
-FaultOptions FaultOptionsFromEnv(const char* env_var) {
-  const char* spec = std::getenv(env_var);
-  if (spec == nullptr) {
-    return FaultOptions{};
-  }
-  return ParseFaultSpec(spec);
 }
 
 FaultStream::FaultStream(std::unique_ptr<ByteStream> inner, const FaultOptions& options)

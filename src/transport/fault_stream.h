@@ -1,10 +1,10 @@
 // FaultStream: a deterministic fault-injecting decorator over any
-// ByteStream. Chaos and soak tests wrap the server's accepted streams and
-// the client's connect path in one of these to prove that framing,
-// reclamation and the engine tick survive the transport misbehaving —
-// short reads, writes split into arbitrary chunks, injected latency, and
-// abrupt mid-frame resets (the peer dying between a header and its
-// payload).
+// ByteStream. Chaos and soak tests wrap the server's accepted streams
+// (ServerOptions::fault, audiond --fault) in one of these to prove that
+// framing, reclamation and the engine tick survive the transport
+// misbehaving — short reads, writes split into arbitrary chunks, injected
+// latency, and abrupt mid-frame resets (the peer dying between a header
+// and its payload).
 //
 // Everything is driven by a seeded SplitMix64 PRNG, so a failing chaos run
 // replays exactly from its seed. With a default-constructed FaultOptions
@@ -41,10 +41,9 @@ struct FaultOptions {
 };
 
 // Parses "seed=7,short_read=0.3,chop_write=0.5,reset_read=0.01,
-// reset_write=0.01,delay_us=500" from the named environment variable.
-// Unset or empty variable yields {enabled = false}; unknown keys are
-// ignored so old binaries tolerate new knobs.
-FaultOptions FaultOptionsFromEnv(const char* env_var);
+// reset_write=0.01,delay_us=500" (audiond --fault). An empty spec yields
+// {enabled = false}; unknown keys are ignored so old binaries tolerate new
+// knobs.
 FaultOptions ParseFaultSpec(const std::string& spec);
 
 class FaultStream : public ByteStream {

@@ -22,7 +22,7 @@
 //   version  the stats_version that first carried it.
 //   show     which surfaces render it: kAll (Prometheus, text and JSON),
 //            kBrief (those plus the one-line summary of the audiond stats
-//            log and audiotop's header), kNone (kept on the wire only).
+//            log and `audioctl top`'s header), kNone (kept on the wire only).
 //   json     where it sits in the JSON object: "" top level, "group" in
 //            that group under its own name, "group.key" renamed.
 //   prom     the Prometheus series when it is not aud_<name> (counters
@@ -157,8 +157,8 @@ inline constexpr uint32_t kServerStatsVersion = 8;
     "Connections closed at accept time by admission control")                                 \
   X(rate_limited, uint64_t, kCounter, kMetric, 7, kBrief, "overload", "", "",                 \
     "Requests refused by a per-connection token bucket")                                      \
-  X(rate_limit_disconnects, uint64_t, kCounter, kMetric, 7, kBrief, "overload", "", "",       \
-    "Flooders disconnected by the hard rate-limit policy")                                    \
+  X(rate_limit_disconnects, uint64_t, kCounter, kState, 7, kNone, "", "", "",                 \
+    "Retired: always 0")                                                                      \
   X(quota_denials, uint64_t, kCounter, kMetric, 7, kBrief, "overload", "", "",                \
     "Requests refused by a per-client resource quota")                                        \
   X(draining, uint32_t, kGauge, kMetric, 7, kAll, "overload", "", "",                         \

@@ -1,7 +1,8 @@
 // Every rendering of a ServerStatsReply, generated from the stats table
 // (src/wire/server_stats_fields.h): Prometheus text for --metrics-port,
 // the text and JSON of `audioctl stats`, the one-line summary of the
-// audiond stats log and audiotop's header, and the flight-recorder dump.
+// audiond stats log and `audioctl top`'s header, and the flight-recorder
+// dump.
 // All of them read one snapshot, so they always show the same numbers, and
 // a row's `show` column decides which of them render it. The per-entity
 // table of GetEntityStats renders here too.
@@ -32,9 +33,9 @@ std::string RenderStatsJson(const ServerStatsReply& stats);
 // The kBrief rows on one line: `name=value`, histograms as `name_p99=value`.
 std::string RenderStatsLine(const ServerStatsReply& stats);
 
-// The GetEntityStats table of `audioctl top` and audiotop: one row per
-// connection, heaviest (bytes in + out) first, then one row per root's
-// device counters.
+// The GetEntityStats table of `audioctl top`: one row per connection,
+// heaviest (bytes in + out) first, then one row per root's device
+// counters.
 std::string RenderEntityStatsTable(EntityStatsReply stats);
 
 // Human-oriented post-mortem dump: the stats text, the merged trace ring

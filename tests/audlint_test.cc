@@ -147,6 +147,12 @@ Error codes: `BadResource(1)`, `Timeout(2)`. The payload is a code.
   files["README.md"] = R"(
 Run `audiond --port 7800 --verbose` and query it with `audioctl --json`,
 then load it with `audioload --clients 100`.
+
+| `audiond` flag | Meaning |
+|---|---|
+| `--port N` / `--verbose` | listen port, debug logging |
+
+The table ends at the first line that is not a row.
 )";
   return files;
 }
@@ -649,6 +655,19 @@ TEST(AudlintTest, UndocumentedCliFlagFlagged) {
   files["audiond.cc"] += "\n    if (arg == \"--ghost-mode\") { ghost = true; }\n";
   EXPECT_TRUE(
       HasProblem(LintTree(files), "audiond flag --ghost-mode is undocumented"));
+}
+
+TEST(AudlintTest, FlagTableRowForUnparsedFlagFlagged) {
+  FileMap files = CleanTree();
+  // A flag deleted from audiond.cc whose README row stayed behind.
+  const std::string row = "| `--port N` / `--verbose` | listen port, debug logging |\n";
+  files["README.md"].replace(files["README.md"].find(row), row.size(),
+                             row + "| `--ghost-mode P` | `a` or `b`, like --phantom |\n");
+  EXPECT_TRUE(HasProblem(LintTree(files),
+                         "the audiond flag table names --ghost-mode, which audiond.cc does not "
+                         "parse"));
+  // Only the first column names flags: --phantom in the meaning is prose.
+  EXPECT_EQ(LintTree(files).size(), 1u);
 }
 
 TEST(AudlintTest, FlagPrefixOfLongerFlagDoesNotCount) {

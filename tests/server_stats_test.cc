@@ -284,7 +284,7 @@ TEST_F(ServerStatsTest, RequestTraceLinksSpansEndToEnd) {
   }
 }
 
-// GetEntityStats must rank the heavy client first (what audiotop shows) and
+// GetEntityStats must rank the heavy client first (what `audioctl top` shows) and
 // attribute device frame counters to the owning connection.
 TEST_F(ServerStatsTest, EntityStatsIdentifyTopClientAndDevices) {
   // client_ does real work; a second connection stays nearly idle.

@@ -378,7 +378,7 @@ TEST(StatsSurfaceTest, RetiredRowsAppearOnNoSurface) {
     }
   });
   EXPECT_EQ(retired, (std::set<std::string>{"engine_threads", "islands_per_tick",
-                                            "worker_imbalance"}));
+                                            "worker_imbalance", "rate_limit_disconnects"}));
   for (const std::string& surface :
        {RenderPrometheusText(s), RenderStatsText(s), RenderStatsJson(s), RenderStatsLine(s),
         RenderFlightDumpText("test", s, {}, {})}) {
@@ -425,7 +425,6 @@ TEST(StatsSurfaceTest, ExistingSeriesAndJsonKeysShowTheirFields) {
       {"aud_readiness_spurious_total", v(s.readiness_spurious)},
       {"aud_admission_rejects_total", v(s.admission_rejects)},
       {"aud_rate_limited_total", v(s.rate_limited)},
-      {"aud_rate_limit_disconnects_total", v(s.rate_limit_disconnects)},
       {"aud_quota_denials_total", v(s.quota_denials)},
       {"aud_draining", v(s.draining)},
       {"aud_drain_forced_closes_total", v(s.drain_forced_closes)},
@@ -489,7 +488,6 @@ TEST(StatsSurfaceTest, ExistingSeriesAndJsonKeysShowTheirFields) {
       {"loops.readiness_spurious", v(s.readiness_spurious)},
       {"overload.admission_rejects", v(s.admission_rejects)},
       {"overload.rate_limited", v(s.rate_limited)},
-      {"overload.rate_limit_disconnects", v(s.rate_limit_disconnects)},
       {"overload.quota_denials", v(s.quota_denials)},
       {"overload.draining", v(s.draining)},
       {"overload.drain_forced_closes", v(s.drain_forced_closes)},
@@ -500,7 +498,7 @@ TEST(StatsSurfaceTest, ExistingSeriesAndJsonKeysShowTheirFields) {
   }
 }
 
-// -- The GetEntityStats table (audioctl top and audiotop) -----------------------
+// -- The GetEntityStats table (audioctl top) -----------------------------------
 
 TEST(StatsSurfaceTest, EntityTableListsHeaviestConnectionFirst) {
   EntityStatsReply reply;

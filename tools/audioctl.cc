@@ -13,8 +13,9 @@
 //   stats [--json]           server counters and latency histograms
 //   trace [N]                newest N engine/dispatcher trace events
 //   trace --request [ID]     spans of one traced request (default: newest)
-//   top                      per-connection and per-device stats, sorted
-//                            by bytes (see also audiotop for a live view)
+//   top                      the stats line, then per-connection and
+//                            per-device stats sorted by bytes (for a live
+//                            view: watch -n1 audioctl top)
 //
 // Every subcommand is an ordinary Alib client; reading this file is the
 // fastest tour of the client API.
@@ -263,13 +264,15 @@ int CmdRequestTrace(AudioConnection& audio, uint64_t trace_id) {
 }
 
 int CmdTop(AudioConnection& audio) {
-  auto stats = audio.GetEntityStats(true);
-  if (!stats.ok()) {
-    std::fprintf(stderr, "GetEntityStats failed: %s\n",
-                 stats.status().ToString().c_str());
+  auto server = audio.GetServerStats(false);
+  auto entities = audio.GetEntityStats(true);
+  if (!server.ok() || !entities.ok()) {
+    std::fprintf(stderr, "stats query failed: %s\n",
+                 (server.ok() ? entities.status() : server.status()).ToString().c_str());
     return 1;
   }
-  std::fputs(RenderEntityStatsTable(stats.value()).c_str(), stdout);
+  std::printf("%s\n\n", RenderStatsLine(server.value()).c_str());
+  std::fputs(RenderEntityStatsTable(entities.value()).c_str(), stdout);
   return 0;
 }
 

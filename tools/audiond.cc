@@ -21,11 +21,15 @@
 //
 // Overload protection (DESIGN.md decision 15): --max-connections caps
 // accepted clients; --limit-rps/--limit-bps rate-limit each connection
-// (with --limit-policy soft answering RateLimited and hard disconnecting);
+// (an over-rate request is answered with RateLimited);
 // --quota-devices/--quota-sound-bytes/--quota-plays bound what one client
 // may hold. SIGTERM triggers a graceful drain bounded by --drain-ms
 // (SIGINT remains the immediate stop).
+//
+// A numeric flag's value must be a whole number within the flag's range;
+// anything else prints the usage line and exits 1.
 
+#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -52,6 +56,35 @@ void HandleSignal(int) { g_stop = 1; }
 // hang up phone lines); SIGINT keeps the immediate hard stop.
 void HandleDrainSignal(int) { g_drain = 1; }
 void HandleDumpSignal(int) { g_dump = 1; }
+
+void PrintUsage() {
+  std::fprintf(stderr,
+               "usage: audiond [--port N] [--speakers N] [--microphones N] "
+               "[--lines N] [--speakerphone] "
+               "[--wav-out FILE] [--catalogue DIR] [--stats-interval-ms N] "
+               "[--trace-sample N] [--metrics-port N] [--flight-dump FILE] "
+               "[--egress-buffer-bytes N] "
+               "[--max-connections N] [--limit-rps N] [--limit-rps-burst N] "
+               "[--limit-bps N] [--limit-bps-burst N] "
+               "[--quota-devices N] [--quota-sound-bytes N] [--quota-plays N] "
+               "[--drain-ms N] [--fault SPEC] [--verbose]\n");
+}
+
+// Parses all of `text` as a whole number within T's range and no less
+// than `lo`. False, leaving `*out` as it was, for anything else: an empty
+// string, a sign T cannot hold, trailing characters, or a value out of
+// range.
+template <typename T>
+bool ParseNumber(const char* text, T* out, T lo = 0) {
+  const char* end = text + std::strlen(text);
+  T value{};
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end || value < lo) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
 
 // Minimal HTTP/1.x responder for the metrics endpoint: one request per
 // connection, GET /metrics only. Reuses the server's own socket transport.
@@ -109,107 +142,67 @@ int main(int argc, char** argv) {
   int drain_ms = 5000;  // SIGTERM graceful-drain deadline
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    auto next_int = [&](int fallback) {
-      return i + 1 < argc ? std::atoi(argv[++i]) : fallback;
-    };
+    // The flag's value, or "" when the flag ends the command line.
+    auto next = [&] { return i + 1 < argc ? argv[++i] : ""; };
+    bool ok = true;
     if (arg == "--port") {
-      port = static_cast<uint16_t>(next_int(port));
+      ok = ParseNumber(next(), &port);
     } else if (arg == "--speakers") {
-      config.speakers = next_int(config.speakers);
+      ok = ParseNumber(next(), &config.speakers);
     } else if (arg == "--microphones") {
-      config.microphones = next_int(config.microphones);
+      ok = ParseNumber(next(), &config.microphones);
     } else if (arg == "--lines") {
-      config.phone_lines = next_int(config.phone_lines);
+      ok = ParseNumber(next(), &config.phone_lines);
     } else if (arg == "--speakerphone") {
       config.speakerphone = true;
     } else if (arg == "--wav-out") {
-      if (i + 1 < argc) {
-        wav_out = argv[++i];
-      }
+      wav_out = next();
     } else if (arg == "--catalogue") {
-      if (i + 1 < argc) {
-        catalogue_dir = argv[++i];
-      }
+      catalogue_dir = next();
     } else if (arg == "--stats-interval-ms") {
-      stats_interval_ms = next_int(stats_interval_ms);
+      ok = ParseNumber(next(), &stats_interval_ms);
     } else if (arg == "--trace-sample") {
-      int every = next_int(0);
-      options.trace_sample_every = every > 0 ? static_cast<uint32_t>(every) : 0;
+      ok = ParseNumber(next(), &options.trace_sample_every);
     } else if (arg == "--metrics-port") {
-      metrics_port = static_cast<uint16_t>(next_int(0));
+      ok = ParseNumber(next(), &metrics_port);
     } else if (arg == "--flight-dump") {
       if (i + 1 < argc) {
         flight_dump = argv[++i];
       }
     } else if (arg == "--egress-buffer-bytes") {
-      int bytes = next_int(static_cast<int>(options.egress_buffer_bytes));
-      if (bytes > 0) {
-        options.egress_buffer_bytes = static_cast<size_t>(bytes);
-      }
-    } else if (arg == "--egress-overflow") {
-      std::string policy = i + 1 < argc ? argv[++i] : "";
-      if (policy == "drop-events") {
-        options.egress_overflow = EgressOverflowPolicy::kDropEvents;
-      } else if (policy == "disconnect") {
-        options.egress_overflow = EgressOverflowPolicy::kDisconnect;
-      } else {
-        std::fprintf(stderr, "audiond: --egress-overflow wants drop-events|disconnect\n");
-        return 1;
-      }
+      ok = ParseNumber(next(), &options.egress_buffer_bytes, size_t{1});
     } else if (arg == "--fault") {
       // Seeded transport fault injection on every accepted connection
       // (chaos testing): "seed=7,short_read=0.3,reset_write=0.01,...".
-      options.fault = ParseFaultSpec(i + 1 < argc ? argv[++i] : "");
+      options.fault = ParseFaultSpec(next());
     } else if (arg == "--max-connections") {
-      int n = next_int(0);
-      options.max_connections = n > 0 ? static_cast<size_t>(n) : 0;
+      ok = ParseNumber(next(), &options.max_connections);
     } else if (arg == "--limit-rps") {
-      int n = next_int(0);
-      options.limit_rps = n > 0 ? static_cast<uint32_t>(n) : 0;
+      ok = ParseNumber(next(), &options.limit_rps);
     } else if (arg == "--limit-rps-burst") {
-      int n = next_int(0);
-      options.limit_rps_burst = n > 0 ? static_cast<uint32_t>(n) : 0;
+      ok = ParseNumber(next(), &options.limit_rps_burst);
     } else if (arg == "--limit-bps") {
-      int n = next_int(0);
-      options.limit_bps = n > 0 ? static_cast<uint64_t>(n) : 0;
+      ok = ParseNumber(next(), &options.limit_bps);
     } else if (arg == "--limit-bps-burst") {
-      int n = next_int(0);
-      options.limit_bps_burst = n > 0 ? static_cast<uint64_t>(n) : 0;
-    } else if (arg == "--limit-policy") {
-      std::string policy = i + 1 < argc ? argv[++i] : "";
-      if (policy == "soft") {
-        options.limit_policy = RateLimitPolicy::kSoft;
-      } else if (policy == "hard") {
-        options.limit_policy = RateLimitPolicy::kHard;
-      } else {
-        std::fprintf(stderr, "audiond: --limit-policy wants soft|hard\n");
-        return 1;
-      }
+      ok = ParseNumber(next(), &options.limit_bps_burst);
     } else if (arg == "--quota-devices") {
-      int n = next_int(0);
-      options.quota_devices = n > 0 ? static_cast<uint32_t>(n) : 0;
+      ok = ParseNumber(next(), &options.quota_devices);
     } else if (arg == "--quota-sound-bytes") {
-      int n = next_int(0);
-      options.quota_sound_bytes = n > 0 ? static_cast<uint64_t>(n) : 0;
+      ok = ParseNumber(next(), &options.quota_sound_bytes);
     } else if (arg == "--quota-plays") {
-      int n = next_int(0);
-      options.quota_plays = n > 0 ? static_cast<uint32_t>(n) : 0;
+      ok = ParseNumber(next(), &options.quota_plays);
     } else if (arg == "--drain-ms") {
-      drain_ms = next_int(drain_ms);
+      ok = ParseNumber(next(), &drain_ms);
     } else if (arg == "--verbose") {
       SetLogLevel(LogLevel::kDebug);
     } else {
-      std::fprintf(stderr,
-                   "usage: audiond [--port N] [--speakers N] [--microphones N] "
-                   "[--lines N] [--speakerphone] "
-                   "[--wav-out FILE] [--catalogue DIR] [--stats-interval-ms N] "
-                   "[--trace-sample N] [--metrics-port N] [--flight-dump FILE] "
-                   "[--egress-buffer-bytes N] [--egress-overflow drop-events|disconnect] "
-                   "[--max-connections N] [--limit-rps N] [--limit-rps-burst N] "
-                   "[--limit-bps N] [--limit-bps-burst N] [--limit-policy soft|hard] "
-                   "[--quota-devices N] [--quota-sound-bytes N] [--quota-plays N] "
-                   "[--drain-ms N] [--fault SPEC] [--verbose]\n");
+      PrintUsage();
       return arg == "--help" ? 0 : 1;
+    }
+    if (!ok) {
+      std::fprintf(stderr, "audiond: %s wants a whole number in its range\n", arg.c_str());
+      PrintUsage();
+      return 1;
     }
   }
   if (stats_interval_ms > 0 && GetLogLevel() > LogLevel::kInfo) {

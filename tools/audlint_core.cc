@@ -703,16 +703,53 @@ bool ContainsFlag(const std::string& doc, const std::string& flag) {
   return false;
 }
 
-// CLI flag documentation. Every `--flag` literal in audiond.cc,
+// The `--flag`s in the first column of README's "| `tool` flag |" table,
+// from its header row to the first line that is not a table row. Empty
+// when README has no such table.
+std::vector<std::string> FlagTableFlags(const std::string& tool, const std::string& readme) {
+  std::vector<std::string> flags;
+  const size_t table = readme.find("| `" + tool + "` flag |");
+  if (table == std::string::npos) {
+    return flags;
+  }
+  for (const std::string& row : SplitLines(readme.substr(table))) {
+    if (row.empty() || row[0] != '|') {
+      break;
+    }
+    const std::string cell = row.substr(1, row.find('|', 1) - 1);
+    for (size_t pos = cell.find("--"); pos != std::string::npos;
+         pos = cell.find("--", pos + 2)) {
+      // A flag starts with a letter; the table's `|---|` rule does not.
+      if (pos + 2 >= cell.size() || std::islower(static_cast<unsigned char>(cell[pos + 2])) == 0 ||
+          (pos > 0 && cell[pos - 1] == '-')) {
+        continue;
+      }
+      const size_t end = cell.find_first_not_of("abcdefghijklmnopqrstuvwxyz0123456789-", pos + 2);
+      flags.push_back(cell.substr(pos, end == std::string::npos ? end : end - pos));
+    }
+  }
+  return flags;
+}
+
+// CLI flag documentation, both ways. Every `--flag` literal in audiond.cc,
 // audioctl.cc, and audioload.cc must appear in README.md — a flag shipped
-// without a line of documentation fails the lint the same commit.
+// without a line of documentation fails the lint the same commit — and
+// every flag a row of the tool's README flag table names must be one the
+// tool parses, so a deleted flag cannot stay documented.
 void CheckCliDocCoverage(const std::string& tool, const std::string& tool_cc,
                          const std::string& readme,
                          std::vector<std::string>* problems) {
-  for (const std::string& flag : ExtractCliFlags(tool_cc)) {
+  const std::vector<std::string> parsed = ExtractCliFlags(tool_cc);
+  for (const std::string& flag : parsed) {
     if (!ContainsFlag(readme, flag)) {
       problems->push_back("README.md: " + tool + " flag " + flag +
                           " is undocumented");
+    }
+  }
+  for (const std::string& flag : FlagTableFlags(tool, readme)) {
+    if (std::find(parsed.begin(), parsed.end(), flag) == parsed.end()) {
+      problems->push_back("README.md: the " + tool + " flag table names " + flag + ", which " +
+                          tool + ".cc does not parse");
     }
   }
 }

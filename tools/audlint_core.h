@@ -11,7 +11,8 @@
 //     src/wire/server_stats_fields.h);
 //   * lock ranks (LockRank enum vs the DESIGN.md lock table), error codes
 //     (ErrorCode enum vs the name switch vs PROTOCOL.md), and CLI flags
-//     (every audiond/audioctl/audioload --flag appears in README.md).
+//     (every audiond/audioctl/audioload --flag appears in README.md, and
+//     every flag a README flag table names is one the tool parses).
 //
 // Runs as a ctest (tools/audlint.cc) so drift fails CI the same commit it
 // happens. The checker is a pure function over file contents so the unit
